@@ -126,6 +126,9 @@ let call_size = size (Call 0)
 
 let jmp_size = size (Jmp 0)
 
+(** Longest encoding: the 64-bit-immediate forms ([Mov_ri], [Lea]). *)
+let max_size = size (Mov_ri (0, 0))
+
 let alu_code = function
   | Add -> 0 | Sub -> 1 | Mul -> 2 | Div -> 3 | Mod -> 4
   | Band -> 5 | Bor -> 6 | Bxor -> 7 | Shl -> 8 | Shr -> 9

@@ -70,6 +70,11 @@ val call_size : int
 
 val jmp_size : int
 
+(** Longest encoding in bytes, the 64-bit-immediate forms ([Mov_ri],
+    [Lea]): no instruction is larger, so a run of [n] instructions spans
+    at most [n * max_size] bytes. *)
+val max_size : int
+
 val alu_code : alu -> int
 val alu_of_code : int -> alu
 val unop_code : unop -> int

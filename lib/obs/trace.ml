@@ -170,8 +170,7 @@ let pp_event fmt = function
   | Safepoint_poll { pending } ->
       Format.fprintf fmt "safepoint poll (%d sets pending)" pending
   | Icache_flush { hart; addr; len } ->
-      if len = 0 then Format.fprintf fmt "hart%d icache flush (all)" hart
-      else Format.fprintf fmt "hart%d icache flush [0x%x, 0x%x)" hart addr (addr + len)
+      Format.fprintf fmt "hart%d icache flush [0x%x, 0x%x)" hart addr (addr + len)
   | Ipi_send { rdv; from_hart; to_hart } ->
       Format.fprintf fmt "ipi hart%d -> hart%d (rdv #%d)" from_hart to_hart rdv
   | Ipi_ack { rdv; hart; wait; at } ->

@@ -60,9 +60,8 @@ type event =
           Polls with an empty journal are not reported — they are the
           fast path and would flood the ring. *)
   | Icache_flush of { hart : int; addr : int; len : int }
-      (** Hart [hart] dropped decoded instructions over the range
-          ([len = 0] means a whole-cache flush).  Single-hart machines
-          report [hart = 0]. *)
+      (** Hart [hart] dropped decoded instructions over the range.
+          Single-hart machines report [hart = 0]. *)
   | Ipi_send of { rdv : int; from_hart : int; to_hart : int }
       (** The rendezvous initiator posted a stop request to [to_hart].
           [rdv] names the rendezvous; the matching {!Ipi_ack} carries the

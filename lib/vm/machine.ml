@@ -36,18 +36,6 @@ type decode_stats = {
   mutable ds_invalidated : int;  (** superblocks dropped by icache flushes *)
 }
 
-(** Host-side code-heat counters, indexed by superblock entry text
-    offset.  They live in the machine — outside the superblocks — so an
-    icache flush that drops a block never loses the hits already
-    charged to its entry; rebuilding the block resumes counting in the
-    same slot.  Like the perf counters, incrementing them charges zero
-    simulated cycles. *)
-type heat_counters = {
-  hh_hits : int array;  (** cumulative entries via the dispatch slow path *)
-  hh_insns : int array;  (** cumulative instructions dispatched from here *)
-  hh_ends : int array;  (** text offset one past the block's last byte *)
-}
-
 type t = {
   image : Image.t;
   hart_id : int;
@@ -62,19 +50,15 @@ type t = {
   bp : Branch_pred.t;
   cost : Cost.t;
   platform : platform;
-  cache : (Insn.t * int) option array;
-      (** per-instruction decode cache, indexed by text offset — the
-          reference stepper's ({!step_ref}) icache model.  The superblock
-          path keeps it coherent but does not read it. *)
-  blocks : (int, superblock) Hashtbl.t;
-      (** pre-decoded superblocks keyed by entry text offset — the
-          enumeration side (invalidation walks it); lookups go through
-          [block_map] *)
-  block_map : superblock option array;
-      (** direct-mapped dispatch index: [block_map.(off)] is the live
-          superblock entered at text offset [off].  Same contents as
-          [blocks]; exists so the block-transition hot path is an array
-          read instead of a hash lookup *)
+  code_span : int;
+      (** executable bytes from the text base: the static text plus —
+          when the image reserves one — the variant-text region the lazy
+          materializer writes into.  A fetch at or past it faults. *)
+  mutable pages : page array;
+      (** the decode index, a directory of pages: [pages.(off lsr
+          page_bits)] holds the decode state of text offset [off].  It
+          is empty until the first write, then spans the code span; a
+          slot never written holds the shared, always-empty [no_page] *)
   mutable sb_cur : superblock option;
       (** dispatch cursor: the superblock expected to contain [pc] *)
   mutable sb_ix : int;  (** index into [sb_cur] expected to execute next *)
@@ -107,8 +91,8 @@ type t = {
           flight recorder's dump trigger.  Host-side and exactly-once per
           escaping fault; exceptions it raises itself are swallowed so a
           failing dump never masks the original fault. *)
-  mutable heat : heat_counters option;
-      (** block-entry hit counters ({!enable_heat}); [None] means the
+  mutable heat : bool;
+      (** block-entry hit counting ({!enable_heat}); [false] means the
           dispatch slow path skips heat accounting entirely *)
 }
 
@@ -127,14 +111,51 @@ and superblock = {
   mutable sb_live : bool;  (** cleared when an icache flush drops the block *)
 }
 
+(* One page of the decode index: the decode state of [page_size]
+   consecutive text offsets, allocated on the first write to any of them,
+   so a machine's decode state grows with the code that runs rather than
+   with the code span. *)
+and page = {
+  pg_blocks : superblock option array;
+      (** the live superblock entered at each offset — the dispatch slow
+          path's lookup *)
+  pg_insns : (Insn.t * int) option array;
+      (** per-instruction decode cache — the reference stepper's
+          ({!step_ref}) icache model.  The superblock path keeps it
+          coherent but does not read it. *)
+  mutable pg_heat : int array;
+      (** code-heat counters, three per offset: entries via the dispatch
+          slow path, instructions dispatched from there, and the end
+          offset of the block entered there.  [[||]] until a block entered
+          in this page is counted.  They live here, outside the blocks, so
+          a flush that drops a block keeps the hits already charged to its
+          entry, and a rebuilt block resumes counting in the same slot. *)
+}
+
 let return_sentinel = 0
+
+(* Text offsets per decode-index page: a small program touches a few
+   pages, and the directory of a multi-MiB code span is a few thousand
+   words at most. *)
+let page_bits = 10
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+
+let new_page () =
+  { pg_blocks = Array.make page_size None; pg_insns = Array.make page_size None; pg_heat = [||] }
+
+(* What every directory slot that was never written holds: reads find
+   [None] in it without first testing that the page exists.  Shared by all
+   machines and never written — [page_for_write] replaces it first. *)
+let no_page = new_page ()
 
 let create ?(cost = Cost.default) ?(platform = Native) ?(max_steps = 2_000_000_000)
     ?(hart_id = 0) ?stack_base (image : Image.t) : t =
-  (* the decode caches span every executable byte: the static text plus —
+  (* decode state covers every executable byte: the static text plus —
      when the image reserves one — the variant-text region the lazy
      materializer writes into, so freshly materialized bodies fetch and
-     superblock-compile like any AOT code *)
+     superblock-compile like any AOT code.  Nothing is allocated for it
+     here: the index pages in on first write. *)
   let code_span =
     let text = image.Image.text in
     let text_end = text.Image.sr_base + text.Image.sr_size in
@@ -156,9 +177,8 @@ let create ?(cost = Cost.default) ?(platform = Native) ?(max_steps = 2_000_000_0
     bp = Branch_pred.create ();
     cost;
     platform;
-    cache = Array.make (max 1 code_span) None;
-    blocks = Hashtbl.create 256;
-    block_map = Array.make (max 1 code_span) None;
+    code_span = max 1 code_span;
+    pages = [||];
     sb_cur = None;
     sb_ix = 0;
     dstats = { ds_blocks = 0; ds_insns = 0; ds_invalidated = 0 };
@@ -171,7 +191,7 @@ let create ?(cost = Cost.default) ?(platform = Native) ?(max_steps = 2_000_000_0
     frames = [];
     brk = None;
     on_trap = None;
-    heat = None;
+    heat = false;
   }
 
 (** Install (or remove) the safepoint hook.  While a hook is installed,
@@ -215,25 +235,67 @@ let emit t ev = match t.tracer with None -> () | Some sink -> sink ev
 
 let text_base t = t.image.Image.text.Image.sr_base
 
+(* The page holding text offset [off], or [no_page] if none was written. *)
+let page_at t off =
+  let i = off lsr page_bits in
+  if i < Array.length t.pages then Array.unsafe_get t.pages i else no_page
+
+(* The page holding text offset [off] (which must lie in the code span),
+   allocated on first write.  The directory itself is allocated whole on
+   the machine's first write: one word per page of the code span. *)
+let page_for_write t off =
+  if Array.length t.pages = 0 then
+    t.pages <- Array.make (((t.code_span - 1) lsr page_bits) + 1) no_page;
+  let i = off lsr page_bits in
+  let pg = t.pages.(i) in
+  if pg != no_page then pg
+  else begin
+    let pg = new_page () in
+    t.pages.(i) <- pg;
+    pg
+  end
+
+(* [iter_pages t ~lo ~hi f] calls [f pg base first last] on every
+   allocated page overlapping the text-offset window [lo, hi), in address
+   order: [base] is the offset of the page's slot 0 and [first, last) the
+   window's slots in it.  A page never written holds no decode state, so
+   it costs one directory read and no slot reads. *)
+let iter_pages t ~lo ~hi f =
+  let hi = min hi (Array.length t.pages lsl page_bits) in
+  if hi > lo then
+    for i = lo lsr page_bits to (hi - 1) lsr page_bits do
+      let pg = t.pages.(i) in
+      if pg != no_page then begin
+        let base = i lsl page_bits in
+        f pg base (max lo base - base) (min hi (base + page_size) - base)
+      end
+    done
+
+let max_block_insns = 64
+
+(* The longest byte range one superblock can cover. *)
+let max_block_span = max_block_insns * Insn.max_size
+
 (* Drop every superblock whose byte range overlaps the text-offset window
-   [lo, hi).  A block is removed from the table and marked dead so the
-   dispatch cursor (which may still point at it mid-run) refuses it on the
-   next step.  Over-approximation is safe: dropping a block only forces a
-   re-decode, which costs nothing on the simulated clock. *)
+   [lo, hi) (which must not start below 0).  Such a block is entered below
+   [hi] and less than [max_block_span] bytes before [lo], so the walk
+   reads only that stretch of the index: a flush costs its window plus the
+   longest block, however many blocks were ever decoded.  A dropped block
+   is marked dead so the dispatch cursor (which may still point at it
+   mid-run) refuses it on the next step.  Over-approximation is safe:
+   dropping a block only forces a re-decode, which costs nothing on the
+   simulated clock. *)
 let invalidate_blocks t ~lo ~hi =
-  if hi > lo && Hashtbl.length t.blocks > 0 then begin
-    let doomed = ref [] in
-    Hashtbl.iter
-      (fun key b -> if b.sb_start < hi && b.sb_end > lo then doomed := (key, b) :: !doomed)
-      t.blocks;
-    List.iter
-      (fun (key, b) ->
-        b.sb_live <- false;
-        t.dstats.ds_invalidated <- t.dstats.ds_invalidated + 1;
-        Hashtbl.remove t.blocks key;
-        t.block_map.(key) <- None)
-      !doomed
-  end;
+  if hi > lo then
+    iter_pages t ~lo:(max 0 (lo - max_block_span)) ~hi (fun pg _ first last ->
+        for s = first to last - 1 do
+          match Array.unsafe_get pg.pg_blocks s with
+          | Some b when b.sb_end > lo ->
+              b.sb_live <- false;
+              t.dstats.ds_invalidated <- t.dstats.ds_invalidated + 1;
+              Array.unsafe_set pg.pg_blocks s None
+          | _ -> ()
+        done);
   match t.sb_cur with
   | Some b when not b.sb_live -> t.sb_cur <- None
   | _ -> ()
@@ -246,60 +308,52 @@ let flush_icache t ~addr ~len =
   t.perf.Perf.icache_flushes <- t.perf.Perf.icache_flushes + 1;
   emit t (Mv_obs.Trace.Icache_flush { hart = t.hart_id; addr; len });
   let base = text_base t in
-  let lo = max 0 (addr - base - 15) and hi = min (Array.length t.cache) (addr - base + len) in
-  for i = lo to hi - 1 do
-    t.cache.(i) <- None
-  done;
+  let lo = max 0 (addr - base - 15) and hi = min t.code_span (addr - base + len) in
+  iter_pages t ~lo ~hi (fun pg _ first last ->
+      Array.fill pg.pg_insns first (last - first) None);
   invalidate_blocks t ~lo ~hi
-
-let flush_all_icache t =
-  t.perf.Perf.icache_flushes <- t.perf.Perf.icache_flushes + 1;
-  emit t (Mv_obs.Trace.Icache_flush { hart = t.hart_id; addr = 0; len = 0 });
-  Array.fill t.cache 0 (Array.length t.cache) None;
-  invalidate_blocks t ~lo:0 ~hi:(Array.length t.cache)
 
 (** Arm the code-heat counters.  Idempotent: counts already accumulated
     survive a second call.  Purely host-side — the dispatch slow path
-    gains three array writes and the simulated clock does not move, so
-    cycle counts are identical with and without it. *)
-let enable_heat t =
-  match t.heat with
-  | Some _ -> ()
-  | None ->
-      let n = Array.length t.block_map in
-      t.heat <-
-        Some
-          {
-            hh_hits = Array.make n 0;
-            hh_insns = Array.make n 0;
-            hh_ends = Array.make n 0;
-          }
+    gains three counter writes and the simulated clock does not move, so
+    cycle counts are identical with and without it.  Allocates nothing:
+    a page's counters appear with its first counted block. *)
+let enable_heat t = t.heat <- true
+
+(* Charge one entry into block [b], entered at text offset [off]. *)
+let count_heat t off b =
+  let pg = page_for_write t off in
+  if Array.length pg.pg_heat = 0 then pg.pg_heat <- Array.make (3 * page_size) 0;
+  let h = pg.pg_heat and i = 3 * (off land page_mask) in
+  h.(i) <- h.(i) + 1;
+  h.(i + 1) <- h.(i + 1) + Array.length b.sb_ops;
+  h.(i + 2) <- b.sb_end
 
 (** Snapshot the heat counters as [(lo, hi, hits, insns)] per superblock
     entry with at least one hit — absolute byte range, cumulative entry
     count, cumulative instructions dispatched.  Non-destructive (counts
     keep accumulating) and ordered by address; [[]] when heat was never
     enabled.  [hi] reflects the most recent shape of the block at [lo]
-    (a re-decode after patching may change its extent). *)
+    (a re-decode after patching may change its extent).  Walks only the
+    pages that hold counters. *)
 let heat_blocks t : (int * int * int * int) list =
-  match t.heat with
-  | None -> []
-  | Some h ->
-      let base = text_base t in
-      let acc = ref [] in
-      for off = Array.length h.hh_hits - 1 downto 0 do
-        let n = Array.unsafe_get h.hh_hits off in
-        if n > 0 then
-          acc :=
-            (base + off, base + h.hh_ends.(off), n, h.hh_insns.(off)) :: !acc
-      done;
-      !acc
+  let text = text_base t in
+  let acc = ref [] in
+  iter_pages t ~lo:0 ~hi:t.code_span (fun pg base first last ->
+      let h = pg.pg_heat in
+      if Array.length h > 0 then
+        for s = first to last - 1 do
+          let n = h.(3 * s) in
+          if n > 0 then
+            acc := (text + base + s, text + h.((3 * s) + 2), n, h.((3 * s) + 1)) :: !acc
+        done);
+  List.rev !acc
 
 let fetch t pc : Insn.t * int =
   let off = pc - text_base t in
-  if off < 0 || off >= Array.length t.cache then
+  if off < 0 || off >= t.code_span then
     faultf "instruction fetch outside text at 0x%x" pc;
-  match t.cache.(off) with
+  match Array.unsafe_get (page_at t off).pg_insns (off land page_mask) with
   | Some entry -> entry
   | None ->
       Image.check_exec t.image pc 1;
@@ -307,7 +361,7 @@ let fetch t pc : Insn.t * int =
         try Mv_isa.Decode.decode t.image.Image.mem ~off:pc
         with Mv_isa.Decode.Decode_error (m, o) -> faultf "decode at 0x%x: %s" o m
       in
-      t.cache.(off) <- Some entry;
+      (page_for_write t off).pg_insns.(off land page_mask) <- Some entry;
       entry
 
 let add_cycles t c = t.perf.Perf.cycles <- t.perf.Perf.cycles +. c
@@ -366,8 +420,6 @@ let ends_block = function
   | Insn.Ret | Insn.Halt | Insn.Brk ->
       true
   | _ -> false
-
-let max_block_insns = 64
 
 (* Compile one instruction at [pc] into a closure.  Every closure mirrors
    its [step_ref] arm exactly — the same order of pc update, memory
@@ -596,7 +648,7 @@ let compile (c : Cost.t) pc (insn : Insn.t) size : t -> unit =
    error). *)
 let decode_strict t pc : Insn.t * int =
   let off = pc - text_base t in
-  if off < 0 || off >= Array.length t.cache then
+  if off < 0 || off >= t.code_span then
     faultf "instruction fetch outside text at 0x%x" pc;
   Image.check_exec t.image pc 1;
   try Mv_isa.Decode.decode t.image.Image.mem ~off:pc
@@ -611,7 +663,7 @@ let decode_strict t pc : Insn.t * int =
 let build_block t pc0 : superblock =
   let c = t.cost in
   let insn0, size0 = decode_strict t pc0 in
-  let text_end = text_base t + Array.length t.cache in
+  let text_end = text_base t + t.code_span in
   let pcs = ref [] and ops = ref [] in
   let rec extend pc insn size n =
     pcs := pc :: !pcs;
@@ -635,22 +687,21 @@ let build_block t pc0 : superblock =
       sb_live = true;
     }
   in
-  Hashtbl.replace t.blocks b.sb_start b;
-  t.block_map.(b.sb_start) <- Some b;
+  (page_for_write t b.sb_start).pg_blocks.(b.sb_start land page_mask) <- Some b;
   t.dstats.ds_blocks <- t.dstats.ds_blocks + 1;
   t.dstats.ds_insns <- t.dstats.ds_insns + Array.length b.sb_ops;
   b
 
 (* Find the block holding the compiled instruction for [pc] when the
-   dispatch cursor missed: the block table, else a fresh build.  Jumps
+   dispatch cursor missed: the decode index, else a fresh build.  Jumps
    into the middle of an existing block build a new (overlapping) block —
    blocks are keyed by entry offset only. *)
 let locate_slow t pc : superblock =
   let off = pc - text_base t in
-  if off < 0 || off >= Array.length t.block_map then
+  if off < 0 || off >= t.code_span then
     faultf "instruction fetch outside text at 0x%x" pc;
   let b =
-    match Array.unsafe_get t.block_map off with
+    match Array.unsafe_get (page_at t off).pg_blocks (off land page_mask) with
     | Some b -> b
     | None -> build_block t pc
   in
@@ -658,12 +709,7 @@ let locate_slow t pc : superblock =
      once (cursor hits are mid-block continuations), so counting at this
      point charges one hit per superblock execution.  Host-side only —
      the simulated clock does not move. *)
-  (match t.heat with
-  | None -> ()
-  | Some h ->
-      h.hh_hits.(off) <- h.hh_hits.(off) + 1;
-      h.hh_insns.(off) <- h.hh_insns.(off) + Array.length b.sb_ops;
-      h.hh_ends.(off) <- b.sb_end);
+  if t.heat then count_heat t off b;
   b
 
 (** Execute exactly one instruction at [t.pc] through the superblock
@@ -673,7 +719,7 @@ let locate_slow t pc : superblock =
     The fast path — the cursor still points at a live block position whose
     recorded pc matches — is allocation-free: field loads, two compares,
     one closure call.  Only a cursor miss (block transition, invalidation,
-    or a jump the cursor did not predict) touches the block table, and
+    or a jump the cursor did not predict) touches the decode index, and
     only there is the [Some] cursor box allocated. *)
 let step_core t : bool =
   if t.steps_left <= 0 then faultf "step limit exceeded (pc=0x%x)" t.pc;

@@ -35,17 +35,6 @@ type decode_stats = {
   mutable ds_invalidated : int;  (** superblocks dropped by icache flushes *)
 }
 
-(** Host-side code-heat counters, indexed by superblock entry text
-    offset.  They live in the machine — outside the superblocks — so an
-    icache flush that drops a block never loses the hits already charged
-    to its entry; rebuilding the block resumes counting in the same
-    slot.  Incrementing them charges zero simulated cycles. *)
-type heat_counters = {
-  hh_hits : int array;  (** cumulative entries via the dispatch slow path *)
-  hh_insns : int array;  (** cumulative instructions dispatched from here *)
-  hh_ends : int array;  (** text offset one past the block's last byte *)
-}
-
 type t = {
   image : Image.t;
   hart_id : int;  (** event-attribution id; 0 for plain machines *)
@@ -57,16 +46,15 @@ type t = {
   bp : Branch_pred.t;
   cost : Cost.t;
   platform : platform;
-  cache : (Insn.t * int) option array;
-      (** per-instruction decode cache — the reference stepper's
-          ({!step_ref}) icache model; the superblock path keeps it
-          coherent but does not read it *)
-  blocks : (int, superblock) Hashtbl.t;
-      (** pre-decoded superblocks keyed by entry text offset (enumeration
-          side; invalidation walks it) *)
-  block_map : superblock option array;
-      (** direct-mapped dispatch index over text offsets — the hot-path
-          view of [blocks]: block transitions cost one array read *)
+  code_span : int;
+      (** executable bytes from the text base: static text plus the
+          variant-text reserve; a fetch at or past it faults *)
+  mutable pages : page array;
+      (** the decode index over text offsets: a directory of fixed-size
+          {!type-page}s, each allocated on the first write to one of its
+          offsets.  The directory is empty until the first write, so
+          creating a machine costs O(1) in the code span and decode
+          state grows only with the code that runs *)
   mutable sb_cur : superblock option;
       (** dispatch cursor: the superblock expected to contain [pc] *)
   mutable sb_ix : int;
@@ -87,8 +75,8 @@ type t = {
       (** breakpoint handler; install via {!set_brk_handler} *)
   mutable on_trap : (string -> unit) option;
       (** trap observer; install via {!set_trap_hook} *)
-  mutable heat : heat_counters option;
-      (** block-entry hit counters; arm via {!enable_heat} *)
+  mutable heat : bool;
+      (** block-entry hit counting; arm via {!enable_heat} *)
 }
 
 (** A pre-decoded straight-line run of instructions: one closure per
@@ -106,6 +94,19 @@ and superblock = {
   sb_ops : (t -> unit) array;  (** compiled instructions, in order *)
   mutable sb_live : bool;  (** cleared when an icache flush drops the block *)
 }
+
+(** One page of the decode index: for each of its text offsets, the
+    superblock entered there (the dispatch slow path's lookup; one
+    directory read more than a flat array), the reference stepper's
+    ({!step_ref}) per-instruction decode, and the code-heat counters.
+    The heat counters live here, outside the superblocks, so an icache
+    flush that drops a block never loses the hits already charged to its
+    entry. *)
+and page
+
+(** Text offsets per decode-index {!type-page}: the granularity at which a
+    machine allocates decode state. *)
+val page_size : int
 
 (** The address a top-level call returns to; control reaching it ends
     {!step}'s [true] stream.  It lies outside the text section, so it can
@@ -136,9 +137,8 @@ val create :
 val set_safepoint : t -> (unit -> unit) option -> unit
 
 (** Install (or remove, with [None]) the machine-side event sink.  The
-    machine reports [Icache_flush] events through it (a whole-cache flush
-    reports [len = 0]).  With no sink the flush paths behave exactly as
-    before. *)
+    machine reports [Icache_flush] events through it.  With no sink the
+    flush paths behave exactly as before. *)
 val set_tracer : t -> (Mv_obs.Trace.event -> unit) option -> unit
 
 (** Install (or remove, with [None]) the per-instruction pc observer —
@@ -174,8 +174,9 @@ val decode_stats : t -> decode_stats
 
 (** Arm the code-heat counters: from now on every superblock entry
     through the dispatch slow path increments a per-entry-offset hit
-    counter ({!type-heat_counters}).  Idempotent — a second call keeps the
-    counts already accumulated.  Host-side only: the simulated clock
+    counter, kept in the entry's {!type-page}.  Idempotent — a second call
+    keeps the counts already accumulated, and arming allocates nothing:
+    a page's counters appear with the first block counted in it.  Host-side only: the simulated clock
     does not move, so cycle counts are bit-identical with and without it
     (pinned by the obs-overhead bench's [heat] arm).  Counting happens at
     block granularity on the {!step}/{!finish} superblock path; the
@@ -189,16 +190,15 @@ val enable_heat : t -> unit
     enabled.  Because counters are cumulative, feed snapshots to
     [Mv_obs.Heat.observe], which folds deltas.  [hi] reflects the
     block's most recent shape (a re-decode after patching may change its
-    extent). *)
+    extent).  Walks only the pages that hold counters. *)
 val heat_blocks : t -> (int * int * int * int) list
 
 (** Drop decoded state overlapping the range (icache flush): both the
     per-instruction cache entries and every superblock touching the
-    range. *)
+    range.  The cost is bounded by the range plus the longest superblock
+    span, not by the number of blocks ever decoded, and pages never
+    written are skipped without reading their slots. *)
 val flush_icache : t -> addr:int -> len:int -> unit
-
-(** Drop the whole decode cache (full icache flush). *)
-val flush_all_icache : t -> unit
 
 (** Execute one instruction through the superblock cache; [false] once
     control returns to the sentinel. *)

@@ -48,8 +48,9 @@ type session = {
 }
 
 (* Sequence number for trap artifacts, so two faults in one process never
-   overwrite each other's dump. *)
-let trap_counter = ref 0
+   overwrite each other's dump — also when they trap on different domains:
+   each dump takes its number with one atomic fetch-and-add. *)
+let trap_counter = Atomic.make 1
 
 (* Postmortem context for a flight dump: the fault, the runtime's
    patching counters, and each hart's pc/stack summary. *)
@@ -100,10 +101,10 @@ let of_parts ?(flight_capacity = 512) program machine runtime : session =
   Machine.set_trap_hook machine
     (Some
        (fun msg ->
-         incr trap_counter;
+         let n = Atomic.fetch_and_add trap_counter 1 in
          ignore
            (Flight.write_artifact flight ~reason:"vm-trap"
-              ~name:(Printf.sprintf "trap-%d" !trap_counter)
+              ~name:(Printf.sprintf "trap-%d" n)
               ~extra:(trap_extra ~msg ~runtime ~machines:[ machine ])
               ())));
   (* the recorder listens from the first instruction; enable_tracing /
@@ -660,10 +661,10 @@ let smp_session ?(n_harts = 2) ?policy ?seed ?platform ?cost
       Machine.set_trap_hook m
         (Some
            (fun msg ->
-             incr trap_counter;
+             let n = Atomic.fetch_and_add trap_counter 1 in
              ignore
                (Flight.write_artifact flight ~reason:"vm-trap"
-                  ~name:(Printf.sprintf "trap-%d" !trap_counter)
+                  ~name:(Printf.sprintf "trap-%d" n)
                   ~extra:(trap_extra ~msg ~runtime ~machines)
                   ()))))
     machines;

@@ -505,7 +505,8 @@ let trap_source =
   }
 |}
 
-let test_trap_hook_writes_postmortem_artifact () =
+(* Run [f dir] with MV_SMP_ARTIFACT_DIR pointing at a fresh directory. *)
+let with_artifact_dir f =
   let saved = Sys.getenv_opt "MV_SMP_ARTIFACT_DIR" in
   let dir = fresh_dir "mvtrap" in
   Unix.putenv "MV_SMP_ARTIFACT_DIR" dir;
@@ -514,17 +515,21 @@ let test_trap_hook_writes_postmortem_artifact () =
       match saved with
       | Some v -> Unix.putenv "MV_SMP_ARTIFACT_DIR" v
       | None -> Unix.putenv "MV_SMP_ARTIFACT_DIR" "")
-    (fun () ->
+    (fun () -> f dir)
+
+let flight_dumps dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".flight.json")
+
+let test_trap_hook_writes_postmortem_artifact () =
+  with_artifact_dir (fun dir ->
       let s = Harness.session1 trap_source in
       Harness.set s "config_smp" 1;
       ignore (Harness.commit s);
       (match Harness.call s "bench_loop" [ 5 ] with
       | exception Machine.Fault _ -> ()
       | _ -> Alcotest.fail "division by zero should fault");
-      let dumps =
-        Sys.readdir dir |> Array.to_list
-        |> List.filter (fun f -> Filename.check_suffix f ".flight.json")
-      in
+      let dumps = flight_dumps dir in
       check_int "exactly one flight dump" 1 (List.length dumps);
       let path = Filename.concat dir (List.hd dumps) in
       let ic = open_in path in
@@ -546,6 +551,30 @@ let test_trap_hook_writes_postmortem_artifact () =
           check_bool "window decodes with events" true
             (Flight.events_of_dump doc <> [])
       | Ok _ -> Alcotest.fail "trap dump is not an object")
+
+(* Trap numbering is shared by every session in the process: two domains
+   trapping at once must never draw the same number, or one trap-N dump
+   would overwrite the other. *)
+let test_concurrent_traps_keep_every_dump () =
+  let k = 40 in
+  with_artifact_dir (fun dir ->
+      let sessions =
+        List.init 2 (fun _ ->
+            let s = Harness.session1 trap_source in
+            Harness.set s "config_smp" 1;
+            ignore (Harness.commit s);
+            s)
+      in
+      let trap_k_times s () =
+        for _ = 1 to k do
+          match Harness.call s "bench_loop" [ 5 ] with
+          | exception Machine.Fault _ -> ()
+          | _ -> Alcotest.fail "division by zero should fault"
+        done
+      in
+      List.map (fun s -> Domain.spawn (trap_k_times s)) sessions
+      |> List.iter Domain.join;
+      check_int "one distinct dump per trap" (2 * k) (List.length (flight_dumps dir)))
 
 let test_flight_events_always_on () =
   let s = Harness.session1 trap_source in
@@ -630,6 +659,8 @@ let suite =
       test_flight_artifact_writing;
     tc "trap hook writes a parseable postmortem artifact"
       test_trap_hook_writes_postmortem_artifact;
+    tc "concurrent traps on two domains keep every dump"
+      test_concurrent_traps_keep_every_dump;
     tc "flight is armed without any enable call" test_flight_events_always_on;
     tc "smp flight records cross-hart windows" test_smp_flight_always_on;
     tc "flight adds zero simulated cycles" test_flight_zero_cycle_overhead;

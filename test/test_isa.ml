@@ -55,8 +55,9 @@ let test_roundtrip () =
         (Insn.size insn) (Bytes.length b);
       let decoded, size = Decode.decode b ~off:0 in
       check_bool (Mv_isa.Asm.insn_to_string insn ^ " roundtrip") true (decoded = insn);
-      check_int "decoded size" (Insn.size insn) size)
-    sample_insns
+      check_int "decoded size" (Insn.size insn) size;
+      check_bool "within max_size" true (size <= Insn.max_size))
+    (Insn.Brk :: Insn.Mov_ri32 (1, -7) :: sample_insns)
 
 let test_paper_sizes () =
   (* "On IA-32, a far-call site is 5 bytes large" — the inlining budget *)

@@ -270,6 +270,155 @@ let test_back_to_back_poke_under_rendezvous () =
     (acc >= 8 * 7 && acc <= 8 * 9 && (acc - (8 * 7)) mod 2 = 0)
 
 (* ------------------------------------------------------------------ *)
+(* Paged decode index: footprint and page boundaries                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Major-heap words [f ()] allocates, counted from an empty minor heap so
+   no promotion of earlier garbage lands in the window. *)
+let major_words f =
+  Gc.minor ();
+  let w0 = (Gc.quick_stat ()).Gc.major_words in
+  ignore (Sys.opaque_identity (f ()));
+  int_of_float ((Gc.quick_stat ()).Gc.major_words -. w0)
+
+(* Decode state is paid for on first use: creating a machine, arming heat
+   and creating a 4-hart container allocate the same whether the image
+   reserves 64 KiB or 2 MiB of variant text, and stay small (what remains
+   is the branch predictor's tables). *)
+let test_decode_state_footprint () =
+  let img vtext_size =
+    (Core.Compiler.build_string ~vtext_size "int f(int x) { return x + 1; }")
+      .Core.Compiler.p_image
+  in
+  let small = img (1 lsl 16) and large = img (1 lsl 21) in
+  let check what ~harts measure =
+    let ws = measure small and wl = measure large in
+    check_int (what ^ ": same words for a 64 KiB and a 2 MiB reserve") ws wl;
+    if ws >= harts * 16 * 1024 then
+      Alcotest.failf "%s allocates %d major words (%d harts)" what ws harts
+  in
+  check "Machine.create" ~harts:1 (fun i -> major_words (fun () -> Machine.create i));
+  check "enable_heat" ~harts:1 (fun i ->
+      let m = Machine.create i in
+      major_words (fun () -> Machine.enable_heat m));
+  check "Smp.create" ~harts:4 (fun i -> major_words (fun () -> Smp.create ~n_harts:4 i))
+
+(* [f] is one straight-line block of [boundary_adds] immediate adds
+   (f(0) = 1 + 2 + ... + boundary_adds); [pad] adds in a function linked
+   in front of it shift its address. *)
+let boundary_adds = 40
+
+let boundary_src ~pad =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "int pad(int x) {\n  int a = x;\n";
+  for i = 1 to pad do
+    Printf.bprintf b "  a = a + %d;\n" (1000 + i)
+  done;
+  Buffer.add_string b "  return a;\n}\nint f(int x) {\n  int a = x;\n";
+  for i = 1 to boundary_adds do
+    Printf.bprintf b "  a = a + %d;\n" i
+  done;
+  Buffer.add_string b "  return a;\n}\n";
+  Buffer.contents b
+
+let boundary_sum = boundary_adds * (boundary_adds + 1) / 2
+
+(* A session whose [f] block is entered in one index page and runs into
+   the next, with the absolute address and immediate of the first add
+   lying at least 15 bytes into the next page — far enough that a flush
+   of that add (the machine widens every flush 15 bytes downwards for the
+   per-instruction cache) touches only the tail page.  Found by growing
+   [pad], so it holds whatever the code generator's exact layout. *)
+let straddling_session () =
+  let rec search pad =
+    if pad > 400 then Alcotest.fail "no layout puts f across a page boundary";
+    let s = session (boundary_src ~pad) in
+    let img = s.program.Core.Compiler.p_image in
+    let base = img.Mv_link.Image.text.Mv_link.Image.sr_base in
+    let f = Mv_link.Image.symbol img "f" in
+    let next_page = (((f - base) / Machine.page_size) + 1) * Machine.page_size in
+    let rec scan addr =
+      if addr >= f + Mv_link.Image.symbol_size img "f" then None
+      else
+        match Mv_isa.Decode.decode img.Mv_link.Image.mem ~off:addr with
+        | Insn.Alu_ri (Insn.Add, _, _, imm), _ when addr - base >= next_page + 15 ->
+            Some (addr, imm)
+        | _, len -> scan (addr + len)
+    in
+    match scan f with Some (addr, imm) -> (s, f, addr, imm) | None -> search (pad + 8)
+  in
+  search 0
+
+let test_flush_drops_block_across_page_boundary () =
+  let s, _, _, imm = straddling_session () in
+  check_int "original" boundary_sum (run s "f" [ 0 ]);
+  let ds = Machine.decode_stats s.machine in
+  check_int "f runs as one block" 1 ds.Machine.ds_blocks;
+  let addr, len = patch_imm_insn s "f" ~from_imm:imm ~to_imm:(imm + 1000) in
+  check_int "stale block still runs the old add" boundary_sum (run s "f" [ 0 ]);
+  let invalidated = ds.Machine.ds_invalidated in
+  Machine.flush_icache s.machine ~addr ~len;
+  check_int "the tail-page flush dropped the block" (invalidated + 1)
+    ds.Machine.ds_invalidated;
+  check_int "patched add visible" (boundary_sum + 1000) (run s "f" [ 0 ]);
+  check_int "re-decoded once" 2 ds.Machine.ds_blocks
+
+let test_flush_ending_at_block_entry () =
+  let s, f, _, _ = straddling_session () in
+  check_int "original" boundary_sum (run s "f" [ 0 ]);
+  let ds = Machine.decode_stats s.machine in
+  let blocks = ds.Machine.ds_blocks and invalidated = ds.Machine.ds_invalidated in
+  Machine.flush_icache s.machine ~addr:(f - 8) ~len:8;
+  check_int "block ending the window survives" invalidated ds.Machine.ds_invalidated;
+  check_int "same result" boundary_sum (run s "f" [ 0 ]);
+  check_int "no re-decode" blocks ds.Machine.ds_blocks
+
+let test_heat_survives_boundary_flush () =
+  let s, f, addr, _ = straddling_session () in
+  Machine.enable_heat s.machine;
+  for _ = 1 to 3 do
+    ignore (run s "f" [ 0 ])
+  done;
+  let hits () =
+    match List.find_opt (fun (lo, _, _, _) -> lo = f) (Machine.heat_blocks s.machine) with
+    | Some (_, _, n, _) -> n
+    | None -> 0
+  in
+  check_int "three entries counted" 3 (hits ());
+  let ds = Machine.decode_stats s.machine in
+  let invalidated = ds.Machine.ds_invalidated in
+  Machine.flush_icache s.machine ~addr ~len:8;
+  check_int "block dropped" (invalidated + 1) ds.Machine.ds_invalidated;
+  check_int "hits survive the drop" 3 (hits ());
+  ignore (run s "f" [ 0 ]);
+  check_int "the rebuilt block counts on" 4 (hits ())
+
+(* The code span ends where the static text or the variant-text reserve
+   ends, whichever is later; the first byte past it faults as before on
+   both steppers, the last byte inside does not hit that bound. *)
+let test_fetch_past_code_span () =
+  let s = session "int f() { return 1; }" in
+  let img = s.program.Core.Compiler.p_image in
+  let open Mv_link.Image in
+  let text_end = img.text.sr_base + img.text.sr_size in
+  let span_end =
+    if img.vtext.sr_size > 0 then max text_end (img.vtext.sr_base + img.vtext.sr_size)
+    else text_end
+  in
+  let fault_at stepper pc =
+    Machine.start_call_addr s.machine pc [];
+    match stepper s.machine with exception Machine.Fault m -> Some m | exception _ -> None | _ -> None
+  in
+  let outside pc = Some (Printf.sprintf "instruction fetch outside text at 0x%x" pc) in
+  check_bool "step: one byte past the span" true (fault_at Machine.step span_end = outside span_end);
+  check_bool "step_ref: one byte past the span" true
+    (fault_at Machine.step_ref span_end = outside span_end);
+  check_bool "step: last byte inside the span" true
+    (fault_at Machine.step (span_end - 1) <> outside (span_end - 1));
+  check_bool "step_ref: last byte inside the span" true
+    (fault_at Machine.step_ref (span_end - 1) <> outside (span_end - 1))
+
+(* ------------------------------------------------------------------ *)
 (* Domain-parallel fuzzing determinism                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -335,5 +484,10 @@ let suite =
     tc "patch at a block entry" test_patch_at_block_entry;
     tc "re-decode only after invalidation" test_redecode_only_after_invalidation;
     tc "back-to-back text_poke under the rendezvous" test_back_to_back_poke_under_rendezvous;
+    tc "decode state costs O(1) in the code span" test_decode_state_footprint;
+    tc "flush of a block's tail page drops it" test_flush_drops_block_across_page_boundary;
+    tc "flush ending at a block entry keeps it" test_flush_ending_at_block_entry;
+    tc "heat survives a page-boundary flush" test_heat_survives_boundary_flush;
+    tc "fetch past the code span faults" test_fetch_past_code_span;
     tc_slow "parallel fuzzing is deterministic" test_parallel_fuzz_determinism;
   ]
