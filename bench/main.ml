@@ -811,16 +811,10 @@ let ablation_padded_sites () =
   |}
   in
   let run padding =
-    let program = Core.Compiler.build ~callsite_padding:padding [ ("m", src) ] in
-    let machine = Mv_vm.Machine.create program.Core.Compiler.p_image in
-    let runtime =
-      Core.Runtime.create program.Core.Compiler.p_image ~flush:(fun ~addr ~len ->
-          Mv_vm.Machine.flush_icache machine ~addr ~len)
-    in
-    let s = H.of_parts program machine runtime in
+    let s = H.session ~callsite_padding:padding [ ("m", src) ] in
     H.set s "m" 1;
     ignore (H.commit s);
-    let stats = Core.Runtime.stats runtime in
+    let stats = Core.Runtime.stats s.H.runtime in
     let m = H.measure ~samples:(samples ()) s ~loop_fn:"bench_loop" in
     (m.H.m_mean, stats.Core.Runtime.st_sites_inlined)
   in
@@ -902,13 +896,13 @@ let ablation_explosion () =
     stats.Core.Stats.ps_variants stats.Core.Stats.ps_text_in_variants
 
 (* ------------------------------------------------------------------ *)
-(* E14: observability overhead — tracing/profiling are pay-for-use      *)
+(* E14: observability overhead — every recorder is pay-for-use          *)
 (* ------------------------------------------------------------------ *)
 
 let obs_overhead () =
   header
-    "E14+E16 / observability: cost of the tracing, profiling, stack-profiling\n\
-     and metrics hooks (all host-side observers charging zero simulated\n\
+    "E14+E16 / observability: cost of the tracing, stack-profiling, metrics,\n\
+     flight and heat hooks (all host-side observers charging zero simulated\n\
     \ cycles, so the cycle tables are unchanged whether or not they are\n\
     \ armed; only host wall-clock pays for the bookkeeping)";
   let run arm =
@@ -923,7 +917,6 @@ let obs_overhead () =
   in
   let base, base_ms = run (fun _ -> ()) in
   let traced, traced_ms = run H.enable_tracing in
-  let profiled, profiled_ms = run H.enable_profiling in
   let stacked, stacked_ms = run H.enable_stack_profiling in
   let metered, metered_ms = run (fun s -> H.enable_metrics s) in
   (* the flight recorder is always on — armed at session creation, before
@@ -939,7 +932,6 @@ let obs_overhead () =
   row "%-36s %12s %10s\n" "spinlock unicore" "cycles/call" "host ms";
   row "%-36s %12.2f %10.1f\n" "no sinks (baseline)" base.H.m_mean base_ms;
   row "%-36s %12.2f %10.1f\n" "tracing armed" traced.H.m_mean traced_ms;
-  row "%-36s %12.2f %10.1f\n" "profiling armed" profiled.H.m_mean profiled_ms;
   row "%-36s %12.2f %10.1f\n" "stack profiling armed" stacked.H.m_mean stacked_ms;
   row "%-36s %12.2f %10.1f\n" "metrics registry armed" metered.H.m_mean metered_ms;
   row "%-36s %12.2f %10.1f\n" "flight recorder (always on)" flighted.H.m_mean
@@ -947,15 +939,14 @@ let obs_overhead () =
   row "%-36s %12.2f %10.1f\n" "heat telemetry armed" heated.H.m_mean heated_ms;
   let delta a = (a -. base.H.m_mean) /. base.H.m_mean *. 100.0 in
   row
-    "=> simulated-cycle delta: tracing %+.2f%%, profiling %+.2f%%, stack \
-     profiling %+.2f%%, metrics %+.2f%%, flight %+.2f%%, heat %+.2f%%\n"
-    (delta traced.H.m_mean) (delta profiled.H.m_mean) (delta stacked.H.m_mean)
+    "=> simulated-cycle delta: tracing %+.2f%%, stack profiling %+.2f%%, \
+     metrics %+.2f%%, flight %+.2f%%, heat %+.2f%%\n"
+    (delta traced.H.m_mean) (delta stacked.H.m_mean)
     (delta metered.H.m_mean) (delta flighted.H.m_mean) (delta heated.H.m_mean);
   jmeas "spinlock-unicore"
     [
       ("baseline", base);
       ("tracing", traced);
-      ("profiling", profiled);
       ("stackprof", stacked);
       ("metrics", metered);
       ("flight", flighted);
@@ -965,7 +956,6 @@ let obs_overhead () =
     [
       ("baseline", Json.Float base_ms);
       ("tracing", Json.Float traced_ms);
-      ("profiling", Json.Float profiled_ms);
       ("stackprof", Json.Float stacked_ms);
       ("metrics", Json.Float metered_ms);
       ("flight", Json.Float flighted_ms);
@@ -1225,7 +1215,7 @@ let lazy_first_commit () =
     "materialized" "bytes";
   List.iter
     (fun n ->
-      let s = H.lazy_session1 (switch_farm_src n) in
+      let s = H.session1 ~lazy_variants:true (switch_farm_src n) in
       let commits = min (1 lsl n) 16 in
       let t0 = Unix.gettimeofday () in
       for bits = 0 to commits - 1 do
@@ -1258,7 +1248,7 @@ let lazy_cache_hit () =
     "cache hits" "bytes";
   List.iter
     (fun n ->
-      let s = H.lazy_session1 (switch_farm_src n) in
+      let s = H.session1 ~lazy_variants:true (switch_farm_src n) in
       set_valuation s n 1;
       ignore (H.commit s);
       let bytes0 = Core.Runtime.variant_bytes s.H.runtime in
@@ -1303,7 +1293,7 @@ let lazy_footprint () =
             if String.contains name '.' then acc + size else acc)
           eimg.Mv_link.Image.symbol_sizes 0
       in
-      let s = H.lazy_session1 src in
+      let s = H.session1 ~lazy_variants:true src in
       let commits = min (1 lsl n) 8 in
       for bits = 0 to commits - 1 do
         set_valuation s n bits;
@@ -1322,7 +1312,7 @@ let lazy_footprint () =
      commits, 256 KiB budget — residency must never exceed the budget *)
   let n = 20 in
   let budget = 256 * 1024 in
-  let s = H.lazy_session1 ~budget (switch_farm_src n) in
+  let s = H.session1 ~lazy_variants:true ~budget (switch_farm_src n) in
   let rand = lazy_lcg 0xC0FFEE in
   let peak = ref 0 in
   let ok = ref true in

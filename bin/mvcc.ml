@@ -165,21 +165,18 @@ let main files run args sets commit perf ir asm descriptors xen stats strategy p
     trace stats_json profile =
   try
     let sources = List.map (fun f -> (Filename.basename f, read_file f)) files in
-    let program = Core.Compiler.build ~callsite_padding:padding sources in
+    let session =
+      Mv_workloads.Harness.session ~callsite_padding:padding
+        ~platform:(if xen then Mv_vm.Machine.Xen else Mv_vm.Machine.Native)
+        sources
+    in
+    let { Mv_workloads.Harness.program; machine; runtime; _ } = session in
     List.iter (fun w -> Format.eprintf "%s@." w) (Core.Compiler.warnings program);
     if ir then dump_ir program;
     if descriptors then dump_descriptors program;
     let img = program.p_image in
-    let machine =
-      Mv_vm.Machine.create ~platform:(if xen then Mv_vm.Machine.Xen else Mv_vm.Machine.Native) img
-    in
-    let runtime =
-      Core.Runtime.create img ~flush:(fun ~addr ~len ->
-          Mv_vm.Machine.flush_icache machine ~addr ~len)
-    in
-    let session = Mv_workloads.Harness.of_parts program machine runtime in
     if trace <> None then Mv_workloads.Harness.enable_tracing session;
-    if profile then Mv_workloads.Harness.enable_profiling session;
+    if profile then Mv_workloads.Harness.enable_stack_profiling session;
     (match strategy with
     | `Call_site -> ()
     | `Body -> Core.Runtime.set_strategy runtime Core.Runtime.Body_patching);
@@ -232,9 +229,8 @@ let main files run args sets commit perf ir asm descriptors xen stats strategy p
         if perf then Format.printf "%a@." Mv_vm.Perf.pp (Mv_vm.Perf.diff before after)
     | None -> ());
     if profile then
-      Option.iter
-        (fun p -> Format.printf "%a@." (fun fmt -> Mv_obs.Profile.pp fmt) p)
-        session.Mv_workloads.Harness.profile;
+      Format.printf "%a@." (fun fmt -> Mv_obs.Stackprof.pp_leaves fmt)
+        (Array.to_list session.Mv_workloads.Harness.stackprofs);
     (match trace with
     | Some path ->
         write_file path (Mv_workloads.Harness.trace_dump session);

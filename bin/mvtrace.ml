@@ -30,7 +30,8 @@
    inject a straggler); `postmortem` pretty-prints and causally
    analyzes a mv-flight/1 flight-recorder dump; `diff` structurally
    compares two mv-bench-rows/1 documents and, with --gate PCT, exits
-   non-zero when any leaf drifts by more than PCT percent (writing a
+   non-zero when any leaf drifts by more than PCT percent or is missing
+   from an experiment the fresh document ran (writing a
    mv-flight/1 dump of the regressions when MV_SMP_ARTIFACT_DIR is
    set).
 
@@ -57,31 +58,19 @@ let write_file path contents =
    recorders the subcommand armed via [arm].  Shared by flame/top/spans. *)
 let run_workload ~files ~sets ~padding ~lazy_budget ~commit ~fn ~args ~arm =
   let sources = List.map (fun f -> (Filename.basename f, read_file f)) files in
-  let program =
-    Core.Compiler.build ~callsite_padding:padding
+  (* --lazy: demand-driven materialization; 0 means the whole region *)
+  let session =
+    Harness.session ~callsite_padding:padding
       ~lazy_variants:(lazy_budget <> None)
+      ?budget:(Option.bind lazy_budget (fun b -> if b = 0 then None else Some b))
       sources
   in
-  List.iter (fun w -> Format.eprintf "%s@." w) (Core.Compiler.warnings program);
-  let img = program.p_image in
-  let machine = Mv_vm.Machine.create img in
-  let runtime =
-    Core.Runtime.create img ~flush:(fun ~addr ~len ->
-        Mv_vm.Machine.flush_icache machine ~addr ~len)
-  in
-  (* --lazy: demand-driven materialization; 0 means the whole region *)
-  (match lazy_budget with
-  | None -> ()
-  | Some b ->
-      let budget = if b = 0 then None else Some b in
-      Core.Runtime.enable_lazy ?budget runtime
-        ~recipes:(Core.Compiler.recipes program)
-        ~call_pad:(Core.Compiler.call_pad program));
-  let session = Harness.of_parts program machine runtime in
+  List.iter (fun w -> Format.eprintf "%s@." w)
+    (Core.Compiler.warnings session.Harness.program);
   arm session;
-  List.iter (fun (name, v) -> Image.write img (Image.symbol img name) v 8) sets;
+  List.iter (fun (name, v) -> Harness.set session name v) sets;
   if commit then begin
-    let n = Core.Runtime.commit runtime in
+    let n = Harness.commit session in
     Format.eprintf "multiverse_commit: %d entities bound@." n
   end;
   let result = Harness.call session fn args in
@@ -207,12 +196,12 @@ let top_main files sets commit fn args padding lazy_budget interval limit =
         run_workload ~files ~sets ~padding ~lazy_budget ~commit ~fn ~args
           ~arm:(fun s -> Harness.enable_stack_profiling ~interval s)
       in
-      (match session.Harness.stackprof with
-      | Some sp ->
+      Array.iter
+        (fun sp ->
           Format.printf "%a@." (Mv_obs.Stackprof.pp ~limit) sp;
           Format.printf "variant share: %.1f%%@."
-            (100.0 *. Mv_obs.Stackprof.variant_share sp)
-      | None -> ());
+            (100.0 *. Mv_obs.Stackprof.variant_share sp))
+        session.Harness.stackprofs;
       0)
 
 let top_cmd =
@@ -290,9 +279,6 @@ let run_heat_workload ~files ~sets ~padding ~lazy_budget ~commit ~fn ~args =
   Harness.heat_epoch session;
   session
 
-let session_now (s : Harness.session) =
-  s.Harness.machine.Mv_vm.Machine.perf.Mv_vm.Perf.cycles
-
 let heat_main files sets commit fn args padding lazy_budget budget json_out =
   handle_errors (fun () ->
       let session =
@@ -339,7 +325,8 @@ let variants_main files sets commit fn args padding lazy_budget budget json_out 
       (match session.Harness.heat with
       | Some h ->
           Format.printf "%a"
-            (Mv_obs.Heat.pp_variants ?budget ~exclude:[] ~now:(session_now session))
+            (Mv_obs.Heat.pp_variants ?budget ~exclude:[]
+               ~now:(Mv_vm.Smp.clock session.Harness.smp))
             h
       | None -> ());
       (match json_out with
@@ -413,26 +400,26 @@ let slow_acks_arg =
    (sources, sets, harts, seed, storms, steps, slow). *)
 let run_smp_workload ~files ~sets ~harts ~seed ~fn ~args ~storms ~steps ~slow =
   let sources = List.map (fun f -> (Filename.basename f, read_file f)) files in
-  let s = Harness.smp_session ~n_harts:harts ~seed sources in
-  Harness.enable_smp_tracing s;
+  let s = Harness.session ~n_harts:harts ~seed sources in
+  Harness.enable_tracing s;
   (match slow with
   | Some (h, n) ->
       if h < 0 || h >= harts then failwith "slow hart out of range";
       Smp.set_slow_ack s.Harness.smp (Some (h, n))
   | None -> ());
-  List.iter (fun (name, v) -> Harness.smp_set s name v) sets;
+  List.iter (fun (name, v) -> Harness.set s name v) sets;
   for h = 0 to harts - 1 do
-    Harness.smp_start s ~hart:h fn args
+    Harness.start s ~hart:h fn args
   done;
   let more = ref true in
   for round = 1 to storms do
     for _ = 1 to steps do
-      if !more then more := Harness.smp_step s
+      if !more then more := Harness.step s
     done;
-    if round mod 2 = 1 then ignore (Harness.smp_commit s)
-    else ignore (Harness.smp_revert s)
+    if round mod 2 = 1 then ignore (Harness.commit s)
+    else ignore (Harness.revert s)
   done;
-  Harness.smp_run s;
+  Harness.run s;
   s
 
 let slow_of slow_hart slow_acks =
@@ -492,11 +479,11 @@ let timeline_main files sets harts seed fn args storms steps slow_hart slow_acks
         run_smp_workload ~files ~sets ~harts ~seed ~fn ~args ~storms ~steps
           ~slow:(slow_of slow_hart slow_acks)
       in
-      let events = Harness.smp_trace_events s in
+      let events = Harness.trace_events s in
       print_timelines ~limit events;
       (match chrome with
       | Some path ->
-          write_file path (Harness.smp_trace_dump s);
+          write_file path (Harness.trace_dump s);
           Format.eprintf "chrome trace: %d event(s) -> %s@." (List.length events)
             path
       | None -> ());
@@ -555,13 +542,13 @@ let blame_main files sets harts seed fn args storms steps slow_hart slow_acks =
         run_smp_workload ~files ~sets ~harts ~seed ~fn ~args ~storms ~steps
           ~slow:(slow_of slow_hart slow_acks)
       in
-      let img = s.Harness.sm_program.Core.Compiler.p_image in
+      let img = s.Harness.program.Core.Compiler.p_image in
       let resolve pc =
         match Image.symbol_at img pc with
         | Some name -> Printf.sprintf "%s (pc %d)" name pc
         | None -> Printf.sprintf "pc %d" pc
       in
-      print_blame ~resolve (Harness.smp_trace_events s);
+      print_blame ~resolve (Harness.trace_events s);
       0)
 
 let blame_cmd =
@@ -692,7 +679,8 @@ let gate_arg =
         ~doc:
           "Exit non-zero when any compared leaf drifts by more than $(docv) percent \
            (either direction: on a deterministic simulator any drift means the \
-           baseline is stale)")
+           baseline is stale), or when a baseline leaf is missing from an \
+           experiment the fresh document ran")
 
 let all_arg =
   Arg.(
@@ -748,7 +736,7 @@ let diff_main base fresh gate all no_skip json_out =
                       Format.printf "gate: ok (no leaf beyond %.2f%%)@." threshold;
                       0
                   | bad ->
-                      Format.printf "gate: FAIL — %d leaf(s) beyond %.2f%%:@."
+                      Format.printf "gate: FAIL — %d leaf(s) beyond %.2f%% or missing:@."
                         (List.length bad) threshold;
                       List.iter
                         (fun d -> Format.printf "  %a@." Mv_obs.Analyze.pp_delta d)

@@ -4,7 +4,7 @@
      dune exec examples/trace_obs.exe
      # then load /tmp/multiverse_trace.json in about:tracing or Perfetto
 
-   The session arms the structured-event recorder and the sampling
+   The session arms the structured-event recorder and the stack
    profiler, drives the spinlock workload through a reconfiguration, and
    exports everything the observability layer produces: the event log,
    the Chrome trace_event JSON, the hot-function table, and the unified
@@ -40,7 +40,7 @@ let () =
   Format.printf "--- multiverse observability: tracing a reconfiguration ---@.";
   let s = H.session1 source in
   H.enable_tracing s;
-  H.enable_profiling s;
+  H.enable_stack_profiling s;
 
   (* boot single-core, run, then bring up a second core and re-commit *)
   H.set s "config_smp" 0;
@@ -55,10 +55,10 @@ let () =
   Format.printf "@.recorded %d event(s):@." (List.length (H.trace_events s));
   List.iter (fun st -> Format.printf "  %a@." Trace.pp st) (H.trace_events s);
 
-  (* 2. the profiler's view of where the cycles went *)
-  (match s.H.profile with
-  | Some p -> Format.printf "@.%a@." (fun fmt -> Mv_obs.Profile.pp fmt) p
-  | None -> ());
+  (* 2. the profiler's view of where the cycles went, folded by leaf *)
+  Format.printf "@.%a@."
+    (fun fmt -> Mv_obs.Stackprof.pp_leaves fmt)
+    (Array.to_list s.H.stackprofs);
 
   (* 3. the exports *)
   write_file trace_path (H.trace_dump s);

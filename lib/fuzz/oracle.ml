@@ -126,28 +126,33 @@ let apply_interp it (a : Gen.assignment) =
       Interp.store it (Interp.global_addr it name) (Interp.symbol_addr it target) 8)
     a.Gen.a_ptrs
 
+(* The runtime's flush callback with the flush-path chaos applied: the
+   chaos modes exist so the fuzzer can prove it would catch a pipeline
+   that forgets to invalidate the decode cache.  [Skip_flush] drops every
+   invalidation request, [Lost_flush] every other one.  The other modes
+   leave flushes healthy: [Drop_ack] breaks a cross-hart IPI channel
+   (see [build_smp_session]), [Corrupt_framemap] bites only the OSR
+   oracle, which corrupts the section itself, and [Stale_cache] only
+   the lazy cache's eviction. *)
+let chaos_flush chaos flush =
+  let lost = ref false in
+  fun ~addr ~len ->
+    match chaos with
+    | No_chaos | Drop_ack | Corrupt_framemap | Stale_cache -> flush ~addr ~len
+    | Skip_flush -> ()
+    | Lost_flush ->
+        lost := not !lost;
+        if not !lost then flush ~addr ~len
+
 (* A machine + runtime pair with optional fault injection in the flush
-   path (the chaos modes exist so the fuzzer can prove it would catch a
-   pipeline that forgets to invalidate the decode cache). *)
+   path. *)
 let build_session ?(chaos = No_chaos) src =
   let program = Compiler.build_string src in
   let machine = Machine.create program.Compiler.p_image in
-  let lost = ref false in
-  let flush ~addr ~len =
-    match chaos with
-    (* [Drop_ack] breaks a cross-hart IPI channel; on a single machine
-       there is no other hart, so it degenerates to a healthy flush.
-       [Corrupt_framemap] bites only the OSR oracle, which corrupts the
-       section itself. *)
-    | No_chaos | Drop_ack | Corrupt_framemap | Stale_cache ->
-        Machine.flush_icache machine ~addr ~len
-    | Skip_flush -> ()
-    | Lost_flush ->
-        (* every other invalidation request is dropped on the floor *)
-        lost := not !lost;
-        if not !lost then Machine.flush_icache machine ~addr ~len
+  let runtime =
+    Runtime.create program.Compiler.p_image
+      ~flush:(chaos_flush chaos (Machine.flush_icache machine))
   in
-  let runtime = Runtime.create program.Compiler.p_image ~flush in
   (program, machine, runtime)
 
 let text_snapshot img =
@@ -504,16 +509,9 @@ let build_smp_session ?(chaos = No_chaos) ~n_harts ~policy ~seed src =
   let program = Compiler.build_string src in
   let image = program.Compiler.p_image in
   let smp = Smp.create ~policy ~seed ~n_harts image in
-  let lost = ref false in
-  let flush ~addr ~len =
-    match chaos with
-    | No_chaos | Drop_ack | Corrupt_framemap | Stale_cache -> Smp.flush_icache smp ~addr ~len
-    | Skip_flush -> ()
-    | Lost_flush ->
-        lost := not !lost;
-        if not !lost then Smp.flush_icache smp ~addr ~len
+  let runtime =
+    Runtime.create image ~flush:(chaos_flush chaos (Smp.flush_icache smp))
   in
-  let runtime = Runtime.create image ~flush in
   Runtime.set_live_scanner runtime (fun () -> Smp.live_code_addrs smp);
   Runtime.set_patch_barrier runtime (Some (fun f -> Smp.stop_machine smp f));
   Runtime.set_text_writer runtime (Some (fun ~addr b -> Smp.text_poke smp ~addr b));
@@ -783,20 +781,12 @@ let osr_state_equiv ?(chaos = No_chaos) (case : Gen.case) (_sched : Schedule.t)
     let program = Compiler.build_string src in
     let img = program.Compiler.p_image in
     let machine = Machine.create img in
-    let lost = ref false in
-    let flush ~addr ~len =
-      match chaos with
-      | No_chaos | Drop_ack | Corrupt_framemap | Stale_cache ->
-          Machine.flush_icache machine ~addr ~len
-      | Skip_flush -> ()
-      | Lost_flush ->
-          lost := not !lost;
-          if not !lost then Machine.flush_icache machine ~addr ~len
-    in
     (* corrupt the section before the runtime parses it *)
     if chaos = Corrupt_framemap then
       corrupt_framemap img (Image.symbol img "__osr_spin");
-    let rt = Runtime.create img ~flush in
+    let rt =
+      Runtime.create img ~flush:(chaos_flush chaos (Machine.flush_icache machine))
+    in
     Runtime.set_live_scanner rt (fun () -> Machine.live_code_addrs machine);
     Machine.set_safepoint machine (Some (fun () -> Runtime.safepoint rt));
     Runtime.set_osr rt
@@ -897,17 +887,10 @@ let lazy_probe_iters = 6
 let build_lazy_session ?(chaos = No_chaos) src =
   let program = Compiler.build_string ~lazy_variants:true src in
   let machine = Machine.create program.Compiler.p_image in
-  let lost = ref false in
-  let flush ~addr ~len =
-    match chaos with
-    | No_chaos | Drop_ack | Corrupt_framemap | Stale_cache ->
-        Machine.flush_icache machine ~addr ~len
-    | Skip_flush -> ()
-    | Lost_flush ->
-        lost := not !lost;
-        if not !lost then Machine.flush_icache machine ~addr ~len
+  let runtime =
+    Runtime.create program.Compiler.p_image
+      ~flush:(chaos_flush chaos (Machine.flush_icache machine))
   in
-  let runtime = Runtime.create program.Compiler.p_image ~flush in
   Runtime.enable_lazy ~budget:lazy_budget runtime
     ~recipes:(Compiler.recipes program)
     ~call_pad:(Compiler.call_pad program);

@@ -107,8 +107,8 @@ type delta = {
   dl_label : string;  (* row label *)
   dl_field : string;  (* field name; measurement objects compare "f.mean" *)
   dl_base : float;
-  dl_fresh : float;
-  dl_pct : float;  (* (fresh - base) / |base| * 100 *)
+  dl_fresh : float option;  (* None: the fresh run lacks the leaf *)
+  dl_pct : float;  (* (fresh - base) / |base| * 100; infinity when missing *)
 }
 
 (* Host wall-clock fields vary run to run on the same tree; everything
@@ -147,18 +147,27 @@ let row_label = function
       match List.assoc_opt "label" fields with Some (Json.String l) -> Some l | _ -> None)
   | _ -> None
 
-(* Compare every numeric leaf present in both documents, matching rows by
-   label within each experiment.  Measurement objects (those with a
-   "mean" member) contribute only their mean — the trend-level signal;
-   the spread fields restate the same samples.  [skip] filters fields
-   known to be nondeterministic (host wall-clock). *)
+(* A comparable leaf: a number, or a measurement object's mean. *)
+let leaf = function
+  | Json.Obj _ as m -> Option.bind (Json.member "mean" m) number
+  | v -> number v
+
+(* Compare every numeric leaf of the baseline, matching rows by label
+   within each experiment.  Measurement objects (those with a "mean"
+   member) contribute only their mean — the trend-level signal; the
+   spread fields restate the same samples.  [skip] filters fields known
+   to be nondeterministic (host wall-clock).  A leaf the fresh document
+   lacks — its row or its field dropped — is reported missing, unless
+   the fresh document did not run the experiment at all (an --only
+   run). *)
 let bench_diff ?(skip = default_skip) ~base ~fresh () : (delta list, string) result =
   match
     let base_exps = experiments_of "baseline" base in
     let fresh_exps = experiments_of "fresh" fresh in
     let out = ref [] in
     let emit dl_exp dl_label dl_field b f =
-      out := { dl_exp; dl_label; dl_field; dl_base = b; dl_fresh = f; dl_pct = pct ~base:b ~fresh:f } :: !out
+      let dl_pct = match f with Some f -> pct ~base:b ~fresh:f | None -> infinity in
+      out := { dl_exp; dl_label; dl_field; dl_base = b; dl_fresh = f; dl_pct } :: !out
     in
     List.iter
       (fun (exp, base_rows) ->
@@ -166,35 +175,25 @@ let bench_diff ?(skip = default_skip) ~base ~fresh () : (delta list, string) res
         | Json.List base_rows, Some (Json.List fresh_rows) ->
             List.iter
               (fun base_row ->
-                match row_label base_row with
-                | None -> ()
-                | Some label ->
-                    if not (skip ~label ~field:"") then begin
-                      let fresh_row =
-                        List.find_opt (fun r -> row_label r = Some label) fresh_rows
-                      in
-                      match (base_row, fresh_row) with
-                      | Json.Obj base_fields, Some (Json.Obj fresh_fields) ->
-                          List.iter
-                            (fun (field, bv) ->
-                              if field <> "label" && not (skip ~label ~field) then
-                                match (bv, List.assoc_opt field fresh_fields) with
-                                | Json.Obj _, Some (Json.Obj _ as fv) -> (
-                                    (* a measurement object: compare means *)
-                                    match
-                                      ( Option.bind (Json.member "mean" bv) number,
-                                        Option.bind (Json.member "mean" fv) number )
-                                    with
-                                    | Some b, Some f -> emit exp label (field ^ ".mean") b f
-                                    | _ -> ())
-                                | bv, Some fv -> (
-                                    match (number bv, number fv) with
-                                    | Some b, Some f -> emit exp label field b f
-                                    | _ -> ())
-                                | _, None -> ())
-                            base_fields
-                      | _ -> ()
-                    end)
+                match (row_label base_row, base_row) with
+                | Some label, Json.Obj base_fields when not (skip ~label ~field:"") ->
+                    let fresh_fields =
+                      match List.find_opt (fun r -> row_label r = Some label) fresh_rows with
+                      | Some (Json.Obj fields) -> fields
+                      | _ -> []
+                    in
+                    List.iter
+                      (fun (field, bv) ->
+                        match leaf bv with
+                        | Some b when field <> "label" && not (skip ~label ~field) ->
+                            let name =
+                              match bv with Json.Obj _ -> field ^ ".mean" | _ -> field
+                            in
+                            emit exp label name b
+                              (Option.bind (List.assoc_opt field fresh_fields) leaf)
+                        | _ -> ())
+                      base_fields
+                | _ -> ())
               base_rows
         | _ -> ())
       base_exps;
@@ -212,19 +211,25 @@ let regressions ~threshold deltas =
   |> List.sort (fun a b -> compare (Float.abs b.dl_pct) (Float.abs a.dl_pct))
 
 let pp_delta fmt d =
-  Format.fprintf fmt "%-24s %-28s %-24s %12.4f %12.4f %+9.2f%%" d.dl_exp d.dl_label
-    d.dl_field d.dl_base d.dl_fresh d.dl_pct
+  match d.dl_fresh with
+  | Some fresh ->
+      Format.fprintf fmt "%-24s %-28s %-24s %12.4f %12.4f %+9.2f%%" d.dl_exp
+        d.dl_label d.dl_field d.dl_base fresh d.dl_pct
+  | None ->
+      Format.fprintf fmt "%-24s %-28s %-24s %12.4f %12s %10s" d.dl_exp d.dl_label
+        d.dl_field d.dl_base "missing" "-"
 
 let pp_deltas ?(only_changed = true) fmt deltas =
-  let shown =
-    if only_changed then List.filter (fun d -> Float.abs d.dl_pct > 1e-6) deltas
-    else deltas
-  in
+  let changed d = Float.abs d.dl_pct > 1e-6 in
+  let shown = if only_changed then List.filter changed deltas else deltas in
+  let missing = List.filter (fun d -> d.dl_fresh = None) deltas in
   Format.fprintf fmt "@[<v>%-24s %-28s %-24s %12s %12s %10s@," "experiment" "label"
     "field" "baseline" "fresh" "delta";
   List.iter (fun d -> Format.fprintf fmt "%a@," pp_delta d) shown;
-  Format.fprintf fmt "(%d comparisons, %d changed)@]" (List.length deltas)
-    (List.length shown)
+  Format.fprintf fmt "(%d comparisons, %d changed, %d missing)@]"
+    (List.length deltas - List.length missing)
+    (List.length (List.filter (fun d -> d.dl_fresh <> None && changed d) deltas))
+    (List.length missing)
 
 let deltas_json deltas : Json.t =
   Json.List
@@ -236,7 +241,7 @@ let deltas_json deltas : Json.t =
              ("label", Json.String d.dl_label);
              ("field", Json.String d.dl_field);
              ("baseline", Json.Float d.dl_base);
-             ("fresh", Json.Float d.dl_fresh);
+             ("fresh", match d.dl_fresh with Some f -> Json.Float f | None -> Json.Null);
              ("pct", Json.Float d.dl_pct);
            ])
        deltas)

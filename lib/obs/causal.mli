@@ -3,7 +3,7 @@
     reconstruction.
 
     Everything here is a pure host-side fold over [Trace.stamped list] —
-    run it after the fact on [Harness.smp_trace_events] (or a flight
+    run it after the fact on [Harness.trace_events] (or a flight
     recorder's decoded window); nothing touches the simulated machine.
     The [mvtrace timeline] and [mvtrace blame] subcommands are thin
     renderers over this module. *)

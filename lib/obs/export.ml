@@ -141,14 +141,14 @@ let chrome_trace_string ?pid stamped = Json.to_string_pretty (chrome_trace ?pid 
 let profile_json rows =
   Json.List
     (List.map
-       (fun (r : Profile.row) ->
+       (fun (r : Stackprof.leaf) ->
          Json.Obj
            [
-             ("name", Json.String r.Profile.r_name);
-             ("samples", Json.Int r.Profile.r_samples);
-             ("cycles", Json.Float r.Profile.r_cycles);
-             ("share", Json.Float r.Profile.r_share);
-             ("variant", Json.Bool r.Profile.r_variant);
+             ("name", Json.String r.Stackprof.l_name);
+             ("samples", Json.Int r.Stackprof.l_samples);
+             ("cycles", Json.Float r.Stackprof.l_cycles);
+             ("share", Json.Float r.Stackprof.l_share);
+             ("variant", Json.Bool r.Stackprof.l_variant);
            ])
        rows)
 

@@ -24,9 +24,9 @@ val chrome_trace : ?pid:int -> Trace.stamped list -> Json.t
     [.json] file. *)
 val chrome_trace_string : ?pid:int -> Trace.stamped list -> string
 
-(** A profiler report as a JSON array of row objects
-    ([name]/[samples]/[cycles]/[share]/[variant]). *)
-val profile_json : Profile.row list -> Json.t
+(** The stack profiler's per-leaf view ({!Stackprof.leaves}) as a JSON
+    array of row objects ([name]/[samples]/[cycles]/[share]/[variant]). *)
+val profile_json : Stackprof.leaf list -> Json.t
 
 (** A stack-profiler report as a JSON array of row objects
     ([stack] — frame array, outermost first —

@@ -3,8 +3,10 @@
    current pc as the leaf) and attribute the cycles elapsed since the last
    sample to the collapsed stack — the folded-stack model of perf-record +
    stackcollapse, so the output feeds flamegraph.pl or speedscope
-   directly.  Like [Profile], attribution is interval sampling: cheap per
-   step, converging with run length. *)
+   directly.  Attribution is interval sampling, approximate in exactly the
+   way hardware PMU sampling is — cycles spent in short callees between
+   samples land on whoever holds the pc at sample time — cheap per step
+   and converging with run length. *)
 
 type row = {
   s_stack : string list;  (* outermost first; the leaf is last *)
@@ -162,3 +164,61 @@ let pp ?(limit = 10) fmt t =
   Format.fprintf fmt "(%d samples, %.1f cycles, %.1f%% in variant stacks)@]"
     t.total_samples t.total_cycles
     (100.0 *. variant_share t)
+
+(* The flat view: fold every stack onto its leaf (the sampled pc's
+   symbol).  Only the leaf decides the variant flag — a generic leaf
+   under a variant caller is time spent in generic code. *)
+type leaf = {
+  l_name : string;
+  l_samples : int;
+  l_cycles : float;
+  l_share : float;
+  l_variant : bool;
+}
+
+let leaves ts =
+  let table = Hashtbl.create 64 in
+  List.iter
+    (fun t ->
+      Hashtbl.iter
+        (fun _key cell ->
+          let name = List.nth cell.stack (List.length cell.stack - 1) in
+          let samples, cycles, variant =
+            match Hashtbl.find_opt table name with
+            | Some acc -> acc
+            | None -> (0, 0.0, name <> unknown && t.is_variant name)
+          in
+          Hashtbl.replace table name
+            (samples + cell.c_samples, cycles +. cell.c_cycles, variant))
+        t.table)
+    ts;
+  let total = List.fold_left (fun acc t -> acc +. t.total_cycles) 0.0 ts in
+  let total = if total > 0.0 then total else 1.0 in
+  Hashtbl.fold
+    (fun name (samples, cycles, variant) acc ->
+      {
+        l_name = name;
+        l_samples = samples;
+        l_cycles = cycles;
+        l_share = cycles /. total;
+        l_variant = variant;
+      }
+      :: acc)
+    table []
+  |> List.sort (fun a b ->
+         let c = compare b.l_cycles a.l_cycles in
+         if c <> 0 then c else compare a.l_name b.l_name)
+
+let pp_leaves ?(limit = 10) fmt ts =
+  Format.fprintf fmt "@[<v>%-36s %8s %12s %7s@," "hot functions" "samples"
+    "cycles" "share";
+  List.iteri
+    (fun i r ->
+      if i < limit then
+        Format.fprintf fmt "%-36s %8d %12.1f %6.1f%%@,"
+          (if r.l_variant then r.l_name ^ " [variant]" else r.l_name)
+          r.l_samples r.l_cycles (100.0 *. r.l_share))
+    (leaves ts);
+  Format.fprintf fmt "(%d samples, %.1f cycles attributed)@]"
+    (List.fold_left (fun acc t -> acc + t.total_samples) 0 ts)
+    (List.fold_left (fun acc t -> acc +. t.total_cycles) 0.0 ts)

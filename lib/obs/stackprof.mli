@@ -1,12 +1,14 @@
 (** A stack-aware sampling profiler: interval sampling keyed on collapsed
     call stacks.
 
-    Where {!Profile} attributes each sample to the single symbol holding
-    the pc, this profiler symbolizes the machine's whole call stack
-    ([Mv_vm.Machine.call_frames] plus the pc as the leaf) and aggregates
-    by the {e collapsed} stack — the `a;b;c` folded form of
-    perf-record/stackcollapse.  {!folded} emits the standard folded-stack
-    text that flamegraph.pl and speedscope load directly.
+    Every [interval]-th executed instruction, the profiler symbolizes the
+    machine's whole call stack ([Mv_vm.Machine.call_frames] plus the pc
+    as the leaf) and aggregates by the {e collapsed} stack — the `a;b;c`
+    folded form of perf-record/stackcollapse.  {!folded} emits the
+    standard folded-stack text that flamegraph.pl and speedscope load
+    directly.  The leaf of every stack is the sampled pc's symbol, so
+    {!leaves} folds the stacks back into the flat hot-function table of
+    a classic pc-sampling profiler.
 
     Variant symbols carry their assignment suffix (e.g.
     ["spin_lock.config_smp=0"]), so specialized frames are
@@ -80,3 +82,25 @@ val folded : t -> string
 
 (** Render the hot-stack table ([limit] rows, default 10). *)
 val pp : ?limit:int -> Format.formatter -> t -> unit
+
+(** {1 Per-leaf view} *)
+
+(** One line of the hot-function table: every stack whose leaf is
+    [l_name] folded together. *)
+type leaf = {
+  l_name : string;  (** the sampled pc's symbol, or ["<unknown>"] *)
+  l_samples : int;  (** samples whose leaf is this symbol *)
+  l_cycles : float;  (** simulated cycles attributed to this symbol *)
+  l_share : float;  (** fraction of all attributed cycles, in [0, 1];
+                        [0.] (never NaN) when no cycles were attributed *)
+  l_variant : bool;  (** the leaf itself is a generated variant *)
+}
+
+(** The per-leaf view over one or more profilers (an SMP session keeps
+    one per hart), hottest first: cycles spent with the pc in each
+    symbol, whatever the callers.  Shares are against the profilers'
+    summed cycles. *)
+val leaves : t list -> leaf list
+
+(** Render the hot-function table ([limit] rows, default 10). *)
+val pp_leaves : ?limit:int -> Format.formatter -> t list -> unit

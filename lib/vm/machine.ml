@@ -204,7 +204,7 @@ let set_safepoint t hook = t.safepoint <- hook
 let set_tracer t sink = t.tracer <- sink
 
 (** Install (or remove) the per-instruction pc observer (the sampling
-    profiler's feed; see [Mv_obs.Profile]).  Purely host-side: simulated
+    profiler's feed; see [Mv_obs.Stackprof]).  Purely host-side: simulated
     cycle counts do not change. *)
 let set_sampler t hook = t.sampler <- hook
 

@@ -142,7 +142,7 @@ val set_safepoint : t -> (unit -> unit) option -> unit
 val set_tracer : t -> (Mv_obs.Trace.event -> unit) option -> unit
 
 (** Install (or remove, with [None]) the per-instruction pc observer —
-    the sampling profiler's feed ([Mv_obs.Profile.sample]).  The observer
+    the sampling profiler's feed ([Mv_obs.Stackprof.sample]).  The observer
     is host-side only: it charges no simulated cycles, so guest cycle
     counts are bit-for-bit identical with and without it. *)
 val set_sampler : t -> (int -> unit) option -> unit

@@ -11,10 +11,10 @@
    outliers to exercise the exclusion protocol. *)
 
 module Machine = Mv_vm.Machine
+module Smp = Mv_vm.Smp
 module Perf = Mv_vm.Perf
 module Image = Mv_link.Image
 module Trace = Mv_obs.Trace
-module Profile = Mv_obs.Profile
 module Stackprof = Mv_obs.Stackprof
 module Metrics = Mv_obs.Metrics
 module Flight = Mv_obs.Flight
@@ -32,16 +32,18 @@ type measurement = {
   m_excluded : int;
 }
 
-(** A built program with an attached machine and multiverse runtime, plus
-    the (lazily enabled) observability state. *)
+(** A built program on an N-hart container (a unicore session is the
+    1-hart case) with its multiverse runtime, plus the (lazily enabled)
+    observability state. *)
 type session = {
   program : Core.Compiler.program;
-  machine : Machine.t;
+  smp : Smp.t;
+  machine : Machine.t;  (** hart 0 *)
   runtime : Core.Runtime.t;
+  sm_runtime : Core.Runtime.t;  (** [runtime] again, a benchmark alias *)
   flight : Flight.t;  (** always-on flight recorder, armed at creation *)
   mutable trace : Trace.ring option;  (** set by {!enable_tracing} *)
-  mutable profile : Profile.t option;  (** set by {!enable_profiling} *)
-  mutable stackprof : Stackprof.t option;  (** set by {!enable_stack_profiling} *)
+  mutable stackprofs : Stackprof.t array;  (** set by {!enable_stack_profiling} *)
   mutable metrics : Metrics.t option;  (** set by {!enable_metrics} *)
   mutable metrics_sink : Trace.sink option;  (** the registry's trace bridge *)
   mutable heat : Heat.t option;  (** set by {!enable_heat} *)
@@ -52,12 +54,19 @@ type session = {
    each dump takes its number with one atomic fetch-and-add. *)
 let trap_counter = Atomic.make 1
 
+let harts s = List.init (Smp.n_harts s.smp) (Smp.machine s.smp)
+
+(* The session clock (summed hart cycles — hart 0's cycles on one hart)
+   and the hart host-driven events are attributed to. *)
+let clock s () = Smp.clock s.smp
+let current_hart s () = Smp.current_hart s.smp
+
 (* Postmortem context for a flight dump: the fault, the runtime's
    patching counters, and each hart's pc/stack summary. *)
-let trap_extra ~msg ~runtime ~machines : (string * Json.t) list =
+let trap_extra ~msg s : (string * Json.t) list =
   [
     ("fault", Json.String msg);
-    ("runtime", Core.Runtime.stats_json (Core.Runtime.stats runtime));
+    ("runtime", Core.Runtime.stats_json (Core.Runtime.stats s.runtime));
     ( "harts",
       Json.List
         (List.mapi
@@ -70,89 +79,118 @@ let trap_extra ~msg ~runtime ~machines : (string * Json.t) list =
                    Json.List
                      (List.map (fun a -> Json.Int a) (Machine.call_frames m)) );
                ])
-           machines) );
+           (harts s)) );
   ]
 
-(** Assemble a session from pre-built parts (for callers that need custom
-    build options, e.g. call-site padding).  The flight recorder is armed
-    here — always-on, every session — and the machine's trap hook wired
-    to dump it (gated on [MV_SMP_ARTIFACT_DIR], so a plain test run
-    writes nothing). *)
-let of_parts ?(flight_capacity = 512) program machine runtime : session =
-  let flight =
-    Flight.create ~capacity:flight_capacity
-      ~clock:(fun () -> machine.Machine.perf.Perf.cycles)
-      ()
+(* One sink serves both emitters (the runtime, and the container, which
+   hands it to every hart); the always-on flight recorder is in every
+   chain, the ring, the metrics bridge and the heat sink tee in front of
+   it when armed.  Re-run after any enable_* so the installed chain
+   always reflects the session's current state. *)
+let install_tracers s =
+  let sinks =
+    List.filter_map Fun.id
+      [
+        Option.map Trace.sink s.trace;
+        s.metrics_sink;
+        Option.map (fun h -> Heat.sink h ~clock:(clock s)) s.heat;
+        Some (Flight.sink s.flight);
+      ]
   in
+  let sink =
+    match sinks with
+    | [ f ] -> Some f
+    | fs -> Some (fun ev -> List.iter (fun f -> f ev) fs)
+  in
+  Core.Runtime.set_tracer s.runtime sink;
+  Smp.set_tracer s.smp sink
+
+(* Wire the vm and the runtime together for safe commit: the runtime scans
+   every hart's stack for live activations, and each hart's
+   quiescence-point hook drains the runtime's deferred patch sets. *)
+let enable_safe_commit s =
+  Core.Runtime.set_live_scanner s.runtime (fun () -> Smp.live_code_addrs s.smp);
+  Smp.set_safepoint s.smp (Some (fun () -> Core.Runtime.safepoint s.runtime))
+
+(* Wire the runtime for cross-modifying code: every patching operation
+   runs inside a stop_machine rendezvous, every text mutation goes
+   through the breakpoint-first text_poke, commit-chain events carry the
+   hart they ran on, and safe commit is armed. *)
+let enable_stop_machine s =
+  Core.Runtime.set_patch_barrier s.runtime
+    (Some (fun f -> Smp.stop_machine s.smp f));
+  Core.Runtime.set_text_writer s.runtime
+    (Some (fun ~addr b -> Smp.text_poke s.smp ~addr b));
+  Core.Runtime.set_hart_source s.runtime (Some (current_hart s));
+  enable_safe_commit s
+
+(** Build a session.  One hart writes text directly and leaves safe
+    commit opt-in; more harts wire the runtime for cross-modifying code:
+    every patching operation runs inside a [stop_machine] rendezvous,
+    text mutations go through the breakpoint-first [text_poke], commit
+    chains carry the hart they ran on, and safe commit is armed.  The
+    flight recorder is armed here — always-on, every session — and every
+    hart's trap hook wired to dump it (gated on [MV_SMP_ARTIFACT_DIR], so
+    a plain test run writes nothing). *)
+let session ?(n_harts = 1) ?policy ?seed ?platform ?callsite_padding
+    ?(lazy_variants = false) ?vtext_size ?budget
+    (sources : (string * string) list) : session =
+  let program =
+    Core.Compiler.build ?callsite_padding ~lazy_variants ?vtext_size sources
+  in
+  let image = program.Core.Compiler.p_image in
+  let smp = Smp.create ?policy ?seed ?platform ~n_harts image in
+  let runtime =
+    Core.Runtime.create image ~flush:(fun ~addr ~len ->
+        Smp.flush_icache smp ~addr ~len)
+  in
+  if lazy_variants then
+    Core.Runtime.enable_lazy ?budget runtime
+      ~recipes:(Core.Compiler.recipes program)
+      ~call_pad:(Core.Compiler.call_pad program);
   let s =
     {
       program;
-      machine;
+      smp;
+      machine = Smp.machine smp 0;
       runtime;
-      flight;
+      sm_runtime = runtime;
+      flight =
+        Flight.create
+          ~clock:(fun () -> Smp.clock smp)
+          ~hart:(fun () -> Smp.current_hart smp)
+          ();
       trace = None;
-      profile = None;
-      stackprof = None;
+      stackprofs = [||];
       metrics = None;
       metrics_sink = None;
       heat = None;
     }
   in
-  Machine.set_trap_hook machine
-    (Some
-       (fun msg ->
-         let n = Atomic.fetch_and_add trap_counter 1 in
-         ignore
-           (Flight.write_artifact flight ~reason:"vm-trap"
-              ~name:(Printf.sprintf "trap-%d" n)
-              ~extra:(trap_extra ~msg ~runtime ~machines:[ machine ])
-              ())));
+  if n_harts > 1 then enable_stop_machine s;
+  List.iter
+    (fun m ->
+      Machine.set_trap_hook m
+        (Some
+           (fun msg ->
+             let n = Atomic.fetch_and_add trap_counter 1 in
+             ignore
+               (Flight.write_artifact s.flight ~reason:"vm-trap"
+                  ~name:(Printf.sprintf "trap-%d" n)
+                  ~extra:(trap_extra ~msg s) ()))))
+    (harts s);
   (* the recorder listens from the first instruction; enable_tracing /
-     enable_metrics later tee their sinks in front of it *)
-  let fsink = Flight.sink flight in
-  Core.Runtime.set_tracer runtime (Some fsink);
-  Machine.set_tracer machine (Some fsink);
+     enable_metrics / enable_heat later tee their sinks in front of it *)
+  install_tracers s;
   s
 
-let session ?platform ?cost (sources : (string * string) list) : session =
-  let program = Core.Compiler.build sources in
-  let machine = Machine.create ?platform ?cost program.Core.Compiler.p_image in
-  let runtime =
-    Core.Runtime.create program.Core.Compiler.p_image ~flush:(fun ~addr ~len ->
-        Machine.flush_icache machine ~addr ~len)
-  in
-  of_parts program machine runtime
+let session1 ?n_harts ?policy ?seed ?platform ?callsite_padding ?lazy_variants
+    ?vtext_size ?budget source =
+  session ?n_harts ?policy ?seed ?platform ?callsite_padding ?lazy_variants
+    ?vtext_size ?budget [ ("main", source) ]
 
-let session1 ?platform ?cost source = session ?platform ?cost [ ("main", source) ]
-
-(** A session built in lazy-materialization mode: the compiler records
-    recipes instead of pre-expanding the switch product, and the runtime
-    specializes on first commit into the image's vtext region.
-    [vtext_size] sizes that region at link time; [budget] caps resident
-    variant bytes (default: the whole region). *)
-let lazy_session ?platform ?cost ?vtext_size ?budget
-    (sources : (string * string) list) : session =
-  let program = Core.Compiler.build ~lazy_variants:true ?vtext_size sources in
-  let machine = Machine.create ?platform ?cost program.Core.Compiler.p_image in
-  let runtime =
-    Core.Runtime.create program.Core.Compiler.p_image ~flush:(fun ~addr ~len ->
-        Machine.flush_icache machine ~addr ~len)
-  in
-  Core.Runtime.enable_lazy ?budget runtime
-    ~recipes:(Core.Compiler.recipes program)
-    ~call_pad:(Core.Compiler.call_pad program);
-  of_parts program machine runtime
-
-let lazy_session1 ?platform ?cost ?vtext_size ?budget source =
-  lazy_session ?platform ?cost ?vtext_size ?budget [ ("main", source) ]
-
-let set s name v =
-  let img = s.program.Core.Compiler.p_image in
-  Image.write img (Image.symbol img name) v 8
-
-let get s name =
-  let img = s.program.Core.Compiler.p_image in
-  Image.read img (Image.symbol img name) 8
+let set s name v = Smp.write_global s.smp name v ~width:8
+let get s name = Smp.read_global s.smp name ~width:8
 
 (** Point a function-pointer global at a function symbol. *)
 let set_fnptr s name target =
@@ -161,16 +199,6 @@ let set_fnptr s name target =
 
 let commit s = Core.Runtime.commit s.runtime
 let revert s = Core.Runtime.revert s.runtime
-
-(* Wire the vm and the runtime together for safe commit: the runtime scans
-   the machine's stack for live activations, and the machine's
-   quiescence-point hook drains the runtime's deferred patch sets. *)
-let enable_safe_commit s =
-  Core.Runtime.set_live_scanner s.runtime (fun () ->
-      Machine.live_code_addrs s.machine);
-  Machine.set_safepoint s.machine
-    (Some (fun () -> Core.Runtime.safepoint s.runtime))
-
 let commit_safe ?policy s = Core.Runtime.commit_safe ?policy s.runtime
 let revert_safe ?policy s = Core.Runtime.revert_safe ?policy s.runtime
 
@@ -195,80 +223,44 @@ let osr_hart_of_machine (m : Machine.t) : Core.Runtime.osr_hart =
           | [] -> [ addr ]));
   }
 
-(* Arm on-stack replacement: the runtime gains accessors to the machine's
-   registers, stack words, and frame list, so a safepoint can transfer a
-   live activation into the newly selected body instead of waiting for
-   the frame to unwind.  Compose with enable_safe_commit. *)
+(* Arm on-stack replacement: the runtime resolves the accessors of
+   whichever hart is currently polling, so each hart's safepoint can
+   transfer that hart's own parked activation into the newly selected
+   body instead of waiting for the frame to unwind.  Compose with
+   enable_safe_commit. *)
 let enable_osr s =
-  let ctx = osr_hart_of_machine s.machine in
-  Core.Runtime.set_osr s.runtime (Some (fun () -> ctx))
+  let ctxs = Array.of_list (List.map osr_hart_of_machine (harts s)) in
+  Core.Runtime.set_osr s.runtime (Some (fun () -> ctxs.(Smp.current_hart s.smp)))
+
+let start s ~hart fn args = Smp.start_call s.smp ~hart fn args
+let step s = Smp.step s.smp
+let run s = Smp.run s.smp
+let result s ~hart = Smp.result s.smp ~hart
 
 (* ------------------------------------------------------------------ *)
-(* Observability: tracing, profiling, metrics                          *)
+(* Observability: tracing, profiling, metrics, heat                    *)
 (* ------------------------------------------------------------------ *)
 
-let machine_clock s () = s.machine.Machine.perf.Perf.cycles
-
-(* One sink serves both emitters (runtime + machine); the always-on
-   flight recorder is in every chain, the ring and the metrics bridge
-   tee in front of it when armed.  Re-run after any enable_* so the
-   installed chain always reflects the session's current state. *)
-let install_tracers s =
-  let sinks =
-    List.filter_map Fun.id
-      [
-        Option.map Trace.sink s.trace;
-        s.metrics_sink;
-        Option.map (fun h -> Heat.sink h ~clock:(machine_clock s)) s.heat;
-        Some (Flight.sink s.flight);
-      ]
-  in
-  let sink =
-    match sinks with
-    | [ f ] -> Some f
-    | fs -> Some (fun ev -> List.iter (fun f -> f ev) fs)
-  in
-  Core.Runtime.set_tracer s.runtime sink;
-  Machine.set_tracer s.machine sink
-
-(* Same for the machine's single per-instruction observer slot: the flat
-   profiler and the stack profiler can be armed together. *)
-let install_samplers s =
-  let fns =
-    List.filter_map Fun.id
-      [
-        Option.map (fun p -> Profile.sample p) s.profile;
-        Option.map (fun sp -> Stackprof.sample sp) s.stackprof;
-      ]
-  in
-  let hook =
-    match fns with
-    | [] -> None
-    | [ f ] -> Some f
-    | fs -> Some (fun pc -> List.iter (fun f -> f pc) fs)
-  in
-  Machine.set_sampler s.machine hook
-
-(* Wire the structured-event recorder: one ring, clocked by the machine's
-   cycle counter, receiving both the runtime's patching events and the
-   machine's icache flushes.  Idempotent; the second call replaces the
-   ring (useful to re-arm with a different capacity). *)
+(* Wire the structured-event recorder: one ring, clocked by the session
+   clock, receiving the runtime's patching events, every hart's icache
+   flushes, and the IPI/rendezvous lifecycle.  The second call replaces
+   the ring (useful to re-arm with a different capacity). *)
 let enable_tracing ?capacity s =
-  let ring = Trace.ring ?capacity ~clock:(machine_clock s) () in
-  s.trace <- Some ring;
+  s.trace <- Some (Trace.ring ?capacity ~clock:(clock s) ~hart:(current_hart s) ());
   install_tracers s
 
 (* Arm the metrics registry: a second consumer of the same event stream
    (Metrics.trace_sink), clocked like the ring so the latency histograms
-   are in simulated cycles.  Composes with enable_tracing in either
-   order. *)
+   are in simulated cycles and labelled with the hart that closed them.
+   Composes with enable_tracing in either order. *)
 let enable_metrics s =
   let m = Metrics.create () in
   s.metrics <- Some m;
-  s.metrics_sink <- Some (Metrics.trace_sink m ~clock:(machine_clock s) ());
+  s.metrics_sink <-
+    Some (Metrics.trace_sink m ~clock:(clock s) ~hart:(current_hart s) ());
   install_tracers s
 
-(* Arm code-heat telemetry: the machine gains block-entry hit counters
+(* Arm code-heat telemetry: every hart gains block-entry hit counters
    (host-side, zero simulated cycles), the runtime's body census becomes
    the region registry, and the residency sink joins the event chain so
    variant lifecycles are tracked from the same trace stream everything
@@ -277,10 +269,11 @@ let enable_heat ?decay s =
   let h = Heat.create ?decay () in
   List.iter (Heat.register h) (Core.Runtime.heat_regions s.runtime);
   s.heat <- Some h;
-  Machine.enable_heat s.machine;
+  List.iter Machine.enable_heat (harts s);
   install_tracers s
 
-(* Fold the machine's cumulative block counters into the accumulator
+(* Fold every hart's cumulative block counters into the accumulator,
+   keyed by hart id so harts sharing text offsets never collide
    (delta-safe: calling it repeatedly never double-counts).  Under lazy
    materialization the body census changes as variants come and go, so
    re-register the runtime's current regions first — Heat.register
@@ -291,27 +284,22 @@ let heat_sync s =
   | Some h ->
       if Core.Runtime.lazy_enabled s.runtime then
         List.iter (Heat.register h) (Core.Runtime.heat_regions s.runtime);
-      Heat.observe ~source:(Machine.hart_id s.machine) h
-        (Machine.heat_blocks s.machine)
+      List.iter
+        (fun m -> Heat.observe ~source:(Machine.hart_id m) h (Machine.heat_blocks m))
+        (harts s)
 
-(** The heat accumulator armed by {!enable_heat}, if any (synced first). *)
 let heat s =
   heat_sync s;
   s.heat
 
-(** Close a decay epoch: sync the machine counters, then apply the decay
-    step to every region's hotness score. *)
 let heat_epoch s =
   heat_sync s;
   Option.iter Heat.epoch s.heat
 
-(** Per-region heat accounting ([[]] until {!enable_heat}), synced. *)
 let heat_report s =
   heat_sync s;
   match s.heat with None -> [] | Some h -> Heat.region_stats h
 
-(** The [mv-heat/1] document for this session, synced; [budget] adds the
-    eviction advisor's plan.  [Json.Null] until {!enable_heat}. *)
 let heat_json ?budget s =
   heat_sync s;
   match s.heat with
@@ -319,17 +307,13 @@ let heat_json ?budget s =
   | Some h ->
       Heat.to_json ?budget
         ~exclude:(Core.Runtime.pending_variants s.runtime)
-        ~now:(machine_clock s ()) h
+        ~now:(clock s ()) h
 
-(** Wire the byte-budget eviction advisor into the runtime: when the lazy
-    materializer needs room, it asks the heat accumulator's
-    {!Heat.evict_plan} (freshly synced) which resident variants to shed
-    first — coldest heat-per-byte first — excluding any a
-    journaled-but-undrained bind still needs.  [budget] is the advisor's
-    keep-budget: variants whose cumulative (densest-first) size fits are
-    never advised away; the default 0 makes every resident variant
-    eligible, ranked.  Requires {!enable_heat}; composes with
-    {!lazy_session}. *)
+(* Wire the byte-budget eviction advisor into the runtime: when the lazy
+   materializer needs room, it asks the heat accumulator's
+   Heat.evict_plan (freshly synced) which resident variants to shed
+   first — coldest heat-per-byte first — excluding any a
+   journaled-but-undrained bind still needs. *)
 let enable_evict_advisor ?(budget = 0) s =
   Core.Runtime.set_evict_advisor s.runtime
     (Some
@@ -362,7 +346,7 @@ let variant_names s =
     (Core.Descriptor.parse_functions img);
   tbl
 
-(* Variant classifier for the profilers.  The descriptor-derived table is
+(* Variant classifier for the profiler.  The descriptor-derived table is
    complete for eager builds but empty under lazy ones (variants do not
    exist at link time), so fall back to asking the runtime about bodies
    it has materialized since. *)
@@ -373,79 +357,62 @@ let is_variant_sym s tbl name =
           (fun (sym, _, _) -> sym = name)
           (Core.Runtime.materialized_variants s.runtime))
 
-(* Attach the sampling profiler to the machine's step loop.  Resolution
-   goes through the image symbol map, so generic bodies and installed
-   variants (whose symbols carry the assignment suffix) are attributed
-   separately. *)
-let enable_profiling ?interval s =
-  let img = s.program.Core.Compiler.p_image in
-  let variants = variant_names s in
-  let prof =
-    Profile.create ?interval
-      ~is_variant:(fun name -> is_variant_sym s variants name)
-      ~resolve:(fun pc -> Image.symbol_at img pc)
-      ~now:(machine_clock s) ()
-  in
-  s.profile <- Some prof;
-  install_samplers s
-
-(* Attach the stack-aware sampler: the same interval sampling, but each
-   sample symbolizes the whole call stack (Machine.call_frames plus the
-   pc as the leaf) and aggregates by collapsed stack — folded-stack
-   output for flamegraph.pl/speedscope.  Composes with enable_profiling:
-   both can observe the same run. *)
+(* Attach one stack-aware sampler per hart, each clocked by its own hart's
+   cycle counter: every [interval]-th instruction symbolizes the whole
+   call stack (Machine.call_frames plus the pc as the leaf) and
+   aggregates by collapsed stack — folded-stack output for
+   flamegraph.pl/speedscope, and a per-leaf view for the flat
+   hot-function table.  With several harts each stack is rooted at a
+   synthetic "hartN" frame, so the merged dump keeps per-hart
+   attribution. *)
 let enable_stack_profiling ?interval s =
   let img = s.program.Core.Compiler.p_image in
   let variants = variant_names s in
-  let sp =
-    Stackprof.create ?interval
-      ~is_variant:(fun name -> is_variant_sym s variants name)
-      ~resolve:(fun pc -> Image.symbol_at img pc)
-      ~frames:(fun () -> Machine.call_frames s.machine)
-      ~now:(machine_clock s) ()
-  in
-  s.stackprof <- Some sp;
-  install_samplers s
+  let n = Smp.n_harts s.smp in
+  s.stackprofs <-
+    Array.init n (fun i ->
+        let m = Smp.machine s.smp i in
+        let sp =
+          Stackprof.create ?interval ~is_variant:(is_variant_sym s variants)
+            ?root:(if n > 1 then Some (Printf.sprintf "hart%d" i) else None)
+            ~resolve:(Image.symbol_at img)
+            ~frames:(fun () -> Machine.call_frames m)
+            ~now:(fun () -> m.Machine.perf.Perf.cycles)
+            ()
+        in
+        Machine.set_sampler m (Some (Stackprof.sample sp));
+        sp)
 
 let trace_events s = match s.trace with None -> [] | Some ring -> Trace.events ring
 
 let trace_dump s = Mv_obs.Export.chrome_trace_string (trace_events s)
 
-(** The session's always-on flight recorder. *)
 let flight s = s.flight
-
-(** The flight recorder's surviving window, decoded (oldest first). *)
 let flight_events s = Flight.events s.flight
 
-(** Dump the session's flight recorder with full postmortem context
-    (runtime stats, hart pc/stack) — what the trap hook writes, callable
-    on demand. *)
 let flight_dump ?(reason = "manual") s =
-  Flight.dump_string s.flight ~reason
-    ~extra:(trap_extra ~msg:"" ~runtime:s.runtime ~machines:[ s.machine ])
-    ()
+  Flight.dump_string s.flight ~reason ~extra:(trap_extra ~msg:"" s) ()
 
-let profile_report s = match s.profile with None -> [] | Some p -> Profile.report p
+let stack_report s = List.concat_map Stackprof.report (Array.to_list s.stackprofs)
 
-let stack_report s = match s.stackprof with None -> [] | Some sp -> Stackprof.report sp
-
-(** The folded-stack dump ([""] until {!enable_stack_profiling}). *)
-let folded_dump s = match s.stackprof with None -> "" | Some sp -> Stackprof.folded sp
+let folded_dump s =
+  String.concat "" (List.map Stackprof.folded (Array.to_list s.stackprofs))
 
 let metrics s = s.metrics
 
-(* The unified metrics snapshot: runtime patching counters, machine perf
+(* The unified metrics snapshot: runtime patching counters, hart 0's perf
    counters (with derived metrics), static program statistics, and — when
-   enabled — the profiler's hot-function table and the trace recorder's
-   accounting. *)
+   enabled — the profiler's hot-function and hot-stack tables and the
+   trace recorder's accounting. *)
 let metrics_json s : Json.t =
   let extra =
-    (match s.profile with
-    | Some p -> [ ("profile", Mv_obs.Export.profile_json (Profile.report p)) ]
-    | None -> [])
-    @ (match s.stackprof with
-      | Some sp -> [ ("stacks", Mv_obs.Export.stack_profile_json (Stackprof.report sp)) ]
-      | None -> [])
+    (match Array.to_list s.stackprofs with
+    | [] -> []
+    | sps ->
+        [
+          ("profile", Mv_obs.Export.profile_json (Stackprof.leaves sps));
+          ("stacks", Mv_obs.Export.stack_profile_json (stack_report s));
+        ])
     @ (match s.metrics with
       | Some m ->
           (* refresh the runtime-counter (and, when armed, the code-heat)
@@ -582,286 +549,14 @@ let measurement_json m : Json.t =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* SMP sessions                                                        *)
+(* Benchmark aliases (see harness.mli)                                 *)
 (* ------------------------------------------------------------------ *)
 
-module Smp = Mv_vm.Smp
-
-(** A built program on an N-hart container, with the runtime wired for
-    cross-modifying code: flushes reach every hart, live-activation scans
-    aggregate every hart's stack, every patching operation runs inside a
-    [stop_machine] rendezvous, and text mutations go through the
-    breakpoint-first [text_poke]. *)
-type smp_session = {
-  sm_program : Core.Compiler.program;
-  smp : Smp.t;
-  sm_runtime : Core.Runtime.t;
-  sm_flight : Flight.t;  (** always-on flight recorder, armed at creation *)
-  mutable sm_trace : Trace.ring option;
-  mutable sm_metrics : Metrics.t option;  (** set by {!enable_smp_metrics} *)
-  mutable sm_metrics_sink : Trace.sink option;
-  mutable sm_stackprofs : Stackprof.t array;  (** one per hart once enabled *)
-  mutable sm_heat : Heat.t option;  (** set by {!enable_smp_heat} *)
-}
-
-(* The container-wide sink chain: ring and metrics bridge (when armed)
-   tee in front of the always-on flight recorder, installed on both
-   emitters (runtime + container). *)
-let install_smp_tracers s =
-  let sinks =
-    List.filter_map Fun.id
-      [
-        Option.map Trace.sink s.sm_trace;
-        s.sm_metrics_sink;
-        Option.map
-          (fun h -> Heat.sink h ~clock:(fun () -> Smp.clock s.smp))
-          s.sm_heat;
-        Some (Flight.sink s.sm_flight);
-      ]
-  in
-  let sink =
-    match sinks with
-    | [ f ] -> Some f
-    | fs -> Some (fun ev -> List.iter (fun f -> f ev) fs)
-  in
-  Core.Runtime.set_tracer s.sm_runtime sink;
-  Smp.set_tracer s.smp sink
-
-let smp_session ?(n_harts = 2) ?policy ?seed ?platform ?cost
-    ?(flight_capacity = 512) ?(lazy_variants = false) ?vtext_size ?budget
-    (sources : (string * string) list) : smp_session =
-  let program = Core.Compiler.build ~lazy_variants ?vtext_size sources in
-  let image = program.Core.Compiler.p_image in
-  let smp = Smp.create ?policy ?seed ?cost ?platform ~n_harts image in
-  let runtime =
-    Core.Runtime.create image ~flush:(fun ~addr ~len ->
-        Smp.flush_icache smp ~addr ~len)
-  in
-  if lazy_variants then
-    Core.Runtime.enable_lazy ?budget runtime
-      ~recipes:(Core.Compiler.recipes program)
-      ~call_pad:(Core.Compiler.call_pad program);
-  Core.Runtime.set_live_scanner runtime (fun () -> Smp.live_code_addrs smp);
-  Core.Runtime.set_patch_barrier runtime (Some (fun f -> Smp.stop_machine smp f));
-  Core.Runtime.set_text_writer runtime
-    (Some (fun ~addr b -> Smp.text_poke smp ~addr b));
-  Smp.set_safepoint smp (Some (fun () -> Core.Runtime.safepoint runtime));
-  (* causal attribution: commit-chain events carry the hart the runtime
-     is currently driven from *)
-  Core.Runtime.set_hart_source runtime (Some (fun () -> Smp.current_hart smp));
-  let flight =
-    Flight.create ~capacity:flight_capacity
-      ~clock:(fun () -> Smp.clock smp)
-      ~hart:(fun () -> Smp.current_hart smp)
-      ()
-  in
-  let machines = List.init n_harts (fun i -> Smp.machine smp i) in
-  List.iter
-    (fun m ->
-      Machine.set_trap_hook m
-        (Some
-           (fun msg ->
-             let n = Atomic.fetch_and_add trap_counter 1 in
-             ignore
-               (Flight.write_artifact flight ~reason:"vm-trap"
-                  ~name:(Printf.sprintf "trap-%d" n)
-                  ~extra:(trap_extra ~msg ~runtime ~machines)
-                  ()))))
-    machines;
-  let s =
-    { sm_program = program; smp; sm_runtime = runtime; sm_flight = flight;
-      sm_trace = None; sm_metrics = None; sm_metrics_sink = None;
-      sm_stackprofs = [||]; sm_heat = None }
-  in
-  install_smp_tracers s;
-  s
-
-let smp_session1 ?n_harts ?policy ?seed ?platform ?cost source =
-  smp_session ?n_harts ?policy ?seed ?platform ?cost [ ("main", source) ]
-
-(** An N-hart container in lazy-materialization mode: first commit of an
-    unseen valuation specializes inside the [stop_machine] rendezvous and
-    writes the body through [text_poke]. *)
-let lazy_smp_session ?n_harts ?policy ?seed ?platform ?cost ?flight_capacity
-    ?vtext_size ?budget sources =
-  smp_session ?n_harts ?policy ?seed ?platform ?cost ?flight_capacity
-    ~lazy_variants:true ?vtext_size ?budget sources
-
-let lazy_smp_session1 ?n_harts ?policy ?seed ?platform ?cost ?vtext_size
-    ?budget source =
-  lazy_smp_session ?n_harts ?policy ?seed ?platform ?cost ?vtext_size ?budget
-    [ ("main", source) ]
-
-let smp_set s name v = Smp.write_global s.smp name v ~width:8
-let smp_get s name = Smp.read_global s.smp name ~width:8
-let smp_commit s = Core.Runtime.commit s.sm_runtime
-let smp_revert s = Core.Runtime.revert s.sm_runtime
-let smp_commit_safe ?policy s = Core.Runtime.commit_safe ?policy s.sm_runtime
-let smp_revert_safe ?policy s = Core.Runtime.revert_safe ?policy s.sm_runtime
-
-(** Arm on-stack replacement on the container: the runtime resolves the
-    accessors of whichever hart is currently polling, so each hart's
-    safepoint can transfer that hart's own activation. *)
-let enable_smp_osr s =
-  let ctxs =
-    Array.init (Smp.n_harts s.smp) (fun i ->
-        osr_hart_of_machine (Smp.machine s.smp i))
-  in
-  Core.Runtime.set_osr s.sm_runtime
-    (Some (fun () -> ctxs.(Smp.current_hart s.smp)))
-let smp_start s ~hart fn args = Smp.start_call s.smp ~hart fn args
-let smp_step s = Smp.step s.smp
-let smp_run s = Smp.run s.smp
-let smp_result s ~hart = Smp.result s.smp ~hart
-
-(** Arm the structured-event recorder on the container: one ring, clocked
-    by the SMP clock (total cycles across harts), receiving the runtime's
-    patching events, every hart's icache flushes, and the IPI/rendezvous
-    lifecycle. *)
-let enable_smp_tracing ?capacity s =
-  let ring =
-    Trace.ring ?capacity
-      ~clock:(fun () -> Smp.clock s.smp)
-      ~hart:(fun () -> Smp.current_hart s.smp)
-      ()
-  in
-  s.sm_trace <- Some ring;
-  install_smp_tracers s
-
-(** Arm the metrics registry on the container: the same trace bridge as
-    {!enable_metrics}, with the hart source wired so patch/drain latency
-    histograms carry a [hart] label.  Composes with
-    {!enable_smp_tracing} in either order. *)
-let enable_smp_metrics s =
-  let m = Metrics.create () in
-  s.sm_metrics <- Some m;
-  s.sm_metrics_sink <-
-    Some
-      (Metrics.trace_sink m
-         ~clock:(fun () -> Smp.clock s.smp)
-         ~hart:(fun () -> Smp.current_hart s.smp)
-         ());
-  install_smp_tracers s
-
-(** The registry armed by {!enable_smp_metrics}, if any. *)
-let smp_metrics s = s.sm_metrics
-
-(** Arm code-heat telemetry on the container: every hart's machine gains
-    block counters, one shared accumulator holds the per-region heat
-    (per-hart deltas are folded by source, so harts sharing text offsets
-    never collide), and the residency sink is clocked by the SMP
-    clock. *)
-let enable_smp_heat ?decay s =
-  let h = Heat.create ?decay () in
-  List.iter (Heat.register h) (Core.Runtime.heat_regions s.sm_runtime);
-  s.sm_heat <- Some h;
-  for i = 0 to Smp.n_harts s.smp - 1 do
-    Machine.enable_heat (Smp.machine s.smp i)
-  done;
-  install_smp_tracers s
-
-(* Fold every hart's cumulative block counters into the accumulator,
-   keyed by hart id so cumulative deltas stay per-hart. *)
-let smp_heat_sync s =
-  match s.sm_heat with
-  | None -> ()
-  | Some h ->
-      if Core.Runtime.lazy_enabled s.sm_runtime then
-        List.iter (Heat.register h) (Core.Runtime.heat_regions s.sm_runtime);
-      for i = 0 to Smp.n_harts s.smp - 1 do
-        Heat.observe ~source:i h (Machine.heat_blocks (Smp.machine s.smp i))
-      done
-
-(** The SMP analogue of {!enable_evict_advisor}: the advisor syncs every
-    hart's counters before ranking, and still excludes variants a pending
-    bind needs. *)
-let enable_smp_evict_advisor ?(budget = 0) s =
-  Core.Runtime.set_evict_advisor s.sm_runtime
-    (Some
-       (fun () ->
-         smp_heat_sync s;
-         match s.sm_heat with
-         | None -> []
-         | Some h ->
-             Heat.evict_plan
-               ~exclude:(Core.Runtime.pending_variants s.sm_runtime)
-               h ~budget
-             |> List.filter_map (fun (a : Heat.advice) ->
-                    if a.Heat.ad_verdict = Heat.Evict then
-                      Some a.Heat.ad_region.Heat.r_name
-                    else None)
-             |> List.rev))
-
-(** The container's heat accumulator, if any (synced first). *)
-let smp_heat s =
-  smp_heat_sync s;
-  s.sm_heat
-
-(** Per-region heat across all harts ([[]] until {!enable_smp_heat}). *)
-let smp_heat_report s =
-  smp_heat_sync s;
-  match s.sm_heat with None -> [] | Some h -> Heat.region_stats h
-
-let smp_trace_events s =
-  match s.sm_trace with None -> [] | Some ring -> Trace.events ring
-
-let smp_trace_dump s = Mv_obs.Export.chrome_trace_string (smp_trace_events s)
-
-(** The container's always-on flight recorder. *)
-let smp_flight s = s.sm_flight
-
-(** The container flight recorder's surviving window, decoded. *)
-let smp_flight_events s = Flight.events s.sm_flight
-
-(** Dump the container's flight recorder with per-hart postmortem
-    context — what the trap hooks write, callable on demand. *)
-let smp_flight_dump ?(reason = "manual") s =
-  let machines = List.init (Smp.n_harts s.smp) (fun i -> Smp.machine s.smp i) in
-  Flight.dump_string s.sm_flight ~reason
-    ~extra:(trap_extra ~msg:"" ~runtime:s.sm_runtime ~machines)
-    ()
-
-(** Attach a stack profiler to every hart, each rooted at a synthetic
-    ["hartN"] frame so the merged folded dump keeps per-hart attribution.
-    Each hart's sampler is clocked by its own cycle counter. *)
-let enable_smp_stack_profiling ?interval s =
-  let img = s.sm_program.Core.Compiler.p_image in
-  let variants = Hashtbl.create 32 in
-  List.iter
-    (fun (f : Core.Descriptor.function_record) ->
-      List.iter
-        (fun (v : Core.Descriptor.variant_record) ->
-          match Image.symbol_at img v.Core.Descriptor.va_addr with
-          | Some name -> Hashtbl.replace variants name ()
-          | None -> ())
-        f.Core.Descriptor.fd_variants)
-    (Core.Descriptor.parse_functions img);
-  s.sm_stackprofs <-
-    Array.init (Smp.n_harts s.smp) (fun i ->
-        let m = Smp.machine s.smp i in
-        let is_variant name =
-          Hashtbl.mem variants name
-          || (Core.Runtime.lazy_enabled s.sm_runtime
-             && List.exists
-                  (fun (sym, _, _) -> sym = name)
-                  (Core.Runtime.materialized_variants s.sm_runtime))
-        in
-        let sp =
-          Stackprof.create ?interval
-            ~is_variant
-            ~root:(Printf.sprintf "hart%d" i)
-            ~resolve:(fun pc -> Image.symbol_at img pc)
-            ~frames:(fun () -> Machine.call_frames m)
-            ~now:(fun () -> m.Machine.perf.Perf.cycles)
-            ()
-        in
-        Machine.set_sampler m (Some (fun pc -> Stackprof.sample sp pc));
-        sp)
-
-(** Per-hart stack reports (empty until {!enable_smp_stack_profiling}). *)
-let smp_stack_reports s = Array.map Stackprof.report s.sm_stackprofs
-
-(** The merged folded dump: every hart's folded stacks concatenated; each
-    line starts with its hart's root frame. *)
-let smp_folded_dump s =
-  Array.to_list s.sm_stackprofs |> List.map Stackprof.folded |> String.concat ""
+let lazy_session1 ~budget source = session1 ~lazy_variants:true ~budget source
+let smp_session1 ~n_harts ~seed source = session1 ~n_harts ~seed source
+let smp_set = set
+let smp_get = get
+let smp_commit = commit
+let smp_start = start
+let smp_step = step
+let smp_run = run

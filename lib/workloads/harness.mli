@@ -13,18 +13,24 @@ type measurement = {
   m_excluded : int;  (** outliers dropped *)
 }
 
-(** A built program with an attached machine and multiverse runtime, plus
-    the observability state (the [enable_*] functions fill the optional
-    fields). *)
+(** A built program on an N-hart {!Mv_vm.Smp.t} container — one shared
+    image, per-hart registers/stacks/icaches, a deterministic seeded
+    scheduler — with its multiverse runtime, plus the observability
+    state (the [enable_*] functions fill the optional fields).  A
+    unicore session is the 1-hart case: its container's only hart is
+    bit-identical to a plain machine. *)
 type session = {
   program : Core.Compiler.program;
-  machine : Mv_vm.Machine.t;
+  smp : Mv_vm.Smp.t;
+  machine : Mv_vm.Machine.t;  (** hart 0 *)
   runtime : Core.Runtime.t;
+  sm_runtime : Core.Runtime.t;
+      (** [runtime] again, for the benchmark (see the aliases below) *)
   flight : Mv_obs.Flight.t;
       (** the always-on flight recorder, armed at session creation *)
   mutable trace : Mv_obs.Trace.ring option;
-  mutable profile : Mv_obs.Profile.t option;
-  mutable stackprof : Mv_obs.Stackprof.t option;
+  mutable stackprofs : Mv_obs.Stackprof.t array;
+      (** one per hart once {!enable_stack_profiling} ran *)
   mutable metrics : Mv_obs.Metrics.t option;
   mutable metrics_sink : Mv_obs.Trace.sink option;
       (** the registry's event bridge, teed with the ring sink *)
@@ -32,54 +38,59 @@ type session = {
       (** the code-heat accumulator, set by {!enable_heat} *)
 }
 
-(** Assemble a session from pre-built parts (for callers that need custom
-    build options, e.g. call-site padding); opt-in observability starts
-    disabled, but the flight recorder ([flight_capacity] events, default
-    512) is armed immediately and the machine's trap hook wired to dump a
-    [mv-flight/1] artifact on any escaping fault (gated on
+(** Build a session over [n_harts] harts (default 1; [policy]/[seed] as
+    in {!Mv_vm.Smp.create}).  [callsite_padding] is passed to
+    {!Core.Compiler.build}.
+
+    The wiring follows the hart count.  One hart writes text directly
+    and leaves safe commit opt-in ({!enable_safe_commit}).  More harts
+    wire the runtime for cross-modifying code: every patching operation
+    runs inside a [stop_machine] rendezvous, every text mutation goes
+    through the breakpoint-first [text_poke], commit-chain events carry
+    the hart they ran on, and safe commit is armed (per-hart safepoints
+    drain the journal; the live scanner sees every hart).
+
+    [lazy_variants] builds in lazy-materialization mode: the compiler
+    records per-function specialization recipes instead of pre-expanding
+    the switch product, the link reserves a [vtext_size]-byte growable
+    text region, and the runtime's lazy materializer is armed
+    ([Core.Runtime.enable_lazy]) with a resident-variant byte [budget]
+    (default: the whole region).  The first commit of an unseen
+    valuation specializes, assembles and links the needed variant on
+    demand (inside the rendezvous, through [text_poke], on several
+    harts); structurally identical bodies dedup to one copy; cold
+    variants are evicted when the budget runs out.
+
+    The flight recorder (512 events) is armed immediately, clocked by the
+    session clock (summed hart cycles), with every hart's trap hook
+    dumping a [mv-flight/1] artifact on an escaping fault (gated on
     [MV_SMP_ARTIFACT_DIR] — a plain test run writes nothing). *)
-val of_parts :
-  ?flight_capacity:int ->
-  Core.Compiler.program ->
-  Mv_vm.Machine.t ->
-  Core.Runtime.t ->
-  session
-
 val session :
+  ?n_harts:int ->
+  ?policy:Mv_vm.Smp.policy ->
+  ?seed:int ->
   ?platform:Mv_vm.Machine.platform ->
-  ?cost:Mv_vm.Cost.t ->
-  (string * string) list ->
-  session
-
-val session1 :
-  ?platform:Mv_vm.Machine.platform -> ?cost:Mv_vm.Cost.t -> string -> session
-
-(** Build a session in lazy-materialization mode: the compiler records
-    per-function specialization recipes instead of pre-expanding the
-    switch product ([Core.Compiler.build ~lazy_variants:true]), the link
-    reserves a [vtext_size]-byte growable text region, and the runtime's
-    lazy materializer is armed ([Core.Runtime.enable_lazy]) with a
-    resident-variant byte [budget] (default: the whole region).  The
-    first commit of an unseen valuation specializes, assembles and links
-    the needed variant on demand; structurally identical bodies dedup to
-    one copy; cold variants are evicted when the budget runs out. *)
-val lazy_session :
-  ?platform:Mv_vm.Machine.platform ->
-  ?cost:Mv_vm.Cost.t ->
+  ?callsite_padding:int ->
+  ?lazy_variants:bool ->
   ?vtext_size:int ->
   ?budget:int ->
   (string * string) list ->
   session
 
-val lazy_session1 :
+(** {!session} over one source (unit name ["main"]). *)
+val session1 :
+  ?n_harts:int ->
+  ?policy:Mv_vm.Smp.policy ->
+  ?seed:int ->
   ?platform:Mv_vm.Machine.platform ->
-  ?cost:Mv_vm.Cost.t ->
+  ?callsite_padding:int ->
+  ?lazy_variants:bool ->
   ?vtext_size:int ->
   ?budget:int ->
   string ->
   session
 
-(** Read/write a word-sized global by symbol. *)
+(** Read/write a word-sized global by symbol through the shared image. *)
 val set : session -> string -> int -> unit
 
 val get : session -> string -> int
@@ -87,89 +98,116 @@ val get : session -> string -> int
 (** Point a function-pointer global at a function symbol. *)
 val set_fnptr : session -> string -> string -> unit
 
-(** Whole-image [Runtime.commit] / [Runtime.revert]. *)
+(** Whole-image [Runtime.commit] / [Runtime.revert] (under the
+    rendezvous barrier on several harts). *)
 val commit : session -> int
 
 val revert : session -> int
 
-(** Wire safe commit end to end: install the machine's stack scanner as the
-    runtime's live-activation source and the runtime's {!Core.Runtime.safepoint}
-    as the machine's quiescence-point hook.  After this, every guest [ret]
-    pays the (small) safepoint-poll cost and drains deferred patch sets. *)
+(** Wire safe commit end to end: install the container's stack scanner
+    (every hart's stack) as the runtime's live-activation source and the
+    runtime's {!Core.Runtime.safepoint} as every hart's quiescence-point
+    hook.  After this, every guest [ret] pays the (small) safepoint-poll
+    cost and drains deferred patch sets.  Armed at creation on several
+    harts. *)
 val enable_safe_commit : session -> unit
 
+(** Wire the runtime for cross-modifying code: every patching operation
+    runs inside a [stop_machine] rendezvous ({!Mv_vm.Smp.stop_machine}),
+    every text mutation goes through the breakpoint-first [text_poke],
+    commit-chain events carry the hart they ran on, and
+    {!enable_safe_commit} is armed.  Done at creation on several harts.
+    On one hart the barrier and the three-phase poke change no simulated
+    cycle, but they add a rendezvous per patching operation and two
+    extra flushes per patched site, and the safepoint poll charges its
+    cost on every [ret]; the workloads that measure the rendezvous itself
+    ([Spinlock.run_contended]) arm it at any hart count. *)
+val enable_stop_machine : session -> unit
+
 (** {!Core.Runtime.commit_safe} / {!Core.Runtime.revert_safe} on the
-    session's runtime ({!enable_safe_commit} first). *)
+    session's runtime ({!enable_safe_commit} first on one hart). *)
 val commit_safe : ?policy:Core.Runtime.safe_policy -> session -> int
 
 val revert_safe : ?policy:Core.Runtime.safe_policy -> session -> int
 
 (** Arm on-stack replacement ({!Core.Runtime.set_osr}): the runtime gains
-    accessors to the machine's registers, stack words, and frame list, so
-    a safepoint that finds a deferred patch blocked by a live activation
-    transfers the activation into the target body (via the image's frame
-    maps) instead of waiting for the frame to unwind.  Compose with
-    {!enable_safe_commit}. *)
+    accessors to the polling hart's registers, stack words, and frame
+    list, so a safepoint that finds a deferred patch blocked by a live
+    activation transfers that hart's activation into the target body
+    (via the image's frame maps) instead of waiting for the frame to
+    unwind.  Compose with {!enable_safe_commit}. *)
 val enable_osr : session -> unit
+
+(** Prepare a call on one hart; drive with {!step}/{!run}. *)
+val start : session -> hart:int -> string -> int list -> unit
+
+(** One scheduler step; [false] when every hart halted. *)
+val step : session -> bool
+
+(** Drive until every hart halted. *)
+val run : session -> unit
+
+(** Hart [hart]'s return value (r0). *)
+val result : session -> hart:int -> int
 
 (** {1 Observability}
 
-    Structured tracing, sampling profiling, and the unified metrics
-    snapshot.  All of it is pay-for-use: a session that never calls
-    {!enable_tracing}/{!enable_profiling} executes with bit-identical
-    simulated cycle counts. *)
+    Structured tracing, sampling profiling, code heat, and the unified
+    metrics snapshot.  All of it is pay-for-use: a session that never
+    calls an [enable_*] executes with bit-identical simulated cycle
+    counts. *)
 
 (** Arm the structured-event recorder: one ring of [capacity] events
-    (default 4096), clocked by the machine's cycle counter, receiving
-    both the runtime's patching events and the machine's icache flushes.
-    Calling again replaces the ring. *)
+    (default 4096), clocked by the session clock, with hart stamps from
+    the container's current hart, receiving the runtime's patching
+    events, every hart's icache flushes, and the IPI/rendezvous
+    lifecycle.  Calling again replaces the ring. *)
 val enable_tracing : ?capacity:int -> session -> unit
 
-(** Attach the sampling profiler to the machine's step loop ([interval]
-    is the sampling period in instructions, default 97).  Attribution
-    resolves pcs through the image symbol map, so generic bodies and
-    installed variants are reported separately. *)
-val enable_profiling : ?interval:int -> session -> unit
-
-(** Attach the stack-aware sampler: each sample records the collapsed
-    call stack (from [Machine.call_frames]) with the sampled pc's symbol
-    appended as the leaf when it differs from the innermost frame — so a
-    prologue-jump into a variant shows up as
-    [...;spin_lock;spin_lock.config_smp=0].  Composes with
-    {!enable_profiling} (both samplers tee off the machine's single
-    sampler slot). *)
+(** Attach the stack-aware sampler to every hart ([interval] is the
+    sampling period in instructions, default 97): each sample records the
+    collapsed call stack (from [Machine.call_frames]) with the sampled
+    pc's symbol appended as the leaf when it differs from the innermost
+    frame — so a prologue-jump into a variant shows up as
+    [...;spin_lock;spin_lock.config_smp=0].  On several harts each stack
+    is rooted at a synthetic ["hartN"] frame (see
+    [Mv_obs.Stackprof.create]'s [root]).  {!Mv_obs.Stackprof.leaves} over
+    [stackprofs] is the flat hot-function table. *)
 val enable_stack_profiling : ?interval:int -> session -> unit
 
 (** Attach the metrics registry: a {!Mv_obs.Metrics.trace_sink} bridges
     every runtime/machine trace event into counters and latency
-    histograms ([mv_commits_total], [mv_patch_latency_cycles], ...).
-    Composes with {!enable_tracing} (both sinks tee off the single
-    tracer slot). *)
+    histograms ([mv_commits_total], [mv_patch_latency_cycles], ...),
+    labelled with the hart that closed them.  Composes with
+    {!enable_tracing} (both sinks tee off the single tracer slot). *)
 val enable_metrics : session -> unit
 
-(** Arm code-heat telemetry end to end: the machine's block-entry hit
+(** Arm code-heat telemetry end to end: every hart's block-entry hit
     counters ([Mv_vm.Machine.enable_heat] — host-side, zero simulated
     cycles), the runtime's body census as the region registry
     ([Core.Runtime.heat_regions]), and the residency sink
-    ([Mv_obs.Heat.sink]) teed into the session's event chain.  [decay]
-    is the per-epoch hotness multiplier (default 0.5).  Composes with
-    the other [enable_*] in any order. *)
+    ([Mv_obs.Heat.sink]) teed into the session's event chain.  One
+    accumulator folds the harts' counters keyed by hart id, so harts
+    sharing text offsets never collide.  [decay] is the per-epoch
+    hotness multiplier (default 0.5).  Composes with the other
+    [enable_*] in any order. *)
 val enable_heat : ?decay:float -> session -> unit
 
-(** The heat accumulator armed by {!enable_heat}, if any, with the
-    machine's cumulative block counters folded in first (delta-safe:
+(** The heat accumulator armed by {!enable_heat}, if any, with every
+    hart's cumulative block counters folded in first (delta-safe:
     reading repeatedly never double-counts). *)
 val heat : session -> Mv_obs.Heat.t option
 
-(** Close a decay epoch: fold the machine counters, then apply the decay
+(** Close a decay epoch: fold the hart counters, then apply the decay
     step to every region's hotness score. *)
 val heat_epoch : session -> unit
 
-(** Per-region heat accounting, synced ([[]] until {!enable_heat}). *)
+(** Per-region heat accounting across all harts, synced ([[]] until
+    {!enable_heat}). *)
 val heat_report : session -> Mv_obs.Heat.region_stat list
 
 (** The session's [mv-heat/1] document, synced, with open residency
-    intervals extended to the current machine clock; [budget] adds the
+    intervals extended to the current session clock; [budget] adds the
     eviction advisor's plan (with variants a journaled-but-undrained
     bind still needs excluded from it).  [Json.Null] until
     {!enable_heat}. *)
@@ -178,19 +216,19 @@ val heat_json : ?budget:int -> session -> Mv_obs.Json.t
 (** Wire the heat accumulator in as the lazy materializer's eviction
     advisor ({!Core.Runtime.set_evict_advisor}): when the runtime needs
     room in the variant cache, {!Mv_obs.Heat.evict_plan} (freshly
-    synced, pending variants excluded) ranks the resident variants and
-    the [Evict] verdicts are offered coldest-first.  [budget] is the
-    advisor's keep-budget — variants whose cumulative densest-first
-    size fits are never advised away; the default [0] makes every
-    resident variant eligible.  Requires {!enable_heat}; composes with
-    {!lazy_session}. *)
+    synced over every hart, pending variants excluded) ranks the
+    resident variants and the [Evict] verdicts are offered
+    coldest-first.  [budget] is the advisor's keep-budget — variants
+    whose cumulative densest-first size fits are never advised away;
+    the default [0] makes every resident variant eligible.  Requires
+    {!enable_heat} and a [lazy_variants] session. *)
 val enable_evict_advisor : ?budget:int -> session -> unit
 
 (** Recorded events, oldest first ([[]] until {!enable_tracing}). *)
 val trace_events : session -> Mv_obs.Trace.stamped list
 
-(** The recorded events as a Chrome [trace_event] JSON document —
-    loadable in [about:tracing] / Perfetto. *)
+(** The recorded events as a Chrome [trace_event] JSON document (one lane
+    per hart) — loadable in [about:tracing] / Perfetto. *)
 val trace_dump : session -> string
 
 (** The session's always-on flight recorder. *)
@@ -200,29 +238,27 @@ val flight : session -> Mv_obs.Flight.t
 val flight_events : session -> Mv_obs.Trace.stamped list
 
 (** The session's flight recorder dumped as a [mv-flight/1] document
-    with full postmortem context (runtime stats, hart pc/stack) — what
-    the trap hook writes, callable on demand. *)
+    with full postmortem context (runtime stats, every hart's pc/stack)
+    — what the trap hooks write, callable on demand. *)
 val flight_dump : ?reason:string -> session -> string
 
-(** The profiler's hot-function table, hottest first ([[]] until
-    {!enable_profiling}). *)
-val profile_report : session -> Mv_obs.Profile.row list
-
-(** The stack profiler's hot-stack table, hottest first ([[]] until
+(** Every hart's hot-stack table, hart 0's first, each hottest first with
+    shares of its own hart's cycles ([[]] until
     {!enable_stack_profiling}). *)
 val stack_report : session -> Mv_obs.Stackprof.row list
 
-(** The stack profile in folded-stack format
-    ([frame;frame;... count] lines, flamegraph.pl / speedscope input);
-    [""] until {!enable_stack_profiling}. *)
+(** Every hart's stack profile in folded-stack format
+    ([frame;frame;... count] lines, flamegraph.pl / speedscope input),
+    concatenated; [""] until {!enable_stack_profiling}. *)
 val folded_dump : session -> string
 
 (** The metrics registry ([None] until {!enable_metrics}). *)
 val metrics : session -> Mv_obs.Metrics.t option
 
 (** The unified metrics snapshot ([mv-metrics/1]): runtime patching
-    counters, machine perf counters with derived metrics, static program
-    statistics, plus profiler/trace sections when enabled. *)
+    counters, hart 0's perf counters with derived metrics, static
+    program statistics, plus profile (the stack profiler's per-leaf
+    view), stacks, metrics and trace sections when enabled. *)
 val metrics_json : session -> Mv_obs.Json.t
 
 (** Run a guest function by symbol name to completion; returns r0. *)
@@ -265,169 +301,23 @@ val pp_measurement : Format.formatter -> measurement -> unit
     bench exporter's row payload. *)
 val measurement_json : measurement -> Mv_obs.Json.t
 
-(** {1 SMP sessions}
+(** {1 Benchmark aliases}
 
-    The same harness over an N-hart {!Mv_vm.Smp.t}: one shared image,
-    per-hart registers/stacks/icaches, a deterministic seeded scheduler,
-    and the runtime wired for cross-modifying code — every patching
-    operation runs inside a [stop_machine] rendezvous, every text
-    mutation goes through the breakpoint-first [text_poke], flushes reach
-    every hart, and quiescence scans aggregate every hart's stack. *)
+    The names the repository benchmark ([perfbench/]) calls, kept so it
+    runs unchanged until it moves to the unified API; nothing else may
+    use them ([scripts/check.sh] fails if another source file does).
+    Each is the unified function above; [sm_runtime] is the matching
+    record field. *)
 
-type smp_session = {
-  sm_program : Core.Compiler.program;
-  smp : Mv_vm.Smp.t;
-  sm_runtime : Core.Runtime.t;
-  sm_flight : Mv_obs.Flight.t;
-      (** the always-on flight recorder, armed at session creation *)
-  mutable sm_trace : Mv_obs.Trace.ring option;
-  mutable sm_metrics : Mv_obs.Metrics.t option;
-  mutable sm_metrics_sink : Mv_obs.Trace.sink option;
-  mutable sm_stackprofs : Mv_obs.Stackprof.t array;
-      (** one per hart once {!enable_smp_stack_profiling} ran *)
-  mutable sm_heat : Mv_obs.Heat.t option;
-      (** the shared code-heat accumulator, set by {!enable_smp_heat} *)
-}
+(** [session1 ~lazy_variants:true ~budget]. *)
+val lazy_session1 : budget:int -> string -> session
 
-(** Build an SMP session ([n_harts] default 2; [policy]/[seed] as in
-    {!Mv_vm.Smp.create}).  Safe commit is wired end to end: per-hart
-    safepoints drain the runtime's journal, and the live scanner sees all
-    harts.  Causal attribution is wired too: the runtime's hart source is
-    the container's current hart, so commit-chain events carry the hart
-    they ran on.  The flight recorder ([flight_capacity], default 512) is
-    armed immediately, clocked by the SMP clock, with every hart's trap
-    hook dumping a [mv-flight/1] artifact on an escaping fault (gated on
-    [MV_SMP_ARTIFACT_DIR]). *)
-val smp_session :
-  ?n_harts:int ->
-  ?policy:Mv_vm.Smp.policy ->
-  ?seed:int ->
-  ?platform:Mv_vm.Machine.platform ->
-  ?cost:Mv_vm.Cost.t ->
-  ?flight_capacity:int ->
-  ?lazy_variants:bool ->
-  ?vtext_size:int ->
-  ?budget:int ->
-  (string * string) list ->
-  smp_session
+(** [session1 ~n_harts ~seed]. *)
+val smp_session1 : n_harts:int -> seed:int -> string -> session
 
-val smp_session1 :
-  ?n_harts:int ->
-  ?policy:Mv_vm.Smp.policy ->
-  ?seed:int ->
-  ?platform:Mv_vm.Machine.platform ->
-  ?cost:Mv_vm.Cost.t ->
-  string ->
-  smp_session
-
-(** {!lazy_session} on an N-hart container: the first commit of an
-    unseen valuation specializes inside the [stop_machine] rendezvous
-    and writes the body through the breakpoint-first [text_poke]. *)
-val lazy_smp_session :
-  ?n_harts:int ->
-  ?policy:Mv_vm.Smp.policy ->
-  ?seed:int ->
-  ?platform:Mv_vm.Machine.platform ->
-  ?cost:Mv_vm.Cost.t ->
-  ?flight_capacity:int ->
-  ?vtext_size:int ->
-  ?budget:int ->
-  (string * string) list ->
-  smp_session
-
-val lazy_smp_session1 :
-  ?n_harts:int ->
-  ?policy:Mv_vm.Smp.policy ->
-  ?seed:int ->
-  ?platform:Mv_vm.Machine.platform ->
-  ?cost:Mv_vm.Cost.t ->
-  ?vtext_size:int ->
-  ?budget:int ->
-  string ->
-  smp_session
-
-(** Read/write a word-sized global through the shared image. *)
-val smp_set : smp_session -> string -> int -> unit
-
-val smp_get : smp_session -> string -> int
-
-(** Whole-image commit/revert (runs under the rendezvous barrier). *)
-val smp_commit : smp_session -> int
-
-val smp_revert : smp_session -> int
-
-val smp_commit_safe : ?policy:Core.Runtime.safe_policy -> smp_session -> int
-val smp_revert_safe : ?policy:Core.Runtime.safe_policy -> smp_session -> int
-
-(** {!enable_osr} for the container: the runtime resolves the accessors
-    of whichever hart is currently polling, so each hart's safepoint can
-    transfer that hart's own parked activation. *)
-val enable_smp_osr : smp_session -> unit
-
-(** Prepare a call on one hart; drive with {!smp_step}/{!smp_run}. *)
-val smp_start : smp_session -> hart:int -> string -> int list -> unit
-
-(** One scheduler step; [false] when every hart halted. *)
-val smp_step : smp_session -> bool
-
-(** Drive until every hart halted. *)
-val smp_run : smp_session -> unit
-
-(** Hart [hart]'s return value (r0). *)
-val smp_result : smp_session -> hart:int -> int
-
-(** Arm the event ring on the container (clocked by the SMP clock, hart
-    stamps from the container's current hart): patching events, per-hart
-    icache flushes, IPI/rendezvous lifecycle, causal edges. *)
-val enable_smp_tracing : ?capacity:int -> smp_session -> unit
-
-(** Arm the metrics registry on the container: the trace bridge with the
-    hart source wired, so patch/drain latency histograms carry a [hart]
-    label.  Composes with {!enable_smp_tracing} in either order. *)
-val enable_smp_metrics : smp_session -> unit
-
-(** The registry armed by {!enable_smp_metrics}, if any. *)
-val smp_metrics : smp_session -> Mv_obs.Metrics.t option
-
-(** {!enable_heat} for the container: every hart's machine gains block
-    counters and one shared accumulator folds their deltas keyed by hart
-    id, so harts sharing text offsets never collide; the residency sink
-    is clocked by the SMP clock. *)
-val enable_smp_heat : ?decay:float -> smp_session -> unit
-
-(** The container's heat accumulator, if any, with every hart's counters
-    folded in first. *)
-val smp_heat : smp_session -> Mv_obs.Heat.t option
-
-(** Per-region heat across all harts ([[]] until {!enable_smp_heat}). *)
-val smp_heat_report : smp_session -> Mv_obs.Heat.region_stat list
-
-(** {!enable_evict_advisor} for the container: the advisor syncs every
-    hart's counters before ranking, and still excludes variants a
-    pending bind needs. *)
-val enable_smp_evict_advisor : ?budget:int -> smp_session -> unit
-
-val smp_trace_events : smp_session -> Mv_obs.Trace.stamped list
-val smp_trace_dump : smp_session -> string
-
-(** The container's always-on flight recorder. *)
-val smp_flight : smp_session -> Mv_obs.Flight.t
-
-(** The container flight recorder's surviving window, decoded. *)
-val smp_flight_events : smp_session -> Mv_obs.Trace.stamped list
-
-(** The container's flight recorder dumped as a [mv-flight/1] document
-    with per-hart postmortem context — what the trap hooks write,
-    callable on demand. *)
-val smp_flight_dump : ?reason:string -> smp_session -> string
-
-(** Attach a stack profiler to every hart, each rooted at a synthetic
-    ["hartN"] frame (see [Mv_obs.Stackprof.create]'s [root]). *)
-val enable_smp_stack_profiling : ?interval:int -> smp_session -> unit
-
-(** Per-hart stack reports (empty until profiling is enabled). *)
-val smp_stack_reports : smp_session -> Mv_obs.Stackprof.row list array
-
-(** Every hart's folded stacks concatenated, each line rooted at its
-    hart frame. *)
-val smp_folded_dump : smp_session -> string
+val smp_set : session -> string -> int -> unit
+val smp_get : session -> string -> int
+val smp_commit : session -> int
+val smp_start : session -> hart:int -> string -> int list -> unit
+val smp_step : session -> bool
+val smp_run : session -> unit

@@ -141,23 +141,21 @@ let functional_source c =
     per hart must leave every hart's flag enabled and (on native) charge
     each hart its own cli/sti work.  Returns the session after the run. *)
 let smp_stress ?(n_harts = 2) ?policy ?(seed = 1) ?(iters = 50)
-    (platform : Machine.platform) : Harness.smp_session =
+    (platform : Machine.platform) : Harness.session =
   let s =
-    Harness.smp_session1 ~n_harts ?policy ~seed ~platform
+    Harness.session1 ~n_harts ?policy ~seed ~platform
       (functional_source Multiverse)
   in
-  let img = s.Harness.sm_program.Core.Compiler.p_image in
-  let sym n = Mv_link.Image.symbol img n in
   (match platform with
   | Machine.Native ->
-      Harness.smp_set s "pv_irq_disable" (sym "native_cli");
-      Harness.smp_set s "pv_irq_enable" (sym "native_sti")
+      Harness.set_fnptr s "pv_irq_disable" "native_cli";
+      Harness.set_fnptr s "pv_irq_enable" "native_sti"
   | Machine.Xen ->
-      Harness.smp_set s "pv_irq_disable" (sym "xen_cli");
-      Harness.smp_set s "pv_irq_enable" (sym "xen_sti"));
-  ignore (Harness.smp_commit s);
+      Harness.set_fnptr s "pv_irq_disable" "xen_cli";
+      Harness.set_fnptr s "pv_irq_enable" "xen_sti");
+  ignore (Harness.commit s);
   for h = 0 to n_harts - 1 do
-    Harness.smp_start s ~hart:h "stress" [ iters ]
+    Harness.start s ~hart:h "stress" [ iters ]
   done;
-  Harness.smp_run s;
+  Harness.run s;
   s

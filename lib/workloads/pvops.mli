@@ -37,4 +37,4 @@ val smp_stress :
   ?seed:int ->
   ?iters:int ->
   Mv_vm.Machine.platform ->
-  Harness.smp_session
+  Harness.session

@@ -228,12 +228,15 @@ let contended_source =
     steps into the run) injects a whole-image [Runtime.commit] mid-run —
     a rendezvous under real contention. *)
 let run_contended ?(n_harts = 2) ?policy ?(seed = 1) ?commit_at ~smp ~iters ()
-    : Harness.smp_session * int =
-  let s = Harness.smp_session1 ~n_harts ?policy ~seed contended_source in
-  Harness.smp_set s "config_smp" (Bool.to_int smp);
-  ignore (Harness.smp_commit s);
+    : Harness.session * int =
+  let s = Harness.session1 ~n_harts ?policy ~seed contended_source in
+  (* the commits run under stop_machine at any hart count, so the
+     1-hart run still counts its (uncontended) rendezvous *)
+  Harness.enable_stop_machine s;
+  Harness.set s "config_smp" (Bool.to_int smp);
+  ignore (Harness.commit s);
   for h = 0 to n_harts - 1 do
-    Harness.smp_start s ~hart:h "worker" [ iters ]
+    Harness.start s ~hart:h "worker" [ iters ]
   done;
   (match commit_at with
   | None -> ()
@@ -241,7 +244,7 @@ let run_contended ?(n_harts = 2) ?policy ?(seed = 1) ?commit_at ~smp ~iters ()
       let steps = ref 0 in
       let more = ref true in
       while !more && !steps < k do
-        more := Harness.smp_step s;
+        more := Harness.step s;
         incr steps
       done;
       (* the commit models a patch initiated on hart 0, so it must happen
@@ -251,9 +254,9 @@ let run_contended ?(n_harts = 2) ?policy ?(seed = 1) ?commit_at ~smp ~iters ()
          real kernels avoid the same way) *)
       let m0 = Mv_vm.Smp.machine s.Harness.smp 0 in
       while !more && not m0.Mv_vm.Machine.irq_enabled do
-        more := Harness.smp_step s;
+        more := Harness.step s;
         incr steps
       done;
-      if !more then ignore (Harness.smp_commit s));
-  Harness.smp_run s;
-  (s, Harness.smp_get s "counter")
+      if !more then ignore (Harness.commit s));
+  Harness.run s;
+  (s, Harness.get s "counter")

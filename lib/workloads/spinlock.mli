@@ -44,8 +44,10 @@ val functional_source : string
 val contended_source : string
 
 (** Run [worker iters] on every hart; returns the session and the final
-    counter.  [commit_at] injects a whole-image commit after that many
-    scheduler steps (a rendezvous under contention). *)
+    counter.  Commits run under [stop_machine] at any hart count
+    ({!Harness.enable_stop_machine}).  [commit_at] injects a whole-image
+    commit after that many scheduler steps (a rendezvous under
+    contention). *)
 val run_contended :
   ?n_harts:int ->
   ?policy:Mv_vm.Smp.policy ->
@@ -54,4 +56,4 @@ val run_contended :
   smp:bool ->
   iters:int ->
   unit ->
-  Harness.smp_session * int
+  Harness.session * int

@@ -10,6 +10,16 @@ dune build @doc
 dune build
 dune runtest
 
+# The Harness names kept only for the repository benchmark (perfbench/)
+# must not spread: no other source file may use them, so the alias block
+# in lib/workloads/harness.mli can be deleted in one step once the
+# benchmark moves to the unified API.
+bench_only='smp_session1|smp_set|smp_get|smp_commit|smp_start|smp_step|smp_run|sm_runtime|lazy_session1'
+if grep -rlwE "$bench_only" --include='*.ml' lib bin bench test examples \
+    | grep -v '^lib/workloads/harness\.ml$'; then
+  echo "benchmark-only Harness names used outside harness.ml (files above)"; exit 1
+fi
+
 # Differential fuzz smoke: 500 seed-pinned cases through every oracle.
 # On divergence mvfuzz exits 1 after printing (and, with MVFUZZ_CORPUS
 # set, saving) the shrunk reproducer.  A lazy-eager-equiv divergence
@@ -132,11 +142,20 @@ grep -q 'spin_lock.config_smp=1' "$smoke_folded" \
 dune exec bin/mvtrace.exe -- diff --gate 5 BENCH_results.json "$bench_json" > /dev/null \
   || { echo "mvtrace diff: fig1 rows drifted from BENCH_results.json"; exit 1; }
 
+# Profile smoke: mvcc --profile prints the stack profiler's per-leaf
+# hot-function table, which must attribute the committed variant.
+smoke_profile=$(mktemp /tmp/mv-profile-XXXXXX.txt)
+trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_profile"' EXIT
+dune exec bin/mvcc.exe -- "$smoke_mvc" --set config_smp=1 --commit \
+  --run bench_loop --arg 200 --profile > "$smoke_profile" 2> /dev/null
+grep -q 'spin_lock.config_smp=1 \[variant\]' "$smoke_profile" \
+  || { echo "mvcc --profile: no variant row in the hot-function table"; exit 1; }
+
 # Heat smoke: the block-heat census on the same workload must attribute
 # nonzero heat to the committed variant's text region (if the variant
 # region reads 0 the dispatch-path hook or the region census is broken).
 smoke_heat=$(mktemp /tmp/mv-heat-XXXXXX.txt)
-trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_heat"' EXIT
+trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_profile" "$smoke_heat"' EXIT
 dune exec bin/mvtrace.exe -- heat "$smoke_mvc" --set config_smp=1 --commit \
   --run bench_loop --arg 200 > "$smoke_heat" 2> /dev/null
 grep -q 'spin_lock.config_smp=1' "$smoke_heat" \
@@ -152,7 +171,7 @@ awk '$1 == "spin_lock.config_smp=1" && $6 + 0 > 0 { found = 1 } END { exit !foun
 # exit 1 by contract and the compared corpora are non-empty.
 corpus_1dom=$(mktemp -d /tmp/mv-corpus1-XXXXXX)
 corpus_ndom=$(mktemp -d /tmp/mv-corpus2-XXXXXX)
-trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded"; rm -rf "$corpus_1dom" "$corpus_ndom"' EXIT
+trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_profile" "$smoke_heat"; rm -rf "$corpus_1dom" "$corpus_ndom"' EXIT
 run_striped_campaign() {
   status=0
   dune exec bin/mvfuzz.exe -- --iters 4 --seed 1 --small --quiet \
@@ -172,7 +191,7 @@ diff -r "$corpus_1dom" "$corpus_ndom" > /dev/null \
 # story is dead even though every green-path test still passes.
 trap_mvc=$(mktemp /tmp/mv-trap-XXXXXX.mvc)
 flight_dir=$(mktemp -d /tmp/mv-flight-XXXXXX)
-trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$trap_mvc"; rm -rf "$corpus_1dom" "$corpus_ndom" "$flight_dir"' EXIT
+trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_profile" "$smoke_heat" "$trap_mvc"; rm -rf "$corpus_1dom" "$corpus_ndom" "$flight_dir"' EXIT
 cat > "$trap_mvc" <<'EOF'
 multiverse int config_smp;
 int lock_word;

@@ -207,30 +207,30 @@ let test_pairing_checker_flags_violations () =
    hammer the spinlock, a commit lands once interrupts are live, the
    run drains to completion. *)
 let contended_run ?(metrics = false) ~seed () =
-  let s = Harness.smp_session1 ~n_harts:2 ~seed Spinlock.contended_source in
-  Harness.enable_smp_tracing s;
-  if metrics then Harness.enable_smp_metrics s;
-  Harness.smp_set s "config_smp" 1;
-  ignore (Harness.smp_commit s);
-  Harness.smp_start s ~hart:0 "worker" [ 20 ];
-  Harness.smp_start s ~hart:1 "worker" [ 20 ];
+  let s = Harness.session1 ~n_harts:2 ~seed Spinlock.contended_source in
+  Harness.enable_tracing s;
+  if metrics then Harness.enable_metrics s;
+  Harness.set s "config_smp" 1;
+  ignore (Harness.commit s);
+  Harness.start s ~hart:0 "worker" [ 20 ];
+  Harness.start s ~hart:1 "worker" [ 20 ];
   let more = ref true in
   for _ = 1 to 120 do
-    if !more then more := Harness.smp_step s
+    if !more then more := Harness.step s
   done;
   let m0 = Smp.machine s.Harness.smp 0 in
   while !more && not m0.Machine.irq_enabled do
-    more := Harness.smp_step s
+    more := Harness.step s
   done;
-  ignore (Harness.smp_commit s);
-  Harness.smp_run s;
+  ignore (Harness.commit s);
+  Harness.run s;
   s
 
 let test_send_ack_invariant_on_pinned_seeds () =
   List.iter
     (fun seed ->
       let s = contended_run ~seed () in
-      let events = Harness.smp_trace_events s in
+      let events = Harness.trace_events s in
       (match Causal.check_send_ack_pairing events with
       | [] -> ()
       | v ->
@@ -246,7 +246,7 @@ let test_critical_path_equals_reported_latency () =
       let completed =
         List.filter
           (fun (r : Causal.rendezvous) -> r.Causal.r_latency <> None)
-          (Causal.rendezvous (Harness.smp_trace_events s))
+          (Causal.rendezvous (Harness.trace_events s))
       in
       check_bool "completed rendezvous recorded" true (completed <> []);
       List.iter
@@ -279,23 +279,23 @@ let storm_source =
 (* A three-hart patch storm with hart 2's ack channel sabotaged: blame
    must deterministically finger hart 2. *)
 let test_blame_fingers_injected_straggler () =
-  let s = Harness.smp_session1 ~n_harts:3 ~seed:42 storm_source in
-  Harness.enable_smp_tracing s;
+  let s = Harness.session1 ~n_harts:3 ~seed:42 storm_source in
+  Harness.enable_tracing s;
   Smp.set_slow_ack s.Harness.smp (Some (2, 25));
-  Harness.smp_set s "config_smp" 1;
+  Harness.set s "config_smp" 1;
   for h = 0 to 2 do
-    Harness.smp_start s ~hart:h "bench_loop" [ 400 ]
+    Harness.start s ~hart:h "bench_loop" [ 400 ]
   done;
   let more = ref true in
   for round = 1 to 3 do
     for _ = 1 to 120 do
-      if !more then more := Harness.smp_step s
+      if !more then more := Harness.step s
     done;
-    if round mod 2 = 1 then ignore (Harness.smp_commit s)
-    else ignore (Harness.smp_revert s)
+    if round mod 2 = 1 then ignore (Harness.commit s)
+    else ignore (Harness.revert s)
   done;
-  Harness.smp_run s;
-  let events = Harness.smp_trace_events s in
+  Harness.run s;
+  let events = Harness.trace_events s in
   let rdvs = Causal.rendezvous events in
   check_bool "storm produced rendezvous" true (rdvs <> []);
   match Causal.rank_stragglers rdvs with
@@ -310,10 +310,10 @@ let test_blame_fingers_injected_straggler () =
 let test_smp_metrics_carry_hart_labels () =
   let s = contended_run ~seed:7 () in
   (* replay the recorded stream through a registry wired like
-     enable_smp_metrics: the bridge is a pure sink, so feeding it the
+     enable_metrics: the bridge is a pure sink, so feeding it the
      stamped events reproduces the labels the live wiring emits *)
   let m = Metrics.create () in
-  Causal.to_metrics m (Causal.rendezvous (Harness.smp_trace_events s));
+  Causal.to_metrics m (Causal.rendezvous (Harness.trace_events s));
   let with_wait =
     List.filter
       (fun h ->
@@ -327,7 +327,7 @@ let test_smp_metrics_carry_hart_labels () =
 let test_live_smp_metrics_bridge () =
   (* the mid-run commit is what produces IPIs: only busy harts owe acks *)
   let s = contended_run ~metrics:true ~seed:1 () in
-  let m = Option.get (Harness.smp_metrics s) in
+  let m = Option.get (Harness.metrics s) in
   check_bool "causal edges counted by kind" true
     (Metrics.counter_value m "mv_causal_edges_total" [ ("edge", "ipi") ] >= 1);
   let commit_hist_harts =
@@ -592,15 +592,15 @@ let test_flight_events_always_on () =
 let test_smp_flight_always_on () =
   let s = contended_run ~seed:42 () in
   check_bool "container flight recorded the run" true
-    (Flight.recorded (Harness.smp_flight s) > 0);
-  let window = Harness.smp_flight_events s in
+    (Flight.recorded (Harness.flight s) > 0);
+  let window = Harness.flight_events s in
   check_bool "window decodes" true (window <> []);
   check_bool "window saw more than one hart" true
     (List.length
        (List.sort_uniq compare
           (List.map (fun (st : Trace.stamped) -> st.Trace.hart) window))
     > 1);
-  match Json.parse (Harness.smp_flight_dump s) with
+  match Json.parse (Harness.flight_dump s) with
   | Ok doc ->
       check_int "dump round-trips the window" (List.length window)
         (List.length (Flight.events_of_dump doc))

@@ -101,19 +101,19 @@ let test_zero_simulated_cost () =
   check_float "cycles identical with heat armed" (run false) (run true)
 
 let test_smp_counters () =
-  let s = H.smp_session1 ~n_harts:2 ~seed:7 spin_src in
-  H.enable_smp_heat s;
-  H.smp_set s "config_smp" 1;
-  ignore (H.smp_commit s);
-  H.smp_start s ~hart:0 "bench_loop" [ 5 ];
-  H.smp_start s ~hart:1 "bench_loop" [ 5 ];
-  H.smp_run s;
-  let report = H.smp_heat_report s in
+  let s = H.session1 ~n_harts:2 ~seed:7 spin_src in
+  H.enable_heat s;
+  H.set s "config_smp" 1;
+  ignore (H.commit s);
+  H.start s ~hart:0 "bench_loop" [ 5 ];
+  H.start s ~hart:1 "bench_loop" [ 5 ];
+  H.run s;
+  let report = H.heat_report s in
   (* both harts execute the same text offsets; per-source delta folding
      must sum them instead of colliding *)
   check_int "variant hits sum across harts" 10
     (stat_of "spin_lock.config_smp=1" report).Heat.rs_hits;
-  let report' = H.smp_heat_report s in
+  let report' = H.heat_report s in
   check_int "smp re-report does not double-count" 10
     (stat_of "spin_lock.config_smp=1" report').Heat.rs_hits
 

@@ -41,7 +41,7 @@ let stats s = Runtime.stats s.H.runtime
 (* ------------------------------------------------------------------ *)
 
 let test_lazy_link_carries_no_variants () =
-  let s = H.lazy_session1 fig2 in
+  let s = H.session1 ~lazy_variants:true fig2 in
   check_bool "lazy mode armed" true (Runtime.lazy_enabled s.H.runtime);
   check_int "no variants at link time" 0
     (List.length (Runtime.materialized_variants s.H.runtime));
@@ -58,7 +58,7 @@ let test_lazy_matches_eager_all_valuations () =
   List.iter
     (fun (a, b) ->
       let eager = H.session1 fig2 in
-      let lazy_ = H.lazy_session1 fig2 in
+      let lazy_ = H.session1 ~lazy_variants:true fig2 in
       commit_vals eager a b;
       commit_vals lazy_ a b;
       let re = H.call eager "foo" [] in
@@ -72,7 +72,7 @@ let test_lazy_matches_eager_all_valuations () =
 (* ------------------------------------------------------------------ *)
 
 let test_first_commit_materializes_exactly_once () =
-  let s = H.lazy_session1 fig2 in
+  let s = H.session1 ~lazy_variants:true fig2 in
   commit_vals s 1 1;
   check_int "one materialization" 1 (stats s).Runtime.st_materialized;
   check_int "one resident alias" 1
@@ -81,7 +81,7 @@ let test_first_commit_materializes_exactly_once () =
   check_int "specialized result" 110 (H.call s "foo" [])
 
 let test_recommit_hits_cache () =
-  let s = H.lazy_session1 fig2 in
+  let s = H.session1 ~lazy_variants:true fig2 in
   commit_vals s 1 1;
   let bytes = Runtime.variant_bytes s.H.runtime in
   commit_vals s 1 1;
@@ -93,7 +93,7 @@ let test_recommit_hits_cache () =
   check_int "result stable" 110 (H.call s "foo" [])
 
 let test_distinct_valuations_distinct_bodies () =
-  let s = H.lazy_session1 fig2 in
+  let s = H.session1 ~lazy_variants:true fig2 in
   commit_vals s 1 1;
   check_int "after (1,1)" 110 (H.call s "foo" []);
   commit_vals s 1 0;
@@ -123,7 +123,7 @@ let clones =
 |}
 
 let test_dedup_across_function_clones () =
-  let s = H.lazy_session1 clones in
+  let s = H.session1 ~lazy_variants:true clones in
   H.set s "m" 1;
   ignore (H.commit s);
   let st = stats s in
@@ -151,7 +151,7 @@ let test_dedup_across_valuations_of_one_function () =
     int foo() { w = 0; f(); return w; }
   |}
   in
-  let s = H.lazy_session1 src in
+  let s = H.session1 ~lazy_variants:true src in
   H.set s "a" 1;
   H.set s "b" 0;
   ignore (H.commit s);
@@ -175,7 +175,7 @@ let test_dedup_across_valuations_of_one_function () =
 (* ------------------------------------------------------------------ *)
 
 let test_eviction_reverts_installed_variant () =
-  let s = H.lazy_session1 fig2 in
+  let s = H.session1 ~lazy_variants:true fig2 in
   commit_vals s 1 1;
   check_int "specialized" 110 (H.call s "foo" []);
   (* shrink the budget below the resident body (bodies are tiny, so go
@@ -191,7 +191,7 @@ let test_eviction_reverts_installed_variant () =
   check_int "generic still correct" 110 (H.call s "foo" [])
 
 let test_evict_recommit_roundtrip_bit_identical () =
-  let s = H.lazy_session1 fig2 in
+  let s = H.session1 ~lazy_variants:true fig2 in
   let img = s.H.program.Core.Compiler.p_image in
   commit_vals s 1 1;
   let sym, addr, size =
@@ -237,7 +237,7 @@ let park s addr =
   check_bool "parked" true (s.H.machine.Machine.pc = addr)
 
 let test_live_victim_defers_to_safepoint () =
-  let s = H.lazy_session1 defer_src in
+  let s = H.session1 ~lazy_variants:true defer_src in
   H.enable_safe_commit s;
   H.set s "m" 1;
   ignore (H.commit_safe s);
@@ -268,7 +268,7 @@ let test_live_victim_defers_to_safepoint () =
   check_bool "eviction completed" true ((stats s).Runtime.st_evictions >= 1)
 
 let test_pending_bind_variant_is_protected () =
-  let s = H.lazy_session1 defer_src in
+  let s = H.session1 ~lazy_variants:true defer_src in
   H.enable_safe_commit s;
   H.set s "m" 1;
   (* park inside the generic f, then commit_safe: the variant
@@ -288,7 +288,7 @@ let test_pending_bind_variant_is_protected () =
     (Runtime.installed_variant s.H.runtime "f" <> None)
 
 let test_budget_denial_falls_back_and_retries () =
-  let s = H.lazy_session1 ~budget:1 fig2 in
+  let s = H.session1 ~lazy_variants:true ~budget:1 fig2 in
   commit_vals s 1 1;
   let st = stats s in
   check_bool "denied under a 1-byte budget" true (st.Runtime.st_budget_denials >= 1);
@@ -304,7 +304,7 @@ let test_budget_denial_falls_back_and_retries () =
   check_int "specialized now" 110 (H.call s "foo" [])
 
 let test_out_of_domain_stays_generic () =
-  let s = H.lazy_session1 fig2 in
+  let s = H.session1 ~lazy_variants:true fig2 in
   H.set s "A" 1;
   H.set s "B" 7;
   ignore (H.commit s);
@@ -332,7 +332,7 @@ let test_enable_lazy_requires_vtext_region () =
 (* ------------------------------------------------------------------ *)
 
 let test_advisor_overrides_lru_order () =
-  let s = H.lazy_session1 fig2 in
+  let s = H.session1 ~lazy_variants:true fig2 in
   commit_vals s 1 1;
   commit_vals s 1 0;
   let syms = List.map (fun (n, _, _) -> n) (Runtime.materialized_variants s.H.runtime) in
@@ -356,8 +356,71 @@ let test_advisor_overrides_lru_order () =
   check_bool "advised victim evicted" false (List.mem victim left);
   check_bool "colder-by-LRU survivor kept" true (List.mem keep left)
 
+(* The heat-guided advisor end to end (Harness.enable_heat +
+   enable_evict_advisor): [hot] is selected first and then run 200
+   times, [cold] is selected later and run once.  When a third variant
+   needs the room, least-recently-selected order alone sheds the hot
+   variant; the advisor ranks by heat per byte and sheds the cold one.
+   On two harts the hot loop runs on hart 1, so the advisor must fold
+   every hart's counters to see it. *)
+let advisor_src =
+  {|
+  multiverse bool h;
+  multiverse bool c;
+  multiverse bool x;
+  int gh;
+  int gc;
+  int gx;
+  multiverse int hot() { if (h) { gh = gh + 10; return gh; } return 1; }
+  multiverse int cold() { if (c) { gc = gc + 20; return gc; } return 2; }
+  multiverse int extra() { if (x) { gx = gx + 30; return gx; } return 3; }
+  int run_hot(int n) {
+    int acc = 0;
+    for (int i = 0; i < n; i = i + 1) { acc = acc + hot(); }
+    return acc;
+  }
+  int run_cold(int n) {
+    int acc = 0;
+    for (int i = 0; i < n; i = i + 1) { acc = acc + cold(); }
+    return acc;
+  }
+|}
+
+let evicted_by ~n_harts ~advisor =
+  let s = H.session1 ~lazy_variants:true ~n_harts advisor_src in
+  H.enable_heat s;
+  if advisor then H.enable_evict_advisor s;
+  let bind fn switch =
+    H.set s switch 1;
+    ignore (Runtime.commit_func s.H.runtime fn);
+    match Runtime.installed_variant s.H.runtime fn with
+    | Some v -> v
+    | None -> Alcotest.failf "%s: no variant installed" fn
+  in
+  let run_on hart fn n =
+    H.start s ~hart fn [ n ];
+    H.run s
+  in
+  let hot = bind "hot" "h" in
+  run_on (n_harts - 1) "run_hot" 200;
+  let cold = bind "cold" "c" in
+  run_on 0 "run_cold" 1;
+  (* room for exactly the two resident variants *)
+  Runtime.set_variant_budget s.H.runtime (Runtime.variant_bytes s.H.runtime);
+  let extra = bind "extra" "x" in
+  let left = List.map (fun (n, _, _) -> n) (Runtime.materialized_variants s.H.runtime) in
+  check_bool "the new variant is resident" true (List.mem extra left);
+  List.filter (fun v -> not (List.mem v left)) [ hot; cold ]
+  |> List.map (fun v -> if v = hot then "hot" else "cold")
+
+let test_heat_advisor_evicts_cold ~n_harts () =
+  check_bool "LRU alone evicts the hot variant" true
+    (evicted_by ~n_harts ~advisor:false = [ "hot" ]);
+  check_bool "the heat advisor evicts the cold one" true
+    (evicted_by ~n_harts ~advisor:true = [ "cold" ])
+
 let test_materialize_and_evict_trace_events () =
-  let s = H.lazy_session1 fig2 in
+  let s = H.session1 ~lazy_variants:true fig2 in
   H.enable_tracing s;
   commit_vals s 1 1;
   Runtime.set_variant_budget s.H.runtime 1;
@@ -381,7 +444,7 @@ let test_materialize_and_evict_trace_events () =
   check_bool "Variant_evicted traced" true ev
 
 let test_metrics_count_cache_traffic () =
-  let s = H.lazy_session1 clones in
+  let s = H.session1 ~lazy_variants:true clones in
   H.enable_metrics s;
   H.set s "m" 1;
   ignore (H.commit s);
@@ -394,7 +457,7 @@ let test_metrics_count_cache_traffic () =
        [ ("fn", "g"); ("dedup", "hit") ])
 
 let test_stats_surface_cache_counters () =
-  let s = H.lazy_session1 fig2 in
+  let s = H.session1 ~lazy_variants:true fig2 in
   commit_vals s 1 1;
   commit_vals s 1 1;
   commit_vals s 1 0;
@@ -429,7 +492,7 @@ let test_budget_invariant_under_commit_storm () =
   (* a budget of ~2 bodies over 4 valuations forces continual eviction;
      residency must never exceed the budget and every committed valuation
      must execute correctly *)
-  let s = H.lazy_session1 fig2 in
+  let s = H.session1 ~lazy_variants:true fig2 in
   commit_vals s 1 1;
   let body = Runtime.variant_bytes s.H.runtime in
   (* fig2 has three distinct bodies after dedup; room for only two of
@@ -465,7 +528,7 @@ let twenty_switch_src =
 
 let test_twenty_switches_bounded_storm () =
   let budget = 256 * 1024 in
-  let s = H.lazy_session1 ~budget twenty_switch_src in
+  let s = H.session1 ~lazy_variants:true ~budget twenty_switch_src in
   let rand = lcg 0xBEEF in
   let commits = 1000 in
   for _ = 1 to commits do
@@ -500,19 +563,19 @@ let smp_src =
 |}
 
 let test_smp_materialization_under_rendezvous () =
-  let s = H.lazy_smp_session1 ~n_harts:2 ~seed:7 smp_src in
-  H.enable_smp_tracing s;
-  H.smp_set s "mode" 1;
-  ignore (H.smp_commit s);
+  let s = H.session1 ~lazy_variants:true ~n_harts:2 ~seed:7 smp_src in
+  H.enable_tracing s;
+  H.set s "mode" 1;
+  ignore (H.commit s);
   check_int "materialized once for the container" 1
-    (Runtime.stats s.H.sm_runtime).Runtime.st_materialized;
-  H.smp_start s ~hart:0 "work" [ 5 ];
-  H.smp_start s ~hart:1 "work" [ 5 ];
-  H.smp_run s;
+    (Runtime.stats s.H.runtime).Runtime.st_materialized;
+  H.start s ~hart:0 "work" [ 5 ];
+  H.start s ~hart:1 "work" [ 5 ];
+  H.run s;
   (* each hart ran the specialized body: 5 ticks of 10 *)
-  check_int "hart 0 specialized" 50 (H.smp_result s ~hart:0);
-  check_int "hart 1 specialized" 50 (H.smp_result s ~hart:1);
-  let evs = List.map (fun st -> st.Trace.ev) (H.smp_trace_events s) in
+  check_int "hart 0 specialized" 50 (H.result s ~hart:0);
+  check_int "hart 1 specialized" 50 (H.result s ~hart:1);
+  let evs = List.map (fun st -> st.Trace.ev) (H.trace_events s) in
   check_bool "materialization traced" true
     (List.exists
        (function Trace.Variant_materialized _ -> true | _ -> false)
@@ -549,4 +612,8 @@ let suite =
     tc_slow "storm: 20 switches in 256 KiB" test_twenty_switches_bounded_storm;
     tc "smp: materialization under the rendezvous"
       test_smp_materialization_under_rendezvous;
+    tc "advisor: heat evicts the cold variant (1 hart)"
+      (test_heat_advisor_evicts_cold ~n_harts:1);
+    tc "advisor: heat evicts the cold variant (2 harts)"
+      (test_heat_advisor_evicts_cold ~n_harts:2);
   ]

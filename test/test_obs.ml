@@ -9,7 +9,6 @@
 open Util
 module H = Mv_workloads.Harness
 module Trace = Mv_obs.Trace
-module Profile = Mv_obs.Profile
 module Json = Mv_obs.Json
 module Export = Mv_obs.Export
 module Runtime = Core.Runtime
@@ -260,7 +259,7 @@ let test_chrome_trace_parses_back () =
 let test_metrics_json_parses_back () =
   let s = H.session1 spin_src in
   H.enable_tracing s;
-  H.enable_profiling s;
+  H.enable_stack_profiling s;
   H.set s "config_smp" 1;
   ignore (H.commit s);
   ignore (H.call s "bench_loop" [ 50 ]);
@@ -369,7 +368,6 @@ let test_zero_overhead_without_and_with_sinks () =
     ignore (H.commit s);
     if instrument then begin
       H.enable_tracing s;
-      H.enable_profiling s;
       H.enable_stack_profiling s;
       H.enable_metrics s
     end;
@@ -381,34 +379,38 @@ let test_zero_overhead_without_and_with_sinks () =
   check_float "bit-identical cycle counts" (run ~instrument:false) (run ~instrument:true)
 
 (* ------------------------------------------------------------------ *)
-(* Profiler                                                            *)
+(* Profiler: the stack profiler's per-leaf view                        *)
 (* ------------------------------------------------------------------ *)
+
+module Stackprof = Mv_obs.Stackprof
+
+let leaves s = Stackprof.leaves (Array.to_list s.H.stackprofs)
 
 let test_profiler_attributes_variants () =
   let s = H.session1 spin_src in
   H.set s "config_smp" 1;
   ignore (H.commit s);
-  H.enable_profiling ~interval:1 s;
+  H.enable_stack_profiling ~interval:1 s;
   ignore (H.call s "bench_loop" [ 100 ]);
-  let rows = H.profile_report s in
+  let rows = leaves s in
   check_bool "rows reported" true (rows <> []);
-  let shares = List.fold_left (fun acc r -> acc +. r.Profile.r_share) 0.0 rows in
+  let shares = List.fold_left (fun acc r -> acc +. r.Stackprof.l_share) 0.0 rows in
   check_bool "shares sum to 1" true (abs_float (shares -. 1.0) < 1e-6);
   check_bool "hottest first" true
-    (rows = List.sort (fun a b -> compare b.Profile.r_cycles a.Profile.r_cycles) rows);
+    (rows = List.sort (fun a b -> compare b.Stackprof.l_cycles a.Stackprof.l_cycles) rows);
   (* config_smp=1 keeps the generic body (the variant is the atomic path
      installed over the call sites or behind the prologue): either way the
      loop body shows up, and some row must be variant-classified code when
      the prologue jump routes through a variant symbol *)
   check_bool "bench loop attributed" true
-    (List.exists (fun r -> r.Profile.r_name = "bench_loop") rows)
+    (List.exists (fun r -> r.Stackprof.l_name = "bench_loop") rows)
 
 let test_profiler_interval_thins_samples () =
   let samples_at interval =
     let s = H.session1 spin_src in
-    H.enable_profiling ~interval s;
+    H.enable_stack_profiling ~interval s;
     ignore (H.call s "bench_loop" [ 100 ]);
-    match s.H.profile with Some p -> Profile.samples p | None -> 0
+    List.fold_left (fun acc r -> acc + r.Stackprof.l_samples) 0 (leaves s)
   in
   let dense = samples_at 1 in
   let sparse = samples_at 50 in
@@ -417,10 +419,16 @@ let test_profiler_interval_thins_samples () =
 
 let test_profile_empty_report () =
   (* zero samples: no rows, no NaN, and pp renders without raising *)
-  let p = Profile.create ~resolve:(fun _ -> None) ~now:(fun () -> 0.0) () in
-  check_int "no samples" 0 (Profile.samples p);
-  check_bool "empty report" true (Profile.report p = []);
-  let rendered = Format.asprintf "%a" (fun fmt -> Profile.pp fmt) p in
+  let sp =
+    Stackprof.create
+      ~resolve:(fun _ -> None)
+      ~frames:(fun () -> [])
+      ~now:(fun () -> 0.0)
+      ()
+  in
+  check_int "no samples" 0 (Stackprof.samples sp);
+  check_bool "empty report" true (Stackprof.leaves [ sp ] = []);
+  let rendered = Format.asprintf "%a" (fun fmt -> Stackprof.pp_leaves fmt) [ sp ] in
   check_bool "pp total" true (String.length rendered > 0);
   check_bool "no NaN in rendering" false
     (let lower = String.lowercase_ascii rendered in
@@ -429,11 +437,48 @@ let test_profile_empty_report () =
      let rec scan i = i + m <= n && (String.sub lower i m = needle || scan (i + 1)) in
      scan 0)
 
+(* The flat pc-sampling profiler this view replaced reported exactly these
+   rows for the spinlock kernel's bench_loop (200 calls, interval 97,
+   sampling armed after the commit).  Both sample on the same countdown
+   and clock and the leaf of every stack is the pc's symbol, so folding
+   the stacks by leaf must reproduce them: names, samples, cycles,
+   shares and variant flags. *)
+let test_leaf_view_reproduces_flat_profile () =
+  let rows_at smp =
+    let s = H.session1 (Mv_workloads.Spinlock.source Mv_workloads.Spinlock.Multiverse) in
+    H.set s "config_smp" smp;
+    ignore (H.commit s);
+    H.enable_stack_profiling s;
+    ignore (H.call s "bench_loop" [ 200 ]);
+    List.map
+      (fun r ->
+        Stackprof.(r.l_name, r.l_samples, r.l_cycles, r.l_share, r.l_variant))
+      (leaves s)
+  in
+  let pinned =
+    [
+      (0, [ ("bench_loop", 28, 0x1.7d4a3d70a3c82p+10, 0x1p+0, false) ]);
+      ( 1,
+        [
+          ("spin_irq_lock.config_smp=1", 15, 0x1.52d000000009fp+11,
+           0x1.acf10888a2765p-2, true);
+          ("bench_loop", 12, 0x1.1ad33333333abp+11, 0x1.660f803222586p-2, false);
+          ("spin_irq_unlock.config_smp=1", 8, 0x1.7666666666724p+10,
+           0x1.d9feee8a7662bp-3, true);
+        ] );
+    ]
+  in
+  List.iter
+    (fun (smp, want) ->
+      check_bool
+        (Printf.sprintf "config_smp=%d rows match the flat profiler" smp)
+        true
+        (rows_at smp = want))
+    pinned
+
 (* ------------------------------------------------------------------ *)
 (* Stack profiler                                                      *)
 (* ------------------------------------------------------------------ *)
-
-module Stackprof = Mv_obs.Stackprof
 
 let nested_src =
   {|
@@ -509,8 +554,8 @@ let test_stackprof_distinguishes_variant_frames () =
        rows);
   check_bool "generic frames not classified as variant" true
     (List.exists (fun r -> not r.Stackprof.s_variant) rows);
-  match s.H.stackprof with
-  | Some sp ->
+  match s.H.stackprofs with
+  | [| sp |] ->
       let share = Stackprof.variant_share sp in
       check_bool "variant share in (0,1]" true (share > 0.0 && share <= 1.0);
       check_bool "folded dump names the variant" true
@@ -519,7 +564,7 @@ let test_stackprof_distinguishes_variant_frames () =
          let n = String.length folded and m = String.length needle in
          let rec scan i = i + m <= n && (String.sub folded i m = needle || scan (i + 1)) in
          scan 0)
-  | None -> Alcotest.fail "stack profiler not armed"
+  | _ -> Alcotest.fail "expected one stack profiler (one hart)"
 
 let test_stackprof_empty_report () =
   let sp =
@@ -719,6 +764,80 @@ let test_bench_diff_catches_synthetic_regression () =
                 (List.length (Analyze.regressions ~threshold:5.0 d2))
           | Error m -> Alcotest.failf "reverse diff failed: %s" m)
       | other -> Alcotest.failf "expected exactly one regression, got %d" (List.length other))
+
+(* The gate's blind spot: a fresh document that silently drops a
+   baseline row or field must fail, while one that never ran an
+   experiment (an --only run) must pass. *)
+let bench_doc_rows rows =
+  Json.Obj
+    [
+      ("schema", Json.String "mv-bench-rows/1");
+      ("experiments", Json.Obj [ ("e1", Json.List rows) ]);
+    ]
+
+let row label fields = Json.Obj (("label", Json.String label) :: fields)
+
+let full_doc =
+  bench_doc_rows
+    [
+      row "a" [ ("cycles", Json.Obj [ ("mean", Json.Float 10.0) ]); ("n", Json.Int 3) ];
+      row "b" [ ("cycles", Json.Obj [ ("mean", Json.Float 20.0) ]); ("n", Json.Int 4) ];
+    ]
+
+let gate_of fresh =
+  match Analyze.bench_diff ~base:full_doc ~fresh () with
+  | Error m -> Alcotest.failf "diff failed: %s" m
+  | Ok deltas -> (deltas, Analyze.regressions ~threshold:5.0 deltas)
+
+let missing deltas =
+  List.filter_map
+    (fun d ->
+      match d.Analyze.dl_fresh with
+      | None -> Some (d.Analyze.dl_label ^ "." ^ d.Analyze.dl_field)
+      | Some _ -> None)
+    deltas
+
+let test_bench_diff_dropped_row_fails () =
+  let fresh =
+    bench_doc_rows
+      [ row "a" [ ("cycles", Json.Obj [ ("mean", Json.Float 10.0) ]); ("n", Json.Int 3) ] ]
+  in
+  let deltas, bad = gate_of fresh in
+  check_bool "both leaves of the dropped row reported" true
+    (missing deltas = [ "b.cycles.mean"; "b.n" ]);
+  check_int "the gate fails on them" 2 (List.length bad);
+  check_bool "the summary counts them" true
+    (let out = Format.asprintf "%a" (Analyze.pp_deltas ~only_changed:true) deltas in
+     let needle = "(2 comparisons, 0 changed, 2 missing)" in
+     let n = String.length out and m = String.length needle in
+     let rec scan i = i + m <= n && (String.sub out i m = needle || scan (i + 1)) in
+     scan 0)
+
+let test_bench_diff_dropped_field_fails () =
+  let fresh =
+    bench_doc_rows
+      [
+        row "a" [ ("cycles", Json.Obj [ ("mean", Json.Float 10.0) ]); ("n", Json.Int 3) ];
+        row "b" [ ("n", Json.Int 4) ];
+      ]
+  in
+  let deltas, bad = gate_of fresh in
+  check_bool "the dropped measurement reported" true (missing deltas = [ "b.cycles.mean" ]);
+  match bad with
+  | [ d ] -> check_string "the gate fails on it" "cycles.mean" d.Analyze.dl_field
+  | _ -> Alcotest.failf "expected one gate failure, got %d" (List.length bad)
+
+let test_bench_diff_only_run_passes () =
+  let fresh =
+    Json.Obj
+      [
+        ("schema", Json.String "mv-bench-rows/1");
+        ("experiments", Json.Obj [ ("other", Json.List []) ]);
+      ]
+  in
+  let deltas, bad = gate_of fresh in
+  check_int "an experiment not run is skipped" 0 (List.length deltas);
+  check_int "the gate passes" 0 (List.length bad)
 
 let test_bench_diff_rejects_foreign_schema () =
   let bogus = Json.Obj [ ("schema", Json.String "something-else/9") ] in
@@ -954,6 +1073,8 @@ let suite =
     tc "profiler attributes symbols" test_profiler_attributes_variants;
     tc "profiler interval thins samples" test_profiler_interval_thins_samples;
     tc "profiler empty report has no NaN" test_profile_empty_report;
+    tc "leaf view reproduces the flat profiler's rows"
+      test_leaf_view_reproduces_flat_profile;
     tc "stack profiler records nested stacks" test_stackprof_records_nested_stacks;
     tc "folded dump follows the line format" test_stackprof_folded_line_format;
     tc "stack profiler distinguishes variant frames"
@@ -967,6 +1088,9 @@ let suite =
     tc "bench diff: synthetic +10% trips the gate"
       test_bench_diff_catches_synthetic_regression;
     tc "bench diff: foreign schema rejected" test_bench_diff_rejects_foreign_schema;
+    tc "bench diff: a dropped row fails the gate" test_bench_diff_dropped_row_fails;
+    tc "bench diff: a dropped field fails the gate" test_bench_diff_dropped_field_fails;
+    tc "bench diff: an --only run passes" test_bench_diff_only_run_passes;
     tc "derived perf metrics" test_perf_derived_metrics;
     tc "percentiles and measurement fields" test_percentiles_and_measurement_fields;
     tc "label canonicalization sorts without deduping"

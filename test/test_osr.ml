@@ -314,13 +314,13 @@ let smp_src =
 |}
 
 let test_smp_transfer_under_rendezvous () =
-  let s = Harness.smp_session1 ~n_harts:2 ~seed:7 smp_src in
-  Harness.enable_smp_osr s;
-  Harness.smp_set s "m" 1;
-  Harness.smp_start s ~hart:0 "driver" [ 50 ];
-  Harness.smp_start s ~hart:1 "other" [ 200 ];
+  let s = Harness.session1 ~n_harts:2 ~seed:7 smp_src in
+  Harness.enable_osr s;
+  Harness.set s "m" 1;
+  Harness.start s ~hart:0 "driver" [ 50 ];
+  Harness.start s ~hart:1 "other" [ 200 ];
   (* interleave until hart 0 is inside spin *)
-  let img = s.Harness.sm_program.Core.Compiler.p_image in
+  let img = s.Harness.program.Core.Compiler.p_image in
   let spin_addr = Image.symbol img "spin" in
   let spin_size = Image.symbol_size img "spin" in
   let m0 = Smp.machine s.Harness.smp 0 in
@@ -330,23 +330,23 @@ let test_smp_transfer_under_rendezvous () =
     && !guard > 0
   do
     decr guard;
-    ignore (Harness.smp_step s)
+    ignore (Harness.step s)
   done;
   check_bool "hart 0 inside spin" true
     (m0.Machine.pc >= spin_addr && m0.Machine.pc < spin_addr + spin_size);
-  let bound = Harness.smp_commit_safe s in
+  let bound = Harness.commit_safe s in
   check_int "live spin not bound now" 0 bound;
-  Harness.smp_set s "m" 0;
-  Harness.smp_run s;
-  let st = Runtime.stats s.Harness.sm_runtime in
+  Harness.set s "m" 0;
+  Harness.run s;
+  let st = Runtime.stats s.Harness.runtime in
   check_bool "transferred on hart 0" true (st.Runtime.st_osr_transfers >= 1);
   check_int "journal drained" 0 st.Runtime.st_pending;
   (* hart 1's workload is untouched by the patching *)
-  check_int "hart 1 result" 200 (Harness.smp_result s ~hart:1);
+  check_int "hart 1 result" 200 (Harness.result s ~hart:1);
   (* hart 0: iterations before the flip ran with m=1 (add 2), between flip
      and transfer generic m=0 (add 1), after the transfer the variant
      (add 2) — the result stays in the envelope *)
-  let r0 = Harness.smp_result s ~hart:0 in
+  let r0 = Harness.result s ~hart:0 in
   check_bool
     (Printf.sprintf "hart 0 result in envelope (%d)" r0)
     true

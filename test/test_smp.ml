@@ -173,7 +173,7 @@ let defer_src = {|
 
 (* Step hart [h] until its pc reaches [fn]'s entry. *)
 let park_hart s ~hart fn =
-  let img = s.Harness.sm_program.Core.Compiler.p_image in
+  let img = s.Harness.program.Core.Compiler.p_image in
   let addr = Image.symbol img fn in
   let m = Smp.machine s.Harness.smp hart in
   let guard = ref 1_000_000 in
@@ -188,11 +188,12 @@ let park_hart s ~hart fn =
 (* Container basics                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A 1-hart container must reproduce the plain machine bit for bit —
-   same cycles, same instruction count — even though its commits run
-   under the rendezvous barrier and the text_poke writer.  The fair
-   baseline carries the same safe-commit wiring the container installs
-   by default (the safepoint hook charges its poll cost). *)
+(* A 1-hart container wired for cross-modifying code — what a multi-hart
+   session installs at creation (Harness.enable_stop_machine) — must
+   reproduce the plain machine bit for bit: same cycles, same
+   instruction count, even though its commits run under the rendezvous
+   barrier and the text_poke writer.  The fair baseline carries the
+   same safe-commit wiring (the safepoint hook charges its poll cost). *)
 let test_single_hart_bit_identity () =
   let src = Spinlock.source Spinlock.Multiverse in
   let plain = session src in
@@ -203,11 +204,12 @@ let test_single_hart_bit_identity () =
   set_global plain "config_smp" 1;
   ignore (Runtime.commit plain.runtime);
   ignore (run plain "bench_loop" [ 40 ]);
-  let smp = Harness.smp_session1 ~n_harts:1 src in
-  Harness.smp_set smp "config_smp" 1;
-  ignore (Harness.smp_commit smp);
-  Harness.smp_start smp ~hart:0 "bench_loop" [ 40 ];
-  Harness.smp_run smp;
+  let smp = Harness.session1 ~n_harts:1 src in
+  Harness.enable_stop_machine smp;
+  Harness.set smp "config_smp" 1;
+  ignore (Harness.commit smp);
+  Harness.start smp ~hart:0 "bench_loop" [ 40 ];
+  Harness.run smp;
   let mp = plain.machine and ms = Smp.machine smp.Harness.smp 0 in
   if mp.Machine.perf.Perf.cycles <> ms.Machine.perf.Perf.cycles then
     Alcotest.failf "cycles diverge: plain %.1f (%d insns) vs smp %.1f (%d insns)"
@@ -216,10 +218,10 @@ let test_single_hart_bit_identity () =
   check_int "identical instruction count" mp.Machine.perf.Perf.instructions
     ms.Machine.perf.Perf.instructions;
   check_int "hart 0 keeps the image stack base" ms.Machine.stack_base
-    smp.Harness.sm_program.Core.Compiler.p_image.Image.stack_base
+    smp.Harness.program.Core.Compiler.p_image.Image.stack_base
 
 let test_per_hart_isolation () =
-  let s = Harness.smp_session1 ~n_harts:3 id_src in
+  let s = Harness.session1 ~n_harts:3 id_src in
   let smp = s.Harness.smp in
   check_int "disjoint stack slices"
     ((Smp.machine smp 0).Machine.stack_base - Smp.hart_stack_bytes)
@@ -227,20 +229,20 @@ let test_per_hart_isolation () =
   check_int "slices stack downwards"
     ((Smp.machine smp 0).Machine.stack_base - (2 * Smp.hart_stack_bytes))
     (Smp.machine smp 2).Machine.stack_base;
-  Harness.smp_start s ~hart:0 "id" [ 10 ];
-  Harness.smp_start s ~hart:1 "id" [ 20 ];
-  Harness.smp_start s ~hart:2 "id" [ 30 ];
-  Harness.smp_run s;
-  check_int "hart 0 result" 10 (Harness.smp_result s ~hart:0);
-  check_int "hart 1 result" 20 (Harness.smp_result s ~hart:1);
-  check_int "hart 2 result" 30 (Harness.smp_result s ~hart:2)
+  Harness.start s ~hart:0 "id" [ 10 ];
+  Harness.start s ~hart:1 "id" [ 20 ];
+  Harness.start s ~hart:2 "id" [ 30 ];
+  Harness.run s;
+  check_int "hart 0 result" 10 (Harness.result s ~hart:0);
+  check_int "hart 1 result" 20 (Harness.result s ~hart:1);
+  check_int "hart 2 result" 30 (Harness.result s ~hart:2)
 
 let test_round_robin_fairness () =
-  let s = Harness.smp_session1 ~n_harts:2 spin_src in
-  Harness.smp_start s ~hart:0 "w" [ 1000 ];
-  Harness.smp_start s ~hart:1 "w" [ 1000 ];
+  let s = Harness.session1 ~n_harts:2 spin_src in
+  Harness.start s ~hart:0 "w" [ 1000 ];
+  Harness.start s ~hart:1 "w" [ 1000 ];
   for _ = 1 to 100 do
-    ignore (Harness.smp_step s)
+    ignore (Harness.step s)
   done;
   let i h = (Smp.machine s.Harness.smp h).Machine.perf.Perf.instructions in
   check_bool "round-robin alternates" true (abs (i 0 - i 1) <= 1)
@@ -280,27 +282,27 @@ let test_seed_invariance_race_free () =
 
 let test_zero_weight_starves_under_competition () =
   let s =
-    Harness.smp_session1 ~n_harts:2
+    Harness.session1 ~n_harts:2
       ~policy:(Smp.Weighted_random [| 1; 0 |])
       ~seed:3 order_src
   in
-  Harness.smp_start s ~hart:0 "w0" [ 20 ];
-  Harness.smp_start s ~hart:1 "w1" [ 20 ];
-  Harness.smp_run s;
-  check_int "weighted hart finished first" 1 (Harness.smp_get s "order0");
-  check_int "starved hart ran once alone" 2 (Harness.smp_get s "order1")
+  Harness.start s ~hart:0 "w0" [ 20 ];
+  Harness.start s ~hart:1 "w1" [ 20 ];
+  Harness.run s;
+  check_int "weighted hart finished first" 1 (Harness.get s "order0");
+  check_int "starved hart ran once alone" 2 (Harness.get s "order1")
 
 let test_all_zero_weights_run_lowest_first () =
   let s =
-    Harness.smp_session1 ~n_harts:2
+    Harness.session1 ~n_harts:2
       ~policy:(Smp.Weighted_random [| 0; 0 |])
       ~seed:3 order_src
   in
-  Harness.smp_start s ~hart:0 "w0" [ 20 ];
-  Harness.smp_start s ~hart:1 "w1" [ 20 ];
-  Harness.smp_run s;
-  check_int "hart 0 first" 1 (Harness.smp_get s "order0");
-  check_int "hart 1 still completes" 2 (Harness.smp_get s "order1")
+  Harness.start s ~hart:0 "w0" [ 20 ];
+  Harness.start s ~hart:1 "w1" [ 20 ];
+  Harness.run s;
+  check_int "hart 0 first" 1 (Harness.get s "order0");
+  check_int "hart 1 still completes" 2 (Harness.get s "order1")
 
 (* ------------------------------------------------------------------ *)
 (* Contended critical sections                                         *)
@@ -372,7 +374,7 @@ let test_pvops_native_smp () =
   let s = Pvops.smp_stress ~n_harts:3 ~seed:5 ~iters:40 Machine.Native in
   for h = 0 to 2 do
     check_int (Printf.sprintf "hart %d stress clean" h) 0
-      (Harness.smp_result s ~hart:h);
+      (Harness.result s ~hart:h);
     check_bool
       (Printf.sprintf "hart %d interrupts balanced" h)
       true
@@ -383,9 +385,9 @@ let test_pvops_xen_smp () =
   let s = Pvops.smp_stress ~n_harts:2 ~seed:5 ~iters:40 Machine.Xen in
   for h = 0 to 1 do
     check_int (Printf.sprintf "hart %d stress clean" h) 0
-      (Harness.smp_result s ~hart:h)
+      (Harness.result s ~hart:h)
   done;
-  check_int "event mask released" 0 (Harness.smp_get s "xen_mask");
+  check_int "event mask released" 0 (Harness.get s "xen_mask");
   for h = 0 to 1 do
     check_bool
       (Printf.sprintf "hart %d did its own work" h)
@@ -398,9 +400,9 @@ let test_pvops_xen_smp () =
 (* ------------------------------------------------------------------ *)
 
 let test_idle_harts_owe_no_acks () =
-  let s = Harness.smp_session1 ~n_harts:4 spin_src in
-  Harness.enable_smp_tracing s;
-  ignore (Harness.smp_commit s);
+  let s = Harness.session1 ~n_harts:4 spin_src in
+  Harness.enable_tracing s;
+  ignore (Harness.commit s);
   let smp = s.Harness.smp in
   check_int "no IPIs to halted harts" 0 (Smp.ipis_sent smp);
   check_bool "rendezvous still ran" true (Smp.rendezvous_count smp >= 1);
@@ -410,15 +412,15 @@ let test_idle_harts_owe_no_acks () =
         match st.Trace.ev with
         | Trace.Rendezvous_begin { waiting; _ } -> waiting = 0
         | _ -> false)
-      (Harness.smp_trace_events s)
+      (Harness.trace_events s)
   in
   check_bool "begin event shows zero waiters" true waiting_zero
 
 let test_cli_section_delays_ack () =
-  let s = Harness.smp_session1 ~n_harts:2 cli_burst_src in
-  Harness.enable_smp_tracing s;
+  let s = Harness.session1 ~n_harts:2 cli_burst_src in
+  Harness.enable_tracing s;
   let smp = s.Harness.smp in
-  Harness.smp_start s ~hart:1 "w" [ 10 ];
+  Harness.start s ~hart:1 "w" [ 10 ];
   let m1 = Smp.machine smp 1 in
   let guard = ref 100 in
   while m1.Machine.irq_enabled && !guard > 0 do
@@ -434,22 +436,22 @@ let test_cli_section_delays_ack () =
         match st.Trace.ev with
         | Trace.Ipi_ack { hart = 1; wait; _ } -> wait > 0.0
         | _ -> false)
-      (Harness.smp_trace_events s)
+      (Harness.trace_events s)
   in
   check_bool "the ack waited for __sti" true delayed;
-  Harness.smp_run s;
-  check_int "hart 1 released and completed" 10 (Harness.smp_get s "x")
+  Harness.run s;
+  check_int "hart 1 released and completed" 10 (Harness.get s "x")
 
 (* Exhaustively enumerate when the stop request lands relative to hart
    1's progress through per-iteration cli/sti windows: every offset must
    converge to exactly one ack, and release must leave the hart able to
    finish its work. *)
 let test_handshake_enumeration_two_harts () =
-  let s = Harness.smp_session1 ~n_harts:2 cli_window_src in
+  let s = Harness.session1 ~n_harts:2 cli_window_src in
   let smp = s.Harness.smp in
   let total = ref 0 in
   for k = 0 to 14 do
-    Harness.smp_start s ~hart:1 "w" [ 4 ];
+    Harness.start s ~hart:1 "w" [ 4 ];
     for _ = 1 to k do
       ignore (Smp.step_hart smp 1)
     done;
@@ -467,20 +469,20 @@ let test_handshake_enumeration_two_harts () =
       (acks_before + 1) (Smp.ipi_acks smp);
     check_int "thunk result" 99 (Smp.rendezvous_finish smp (fun () -> 99));
     check_bool "hart released" true (Smp.runnable smp 1);
-    Harness.smp_run s;
+    Harness.run s;
     total := !total + 4;
     check_int (Printf.sprintf "work completed (offset %d)" k) !total
-      (Harness.smp_get s "x")
+      (Harness.get s "x")
   done
 
 (* Three harts, enumerated ack orders: drive harts 1 and 2 in every
    4-slot order before letting the scheduler finish the gather. *)
 let test_handshake_enumeration_three_harts () =
-  let s = Harness.smp_session1 ~n_harts:3 cli_window_src in
+  let s = Harness.session1 ~n_harts:3 cli_window_src in
   let smp = s.Harness.smp in
   for sched = 0 to 15 do
-    Harness.smp_start s ~hart:1 "w" [ 4 ];
-    Harness.smp_start s ~hart:2 "w" [ 4 ];
+    Harness.start s ~hart:1 "w" [ 4 ];
+    Harness.start s ~hart:2 "w" [ 4 ];
     let owed = Smp.rendezvous_post smp ~initiator:0 in
     check_int "two acks owed" 2 owed;
     let acks_before = Smp.ipi_acks smp in
@@ -501,17 +503,17 @@ let test_handshake_enumeration_three_harts () =
     ignore (Smp.rendezvous_finish smp (fun () -> ()));
     check_bool "hart 1 released" true (Smp.runnable smp 1);
     check_bool "hart 2 released" true (Smp.runnable smp 2);
-    Harness.smp_run s
+    Harness.run s
   done
 
 let test_nested_stop_machine () =
-  let s = Harness.smp_session1 ~n_harts:2 spin_src in
+  let s = Harness.session1 ~n_harts:2 spin_src in
   let smp = s.Harness.smp in
-  Harness.smp_start s ~hart:1 "w" [ 50 ];
+  Harness.start s ~hart:1 "w" [ 50 ];
   let r = Smp.stop_machine smp (fun () -> Smp.stop_machine smp (fun () -> 7)) in
   check_int "nested thunk ran directly" 7 r;
   check_int "one rendezvous, not two" 1 (Smp.rendezvous_count smp);
-  Harness.smp_run s
+  Harness.run s
 
 (* A hart that never re-enables interrupts can never ack: the gather
    must fault (instead of hanging) and the cleanup must leave the
@@ -538,14 +540,14 @@ let test_rendezvous_deadlock_faults () =
 (* ------------------------------------------------------------------ *)
 
 let test_text_poke_phases_and_brk_spin () =
-  let s = Harness.smp_session1 ~n_harts:2 poke_src in
+  let s = Harness.session1 ~n_harts:2 poke_src in
   let smp = s.Harness.smp in
-  let img = s.Harness.sm_program.Core.Compiler.p_image in
+  let img = s.Harness.program.Core.Compiler.p_image in
   let seven = Image.symbol img "seven" and nine = Image.symbol img "nine" in
   let nine_sz = Image.symbol_size img "nine" in
   check_int "twin bodies" (Image.symbol_size img "seven") nine_sz;
   let nine_bytes = Image.read_bytes img nine nine_sz in
-  Harness.smp_start s ~hart:1 "loop" [ 5 ];
+  Harness.start s ~hart:1 "loop" [ 5 ];
   park_hart s ~hart:1 "seven";
   let m1 = Smp.machine smp 1 in
   Smp.text_poke_start smp ~addr:seven nine_bytes;
@@ -558,17 +560,17 @@ let test_text_poke_phases_and_brk_spin () =
   ignore (Smp.step_hart smp 1);
   check_int "still spinning while the trap guards the entry" seven m1.Machine.pc;
   check_bool "final phase finishes the poke" true (Smp.text_poke_step smp);
-  Harness.smp_run s;
-  check_int "every call saw the patched body" 45 (Harness.smp_get s "acc")
+  Harness.run s;
+  check_int "every call saw the patched body" 45 (Harness.get s "acc")
 
 (* Exhaustive schedule enumeration: interleave the three poke phases at
    every position among 8 hart-execution slots.  Under the breakpoint
    protocol each of the 3 calls must return the old value or the new
    one — never a torn hybrid, never a fault. *)
 let test_poke_interleaving_never_tears () =
-  let s = Harness.smp_session1 ~n_harts:2 poke_src in
+  let s = Harness.session1 ~n_harts:2 poke_src in
   let smp = s.Harness.smp in
-  let img = s.Harness.sm_program.Core.Compiler.p_image in
+  let img = s.Harness.program.Core.Compiler.p_image in
   let seven = Image.symbol img "seven" and nine = Image.symbol img "nine" in
   let nine_sz = Image.symbol_size img "nine" in
   let nine_bytes = Image.read_bytes img nine nine_sz in
@@ -579,8 +581,8 @@ let test_poke_interleaving_never_tears () =
     for b = a to n_slots do
       for c = b to n_slots do
         incr combos;
-        Harness.smp_set s "acc" 0;
-        Harness.smp_start s ~hart:1 "loop" [ 3 ];
+        Harness.set s "acc" 0;
+        Harness.start s ~hart:1 "loop" [ 3 ];
         let positions = [| a; b; c |] in
         let ops =
           [|
@@ -601,8 +603,8 @@ let test_poke_interleaving_never_tears () =
           ops.(!applied) ();
           incr applied
         done;
-        Harness.smp_run s;
-        let acc = Harness.smp_get s "acc" in
+        Harness.run s;
+        let acc = Harness.get s "acc" in
         if not (acc >= 21 && acc <= 27 && (acc - 21) mod 2 = 0) then
           Alcotest.failf "torn result %d for poke positions (%d,%d,%d)" acc a b
             c;
@@ -618,10 +620,10 @@ let test_poke_interleaving_never_tears () =
 (* ------------------------------------------------------------------ *)
 
 let test_cross_hart_quiescence_defers () =
-  let s = Harness.smp_session1 ~n_harts:2 defer_src in
+  let s = Harness.session1 ~n_harts:2 defer_src in
   let smp = s.Harness.smp in
-  Harness.smp_set s "m" 1;
-  Harness.smp_start s ~hart:1 "driver" [];
+  Harness.set s "m" 1;
+  Harness.start s ~hart:1 "driver" [];
   park_hart s ~hart:1 "f";
   (* hart 0 is idle — only the cross-hart scanner can see hart 1's
      activation inside f *)
@@ -630,34 +632,34 @@ let test_cross_hart_quiescence_defers () =
     (List.mem m1.Machine.pc (Smp.live_code_addrs smp));
   check_bool "frames aggregate across harts" true
     (List.length (Smp.call_frames smp) >= 2);
-  check_int "live function not bound now" 0 (Harness.smp_commit_safe s);
+  check_int "live function not bound now" 0 (Harness.commit_safe s);
   check_bool "f journaled, not patched" true
-    (Runtime.pending s.Harness.sm_runtime = [ "f" ]);
+    (Runtime.pending s.Harness.runtime = [ "f" ]);
   (* the binding decision is journaled: flipping the switch now must not
      change which variant drains at the safepoint *)
-  Harness.smp_set s "m" 0;
-  Harness.smp_run s;
+  Harness.set s "m" 0;
+  Harness.run s;
   check_int "variant landed between the calls" 102
-    (Harness.smp_result s ~hart:1);
-  check_bool "journal drained" true (Runtime.pending s.Harness.sm_runtime = [])
+    (Harness.result s ~hart:1);
+  check_bool "journal drained" true (Runtime.pending s.Harness.runtime = [])
 
 let test_per_hart_safepoint_drains_once () =
-  let s = Harness.smp_session1 ~n_harts:2 defer_src in
-  Harness.enable_smp_tracing s;
-  Harness.smp_set s "m" 1;
-  Harness.smp_start s ~hart:1 "driver" [];
+  let s = Harness.session1 ~n_harts:2 defer_src in
+  Harness.enable_tracing s;
+  Harness.set s "m" 1;
+  Harness.start s ~hart:1 "driver" [];
   park_hart s ~hart:1 "f";
-  ignore (Harness.smp_commit_safe s);
-  Harness.smp_run s;
+  ignore (Harness.commit_safe s);
+  Harness.run s;
   let drains =
     List.length
       (List.filter
          (fun (st : Trace.stamped) ->
            match st.Trace.ev with Trace.Pending_drained _ -> true | _ -> false)
-         (Harness.smp_trace_events s))
+         (Harness.trace_events s))
   in
   check_int "drained exactly once" 1 drains;
-  let st = Runtime.stats s.Harness.sm_runtime in
+  let st = Runtime.stats s.Harness.runtime in
   check_int "applied exactly once" 1 st.Runtime.st_safe_applied;
   check_int "no rollbacks" 0 st.Runtime.st_safe_rolled_back;
   check_int "journal empty" 0 st.Runtime.st_pending
@@ -668,20 +670,20 @@ let test_per_hart_safepoint_drains_once () =
    the total stays in the reachable window. *)
 let test_midrun_safe_flip_deterministic () =
   let once seed =
-    let s = Harness.smp_session1 ~n_harts:2 ~seed tick_src in
-    Harness.enable_smp_tracing s;
-    Harness.smp_set s "mode" 0;
-    ignore (Harness.smp_commit s);
-    Harness.smp_start s ~hart:0 "spin" [ 200 ];
-    Harness.smp_start s ~hart:1 "work" [ 30 ];
+    let s = Harness.session1 ~n_harts:2 ~seed tick_src in
+    Harness.enable_tracing s;
+    Harness.set s "mode" 0;
+    ignore (Harness.commit s);
+    Harness.start s ~hart:0 "spin" [ 200 ];
+    Harness.start s ~hart:1 "work" [ 30 ];
     let more = ref true in
     for _ = 1 to 150 do
-      if !more then more := Harness.smp_step s
+      if !more then more := Harness.step s
     done;
-    Harness.smp_set s "mode" 1;
-    ignore (Harness.smp_commit_safe s);
-    Harness.smp_run s;
-    (s, Harness.smp_get s "acc")
+    Harness.set s "mode" 1;
+    ignore (Harness.commit_safe s);
+    Harness.run s;
+    (s, Harness.get s "acc")
   in
   List.iter
     (fun seed ->
@@ -690,7 +692,7 @@ let test_midrun_safe_flip_deterministic () =
       dump :=
         (fun () ->
           Printf.sprintf "{\"seed\": %d, \"acc\": %d, \"trace\": %s}" seed acc
-            (Harness.smp_trace_dump s));
+            (Harness.trace_dump s));
       if acc < 30 || acc > 60 then
         Alcotest.failf "torn tick total %d (seed %d)" acc seed;
       let _, acc' = once seed in
@@ -703,54 +705,54 @@ let test_midrun_safe_flip_deterministic () =
 (* ------------------------------------------------------------------ *)
 
 let test_commit_reaches_every_hart () =
-  let s = Harness.smp_session1 ~n_harts:2 tick_src in
-  Harness.smp_set s "mode" 0;
-  ignore (Harness.smp_commit s);
-  Harness.smp_start s ~hart:1 "work" [ 10 ];
-  Harness.smp_run s;
-  check_int "mode 0 adds 1 per call" 10 (Harness.smp_get s "acc");
-  Harness.smp_set s "mode" 1;
-  ignore (Harness.smp_commit s);
-  Harness.smp_start s ~hart:1 "work" [ 10 ];
-  Harness.smp_run s;
-  check_int "hart 1 runs the new variant" 30 (Harness.smp_get s "acc");
-  Harness.smp_start s ~hart:0 "work" [ 5 ];
-  Harness.smp_run s;
-  check_int "hart 0 runs the new variant" 40 (Harness.smp_get s "acc")
+  let s = Harness.session1 ~n_harts:2 tick_src in
+  Harness.set s "mode" 0;
+  ignore (Harness.commit s);
+  Harness.start s ~hart:1 "work" [ 10 ];
+  Harness.run s;
+  check_int "mode 0 adds 1 per call" 10 (Harness.get s "acc");
+  Harness.set s "mode" 1;
+  ignore (Harness.commit s);
+  Harness.start s ~hart:1 "work" [ 10 ];
+  Harness.run s;
+  check_int "hart 1 runs the new variant" 30 (Harness.get s "acc");
+  Harness.start s ~hart:0 "work" [ 5 ];
+  Harness.run s;
+  check_int "hart 0 runs the new variant" 40 (Harness.get s "acc")
 
 (* Break hart 1's flush channel: after the next commit it keeps
    executing its stale decoded call and adds 1 per tick while healthy
    hart 0 adds 2 — the observable divergence the fuzzer's drop-ack
    chaos mode must catch. *)
 let test_dropped_flush_leaves_stale_icache () =
-  let s = Harness.smp_session1 ~n_harts:2 tick_src in
-  Harness.smp_set s "mode" 0;
-  ignore (Harness.smp_commit s);
-  Harness.smp_start s ~hart:1 "work" [ 10 ];
-  Harness.smp_run s;
-  check_int "warm cache on the victim" 10 (Harness.smp_get s "acc");
+  let s = Harness.session1 ~n_harts:2 tick_src in
+  Harness.set s "mode" 0;
+  ignore (Harness.commit s);
+  Harness.start s ~hart:1 "work" [ 10 ];
+  Harness.run s;
+  check_int "warm cache on the victim" 10 (Harness.get s "acc");
   Smp.set_drop_ack s.Harness.smp (Some 1);
-  Harness.smp_set s "mode" 1;
-  ignore (Harness.smp_commit s);
-  Harness.smp_start s ~hart:1 "work" [ 10 ];
-  Harness.smp_run s;
-  check_int "victim executes the stale variant" 20 (Harness.smp_get s "acc");
-  Harness.smp_start s ~hart:0 "work" [ 10 ];
-  Harness.smp_run s;
-  check_int "healthy hart is coherent" 40 (Harness.smp_get s "acc")
+  Harness.set s "mode" 1;
+  ignore (Harness.commit s);
+  Harness.start s ~hart:1 "work" [ 10 ];
+  Harness.run s;
+  check_int "victim executes the stale variant" 20 (Harness.get s "acc");
+  Harness.start s ~hart:0 "work" [ 10 ];
+  Harness.run s;
+  check_int "healthy hart is coherent" 40 (Harness.get s "acc")
 
 let test_flush_events_carry_hart_ids () =
-  let s = Harness.smp_session1 ~n_harts:2 tick_src in
-  Harness.enable_smp_tracing s;
-  Harness.smp_set s "mode" 1;
-  ignore (Harness.smp_commit s);
+  let s = Harness.session1 ~n_harts:2 tick_src in
+  Harness.enable_tracing s;
+  Harness.set s "mode" 1;
+  ignore (Harness.commit s);
   let flush_harts =
     List.filter_map
       (fun (st : Trace.stamped) ->
         match st.Trace.ev with
         | Trace.Icache_flush { hart; _ } -> Some hart
         | _ -> None)
-      (Harness.smp_trace_events s)
+      (Harness.trace_events s)
   in
   check_bool "hart 0 flushed" true (List.mem 0 flush_harts);
   check_bool "hart 1 flushed" true (List.mem 1 flush_harts);
@@ -758,23 +760,23 @@ let test_flush_events_carry_hart_ids () =
     (List.for_all (fun h -> h = 0 || h = 1) flush_harts)
 
 let test_send_ack_pairing_in_trace () =
-  let s = Harness.smp_session1 ~n_harts:2 Spinlock.contended_source in
-  Harness.enable_smp_tracing s;
-  Harness.smp_set s "config_smp" 1;
-  ignore (Harness.smp_commit s);
-  Harness.smp_start s ~hart:0 "worker" [ 20 ];
-  Harness.smp_start s ~hart:1 "worker" [ 20 ];
+  let s = Harness.session1 ~n_harts:2 Spinlock.contended_source in
+  Harness.enable_tracing s;
+  Harness.set s "config_smp" 1;
+  ignore (Harness.commit s);
+  Harness.start s ~hart:0 "worker" [ 20 ];
+  Harness.start s ~hart:1 "worker" [ 20 ];
   let more = ref true in
   for _ = 1 to 120 do
-    if !more then more := Harness.smp_step s
+    if !more then more := Harness.step s
   done;
   let m0 = Smp.machine s.Harness.smp 0 in
   while !more && not m0.Machine.irq_enabled do
-    more := Harness.smp_step s
+    more := Harness.step s
   done;
-  ignore (Harness.smp_commit s);
-  Harness.smp_run s;
-  check_int "counter exact across the rendezvous" 40 (Harness.smp_get s "counter");
+  ignore (Harness.commit s);
+  Harness.run s;
+  check_int "counter exact across the rendezvous" 40 (Harness.get s "counter");
   let sends = ref 0 and acks = ref 0 and ends = ref 0 in
   List.iter
     (fun (st : Trace.stamped) ->
@@ -787,7 +789,7 @@ let test_send_ack_pairing_in_trace () =
           check_bool "rendezvous latency is non-negative" true (latency >= 0.0);
           incr ends
       | _ -> ())
-    (Harness.smp_trace_events s);
+    (Harness.trace_events s);
   check_bool "IPIs were posted" true (!sends >= 1);
   check_int "every send has its ack" !sends !acks;
   check_bool "rendezvous spans closed" true (!ends >= 1)
@@ -797,26 +799,30 @@ let test_send_ack_pairing_in_trace () =
 (* ------------------------------------------------------------------ *)
 
 let test_per_hart_stackprof_attribution () =
-  let s = Harness.smp_session1 ~n_harts:2 ~seed:5 Spinlock.contended_source in
-  Harness.smp_set s "config_smp" 1;
-  ignore (Harness.smp_commit s);
-  Harness.enable_smp_stack_profiling ~interval:7 s;
-  Harness.smp_start s ~hart:0 "worker" [ 30 ];
-  Harness.smp_start s ~hart:1 "worker" [ 30 ];
-  Harness.smp_run s;
-  check_int "one report per hart" 2
-    (Array.length (Harness.smp_stack_reports s));
-  let folded = Harness.smp_folded_dump s in
+  let s = Harness.session1 ~n_harts:2 ~seed:5 Spinlock.contended_source in
+  Harness.set s "config_smp" 1;
+  ignore (Harness.commit s);
+  Harness.enable_stack_profiling ~interval:7 s;
+  Harness.start s ~hart:0 "worker" [ 30 ];
+  Harness.start s ~hart:1 "worker" [ 30 ];
+  Harness.run s;
+  check_int "one profiler per hart" 2 (Array.length s.Harness.stackprofs);
+  let roots =
+    List.sort_uniq compare
+      (List.map (fun r -> List.hd r.Mv_obs.Stackprof.s_stack) (Harness.stack_report s))
+  in
+  check_bool "the report covers both harts" true (roots = [ "hart0"; "hart1" ]);
+  let folded = Harness.folded_dump s in
   check_bool "hart 0 frames attributed" true (contains folded "hart0;");
   check_bool "hart 1 frames attributed" true (contains folded "hart1;")
 
 let test_clock_and_seed_accessors () =
-  let s = Harness.smp_session1 ~n_harts:2 ~seed:42 spin_src in
+  let s = Harness.session1 ~n_harts:2 ~seed:42 spin_src in
   let smp = s.Harness.smp in
   check_int "seed is recorded" 42 (Smp.seed smp);
-  Harness.smp_start s ~hart:0 "w" [ 10 ];
-  Harness.smp_start s ~hart:1 "w" [ 25 ];
-  Harness.smp_run s;
+  Harness.start s ~hart:0 "w" [ 10 ];
+  Harness.start s ~hart:1 "w" [ 25 ];
+  Harness.run s;
   let sum =
     (Smp.machine smp 0).Machine.perf.Perf.cycles
     +. (Smp.machine smp 1).Machine.perf.Perf.cycles
@@ -859,12 +865,12 @@ let osr_smp_src =
 |}
 
 let osr_run_once ~seed =
-  let s = Harness.smp_session1 ~n_harts:2 ~seed osr_smp_src in
-  Harness.enable_smp_osr s;
-  Harness.smp_set s "m" 1;
-  Harness.smp_start s ~hart:0 "driver" [ 30 ];
-  Harness.smp_start s ~hart:1 "other" [ 100 ];
-  let img = s.Harness.sm_program.Core.Compiler.p_image in
+  let s = Harness.session1 ~n_harts:2 ~seed osr_smp_src in
+  Harness.enable_osr s;
+  Harness.set s "m" 1;
+  Harness.start s ~hart:0 "driver" [ 30 ];
+  Harness.start s ~hart:1 "other" [ 100 ];
+  let img = s.Harness.program.Core.Compiler.p_image in
   let spin_addr = Image.symbol img "spin" in
   let spin_size = Image.symbol_size img "spin" in
   let m0 = Smp.machine s.Harness.smp 0 in
@@ -874,11 +880,11 @@ let osr_run_once ~seed =
     && !guard > 0
   do
     decr guard;
-    ignore (Harness.smp_step s)
+    ignore (Harness.step s)
   done;
-  let bound = Harness.smp_commit_safe s in
-  Harness.smp_set s "m" 0;
-  Harness.smp_run s;
+  let bound = Harness.commit_safe s in
+  Harness.set s "m" 0;
+  Harness.run s;
   (s, bound)
 
 let test_osr_transfer_deterministic_per_seed () =
@@ -887,7 +893,7 @@ let test_osr_transfer_deterministic_per_seed () =
       with_artifact ~name:"osr-transfer" ~seed @@ fun dump ->
       let s, bound = osr_run_once ~seed in
       let smp = s.Harness.smp in
-      let st = Runtime.stats s.Harness.sm_runtime in
+      let st = Runtime.stats s.Harness.runtime in
       dump :=
         (fun () ->
           Printf.sprintf
@@ -902,15 +908,15 @@ let test_osr_transfer_deterministic_per_seed () =
       check_bool (Printf.sprintf "rendezvous ran (seed %d)" seed) true
         (Smp.rendezvous_count smp >= 1);
       check_int (Printf.sprintf "hart 1 exact (seed %d)" seed) 100
-        (Harness.smp_result s ~hart:1);
-      let r0 = Harness.smp_result s ~hart:0 in
+        (Harness.result s ~hart:1);
+      let r0 = Harness.result s ~hart:0 in
       check_bool (Printf.sprintf "hart 0 in envelope (seed %d, %d)" seed r0) true
         (r0 >= 30 && r0 <= 60);
       (* the schedule — and so the transfer point and the result — is a
          pure function of the seed *)
       let s', _ = osr_run_once ~seed in
       check_int (Printf.sprintf "replay is bit-equal (seed %d)" seed) r0
-        (Harness.smp_result s' ~hart:0))
+        (Harness.result s' ~hart:0))
     seeds
 
 let suite =

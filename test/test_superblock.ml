@@ -225,9 +225,9 @@ let poke_src =
 |}
 
 let test_back_to_back_poke_under_rendezvous () =
-  let s = Harness.smp_session1 ~n_harts:2 poke_src in
+  let s = Harness.session1 ~n_harts:2 poke_src in
   let smp = s.Harness.smp in
-  let img = s.Harness.sm_program.Core.Compiler.p_image in
+  let img = s.Harness.program.Core.Compiler.p_image in
   let seven = Mv_link.Image.symbol img "seven" in
   let size = Mv_link.Image.symbol_size img "seven" in
   let orig = Mv_link.Image.read_bytes img seven size in
@@ -235,7 +235,7 @@ let test_back_to_back_poke_under_rendezvous () =
     Mv_link.Image.read_bytes img (Mv_link.Image.symbol img "nine") size
   in
   (* warm the decode caches on hart 1, then stop it mid-loop *)
-  Harness.smp_start s ~hart:1 "loop" [ 8 ];
+  Harness.start s ~hart:1 "loop" [ 8 ];
   for _ = 1 to 40 do
     ignore (Smp.step_hart smp 1)
   done;
@@ -261,11 +261,11 @@ let test_back_to_back_poke_under_rendezvous () =
   Smp.text_poke smp ~addr:seven orig;
   check_bool "second poke invalidated again" true
     (ds.Machine.ds_invalidated > invalidated1);
-  Harness.smp_run s;
+  Harness.run s;
   (* each of the 8 calls returned exactly 7 or exactly 9 depending on
      which side of the pokes it ran — never a torn hybrid, never a
      fault *)
-  let acc = Harness.smp_get s "acc" in
+  let acc = Harness.get s "acc" in
   check_bool "no torn call result" true
     (acc >= 8 * 7 && acc <= 8 * 9 && (acc - (8 * 7)) mod 2 = 0)
 
