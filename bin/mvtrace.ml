@@ -13,7 +13,7 @@
      mvtrace timeline prog.mvc --harts 3 --seed 7 --run worker --chrome t.json
      mvtrace blame prog.mvc --harts 3 --seed 7 --run worker --slow-hart 2
      mvtrace postmortem smp-artifacts/trap-1.flight.json
-     mvtrace diff BENCH_results.json fresh.json --gate 5
+     mvtrace diff BENCH_results.json fresh.json --gate 0
 
    `flame` emits folded stacks (flamegraph.pl / speedscope input) and/or
    a Chrome trace_event JSON; `top` prints the hot-stack table; `spans`

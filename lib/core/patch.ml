@@ -92,13 +92,6 @@ let retarget_call t ~site ~expect ~target =
       (String.concat "; " (List.map (Printf.sprintf "0x%x") expect));
   write_text t ~addr:site (encode_call ~site ~target)
 
-(** Fill [size] bytes at [addr] with [body] followed by nop padding. *)
-let write_inlined t ~addr ~size (body : bytes) =
-  if Bytes.length body > size then errf "inline body larger than site";
-  let b = Bytes.make size (Char.chr (Insn.opcode Insn.Nop)) in
-  Bytes.blit body 0 b 0 (Bytes.length body);
-  write_text t ~addr b
-
 (* ------------------------------------------------------------------ *)
 (* Body inlining (Figure 3 b/c)                                        *)
 (* ------------------------------------------------------------------ *)

@@ -57,10 +57,6 @@ val encode_jmp : site:int -> target:int -> bytes
     an expected call target".  Raises {!Patch_error} otherwise. *)
 val retarget_call : t -> site:int -> expect:int list -> target:int -> unit
 
-(** Fill [size] bytes at [addr] with [body] followed by nop padding
-    (Figure 3 b/c). *)
-val write_inlined : t -> addr:int -> size:int -> bytes -> unit
-
 (** If the body at [fn_addr] is a straight line of position-independent
     instructions ending in [ret], with total encoded size at most [budget],
     return those bytes (possibly empty: Figure 3c's nop-able case). *)

@@ -67,9 +67,10 @@ type fnptr_entry = {
 (* --- The safe-commit subsystem (beyond the paper, closing its Section 2
    "caller guarantees a patchable state" gap) ------------------------------
 
-   A deferred patch is journaled as an [action]; one [commit_safe] or
-   [revert_safe] call produces at most one [pending_set], which is applied
-   transactionally — all actions or none — at a later quiescence point. *)
+   Every decision hands its patch to the stager as an [action]; a
+   deferred one is journaled, and one [commit_safe] or [revert_safe] call
+   produces at most one [pending_set], which is applied transactionally —
+   all actions or none — at a later quiescence point. *)
 
 type pending_action =
   | Act_bind of fn_entry * Descriptor.variant_record
@@ -481,13 +482,6 @@ let guards_satisfied t (guards : Descriptor.guard_record list) : bool =
       g.gr_lo <= v && v <= g.gr_hi)
     guards
 
-(** Select the variant for the current switch values (first match in
-    descriptor order). *)
-let select_variant t (fe : fn_entry) : Descriptor.variant_record option =
-  List.find_opt
-    (fun (v : Descriptor.variant_record) -> guards_satisfied t v.va_guards)
-    fe.fe_variants
-
 (* ------------------------------------------------------------------ *)
 (* Site patching with verification                                     *)
 (* ------------------------------------------------------------------ *)
@@ -547,16 +541,11 @@ let restore_site t (s : site) =
 (* ------------------------------------------------------------------ *)
 
 let revert_fn_entry t (fe : fn_entry) =
-  (match fe.fe_saved_body with
-  | Some saved ->
-      Patch.restore_bytes t.patch ~addr:fe.fe_record.fd_generic saved;
-      fe.fe_saved_body <- None
-  | None -> ());
-  (match fe.fe_prologue with
-  | Some saved ->
-      Patch.restore_bytes t.patch ~addr:fe.fe_record.fd_generic saved;
-      fe.fe_prologue <- None
-  | None -> ());
+  List.iter
+    (Option.iter (Patch.restore_bytes t.patch ~addr:fe.fe_record.fd_generic))
+    [ fe.fe_saved_body; fe.fe_prologue ];
+  fe.fe_saved_body <- None;
+  fe.fe_prologue <- None;
   List.iter (restore_site t) fe.fe_sites;
   fe.fe_installed <- None
 
@@ -601,6 +590,17 @@ let install_variant t (fe : fn_entry) (v : Descriptor.variant_record) =
     | Body_patching -> install_variant_body t fe v);
     fe.fe_installed <- Some v.va_addr
   end
+
+(* Return the function to its generic body, reporting the unbind when a
+   variant was bound.  [install_variant]'s own revert before a rebind
+   stays silent: the [Variant_selected] it emits already names the
+   successor. *)
+let unbind_fn t (fe : fn_entry) =
+  (match fe.fe_installed with
+  | Some addr when tracing t ->
+      emit t (Trace.Variant_unbound { fn = fe.fe_name; variant = name_of t.image addr })
+  | _ -> ());
+  revert_fn_entry t fe
 
 (* ------------------------------------------------------------------ *)
 (* Lazy materialization: the demand-driven variant cache               *)
@@ -805,7 +805,7 @@ let evict_one t lz sym (mi : mat_info) : unit =
       defer ()
     end
     else begin
-      revert_fn_entry t fe;
+      unbind_fn t fe;
       ignore (drop_alias t lz sym mi)
     end
   else if victim_live t ~addr ~size then defer ()
@@ -868,7 +868,8 @@ let set_variant_budget t b =
   ignore (make_room t lz ~need:0)
 
 (* Link one alias: append the descriptor record, register the symbol and
-   the book-keeping, stamp the LRU, report the materialization. *)
+   the book-keeping, stamp the LRU, report the materialization.  Returns
+   the new record. *)
 let link_alias t lz (fe : fn_entry) ~symbol ~key ~addr ~size ~guards ~dedup =
   let record = { Descriptor.va_addr = addr; va_size = size; va_guards = guards } in
   fe.fe_variants <- fe.fe_variants @ [ record ];
@@ -876,17 +877,18 @@ let link_alias t lz (fe : fn_entry) ~symbol ~key ~addr ~size ~guards ~dedup =
   Hashtbl.replace lz.lz_variants symbol { mi_fn = fe; mi_key = key; mi_record = record };
   touch_lru lz symbol;
   lz.lz_materialized <- lz.lz_materialized + 1;
-  emit t (Trace.Variant_materialized { fn = fe.fe_name; variant = symbol; addr; size; dedup })
+  emit t (Trace.Variant_materialized { fn = fe.fe_name; variant = symbol; addr; size; dedup });
+  record
 
 (* Materialize the variant for [assignment]: specialize the recipe,
    optimize, then either link the structurally-equal resident body (hash
    hit: no new bytes) or assemble the fragment, apply its relocations
    against the image's symbols, and write it into the variant-text
-   region.  A budget (or region-capacity) miss denies the
-   materialization: no alias is linked, the function stays generic, and
-   a later commit retries. *)
+   region.  Returns the linked record.  A budget (or region-capacity)
+   miss denies the materialization: no alias is linked ([None]), the
+   function stays generic, and a later commit retries. *)
 let materialize t lz (fe : fn_entry) (recipe : Variantgen.recipe)
-    (assignment : (string * int) list) : unit =
+    (assignment : (string * int) list) : Descriptor.variant_record option =
   let v = Variantgen.specialize_recipe recipe assignment in
   let key = Mv_opt.Merge.canonical_form v.Variantgen.v_fn in
   let guards =
@@ -907,8 +909,9 @@ let materialize t lz (fe : fn_entry) (recipe : Variantgen.recipe)
       (* structural-hash hit: the body is already resident *)
       de.de_refs <- de.de_refs + 1;
       lz.lz_dedup_hits <- lz.lz_dedup_hits + 1;
-      link_alias t lz fe ~symbol:v.Variantgen.v_symbol ~key ~addr:de.de_addr
-        ~size:de.de_size ~guards ~dedup:true
+      Some
+        (link_alias t lz fe ~symbol:v.Variantgen.v_symbol ~key ~addr:de.de_addr
+           ~size:de.de_size ~guards ~dedup:true)
   | None -> (
       let frag =
         try Emit.emit_fn ~call_pad:lz.lz_call_pad v.Variantgen.v_fn
@@ -917,13 +920,14 @@ let materialize t lz (fe : fn_entry) (recipe : Variantgen.recipe)
       let code = Bytes.copy frag.Emit.fr_code in
       let size = Bytes.length code in
       let alloc_size = (size + 15) / 16 * 16 in
-      if not (make_room t lz ~need:alloc_size) then
-        lz.lz_budget_denials <- lz.lz_budget_denials + 1
+      let denied () =
+        lz.lz_budget_denials <- lz.lz_budget_denials + 1;
+        None
+      in
+      if not (make_room t lz ~need:alloc_size) then denied ()
       else
         match vtext_alloc t lz size with
-        | None ->
-            (* the region itself is exhausted (or too fragmented) *)
-            lz.lz_budget_denials <- lz.lz_budget_denials + 1
+        | None -> denied () (* the region itself is exhausted (or too fragmented) *)
         | Some (addr, alloc) ->
             List.iter
               (fun (r : Objfile.reloc) ->
@@ -934,25 +938,10 @@ let materialize t lz (fe : fn_entry) (recipe : Variantgen.recipe)
                       errf "materialize %s: undefined symbol %s" v.Variantgen.v_symbol
                         r.Objfile.r_sym
                 in
-                let p = addr + r.Objfile.r_offset in
-                match r.Objfile.r_kind with
-                | Objfile.Abs64 ->
-                    Bytes.set_int64_le code r.Objfile.r_offset
-                      (Int64.of_int (s + r.Objfile.r_addend))
-                | Objfile.Abs32 ->
-                    let x = s + r.Objfile.r_addend in
-                    if x < 0 || x > 0xFFFF_FFFF then
-                      errf "materialize %s: Abs32 overflow for %s" v.Variantgen.v_symbol
-                        r.Objfile.r_sym;
-                    Bytes.set_int32_le code r.Objfile.r_offset (Int32.of_int x)
-                | Objfile.Rel32 ->
-                    let x = s + r.Objfile.r_addend - p in
-                    if
-                      x < Int32.to_int Int32.min_int || x > Int32.to_int Int32.max_int
-                    then
-                      errf "materialize %s: Rel32 overflow for %s" v.Variantgen.v_symbol
-                        r.Objfile.r_sym;
-                    Bytes.set_int32_le code r.Objfile.r_offset (Int32.of_int x))
+                let off = r.Objfile.r_offset in
+                try Mv_link.Linker.patch_reloc code ~off ~p:(addr + off) ~s r
+                with Mv_link.Linker.Link_error m ->
+                  errf "materialize %s: %s" v.Variantgen.v_symbol m)
               frag.Emit.fr_relocs;
             Patch.write_text t.patch ~addr code;
             (* host-built frame map, so OSR can transfer activations in
@@ -987,51 +976,41 @@ let materialize t lz (fe : fn_entry) (recipe : Variantgen.recipe)
             Hashtbl.replace lz.lz_dedup key
               { de_addr = addr; de_size = size; de_alloc = alloc; de_refs = 1 };
             lz.lz_bytes <- lz.lz_bytes + alloc;
-            link_alias t lz fe ~symbol:v.Variantgen.v_symbol ~key ~addr ~size ~guards
-              ~dedup:false)
+            Some
+              (link_alias t lz fe ~symbol:v.Variantgen.v_symbol ~key ~addr ~size
+                 ~guards ~dedup:false))
 
-(* The commit-side hook: make sure the variant the current valuation
-   needs is resident before selection runs.  One [option] match when
-   lazy materialization is off — pay-for-use, like the tracer. *)
-let ensure_variant t (fe : fn_entry) : unit =
+(** Select the variant for the current switch values: the first match in
+    descriptor order.  On a lazy runtime an in-domain miss first
+    materializes the variant (or dedup-links a resident body), so
+    selection sees the candidates an eager image carries; an in-domain
+    hit counts as a cache hit and refreshes the alias's LRU stamp.  One
+    guard scan per call; with lazy materialization off, one [option]
+    match more — pay-for-use, like the tracer. *)
+let select_variant t (fe : fn_entry) : Descriptor.variant_record option =
+  let found =
+    List.find_opt
+      (fun (v : Descriptor.variant_record) -> guards_satisfied t v.va_guards)
+      fe.fe_variants
+  in
   match t.lazy_st with
-  | None -> ()
+  | None -> found
   | Some lz -> (
       match Hashtbl.find_opt lz.lz_recipes fe.fe_name with
-      | None -> ()
+      | None -> found
       | Some recipe -> (
-          match recipe_assignment t recipe with
-          | None -> () (* out of domain: the generic fallback handles it *)
-          | Some assignment -> (
-              match
-                List.find_opt
-                  (fun (v : Descriptor.variant_record) -> guards_satisfied t v.va_guards)
-                  fe.fe_variants
-              with
-              | Some v ->
-                  lz.lz_cache_hits <- lz.lz_cache_hits + 1;
-                  Hashtbl.iter
-                    (fun sym (mi : mat_info) ->
-                      if mi.mi_record == v then touch_lru lz sym)
-                    lz.lz_variants
-              | None -> materialize t lz fe recipe assignment)))
-
-(** Commit one multiversed function: bind it to the variant matching the
-    current switch values, or revert to generic (with a fallback signal)
-    when no variant matches.  Returns [true] when a variant was bound. *)
-let commit_fn_entry t (fe : fn_entry) : bool =
-  ensure_variant t fe;
-  match select_variant t fe with
-  | Some v ->
-      install_variant t fe v;
-      true
-  | None ->
-      revert_fn_entry t fe;
-      (* only signal when the function actually has (or could materialize)
-         specialized variants: a variant-less function is trivially bound
-         to its generic body *)
-      if specializable t fe then fallback t fe.fe_name;
-      false
+          match (recipe_assignment t recipe, found) with
+          | None, _ -> found (* out of domain: the generic fallback handles it *)
+          | Some _, Some v ->
+              lz.lz_cache_hits <- lz.lz_cache_hits + 1;
+              Hashtbl.iter
+                (fun sym (mi : mat_info) -> if mi.mi_record == v then touch_lru lz sym)
+                lz.lz_variants;
+              found
+          | Some assignment, None ->
+              (* the fresh alias is guarded by this very assignment, so it
+                 is the one candidate that now matches *)
+              materialize t lz fe recipe assignment))
 
 (* ------------------------------------------------------------------ *)
 (* Function-pointer switches                                           *)
@@ -1056,154 +1035,8 @@ let install_fnptr t (fp : fnptr_entry) ~target =
     fp.fp_committed <- Some target
   end
 
-(** Bind a function-pointer switch to its current in-memory target. *)
-let commit_fnptr_entry t (fp : fnptr_entry) : bool =
-  let target = Image.read t.image fp.fp_var.vr_addr 8 in
-  if target = 0 then begin
-    revert_fnptr_entry t fp;
-    fallback t fp.fp_name;
-    false
-  end
-  else begin
-    install_fnptr t fp ~target;
-    true
-  end
-
 (* ------------------------------------------------------------------ *)
-(* The Table 1 API                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Any whole-image (re)decision makes previously journaled patch sets
-   stale: drop them so a safepoint cannot apply an outdated binding over a
-   newer one. *)
-let supersede_pending t =
-  List.iter
-    (fun pset ->
-      t.safe.sc_superseded <- t.safe.sc_superseded + List.length pset.pset_actions)
-    t.pending;
-  t.pending <- []
-
-(** [multiverse_commit]: inspect all switches, select and install variants
-    everywhere.  Returns the number of entities bound to a specialized
-    state; [fallbacks t] lists functions left generic. *)
-let commit t : int =
-  with_barrier t @@ fun () ->
-  emit_span_begin t "commit";
-  supersede_pending t;
-  t.fallbacks <- [];
-  let bound_fns = List.filter (commit_fn_entry t) t.functions in
-  let bound_ptrs = List.filter (commit_fnptr_entry t) t.fnptrs in
-  let bound = List.length bound_fns + List.length bound_ptrs in
-  emit_span_end t "commit" bound;
-  bound
-
-(** [multiverse_revert]: restore the whole image to its unpatched state. *)
-let revert t : int =
-  with_barrier t @@ fun () ->
-  emit_span_begin t "revert";
-  supersede_pending t;
-  t.fallbacks <- [];
-  List.iter (revert_fn_entry t) t.functions;
-  List.iter (revert_fnptr_entry t) t.fnptrs;
-  let n = List.length t.functions + List.length t.fnptrs in
-  emit_span_end t "revert" n;
-  n
-
-let find_fn t addr =
-  List.find_opt (fun fe -> fe.fe_record.fd_generic = addr) t.functions
-
-let find_fn_by_name t name =
-  match Image.symbol_opt t.image name with
-  | Some addr -> find_fn t addr
-  | None -> None
-
-(** [multiverse_commit_func(&fn)]. *)
-let commit_func_addr t addr : int =
-  match find_fn t addr with
-  | Some fe -> with_barrier t (fun () -> Bool.to_int (commit_fn_entry t fe))
-  | None -> -1
-
-(** [multiverse_revert_func(&fn)]. *)
-let revert_func_addr t addr : int =
-  match find_fn t addr with
-  | Some fe ->
-      with_barrier t (fun () -> revert_fn_entry t fe);
-      1
-  | None -> -1
-
-let commit_func t name =
-  match Image.symbol_opt t.image name with
-  | Some addr -> commit_func_addr t addr
-  | None -> -1
-
-let revert_func t name =
-  match Image.symbol_opt t.image name with
-  | Some addr -> revert_func_addr t addr
-  | None -> -1
-
-(** Functions whose variants guard on the switch at [var_addr] — under
-    lazy materialization, also functions whose {e recipe} specializes on
-    it (their variants may not be resident yet). *)
-let functions_referencing t var_addr =
-  let recipe_refs fe =
-    match t.lazy_st with
-    | None -> false
-    | Some lz -> (
-        match Hashtbl.find_opt lz.lz_recipes fe.fe_name with
-        | None -> false
-        | Some r ->
-            List.exists
-              (fun (name, _) -> Image.symbol_opt t.image name = Some var_addr)
-              r.Variantgen.rc_switches)
-  in
-  List.filter
-    (fun fe ->
-      List.exists
-        (fun (v : Descriptor.variant_record) ->
-          List.exists (fun (g : Descriptor.guard_record) -> g.gr_var = var_addr) v.va_guards)
-        fe.fe_variants
-      || recipe_refs fe)
-    t.functions
-
-(** [multiverse_commit_refs(&var)]: commit every function that references
-    the switch, and the switch itself if it is a function pointer. *)
-let commit_refs_addr t var_addr : int =
-  with_barrier t @@ fun () ->
-  let fns = functions_referencing t var_addr in
-  let bound = List.filter (commit_fn_entry t) fns in
-  let ptr_bound =
-    match List.find_opt (fun fp -> fp.fp_var.vr_addr = var_addr) t.fnptrs with
-    | Some fp -> Bool.to_int (commit_fnptr_entry t fp)
-    | None -> 0
-  in
-  List.length bound + ptr_bound
-
-(** [multiverse_revert_refs(&var)]. *)
-let revert_refs_addr t var_addr : int =
-  with_barrier t @@ fun () ->
-  let fns = functions_referencing t var_addr in
-  List.iter (revert_fn_entry t) fns;
-  let ptr_count =
-    match List.find_opt (fun fp -> fp.fp_var.vr_addr = var_addr) t.fnptrs with
-    | Some fp ->
-        revert_fnptr_entry t fp;
-        1
-    | None -> 0
-  in
-  List.length fns + ptr_count
-
-let commit_refs t name =
-  match Image.symbol_opt t.image name with
-  | Some addr -> commit_refs_addr t addr
-  | None -> -1
-
-let revert_refs t name =
-  match Image.symbol_opt t.image name with
-  | Some addr -> revert_refs_addr t addr
-  | None -> -1
-
-(* ------------------------------------------------------------------ *)
-(* Safe commit: stack-quiescence detection and deferred patching       *)
+(* Staging: apply a patch now, or journal / refuse it while live      *)
 (* ------------------------------------------------------------------ *)
 
 (* The paper's runtime performs no synchronization — "the caller guarantees
@@ -1213,7 +1046,8 @@ let revert_refs t name =
    activation (pc + conservative stack scan), and a patch is applied only
    when none of them falls inside the bytes it would rewrite.  Patches for
    live functions are journaled and drained transactionally at quiescence
-   points (the machine's safepoint hook). *)
+   points (the machine's safepoint hook).  The Table 1 API stages through
+   the same path with nothing live. *)
 
 type safe_policy = Defer | Deny
 
@@ -1253,12 +1087,9 @@ let variant_of (fe : fn_entry) addr =
    so the range counts as live-blocked — and is exactly what on-stack
    replacement transfers activations out of. *)
 let installed_body_range (fe : fn_entry) : (int * int) list =
-  match fe.fe_installed with
+  match Option.bind fe.fe_installed (variant_of fe) with
+  | Some v -> [ (v.va_addr, v.va_addr + max v.va_size 1) ]
   | None -> []
-  | Some addr -> (
-      match variant_of fe addr with
-      | Some v -> [ (addr, addr + max v.va_size 1) ]
-      | None -> [])
 
 (* The ranges an unbind would actually rewrite, given the entry's current
    state: the saved prologue bytes, the saved generic body (body patching),
@@ -1269,15 +1100,10 @@ let installed_body_range (fe : fn_entry) : (int * int) list =
    because its unbind rewrites nothing. *)
 let fn_unbind_ranges (fe : fn_entry) : (int * int) list =
   let generic = fe.fe_record.fd_generic in
-  let prologue =
-    match fe.fe_prologue with
-    | Some b -> [ (generic, generic + Bytes.length b) ]
-    | None -> []
-  in
-  let body =
-    match fe.fe_saved_body with
-    | Some b -> [ (generic, generic + Bytes.length b) ]
-    | None -> []
+  let saved =
+    List.filter_map
+      (Option.map (fun b -> (generic, generic + Bytes.length b)))
+      [ fe.fe_prologue; fe.fe_saved_body ]
   in
   let sites =
     List.filter_map
@@ -1287,7 +1113,7 @@ let fn_unbind_ranges (fe : fn_entry) : (int * int) list =
         | Site_retargeted _ | Site_inlined _ -> Some (s.s_addr, s.s_addr + s.s_size))
       fe.fe_sites
   in
-  installed_body_range fe @ prologue @ body @ sites
+  installed_body_range fe @ saved @ sites
 
 let action_ranges = function
   | Act_bind (fe, _) -> installed_body_range fe @ fn_touched_ranges fe
@@ -1297,6 +1123,207 @@ let action_ranges = function
 let action_name = function
   | Act_bind (fe, _) | Act_unbind fe -> fe.fe_name
   | Act_bind_ptr (fp, _) | Act_unbind_ptr fp -> fp.fp_name
+
+(* Lenient application, for patches staged to apply now: foreign site
+   bytes are skipped and reported, never corrupted. *)
+let apply_action_lenient t = function
+  | Act_bind (fe, v) -> install_variant t fe v
+  | Act_unbind fe -> unbind_fn t fe
+  | Act_bind_ptr (fp, target) -> install_fnptr t fp ~target
+  | Act_unbind_ptr fp -> revert_fnptr_entry t fp
+
+(* The stager every commit and revert entry point hands its actions to:
+   the live-activation set it was opened with ([[]] for the Table 1 API,
+   whose caller guarantees a patchable state) and the actions it has
+   journaled so far. *)
+type stager = {
+  sg_policy : safe_policy;
+  sg_live : int list;
+  mutable sg_deferred : pending_action list;  (* newest first *)
+}
+
+(* The per-entity Table 1 entry points: nothing live, nothing journaled. *)
+let immediate () = { sg_policy = Defer; sg_live = []; sg_deferred = [] }
+
+(* Apply [action] now or — when the bytes it would rewrite hold a live
+   activation — journal it ([Defer]) or refuse it ([Deny]).  Returns
+   whether it was applied.  With nothing live no patch range is computed:
+   a spinlock with a thousand call sites would otherwise build its range
+   list on every commit. *)
+let stage t sg action : bool =
+  let blocked =
+    match sg.sg_live with [] -> false | live -> ranges_live (action_ranges action) live
+  in
+  if not blocked then begin
+    apply_action_lenient t action;
+    true
+  end
+  else begin
+    (match sg.sg_policy with
+    | Defer ->
+        sg.sg_deferred <- action :: sg.sg_deferred;
+        t.safe.sc_deferred <- t.safe.sc_deferred + 1;
+        emit t (Trace.Safe_defer { cid = t.cur_cid; fn = action_name action })
+    | Deny ->
+        t.safe.sc_denied <- t.safe.sc_denied + 1;
+        emit t (Trace.Safe_deny { cid = t.cur_cid; fn = action_name action }));
+    false
+  end
+
+(* ------------------------------------------------------------------ *)
+(* The per-entity decisions                                            *)
+(* ------------------------------------------------------------------ *)
+
+(** Decide what the function should be bound to under the current switch
+    values and stage it: the selected variant, or the generic body (with a
+    fallback signal) when none matches.  Binding decisions are made now; a
+    journaled bind installs the variant selected now, not at application
+    time.  An unbind is staged only when something is installed.  Returns
+    [true] when the function ends bound. *)
+let commit_fn t sg (fe : fn_entry) : bool =
+  match select_variant t fe with
+  | Some v -> fe.fe_installed = Some v.va_addr || stage t sg (Act_bind (fe, v))
+  | None ->
+      if fe.fe_installed <> None || fe.fe_prologue <> None || fe.fe_saved_body <> None
+      then ignore (stage t sg (Act_unbind fe));
+      (* only signal when the function actually has (or could materialize)
+         specialized variants: a variant-less function is trivially bound
+         to its generic body *)
+      if specializable t fe then fallback t fe.fe_name;
+      false
+
+(** The same for a function-pointer switch: bind its indirect call sites
+    to the pointer's current in-memory target, or restore them (with a
+    fallback signal) while the pointer is null. *)
+let commit_fnptr t sg (fp : fnptr_entry) : bool =
+  let target = Image.read t.image fp.fp_var.vr_addr 8 in
+  if target = 0 then begin
+    if fp.fp_committed <> None then ignore (stage t sg (Act_unbind_ptr fp));
+    fallback t fp.fp_name;
+    false
+  end
+  else fp.fp_committed = Some target || stage t sg (Act_bind_ptr (fp, target))
+
+let revert_fn t sg fe = stage t sg (Act_unbind fe)
+let revert_fnptr t sg fp = stage t sg (Act_unbind_ptr fp)
+
+(* Decide over the functions, then the fn-pointer switches; returns how
+   many ended in the requested state. *)
+let decide_each sg ~fn ~ptr fns ptrs =
+  let count f xs = List.fold_left (fun n x -> if f sg x then n + 1 else n) 0 xs in
+  let n = count fn fns in
+  n + count ptr ptrs
+
+let commit_each t sg = decide_each sg ~fn:(commit_fn t) ~ptr:(commit_fnptr t)
+let revert_each t sg = decide_each sg ~fn:(revert_fn t) ~ptr:(revert_fnptr t)
+
+(* ------------------------------------------------------------------ *)
+(* The Table 1 API and its safe pair                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Any whole-image (re)decision makes previously journaled patch sets
+   stale: drop them so a safepoint cannot apply an outdated binding over a
+   newer one. *)
+let supersede_pending t =
+  List.iter
+    (fun pset ->
+      t.safe.sc_superseded <- t.safe.sc_superseded + List.length pset.pset_actions)
+    t.pending;
+  t.pending <- []
+
+(* One whole-image span: the begin event, the live set, a superseded
+   journal and fresh fallbacks, one decision per entity, the journal of
+   whatever the stager deferred, and the end event with the count. *)
+let span t op ~policy ~live decide : int =
+  with_barrier t @@ fun () ->
+  emit_span_begin t op;
+  let sg = { sg_policy = policy; sg_live = live (); sg_deferred = [] } in
+  supersede_pending t;
+  t.fallbacks <- [];
+  let n = decide sg t.functions t.fnptrs in
+  journal t (List.rev sg.sg_deferred);
+  emit_span_end t op n;
+  n
+
+let nothing_live () = []
+
+(** [multiverse_commit]: the whole-image span with nothing live — the
+    caller guarantees a patchable state.  Returns the number of entities
+    bound to a specialized state; [fallbacks t] lists functions left
+    generic. *)
+let commit t : int = span t "commit" ~policy:Defer ~live:nothing_live (commit_each t)
+
+(** [multiverse_revert]: restore the whole image to its unpatched state. *)
+let revert t : int = span t "revert" ~policy:Defer ~live:nothing_live (revert_each t)
+
+(** [multiverse_commit], made safe: the same span over the scanner's live
+    set.  Entities whose patch ranges are live are journaled ([Defer],
+    the default) or refused ([Deny]); the count excludes them until a
+    safepoint applies them. *)
+let commit_safe ?(policy = Defer) t : int =
+  span t "commit_safe" ~policy ~live:(fun () -> live_addrs t) (commit_each t)
+
+(** [multiverse_revert], made safe: returns the number of entities in the
+    pristine state when the call returns. *)
+let revert_safe ?(policy = Defer) t : int =
+  span t "revert_safe" ~policy ~live:(fun () -> live_addrs t) (revert_each t)
+
+let find_fn_by_name t name =
+  match Image.symbol_opt t.image name with
+  | Some addr -> List.find_opt (fun fe -> fe.fe_record.fd_generic = addr) t.functions
+  | None -> None
+
+(* Decide, with nothing live, for the multiversed function [name]. *)
+let on_func t name decide =
+  match find_fn_by_name t name with
+  | Some fe -> with_barrier t (fun () -> decide (immediate ()) [ fe ] [])
+  | None -> -1
+
+(** [multiverse_commit_func(&fn)]. *)
+let commit_func t name = on_func t name (commit_each t)
+
+(** [multiverse_revert_func(&fn)]. *)
+let revert_func t name = on_func t name (revert_each t)
+
+(** Functions whose variants guard on the switch at [var_addr] — under
+    lazy materialization, also functions whose {e recipe} specializes on
+    it (their variants may not be resident yet). *)
+let functions_referencing t var_addr =
+  let recipe_refs fe =
+    match t.lazy_st with
+    | None -> false
+    | Some lz -> (
+        match Hashtbl.find_opt lz.lz_recipes fe.fe_name with
+        | None -> false
+        | Some r ->
+            List.exists
+              (fun (name, _) -> Image.symbol_opt t.image name = Some var_addr)
+              r.Variantgen.rc_switches)
+  in
+  List.filter
+    (fun fe ->
+      List.exists
+        (fun (v : Descriptor.variant_record) ->
+          List.exists (fun (g : Descriptor.guard_record) -> g.gr_var = var_addr) v.va_guards)
+        fe.fe_variants
+      || recipe_refs fe)
+    t.functions
+
+(* Decide, with nothing live, over every function that references the
+   switch [name] and the switch itself when it is a function pointer. *)
+let on_refs t name decide =
+  match Image.symbol_opt t.image name with
+  | None -> -1
+  | Some var ->
+      with_barrier t @@ fun () ->
+      decide (immediate ()) (functions_referencing t var)
+        (List.filter (fun fp -> fp.fp_var.vr_addr = var) t.fnptrs)
+
+(** [multiverse_commit_refs(&var)]. *)
+let commit_refs t name = on_refs t name (commit_each t)
+
+(** [multiverse_revert_refs(&var)]. *)
+let revert_refs t name = on_refs t name (revert_each t)
 
 (* ------------------------------------------------------------------ *)
 (* On-stack replacement                                                *)
@@ -1462,14 +1489,11 @@ let osr_for_action t (ctx : osr_hart) ~cid = function
             | None -> ())
         | _ -> ())
   | Act_unbind fe -> (
-      match fe.fe_installed with
-      | Some addr -> (
-          match variant_of fe addr with
-          | Some v ->
-              ignore
-                (try_osr_transfer t ctx ~cid ~fe ~src:(addr, v.va_size)
-                   ~dst:fe.fe_record.fd_generic)
-          | None -> ())
+      match Option.bind fe.fe_installed (variant_of fe) with
+      | Some v ->
+          ignore
+            (try_osr_transfer t ctx ~cid ~fe ~src:(v.va_addr, v.va_size)
+               ~dst:fe.fe_record.fd_generic)
       | None -> ())
   | Act_bind_ptr _ | Act_unbind_ptr _ -> ()
 
@@ -1485,15 +1509,6 @@ let check_sites_strict t who sites =
         errf "deferred apply: call site 0x%x of %s changed by another mechanism" s.s_addr
           who)
     sites
-
-(* Lenient application, used for the entities commit_safe/revert_safe can
-   patch immediately: identical behavior to the unsafe paths (foreign site
-   bytes are skipped and reported, never corrupted). *)
-let apply_action_lenient t = function
-  | Act_bind (fe, v) -> install_variant t fe v
-  | Act_unbind fe -> revert_fn_entry t fe
-  | Act_bind_ptr (fp, target) -> install_fnptr t fp ~target
-  | Act_unbind_ptr fp -> revert_fnptr_entry t fp
 
 (* Strict application, used inside a deferred transaction: foreign site
    bytes abort the set (and roll it back) instead of being skipped. *)
@@ -1515,17 +1530,11 @@ let undo_of = function
 
 let undo_action t = function
   | Undo_fn (fe, prior) -> (
-      revert_fn_entry t fe;
-      match prior with
-      | None -> ()
-      | Some addr -> (
-          match
-            List.find_opt
-              (fun (v : Descriptor.variant_record) -> v.va_addr = addr)
-              fe.fe_variants
-          with
-          | Some v -> install_variant t fe v
-          | None -> ()))
+      match Option.bind prior (variant_of fe) with
+      | Some v ->
+          revert_fn_entry t fe;
+          install_variant t fe v
+      | None -> unbind_fn t fe)
   | Undo_ptr (fp, prior) -> (
       revert_fnptr_entry t fp;
       match prior with None -> () | Some target -> install_fnptr t fp ~target)
@@ -1568,108 +1577,6 @@ let apply_set t (pset : pending_set) : bool =
       t.safe.sc_rolled_back <- t.safe.sc_rolled_back + 1;
       emit t (Trace.Pending_rollback { cid = pset.pset_cid; pset = pset.pset_id });
       false
-
-(** [multiverse_commit], made safe: bind every entity whose patch ranges
-    have no live activation; journal (policy [Defer], the default) or
-    refuse (policy [Deny]) the rest.  Returns the number of entities in the
-    specialized state *now* — deferred ones are excluded and appear in
-    {!pending} until a safepoint applies them.  Like {!commit}, binding
-    decisions use the switch values at call time; a deferred action binds
-    the variant selected *now*, not at application time. *)
-let commit_safe ?(policy = Defer) t : int =
-  with_barrier t @@ fun () ->
-  emit_span_begin t "commit_safe";
-  let live = live_addrs t in
-  supersede_pending t;
-  t.fallbacks <- [];
-  let deferred = ref [] in
-  let bound = ref 0 in
-  let stage action =
-    if ranges_live (action_ranges action) live then
-      match policy with
-      | Defer ->
-          deferred := action :: !deferred;
-          t.safe.sc_deferred <- t.safe.sc_deferred + 1;
-          emit t (Trace.Safe_defer { cid = t.cur_cid; fn = action_name action })
-      | Deny ->
-          t.safe.sc_denied <- t.safe.sc_denied + 1;
-          emit t (Trace.Safe_deny { cid = t.cur_cid; fn = action_name action })
-    else begin
-      apply_action_lenient t action;
-      incr bound
-    end
-  in
-  List.iter
-    (fun fe ->
-      (* under lazy materialization the variant the valuation needs may
-         not be resident yet: materialize (or dedup-link) it first, so
-         selection below sees the same candidates an eager image carries *)
-      ensure_variant t fe;
-      match select_variant t fe with
-      | Some v ->
-          if fe.fe_installed = Some v.va_addr then incr bound else stage (Act_bind (fe, v))
-      | None ->
-          let installed =
-            fe.fe_installed <> None || fe.fe_prologue <> None || fe.fe_saved_body <> None
-          in
-          if installed then begin
-            (* a revert to generic is not a bind: stage it, then take the
-               count back out *)
-            let before = !bound in
-            stage (Act_unbind fe);
-            bound := before
-          end;
-          if specializable t fe then fallback t fe.fe_name)
-    t.functions;
-  List.iter
-    (fun fp ->
-      let target = Image.read t.image fp.fp_var.vr_addr 8 in
-      if target = 0 then begin
-        if fp.fp_committed <> None then begin
-          let before = !bound in
-          stage (Act_unbind_ptr fp);
-          bound := before
-        end;
-        fallback t fp.fp_name
-      end
-      else if fp.fp_committed = Some target then incr bound
-      else stage (Act_bind_ptr (fp, target)))
-    t.fnptrs;
-  journal t (List.rev !deferred);
-  emit_span_end t "commit_safe" !bound;
-  !bound
-
-(** [multiverse_revert], made safe: restore every entity whose patch ranges
-    are quiescent; journal or refuse the rest.  Returns the number of
-    entities in the pristine state when the call returns. *)
-let revert_safe ?(policy = Defer) t : int =
-  with_barrier t @@ fun () ->
-  emit_span_begin t "revert_safe";
-  let live = live_addrs t in
-  supersede_pending t;
-  t.fallbacks <- [];
-  let deferred = ref [] in
-  let blocked = ref 0 in
-  let stage action =
-    if ranges_live (action_ranges action) live then begin
-      incr blocked;
-      match policy with
-      | Defer ->
-          deferred := action :: !deferred;
-          t.safe.sc_deferred <- t.safe.sc_deferred + 1;
-          emit t (Trace.Safe_defer { cid = t.cur_cid; fn = action_name action })
-      | Deny ->
-          t.safe.sc_denied <- t.safe.sc_denied + 1;
-          emit t (Trace.Safe_deny { cid = t.cur_cid; fn = action_name action })
-    end
-    else apply_action_lenient t action
-  in
-  List.iter (fun fe -> stage (Act_unbind fe)) t.functions;
-  List.iter (fun fp -> stage (Act_unbind_ptr fp)) t.fnptrs;
-  journal t (List.rev !deferred);
-  let n = List.length t.functions + List.length t.fnptrs - !blocked in
-  emit_span_end t "revert_safe" n;
-  n
 
 (* Sweep the variant cache's deferred eviction victims: a victim on the
    evict-pending list releases its alias (and, for the last alias, its
@@ -1922,34 +1829,38 @@ let stats t =
     st_variant_bytes = lzc (fun lz -> lz.lz_bytes);
   }
 
+(* Every {!stats} counter with its export name (the field without the
+   [st_] prefix): the one list both exports read. *)
+let stats_fields (s : stats) : (string * int) list =
+  [
+    ("functions", s.st_functions);
+    ("variants", s.st_variants);
+    ("callsites", s.st_callsites);
+    ("sites_inlined", s.st_sites_inlined);
+    ("sites_retargeted", s.st_sites_retargeted);
+    ("patches", s.st_patches);
+    ("bytes_patched", s.st_bytes_patched);
+    ("safe_deferred", s.st_safe_deferred);
+    ("safe_denied", s.st_safe_denied);
+    ("safe_superseded", s.st_safe_superseded);
+    ("safe_applied", s.st_safe_applied);
+    ("safe_rolled_back", s.st_safe_rolled_back);
+    ("safepoint_polls", s.st_safepoint_polls);
+    ("pending", s.st_pending);
+    ("osr_transfers", s.st_osr_transfers);
+    ("osr_aborts", s.st_osr_aborts);
+    ("materialized", s.st_materialized);
+    ("dedup_hits", s.st_dedup_hits);
+    ("cache_hits", s.st_cache_hits);
+    ("evictions", s.st_evictions);
+    ("budget_denials", s.st_budget_denials);
+    ("variant_bytes", s.st_variant_bytes);
+  ]
+
 (** The {!stats} record as a JSON object (field names without the [st_]
     prefix) — one third of the unified metrics export. *)
 let stats_json (s : stats) : Mv_obs.Json.t =
-  Mv_obs.Json.Obj
-    [
-      ("functions", Mv_obs.Json.Int s.st_functions);
-      ("variants", Mv_obs.Json.Int s.st_variants);
-      ("callsites", Mv_obs.Json.Int s.st_callsites);
-      ("sites_inlined", Mv_obs.Json.Int s.st_sites_inlined);
-      ("sites_retargeted", Mv_obs.Json.Int s.st_sites_retargeted);
-      ("patches", Mv_obs.Json.Int s.st_patches);
-      ("bytes_patched", Mv_obs.Json.Int s.st_bytes_patched);
-      ("safe_deferred", Mv_obs.Json.Int s.st_safe_deferred);
-      ("safe_denied", Mv_obs.Json.Int s.st_safe_denied);
-      ("safe_superseded", Mv_obs.Json.Int s.st_safe_superseded);
-      ("safe_applied", Mv_obs.Json.Int s.st_safe_applied);
-      ("safe_rolled_back", Mv_obs.Json.Int s.st_safe_rolled_back);
-      ("safepoint_polls", Mv_obs.Json.Int s.st_safepoint_polls);
-      ("pending", Mv_obs.Json.Int s.st_pending);
-      ("osr_transfers", Mv_obs.Json.Int s.st_osr_transfers);
-      ("osr_aborts", Mv_obs.Json.Int s.st_osr_aborts);
-      ("materialized", Mv_obs.Json.Int s.st_materialized);
-      ("dedup_hits", Mv_obs.Json.Int s.st_dedup_hits);
-      ("cache_hits", Mv_obs.Json.Int s.st_cache_hits);
-      ("evictions", Mv_obs.Json.Int s.st_evictions);
-      ("budget_denials", Mv_obs.Json.Int s.st_budget_denials);
-      ("variant_bytes", Mv_obs.Json.Int s.st_variant_bytes);
-    ]
+  Mv_obs.Json.Obj (List.map (fun (name, v) -> (name, Mv_obs.Json.Int v)) (stats_fields s))
 
 (** Export the {!stats} counters into a metrics registry as
     [mv_runtime_<counter>] gauges, so one registry scrape carries the
@@ -1960,27 +1871,4 @@ let stats_metrics (s : stats) (m : Mv_obs.Metrics.t) : unit =
   List.iter
     (fun (name, v) ->
       Mv_obs.Metrics.set_gauge m ("mv_runtime_" ^ name) [] (float_of_int v))
-    [
-      ("functions", s.st_functions);
-      ("variants", s.st_variants);
-      ("callsites", s.st_callsites);
-      ("sites_inlined", s.st_sites_inlined);
-      ("sites_retargeted", s.st_sites_retargeted);
-      ("patches", s.st_patches);
-      ("bytes_patched", s.st_bytes_patched);
-      ("safe_deferred", s.st_safe_deferred);
-      ("safe_denied", s.st_safe_denied);
-      ("safe_superseded", s.st_safe_superseded);
-      ("safe_applied", s.st_safe_applied);
-      ("safe_rolled_back", s.st_safe_rolled_back);
-      ("safepoint_polls", s.st_safepoint_polls);
-      ("pending", s.st_pending);
-      ("osr_transfers", s.st_osr_transfers);
-      ("osr_aborts", s.st_osr_aborts);
-      ("materialized", s.st_materialized);
-      ("dedup_hits", s.st_dedup_hits);
-      ("cache_hits", s.st_cache_hits);
-      ("evictions", s.st_evictions);
-      ("budget_denials", s.st_budget_denials);
-      ("variant_bytes", s.st_variant_bytes);
-    ]
+    (stats_fields s)

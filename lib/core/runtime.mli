@@ -21,6 +21,15 @@
     journaled patch sets transactionally at quiescence points
     ({!safepoint}, wired to the machine's safepoint hook).
 
+    Every entry point makes the same per-entity decision — the variant
+    (or fn-pointer target) the current switch values select, or the
+    generic state with a fallback signal — and hands it to one stager
+    that applies it now unless its bytes hold a live activation.
+    {!commit}/{!revert} are the whole-image span with nothing live;
+    {!commit_safe}/{!revert_safe} are the same span over the scanner's
+    live set; the [_func]/[_refs] forms stage single entities with
+    nothing live.
+
     Note on signedness: descriptors record declared signedness, but
     sub-word switch values are evaluated zero-extended (matching the
     machine's sub-word loads); use 8-byte switches for negative domains. *)
@@ -60,8 +69,9 @@ type fnptr_entry = {
   mutable fp_committed : int option;
 }
 
-(** A patch the safe-commit path could not apply immediately (the target
-    bytes had live activations), journaled for a later quiescence point. *)
+(** One entity's patch, as a commit or revert decision hands it to the
+    stager: applied at once or — when its target bytes have live
+    activations — journaled for a later quiescence point. *)
 type pending_action =
   | Act_bind of fn_entry * Descriptor.variant_record
       (** install this variant for the function *)
@@ -209,16 +219,15 @@ val set_text_writer : t -> (addr:int -> bytes -> unit) option -> unit
     {!Runtime_error} while anything is installed — revert first. *)
 val set_strategy : t -> strategy -> unit
 
-(** Current value of the switch whose descriptor address is given. *)
-val read_switch : t -> int -> int
-
 (** {1 The Table 1 API}
 
     All functions return a count like the paper's [int] results: the number
     of entities bound (or reverted), or [-1] when the argument does not name
     a multiversed entity. *)
 
-(** [multiverse_commit()]: bind everything to the current switch values. *)
+(** [multiverse_commit()]: bind everything to the current switch values —
+    the whole-image span with nothing live.  Supersedes any journaled
+    patch sets. *)
 val commit : t -> int
 
 (** [multiverse_revert()]: restore the whole image to its unpatched
@@ -231,12 +240,6 @@ val commit_func : t -> string -> int
 (** [multiverse_revert_func(&fn)]: revert one function by symbol name. *)
 val revert_func : t -> string -> int
 
-(** {!commit_func} by generic-body address. *)
-val commit_func_addr : t -> int -> int
-
-(** {!revert_func} by generic-body address. *)
-val revert_func_addr : t -> int -> int
-
 (** [multiverse_commit_refs(&var)]: (re)bind every function whose variants
     guard on the switch, and the switch itself when it is a function
     pointer. *)
@@ -245,12 +248,6 @@ val commit_refs : t -> string -> int
 (** [multiverse_revert_refs(&var)]: revert everything {!commit_refs} would
     bind. *)
 val revert_refs : t -> string -> int
-
-(** {!commit_refs} by switch address. *)
-val commit_refs_addr : t -> int -> int
-
-(** {!revert_refs} by switch address. *)
-val revert_refs_addr : t -> int -> int
 
 (** {1 Safe commit (beyond the paper)}
 
@@ -270,13 +267,15 @@ type safe_policy = Defer | Deny
     {!safepoint} require one).  Wire to [Machine.live_code_addrs]. *)
 val set_live_scanner : t -> (unit -> int list) -> unit
 
-(** [multiverse_commit()], made safe: binds every entity whose patch ranges
-    are quiescent; defers or denies the rest per [policy].  Returns the
-    number of entities in the specialized state when the call returns
-    (deferred entities are excluded until a safepoint applies them).
-    Binding decisions — variant selection, fn-pointer targets — are made at
-    call time and journaled verbatim.  Supersedes any previously pending
-    sets.  Raises {!Runtime_error} if no live scanner is installed. *)
+(** [multiverse_commit()], made safe: the {!commit} span over the
+    scanner's live set.  Binds every entity whose patch ranges are
+    quiescent; defers or denies the rest per [policy].  Returns the number
+    of entities in the specialized state when the call returns (deferred
+    entities are excluded until a safepoint applies them).  Binding
+    decisions — variant selection, fn-pointer targets, and on a lazy
+    runtime the materialization of the selected variant — are made at call
+    time and journaled verbatim.  Supersedes any previously pending sets.
+    Raises {!Runtime_error} if no live scanner is installed. *)
 val commit_safe : ?policy:safe_policy -> t -> int
 
 (** [multiverse_revert()], made safe: restores every entity whose patch

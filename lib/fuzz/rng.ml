@@ -69,13 +69,3 @@ let sample t k xs =
     done;
     List.filteri (fun i _ -> Hashtbl.mem picked i) xs
   end
-
-let shuffle t xs =
-  let a = Array.of_list xs in
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done;
-  Array.to_list a

@@ -40,5 +40,3 @@ val subset : t -> 'a list -> 'a list
     in stream order. *)
 val sample : t -> int -> 'a list -> 'a list
 
-(** Fisher-Yates shuffle. *)
-val shuffle : t -> 'a list -> 'a list

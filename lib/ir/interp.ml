@@ -7,8 +7,6 @@ exception Halted
 exception Fault of string
 exception Step_limit_exceeded
 
-let word_width = 8
-
 (** Truncate an integer to [width] bytes, interpreting it as signed or
     unsigned.  Shared with the machine simulator via copy of semantics. *)
 let truncate ~width ~signed v =

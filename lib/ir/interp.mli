@@ -9,8 +9,6 @@ exception Halted
 exception Fault of string
 exception Step_limit_exceeded
 
-val word_width : int
-
 (** Truncate to [width] bytes with the given signedness interpretation. *)
 val truncate : width:int -> signed:bool -> int -> int
 

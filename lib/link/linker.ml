@@ -25,6 +25,22 @@ let section_align = function
 (** Default capacity of the runtime-growable variant-text region. *)
 let default_vtext_size = 1 lsl 19
 
+(** Store relocation [r] into [buf] at [off]: [S + A] for absolute
+    fields, [S + A - P] for pc-relative ones, where [s] is the resolved
+    symbol address and [p] the field's absolute address. *)
+let patch_reloc buf ~off ~p ~s (r : Objfile.reloc) =
+  match r.r_kind with
+  | Objfile.Abs64 -> Bytes.set_int64_le buf off (Int64.of_int (s + r.r_addend))
+  | Objfile.Abs32 ->
+      let v = s + r.r_addend in
+      if v < 0 || v > 0xFFFF_FFFF then errf "Abs32 overflow for %s" r.r_sym;
+      Bytes.set_int32_le buf off (Int32.of_int v)
+  | Objfile.Rel32 ->
+      let v = s + r.r_addend - p in
+      if v < Int32.to_int Int32.min_int || v > Int32.to_int Int32.max_int then
+        errf "Rel32 overflow for %s" r.r_sym;
+      Bytes.set_int32_le buf off (Int32.of_int v)
+
 (** Link objects into a runnable image. *)
 let link ?(mem_size = 1 lsl 22) ?(vtext_size = default_vtext_size)
     (objs : Objfile.t list) : Image.t =
@@ -94,17 +110,7 @@ let link ?(mem_size = 1 lsl 22) ?(vtext_size = default_vtext_size)
             | Some a -> a
             | None -> errf "undefined symbol %s (referenced from %s)" r.r_sym obj.o_name
           in
-          match r.r_kind with
-          | Objfile.Abs64 -> Bytes.set_int64_le mem p (Int64.of_int (s + r.r_addend))
-          | Objfile.Abs32 ->
-              let v = s + r.r_addend in
-              if v < 0 || v > 0xFFFF_FFFF then errf "Abs32 overflow for %s" r.r_sym;
-              Bytes.set_int32_le mem p (Int32.of_int v)
-          | Objfile.Rel32 ->
-              let v = s + r.r_addend - p in
-              if v < Int32.to_int Int32.min_int || v > Int32.to_int Int32.max_int then
-                errf "Rel32 overflow for %s" r.r_sym;
-              Bytes.set_int32_le mem p (Int32.of_int v))
+          patch_reloc mem ~off:p ~p ~s r)
         (Objfile.relocs obj))
     objs;
   (* 5. page protections: text r-x, everything else rw- *)

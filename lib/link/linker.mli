@@ -18,6 +18,14 @@ val align_up : int -> int -> int
 (** Default capacity of the variant-text region (512 KiB). *)
 val default_vtext_size : int
 
+(** [patch_reloc buf ~off ~p ~s r] stores relocation [r] into [buf] at
+    byte [off]: [s + addend] for absolute fields, [s + addend - p] for
+    pc-relative ones ([s] the resolved symbol address, [p] the field's
+    absolute address).  Raises {!Link_error} when the value overflows a
+    32-bit field.  The runtime links materialized variant bodies with
+    it. *)
+val patch_reloc : bytes -> off:int -> p:int -> s:int -> Objfile.reloc -> unit
+
 (** Link the objects into a runnable image of [mem_size] bytes (default
     4 MiB): place sections, build the global symbol table, apply
     relocations, and set page protections (text r-x, the rest rw-).

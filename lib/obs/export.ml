@@ -17,7 +17,7 @@ let args_of_event (ev : Trace.event) : (string * Json.t) list =
       ]
   | Trace.Commit_end { cid; op; bound } ->
       [ ("op", Json.String op); ("bound", Json.Int bound); ("cid", Json.Int cid) ]
-  | Trace.Variant_selected { fn; variant } ->
+  | Trace.Variant_selected { fn; variant } | Trace.Variant_unbound { fn; variant } ->
       [ ("fn", Json.String fn); ("variant", Json.String variant) ]
   | Trace.Site_retargeted { fn; site; target } | Trace.Site_inlined { fn; site; target }
     ->

@@ -82,6 +82,7 @@ let tag_of : Trace.event -> int = function
   | Trace.Osr_transfer _ -> 18
   | Trace.Variant_materialized _ -> 19
   | Trace.Variant_evicted _ -> 20
+  | Trace.Variant_unbound _ -> 21
 
 (* Float fields (ack waits, rendezvous latencies — always non-negative)
    travel as the low 63 bits of their IEEE pattern in an int slot; the
@@ -95,7 +96,8 @@ let payload t : Trace.event -> int * int * int * int = function
   | Trace.Commit_begin { cid; op; switches } ->
       (cid, intern t op, List.length switches, 0)
   | Trace.Commit_end { cid; op; bound } -> (cid, intern t op, bound, 0)
-  | Trace.Variant_selected { fn; variant } -> (intern t fn, intern t variant, 0, 0)
+  | Trace.Variant_selected { fn; variant } | Trace.Variant_unbound { fn; variant } ->
+      (intern t fn, intern t variant, 0, 0)
   | Trace.Site_retargeted { fn; site; target } -> (intern t fn, site, target, 0)
   | Trace.Site_inlined { fn; site; target } -> (intern t fn, site, target, 0)
   | Trace.Prologue_patched { fn; target } -> (intern t fn, target, 0, 0)
@@ -177,6 +179,7 @@ let decode t tag a b c d : Trace.event =
           dedup = d land (1 lsl 62) <> 0;
         }
   | 20 -> Trace.Variant_evicted { fn = name_of t a; variant = name_of t b; freed = c }
+  | 21 -> Trace.Variant_unbound { fn = name_of t a; variant = name_of t b }
   | _ -> Trace.Safepoint_poll { pending = -1 }
 
 let record t ev =
@@ -312,6 +315,8 @@ let event_of_json name (args : Json.t) : Trace.event option =
   | "variant_selected", _, Some fn ->
       Option.map (fun variant -> Trace.Variant_selected { fn; variant })
         (str "variant")
+  | "variant_unbound", _, Some fn ->
+      Option.map (fun variant -> Trace.Variant_unbound { fn; variant }) (str "variant")
   | "site_retargeted", _, Some fn -> (
       match (int "site", int "target") with
       | Some site, Some target -> Some (Trace.Site_retargeted { fn; site; target })

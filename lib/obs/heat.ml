@@ -180,10 +180,6 @@ let close_fn t fn now =
       | None -> ());
       rv.rv_since <- None
 
-let close_all t now =
-  let fns = Hashtbl.fold (fun fn _ acc -> fn :: acc) t.current [] in
-  List.iter (fun fn -> close_fn t fn now) fns
-
 let sink t ~clock : Trace.sink =
  fun ev ->
   match ev with
@@ -194,15 +190,7 @@ let sink t ~clock : Trace.sink =
       rv.rv_installs <- rv.rv_installs + 1;
       rv.rv_since <- Some now;
       Hashtbl.replace t.current fn variant
-  | Trace.Commit_end { op = "revert" | "revert_safe"; _ } ->
-      close_all t (clock ())
-  | Trace.Fallback { fn } -> close_fn t fn (clock ())
-  | Trace.Variant_evicted { fn; variant; _ } ->
-      (* the lazy evictor dropped this body; if it was the resident one,
-         close its interval so the advisor stops ranking freed bytes *)
-      (match Hashtbl.find_opt t.current fn with
-      | Some v when v = variant -> close_fn t fn (clock ())
-      | _ -> ())
+  | Trace.Variant_unbound { fn; _ } -> close_fn t fn (clock ())
   | _ -> ()
 
 type stay = {

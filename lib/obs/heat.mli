@@ -98,15 +98,14 @@ val region_stats : t -> region_stat list
 
 (** The residency sink: watches the existing trace-event stream for
     variant lifecycle edges.  [Variant_selected] opens a residency
-    interval for (fn, variant), closing the function's previous one; a
-    [Commit_end] whose op is ["revert"]/["revert_safe"] closes every
-    open interval; [Fallback] closes the function's, and so does
-    [Variant_evicted] when the evicted body is the resident one (the
-    lazy evictor reclaimed its bytes).  [clock] supplies
-    interval endpoints (wire to the machine's cycle counter).  Tee it
-    into the session's sink chain ([Harness.enable_heat] does).
-    Targeted reverts ([revert_func]) emit no event and are not
-    observed — residency is telemetry, not ground truth. *)
+    interval for (fn, variant), closing the function's previous one;
+    [Variant_unbound] closes the function's interval.  The runtime emits
+    it whenever a bound function returns to generic — whole-image and
+    targeted reverts, fallbacks, evictions, drained unbinds and
+    rollbacks — so a deferred unbind keeps the variant resident until
+    its safepoint.  [clock] supplies interval endpoints (wire to the
+    machine's cycle counter).  Tee it into the session's sink chain
+    ([Harness.enable_heat] does). *)
 val sink : t -> clock:(unit -> float) -> Trace.sink
 
 (** One variant's lifecycle accounting. *)

@@ -217,6 +217,7 @@ let trace_sink t ~clock ?(hart = fun () -> 0) () : Trace.sink =
         | _ -> ())
     | Trace.Variant_selected { fn; variant } ->
         inc t "mv_variant_installs_total" [ ("fn", fn); ("variant", variant) ]
+    | Trace.Variant_unbound _ -> ()
     | Trace.Site_retargeted _ -> inc t "mv_patches_total" [ ("kind", "site_retargeted") ]
     | Trace.Site_inlined _ -> inc t "mv_patches_total" [ ("kind", "site_inlined") ]
     | Trace.Prologue_patched _ ->

@@ -21,6 +21,7 @@ type event =
   | Commit_begin of { cid : int; op : string; switches : (string * int) list }
   | Commit_end of { cid : int; op : string; bound : int }
   | Variant_selected of { fn : string; variant : string }
+  | Variant_unbound of { fn : string; variant : string }
   | Site_retargeted of { fn : string; site : int; target : int }
   | Site_inlined of { fn : string; site : int; target : int }
   | Prologue_patched of { fn : string; target : int }
@@ -126,6 +127,7 @@ let event_name = function
   | Commit_begin _ -> "commit_begin"
   | Commit_end _ -> "commit_end"
   | Variant_selected _ -> "variant_selected"
+  | Variant_unbound _ -> "variant_unbound"
   | Site_retargeted _ -> "site_retargeted"
   | Site_inlined _ -> "site_inlined"
   | Prologue_patched _ -> "prologue_patched"
@@ -153,6 +155,7 @@ let pp_event fmt = function
   | Commit_end { cid; op; bound } ->
       Format.fprintf fmt "%s end #%d -> %d" op cid bound
   | Variant_selected { fn; variant } -> Format.fprintf fmt "select %s for %s" variant fn
+  | Variant_unbound { fn; variant } -> Format.fprintf fmt "unbind %s from %s" variant fn
   | Site_retargeted { fn; site; target } ->
       Format.fprintf fmt "retarget site 0x%x of %s -> 0x%x" site fn target
   | Site_inlined { fn; site; target } ->

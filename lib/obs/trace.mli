@@ -34,6 +34,11 @@ type event =
           operation's return value (entities bound or reverted). *)
   | Variant_selected of { fn : string; variant : string }
       (** A variant was chosen and is about to be installed for [fn]. *)
+  | Variant_unbound of { fn : string; variant : string }
+      (** [fn], bound to [variant], returned to its generic body: a
+          revert, a fallback, an eviction, a drained unbind or a
+          rolled-back bind.  A rebind reports only the new
+          {!Variant_selected}. *)
   | Site_retargeted of { fn : string; site : int; target : int }
       (** The call site at [site] now calls [target] directly. *)
   | Site_inlined of { fn : string; site : int; target : int }

@@ -100,5 +100,3 @@ let canonical_form (fn : Ir.fn) : string =
   Buffer.contents buf
 
 let equal_bodies a b = String.equal (canonical_form a) (canonical_form b)
-
-let body_hash fn = Hashtbl.hash (canonical_form fn)

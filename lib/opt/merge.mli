@@ -9,4 +9,3 @@
 val canonical_form : Mv_ir.Ir.fn -> string
 
 val equal_bodies : Mv_ir.Ir.fn -> Mv_ir.Ir.fn -> bool
-val body_hash : Mv_ir.Ir.fn -> int

@@ -529,11 +529,6 @@ let counters (s : session) ~loop_fn ~calls : Perf.snapshot =
   let after = Perf.snapshot s.machine.Machine.perf in
   Perf.diff before after
 
-let pp_measurement fmt m =
-  Format.fprintf fmt
-    "%.2f ± %.2f cycles (min=%.2f p50=%.2f p95=%.2f max=%.2f, n=%d, excluded=%d)"
-    m.m_mean m.m_stddev m.m_min m.m_p50 m.m_p95 m.m_max m.m_samples m.m_excluded
-
 (** A measurement as a JSON object — the bench exporter's row payload. *)
 let measurement_json m : Json.t =
   Json.Obj

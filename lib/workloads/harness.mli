@@ -294,8 +294,6 @@ val measure :
 (** Perf-counter deltas over one [loop_fn calls] invocation. *)
 val counters : session -> loop_fn:string -> calls:int -> Mv_vm.Perf.snapshot
 
-val pp_measurement : Format.formatter -> measurement -> unit
-
 (** A measurement as a JSON object
     ([mean]/[stddev]/[min]/[max]/[p50]/[p95]/[samples]/[excluded]) — the
     bench exporter's row payload. *)

@@ -24,8 +24,6 @@ let kernel_name = function
   | Multiverse -> "lock elision [multiverse]"
   | Static_up -> "static UP [ifdef]"
 
-let all_kernels = [ Mainline_smp; If_elision; Multiverse; Static_up ]
-
 (* The common benchmark scaffold.  [body] is the per-iteration payload. *)
 let bench_scaffold body =
   Printf.sprintf
@@ -138,19 +136,6 @@ let if_elision_inline_source =
         if (config_smp) {
           lock_word = 0;
         }
-        __sti();|}
-
-(* Figure 1.A with CONFIG_SMP=y, inlined: the lock is unconditionally taken. *)
-let static_smp_inline_source =
-  {|
-    int lock_word;
-  |}
-  ^ bench_scaffold
-      {|__cli();
-        while (__atomic_xchg(&lock_word, 1)) {
-          __pause();
-        }
-        lock_word = 0;
         __sti();|}
 
 let measure_inline_source ?(samples = 120) ?(calls = 100) ?(smp = false) source =

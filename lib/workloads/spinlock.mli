@@ -9,7 +9,6 @@ type kernel =
   | Static_up  (** CONFIG_SMP=n resolved at build time, operations inline *)
 
 val kernel_name : kernel -> string
-val all_kernels : kernel list
 
 (** Mini-C source of the kernel's locking layer plus benchmark loops. *)
 val source : kernel -> string
@@ -20,9 +19,6 @@ val measure : ?samples:int -> ?calls:int -> kernel -> smp:bool -> Harness.measur
 (** Figure 1's B case: the dynamically-checked implementation inlined at
     the call site (the paper's [inline] functions). *)
 val if_elision_inline_source : string
-
-(** Figure 1's A case with CONFIG_SMP=y, inlined. *)
-val static_smp_inline_source : string
 
 val measure_inline_source :
   ?samples:int -> ?calls:int -> ?smp:bool -> string -> Harness.measurement

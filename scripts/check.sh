@@ -139,7 +139,7 @@ dune exec bin/mvtrace.exe -- flame "$smoke_mvc" --set config_smp=1 --commit \
   --run bench_loop --arg 200 --interval 7 --out "$smoke_folded" 2> /dev/null
 grep -q 'spin_lock.config_smp=1' "$smoke_folded" \
   || { echo "mvtrace flame: no variant frame in folded stacks"; exit 1; }
-dune exec bin/mvtrace.exe -- diff --gate 5 BENCH_results.json "$bench_json" > /dev/null \
+dune exec bin/mvtrace.exe -- diff --gate 0 BENCH_results.json "$bench_json" > /dev/null \
   || { echo "mvtrace diff: fig1 rows drifted from BENCH_results.json"; exit 1; }
 
 # Profile smoke: mvcc --profile prints the stack profiler's per-leaf

@@ -351,6 +351,7 @@ let sample_events =
   [
     Trace.Commit_begin { cid = 1; op = "commit"; switches = [ ("config_smp", 1) ] };
     Trace.Variant_selected { fn = "spin_lock"; variant = "spin_lock.config_smp=1" };
+    Trace.Variant_unbound { fn = "spin_lock"; variant = "spin_lock.config_smp=1" };
     Trace.Site_retargeted { fn = "caller"; site = 10; target = 200 };
     Trace.Site_inlined { fn = "caller"; site = 12; target = 220 };
     Trace.Prologue_patched { fn = "spin_lock"; target = 240 };

@@ -157,20 +157,22 @@ let test_residency_intervals () =
   sink (Trace.Variant_selected { fn = "f"; variant = "f.x=2" });
   check_bool "x=1 displaced" false (Heat.resident h ~fn:"f" ~variant:"f.x=1");
   now := 50.0;
-  sink (Trace.Commit_end { cid = 1; op = "revert"; bound = 0 });
+  (* a revert: the runtime reports each bound function's unbind *)
+  sink (Trace.Variant_unbound { fn = "f"; variant = "f.x=2" });
   now := 60.0;
   sink (Trace.Variant_selected { fn = "f"; variant = "f.x=1" });
   now := 70.0;
-  sink (Trace.Fallback { fn = "f" });
+  (* a fallback unbinds too *)
+  sink (Trace.Variant_unbound { fn = "f"; variant = "f.x=1" });
   (match Heat.stays h with
   | [ s1; s2 ] ->
       check_string "sorted by variant" "f.x=1" s1.Heat.st_variant;
       check_int "x=1 installed twice" 2 s1.Heat.st_installs;
       check_float "x=1 resident 20+10 cycles" 30.0 s1.Heat.st_resident;
-      check_bool "x=1 closed by fallback" false s1.Heat.st_active;
+      check_bool "x=1 closed by its unbind" false s1.Heat.st_active;
       check_int "x=2 installed once" 1 s2.Heat.st_installs;
       check_float "x=2 resident until revert" 20.0 s2.Heat.st_resident;
-      check_bool "x=2 closed by revert" false s2.Heat.st_active
+      check_bool "x=2 closed by its unbind" false s2.Heat.st_active
   | l -> Alcotest.failf "expected 2 stays, got %d" (List.length l));
   (* an open interval extends to ~now on request *)
   now := 80.0;
@@ -180,6 +182,63 @@ let test_residency_intervals () =
   in
   check_bool "x=2 active again" true s2.Heat.st_active;
   check_float "open interval extends to now" 35.0 s2.Heat.st_resident
+
+(* Residency follows the runtime's unbinds, whatever the entry point:
+   a targeted revert_func, a revert_refs, and a revert_safe that defers
+   [f] because a hart is parked in its bound variant (resident until the
+   set drains). *)
+let unbind_src =
+  {|
+  multiverse bool m;
+  int w;
+  multiverse void f() { if (m) { w = w + 100; } }
+  void spacer() { w = w + 1; }
+  int driver() { w = 0; f(); spacer(); spacer(); f(); return w; }
+|}
+
+let test_residency_follows_unbinds () =
+  let resident s =
+    match H.heat s with
+    | Some h -> Heat.resident h ~fn:"f" ~variant:"f.m=1"
+    | None -> Alcotest.fail "heat not armed"
+  in
+  let installed s = Core.Runtime.installed_variant s.H.runtime "f" in
+  let bound () =
+    let s = H.session1 unbind_src in
+    H.enable_heat s;
+    H.set s "m" 1;
+    ignore (H.commit s);
+    check_bool "bound and resident" true (resident s);
+    s
+  in
+  let s = bound () in
+  ignore (Core.Runtime.revert_func s.H.runtime "f");
+  check_bool "revert_func: generic" true (installed s = None);
+  check_bool "revert_func: not resident" false (resident s);
+  ignore (H.commit s);
+  check_bool "rebound" true (resident s);
+  ignore (Core.Runtime.revert_refs s.H.runtime "m");
+  check_bool "revert_refs: generic" true (installed s = None);
+  check_bool "revert_refs: not resident" false (resident s);
+  (* park the hart on the bound variant's entry: the revert must wait *)
+  let s = bound () in
+  H.enable_safe_commit s;
+  H.start s ~hart:0 "driver" [];
+  let entry = Mv_link.Image.symbol s.H.program.Core.Compiler.p_image "f.m=1" in
+  let guard = ref 10_000 in
+  while s.H.machine.Machine.pc <> entry && !guard > 0 do
+    decr guard;
+    ignore (H.step s)
+  done;
+  check_bool "parked in f.m=1" true (s.H.machine.Machine.pc = entry);
+  ignore (H.revert_safe s);
+  check_bool "revert deferred" true (Core.Runtime.pending s.H.runtime = [ "f" ]);
+  check_bool "still installed" true (installed s <> None);
+  check_bool "still resident until the drain" true (resident s);
+  H.run s;
+  check_bool "drained" true (Core.Runtime.pending s.H.runtime = []);
+  check_bool "generic after the drain" true (installed s = None);
+  check_bool "not resident after the drain" false (resident s)
 
 let two_variant_fixture () =
   let h = Heat.create ~decay:0.5 () in
@@ -217,7 +276,7 @@ let test_evict_plan_keeps_hot () =
           (Heat.evict_plan h ~budget:0)));
   (* only resident variants are plannable: displace f2's variant *)
   let sink = Heat.sink h ~clock:(fun () -> 0.0) in
-  sink (Trace.Fallback { fn = "f2" });
+  sink (Trace.Variant_unbound { fn = "f2"; variant = "f2.y=1" });
   check_int "non-resident variants drop out" 1
     (List.length (Heat.evict_plan h ~budget:80))
 
@@ -334,6 +393,7 @@ let suite =
     tc "SMP counters fold per hart" test_smp_counters;
     tc "epoch decay math" test_epoch_decay_math;
     tc "residency intervals" test_residency_intervals;
+    tc "residency follows every unbind" test_residency_follows_unbinds;
     tc "evict_plan keeps hot, evicts cold" test_evict_plan_keeps_hot;
     tc "evict_plan excludes journaled binds" test_evict_plan_exclude_pending;
     tc "mv-heat/1 parse-back" test_heat_json_parse_back;

@@ -84,6 +84,46 @@ let test_site_verification_skips_foreign_bytes () =
   (* the prologue jump still redirects the function, so semantics hold *)
   ignore (Runtime.revert s.runtime)
 
+(* A site whose restore was skipped (its bytes are foreign) is left alone
+   by a later fallback: commit stages an unbind only when something is
+   installed, as commit_safe always has, so it neither re-attempts the
+   restore nor reports the skip a second time. *)
+let test_fallback_leaves_foreign_site_alone () =
+  let src =
+    {|
+    multiverse values(0, 1) int m;
+    int w;
+    multiverse void f() { if (m) { w = w + 3; } }
+    int d() { w = 0; f(); return w; }
+  |}
+  in
+  let skips_after_fallback ~safe =
+    let s = session src in
+    let img = s.program.Core.Compiler.p_image in
+    if safe then Runtime.set_live_scanner s.runtime (fun () -> []);
+    set_global s "m" 1;
+    ignore (Runtime.commit s.runtime);
+    let f = Image.symbol img "f" in
+    let site =
+      (List.find
+         (fun (cs : Core.Descriptor.callsite) -> cs.Core.Descriptor.cs_target = f)
+         (Core.Descriptor.parse_callsites img))
+        .Core.Descriptor.cs_site
+    in
+    Image.mprotect img ~addr:site ~len:5 Image.prot_rwx;
+    Image.write_bytes img site (Mv_isa.Encode.encode (Insn.Jmp 0));
+    Image.mprotect img ~addr:site ~len:5 Image.prot_rx;
+    ignore (Runtime.revert s.runtime);
+    check_int "restore skipped once" 1 (List.length (Runtime.skipped_sites s.runtime));
+    set_global s "m" 5 (* no variant matches *);
+    let bound = if safe then Runtime.commit_safe s.runtime else Runtime.commit s.runtime in
+    check_int "nothing bound" 0 bound;
+    check_bool "fallback signalled" true (Runtime.fallbacks s.runtime = [ "f" ]);
+    List.length (Runtime.skipped_sites s.runtime)
+  in
+  check_int "commit does not re-report the skip" 1 (skips_after_fallback ~safe:false);
+  check_int "commit_safe agrees" 1 (skips_after_fallback ~safe:true)
+
 let test_inline_toggle () =
   let s = session fig2 in
   set_global s "a" 0;
@@ -234,6 +274,7 @@ let suite =
     tc "raw text writes fault" test_patching_without_mprotect_faults;
     tc "icache flushed by the runtime" test_icache_flushed_after_commit;
     tc "site verification skips foreign bytes" test_site_verification_skips_foreign_bytes;
+    tc "fallback leaves a foreign site alone" test_fallback_leaves_foreign_site_alone;
     tc "inlining can be toggled" test_inline_toggle;
     tc "API return values" test_commit_returns_bound_count;
     tc "fnptr commit, retarget, revert" test_fnptr_commit_and_retarget;

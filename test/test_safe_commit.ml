@@ -177,6 +177,94 @@ let test_mid_set_failure_rolls_back () =
   check_bool "f never bound" true (Runtime.installed_variant s.runtime "f" = None);
   check_bool "set dropped, not retried" true (Runtime.pending s.runtime = [])
 
+(* The same switch sequence through commit/revert and, on a twin, through
+   commit_safe/revert_safe with nothing live: fn-pointer switches
+   (bound, rebound, nulled), an out-of-domain fallback, reverts — eager
+   and lazy.  Both paths make one decision per entity and stage it through
+   one stager, so every return value, text byte, fallback, skipped site
+   and trace event (up to the span's op name) must agree. *)
+let twin_src =
+  Mv_workloads.Pvops.functional_source Mv_workloads.Pvops.Multiverse
+  ^ {|
+    multiverse values(0, 1, 2) int mode;
+    int acc;
+    multiverse void tick() {
+      if (mode == 1) { acc = acc + 1; }
+      if (mode == 2) { acc = acc + 10; }
+    }
+    int drive(int n) {
+      acc = 0;
+      for (int i = 0; i < n; i = i + 1) { tick(); irq_disable(); irq_enable(); }
+      return acc;
+    }
+  |}
+
+let twin_sessions_agree ~lazy_variants =
+  let module H = Mv_workloads.Harness in
+  let module Trace = Mv_obs.Trace in
+  let twin ~safe =
+    let s = H.session1 ~lazy_variants twin_src in
+    H.enable_tracing s;
+    if safe then H.enable_safe_commit s;
+    let commit () = if safe then H.commit_safe s else H.commit s in
+    let revert () = if safe then H.revert_safe s else H.revert s in
+    (s, commit, revert)
+  in
+  let ((s1, commit1, revert1) as a) = twin ~safe:false in
+  let ((s2, commit2, revert2) as b) = twin ~safe:true in
+  let text (s, _, _) =
+    let img = s.H.program.Core.Compiler.p_image in
+    let bytes (r : Image.section_range) =
+      Bytes.to_string (Image.read_bytes img r.Image.sr_base r.Image.sr_size)
+    in
+    bytes img.Image.text ^ bytes img.Image.vtext
+  in
+  let events (s, _, _) =
+    List.map
+      (fun (st : Trace.stamped) ->
+        match st.Trace.ev with
+        | Trace.Commit_begin e -> Trace.Commit_begin { e with op = "" }
+        | Trace.Commit_end e -> Trace.Commit_end { e with op = "" }
+        | ev -> ev)
+      (H.trace_events s)
+  in
+  let both f = List.iter f [ a; b ] in
+  let set name v = both (fun (s, _, _) -> H.set s name v) in
+  let ptr name target = both (fun (s, _, _) -> H.set_fnptr s name target) in
+  let step label op1 op2 =
+    check_int (label ^ ": same count") (op1 ()) (op2 ());
+    check_bool (label ^ ": same text") true (text a = text b);
+    check_bool (label ^ ": same fallbacks") true
+      (Runtime.fallbacks s1.H.runtime = Runtime.fallbacks s2.H.runtime);
+    check_bool (label ^ ": same skipped sites") true
+      (Runtime.skipped_sites s1.H.runtime = Runtime.skipped_sites s2.H.runtime);
+    check_bool (label ^ ": nothing journaled") true (Runtime.pending s2.H.runtime = []);
+    check_int (label ^ ": same result") (H.call s1 "drive" [ 3 ]) (H.call s2 "drive" [ 3 ])
+  in
+  set "mode" 1;
+  ptr "pv_irq_disable" "native_cli";
+  ptr "pv_irq_enable" "native_sti";
+  step "bind all" commit1 commit2;
+  set "mode" 2;
+  ptr "pv_irq_disable" "xen_cli";
+  step "rebind" commit1 commit2;
+  set "mode" 7;
+  set "pv_irq_enable" 0;
+  ptr "pv_irq_disable" "native_cli";
+  step "out of domain, null pointer" commit1 commit2;
+  check_bool "fallbacks reported" true (Runtime.fallbacks s1.H.runtime <> []);
+  set "mode" 0;
+  ptr "pv_irq_enable" "xen_sti";
+  step "back in domain" commit1 commit2;
+  check_bool "fallbacks cleared" true (Runtime.fallbacks s1.H.runtime = []);
+  step "revert" revert1 revert2;
+  set "mode" 2;
+  step "bind after revert" commit1 commit2;
+  step "revert again" revert1 revert2;
+  let e1 = events a and e2 = events b in
+  check_int "same number of events" (List.length e1) (List.length e2);
+  check_bool "same events, up to the span op" true (e1 = e2)
+
 let test_idle_commit_safe_acts_like_commit () =
   let s = session defer_src in
   enable s;
@@ -187,7 +275,9 @@ let test_idle_commit_safe_acts_like_commit () =
   set_global s "m" 0;
   check_int "bound code executes" 202 (run s "driver" []);
   check_int "reverts immediately when idle" 1 (Runtime.revert_safe s.runtime);
-  check_int "generic again" 2 (run s "driver" [])
+  check_int "generic again" 2 (run s "driver" []);
+  twin_sessions_agree ~lazy_variants:false;
+  twin_sessions_agree ~lazy_variants:true
 
 let test_commit_safe_requires_scanner () =
   let s = session defer_src in
