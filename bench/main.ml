@@ -6,10 +6,9 @@
      dune exec bench/main.exe -- --only fig1  # one experiment
      dune exec bench/main.exe -- --list       # list experiment ids
      dune exec bench/main.exe -- --fast       # fewer samples
-     dune exec bench/main.exe -- --no-bechamel
 
    Cycle numbers come from the deterministic machine simulator; wall-clock
-   numbers (patch time, Bechamel suites) are measured on the host.  The
+   numbers (patch time, the host-ms rows) are measured on the host.  The
    EXPERIMENTS.md file records these outputs against the paper's values. *)
 
 module H = Mv_workloads.Harness
@@ -1115,59 +1114,6 @@ let fuzz_throughput () =
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock suites (one Test.make per table)                 *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_suites () =
-  header "Bechamel: host wall-clock of the runtime operations behind each table";
-  let open Bechamel in
-  let open Bechamel.Toolkit in
-  (* pre-built sessions so the tests measure only the runtime operation *)
-  let spin = H.session1 (Spinlock.source Spinlock.Multiverse) in
-  let musl = H.session1 (Musl.source Musl.Multiversed) in
-  let farm = H.session1 (Farm.source ~callers:117 ~pairs:5) in
-  let toggle = ref 0 in
-  let tests =
-    [
-      (* E1/E2: the spinlock tables depend on one commit per mode change *)
-      Test.make ~name:"fig1-fig4.spinlock-commit"
-        (Staged.stage (fun () ->
-             toggle := 1 - !toggle;
-             H.set spin "config_smp" !toggle;
-             ignore (H.commit spin)));
-      (* E5: musl's commit when the second thread appears/exits *)
-      Test.make ~name:"fig5.musl-commit"
-        (Staged.stage (fun () ->
-             toggle := 1 - !toggle;
-             H.set musl "threads_minus_1" !toggle;
-             ignore (H.commit musl)));
-      (* E4: the 1170-call-site commit of the patch-cost table *)
-      Test.make ~name:"patch-cost.farm-commit-1170-sites"
-        (Staged.stage (fun () ->
-             toggle := 1 - !toggle;
-             H.set farm "config_smp" !toggle;
-             ignore (H.commit farm)));
-      (* machine throughput underlying every cycle table *)
-      Test.make ~name:"simulator.spinlock-100-iterations"
-        (Staged.stage (fun () -> ignore (H.call spin "bench_loop" [ 100 ])));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-  let instances = Instance.[ monotonic_clock ] in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let results = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> row "%-42s %12.0f ns/run\n" name est
-          | Some _ | None -> row "%-42s %12s\n" name "n/a")
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* E22: lazy materialization — the variant cache                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1386,13 +1332,11 @@ let experiments =
 let () =
   let only = ref [] in
   let list_only = ref false in
-  let no_bechamel = ref false in
   let args =
     [
       ("--only", Arg.String (fun s -> only := s :: !only), "ID run a single experiment");
       ("--list", Arg.Set list_only, " list experiment ids");
       ("--fast", Arg.Set fast, " fewer samples");
-      ("--no-bechamel", Arg.Set no_bechamel, " skip the Bechamel wall-clock suites");
       ( "--json",
         Arg.String (fun p -> json_path := Some p),
         "FILE write per-experiment result rows as JSON (mv-bench-rows/1)" );
@@ -1404,7 +1348,7 @@ let () =
   in
   Arg.parse args (fun _ -> ()) "multiverse benchmark harness";
   if !list_only then
-    List.iter (fun (id, _) -> print_endline id) (experiments @ [ ("bechamel", ignore) ])
+    List.iter (fun (id, _) -> print_endline id) experiments
   else begin
     let selected =
       if !only = [] then experiments
@@ -1415,7 +1359,6 @@ let () =
         current_exp := id;
         f ())
       selected;
-    if (!only = [] || List.mem "bechamel" !only) && not !no_bechamel then bechamel_suites ();
     (match !json_path with Some path -> write_json_tables path | None -> ());
     (match !baseline_path with Some path -> print_baseline_diff path | None -> ());
     print_newline ()

@@ -2,7 +2,8 @@
    events as a Chrome trace plus a metrics snapshot.
 
      dune exec examples/trace_obs.exe
-     # then load /tmp/multiverse_trace.json in about:tracing or Perfetto
+     # then load multiverse_trace.json from the temp dir ($TMPDIR, else
+     # /tmp) in about:tracing or Perfetto
 
    The session arms the structured-event recorder and the stack
    profiler, drives the spinlock workload through a reconfiguration, and
@@ -27,8 +28,8 @@ let source =
   }
 |}
 
-let trace_path = "/tmp/multiverse_trace.json"
-let metrics_path = "/tmp/multiverse_metrics.json"
+let trace_path = Filename.concat (Filename.get_temp_dir_name ()) "multiverse_trace.json"
+let metrics_path = Filename.concat (Filename.get_temp_dir_name ()) "multiverse_metrics.json"
 
 let write_file path contents =
   let oc = open_out_bin path in

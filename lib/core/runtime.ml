@@ -192,6 +192,10 @@ type t = {
   image : Image.t;
   patch : Patch.t;
   variables : Descriptor.variable list;
+  switch_names : string list Lazy.t;
+      (** the symbol names of [variables], resolved on the first traced
+          commit: [Image.symbol_at] scans the whole symbol table, and an
+          untraced runtime never needs them *)
   functions : fn_entry list;
   fnptrs : fnptr_entry list;
   mutable fallbacks : string list;  (** functions left generic by the last commit *)
@@ -336,6 +340,8 @@ let create (img : Image.t) ~flush : t =
     image = img;
     patch = Patch.create img ~flush;
     variables;
+    switch_names =
+      lazy (List.map (fun (v : Descriptor.variable) -> name_of img v.vr_addr) variables);
     functions;
     fnptrs;
     fallbacks = [];
@@ -406,10 +412,9 @@ let with_barrier t (f : unit -> 'a) : 'a =
 (** Every configuration switch's (name, current value) — the payload of a
     commit span's begin event. *)
 let switch_values t =
-  List.map
-    (fun (v : Descriptor.variable) ->
-      (name_of t.image v.vr_addr, Image.read t.image v.vr_addr v.vr_width))
-    t.variables
+  List.map2
+    (fun name (v : Descriptor.variable) -> (name, Image.read t.image v.vr_addr v.vr_width))
+    (Lazy.force t.switch_names) t.variables
 
 (** Install (or remove) the hart source used to attribute commit and
     drain events; wire to [Smp.current_hart].  Host-side only — never

@@ -133,6 +133,9 @@ type t = {
   image : Mv_link.Image.t;
   patch : Patch.t;
   variables : Descriptor.variable list;
+  switch_names : string list Lazy.t;
+      (** the symbol names of [variables], resolved once, on the first
+          traced commit *)
   functions : fn_entry list;
   fnptrs : fnptr_entry list;
   mutable fallbacks : string list;

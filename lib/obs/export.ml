@@ -7,91 +7,6 @@
    timeline then reads in guest cycles, which is the unit every other
    number in this repository is in. *)
 
-let args_of_event (ev : Trace.event) : (string * Json.t) list =
-  match ev with
-  | Trace.Commit_begin { cid; op; switches } ->
-      [
-        ("op", Json.String op);
-        ("switches", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) switches));
-        ("cid", Json.Int cid);
-      ]
-  | Trace.Commit_end { cid; op; bound } ->
-      [ ("op", Json.String op); ("bound", Json.Int bound); ("cid", Json.Int cid) ]
-  | Trace.Variant_selected { fn; variant } | Trace.Variant_unbound { fn; variant } ->
-      [ ("fn", Json.String fn); ("variant", Json.String variant) ]
-  | Trace.Site_retargeted { fn; site; target } | Trace.Site_inlined { fn; site; target }
-    ->
-      [ ("fn", Json.String fn); ("site", Json.Int site); ("target", Json.Int target) ]
-  | Trace.Prologue_patched { fn; target } ->
-      [ ("fn", Json.String fn); ("target", Json.Int target) ]
-  | Trace.Fallback { fn } -> [ ("fn", Json.String fn) ]
-  | Trace.Safe_defer { cid; fn } | Trace.Safe_deny { cid; fn } ->
-      [ ("fn", Json.String fn); ("cid", Json.Int cid) ]
-  | Trace.Pending_drained { cid; pset; actions } ->
-      [ ("pset", Json.Int pset); ("actions", Json.Int actions); ("cid", Json.Int cid) ]
-  | Trace.Pending_rollback { cid; pset } ->
-      [ ("pset", Json.Int pset); ("cid", Json.Int cid) ]
-  | Trace.Safepoint_poll { pending } -> [ ("pending", Json.Int pending) ]
-  | Trace.Icache_flush { hart; addr; len } ->
-      [ ("hart", Json.Int hart); ("addr", Json.Int addr); ("len", Json.Int len) ]
-  | Trace.Ipi_send { rdv; from_hart; to_hart } ->
-      [
-        ("from_hart", Json.Int from_hart);
-        ("to_hart", Json.Int to_hart);
-        ("rdv", Json.Int rdv);
-      ]
-  | Trace.Ipi_ack { rdv; hart; wait; at } ->
-      [
-        ("hart", Json.Int hart);
-        ("wait", Json.Float wait);
-        ("at", Json.Int at);
-        ("rdv", Json.Int rdv);
-      ]
-  | Trace.Rendezvous_begin { rdv; initiator; waiting } ->
-      [
-        ("initiator", Json.Int initiator);
-        ("waiting", Json.Int waiting);
-        ("rdv", Json.Int rdv);
-      ]
-  | Trace.Rendezvous_end { rdv; initiator; acks; latency } ->
-      [
-        ("initiator", Json.Int initiator);
-        ("acks", Json.Int acks);
-        ("latency", Json.Float latency);
-        ("rdv", Json.Int rdv);
-      ]
-  | Trace.Causal_edge { edge; id; src_hart; dst_hart } ->
-      [
-        ("edge", Json.String edge);
-        ("id", Json.Int id);
-        ("src_hart", Json.Int src_hart);
-        ("dst_hart", Json.Int dst_hart);
-      ]
-  | Trace.Osr_transfer { cid; hart; fn; sp_id; from_pc; to_pc; slots } ->
-      [
-        ("hart", Json.Int hart);
-        ("fn", Json.String fn);
-        ("sp_id", Json.Int sp_id);
-        ("from_pc", Json.Int from_pc);
-        ("to_pc", Json.Int to_pc);
-        ("slots", Json.Int slots);
-        ("cid", Json.Int cid);
-      ]
-  | Trace.Variant_materialized { fn; variant; addr; size; dedup } ->
-      [
-        ("fn", Json.String fn);
-        ("variant", Json.String variant);
-        ("addr", Json.Int addr);
-        ("size", Json.Int size);
-        ("dedup", Json.Bool dedup);
-      ]
-  | Trace.Variant_evicted { fn; variant; freed } ->
-      [
-        ("fn", Json.String fn);
-        ("variant", Json.String variant);
-        ("freed", Json.Int freed);
-      ]
-
 let chrome_event ~pid (st : Trace.stamped) : Json.t =
   let phase, name =
     match st.Trace.ev with
@@ -110,7 +25,7 @@ let chrome_event ~pid (st : Trace.stamped) : Json.t =
       (* one Perfetto lane per hart; hart 0 stays on tid 1, so single-hart
          traces are unchanged *)
       ("tid", Json.Int (st.Trace.hart + 1));
-      ("args", Json.Obj (("seq", Json.Int st.Trace.seq) :: args_of_event st.Trace.ev));
+      ("args", Json.Obj (("seq", Json.Int st.Trace.seq) :: Trace.args_of_event st.Trace.ev));
     ]
   in
   (* instants need a scope; "t" = thread-scoped *)

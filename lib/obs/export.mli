@@ -9,13 +9,6 @@
     the recorded clock readings (simulated cycles) passed through as
     microseconds, so one trace microsecond reads as one guest cycle. *)
 
-(** An event's payload fields as Chrome-trace [args] members — the
-    shared field-level rendering: every constructor argument appears
-    under its source-code name ([cid], [rdv], [hart], ...).  Also reused
-    by the flight recorder's [mv-flight/1] dump so the two postmortem
-    formats agree on field names. *)
-val args_of_event : Trace.event -> (string * Json.t) list
-
 (** The Chrome [trace_event] array for a recorded stream (oldest first),
     as produced by [Trace.events]. *)
 val chrome_trace : ?pid:int -> Trace.stamped list -> Json.t

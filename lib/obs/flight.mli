@@ -1,24 +1,20 @@
-(** The always-on flight recorder: a bounded binary ring, independent of
-    the opt-in {!Trace.ring}.
+(** The always-on flight recorder: a bounded ring, independent of the
+    opt-in {!Trace.ring}.
 
-    Events are encoded into fixed-size cells of one preallocated buffer
-    (strings interned into a side table), so recording is a handful of
-    byte stores with no per-event allocation — cheap enough that every
-    harness session leaves one armed for its whole life.  On a VM trap,
-    a fuzz-oracle divergence, or a bench-gate failure the last
-    [capacity] events are decoded back into {!Trace.stamped} events and
-    dumped as a [mv-flight/1] postmortem artifact together with
-    caller-supplied context.
+    The ring keeps the events themselves, with their clock readings and
+    harts, in three preallocated arrays, so recording is three stores
+    with no allocation — cheap enough that every harness session leaves
+    one armed for its whole life.  On a VM trap, a fuzz-oracle
+    divergence, or a bench-gate failure the last [capacity] events are
+    stamped as {!Trace.stamped} events and dumped as a [mv-flight/1]
+    postmortem artifact together with caller-supplied context.  The dump
+    is lossless: {!events_of_dump} reads back every event {!events}
+    returns.
 
-    Entirely host-side: recording, decoding and dumping charge no
+    Entirely host-side: recording, stamping and dumping charge no
     simulated cycles, so guest cycle counts are bit-for-bit identical
     with and without an armed recorder (asserted by the obs-overhead
-    bench's [flight] arm).
-
-    One lossy corner, by design: [Commit_begin]'s switch-value list does
-    not fit a fixed cell and decodes as [[]] (cid, op and the count of
-    switches survive); the full list is available from the opt-in tracer
-    when that is armed. *)
+    bench's [flight] arm). *)
 
 type t
 
@@ -30,8 +26,8 @@ type t
 val create :
   ?capacity:int -> ?hart:(unit -> int) -> clock:(unit -> float) -> unit -> t
 
-(** Record one event.  O(1), allocation-free after the first occurrence
-    of each distinct string. *)
+(** Record one event: O(1), and allocation-free as long as [clock] and
+    [hart] are. *)
 val record : t -> Trace.event -> unit
 
 (** The recorder as a {!Trace.sink}, for teeing alongside other sinks. *)
@@ -46,7 +42,7 @@ val capacity : t -> int
 (** Events that have been overwritten ([max 0 (recorded - capacity)]). *)
 val dropped : t -> int
 
-(** Decode the surviving window, oldest first.  [seq] is the event's
+(** Stamp the surviving window, oldest first.  [seq] is the event's
     global record index; [hseq] is recomputed densely within the window
     (after overflow it restarts from 0 rather than continuing the lost
     prefix). *)
@@ -56,8 +52,8 @@ val events : t -> Trace.stamped list
 val schema : string
 
 (** [dump t ~reason ()] renders the postmortem document: schema, reason,
-    current clock, recorded/capacity/dropped counts, and the decoded
-    window (each event with its {!Export.args_of_event} args and a
+    current clock, recorded/capacity/dropped counts, and the stamped
+    window (each event with its {!Trace.args_of_event} args and a
     human-readable [text] rendering).  [extra] appends caller sections —
     runtime stats, per-hart pc/stack summaries, fuzz reports. *)
 val dump : t -> reason:string -> ?extra:(string * Json.t) list -> unit -> Json.t
@@ -66,9 +62,8 @@ val dump : t -> reason:string -> ?extra:(string * Json.t) list -> unit -> Json.t
 val dump_string :
   t -> reason:string -> ?extra:(string * Json.t) list -> unit -> string
 
-(** Decode one event from its [name] (as {!Trace.event_name}) and [args]
-    (as {!Export.args_of_event}) members — the dump's inverse; [None]
-    for unknown names or missing fields. *)
+(** Decode one event from its [name] and [args] members — the dump's
+    inverse, {!Trace.event_of_args}. *)
 val event_of_json : string -> Json.t -> Trace.event option
 
 (** Decode a parsed dump document's [events] member back into stamped

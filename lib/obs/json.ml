@@ -34,7 +34,9 @@ let escape buf s =
 
 let add_float buf f =
   if Float.is_finite f then begin
-    (* shortest representation that round-trips; never bare "1." *)
+    (* 12 significant digits, never bare "1.": exact for the simulator's
+       cycle counts (multiples of 1/4 below 2^30), but not a round trip
+       for every float — 0.1 +. 0.2 reads back as 0.3 *)
     let s = Printf.sprintf "%.12g" f in
     Buffer.add_string buf s;
     if String.for_all (fun c -> (c >= '0' && c <= '9') || c = '-') s then

@@ -3,8 +3,9 @@
     with no external dependency.
 
     Numbers are split into [Int] and [Float] so counters survive a
-    round-trip exactly; non-finite floats serialize as [null] to keep the
-    output standard-compliant. *)
+    round-trip exactly.  Floats are written with 12 significant digits,
+    exact for simulated cycle counts but not for every float; non-finite
+    floats serialize as [null] to keep the output standard-compliant. *)
 
 type t =
   | Null

@@ -138,10 +138,12 @@ type stamped = { ts : float; seq : int; hart : int; hseq : int; ev : event }
     [Machine.set_tracer]. *)
 type sink = event -> unit
 
-(** The hart an event intrinsically names ([Ipi_ack] happened on the
-    acking hart no matter which hart's slot recorded it), or [None] for
-    events attributed to whichever hart is currently executing. *)
-val hart_of_event : event -> int option
+(** The hart an event is attributed to: the one it intrinsically names
+    ([Ipi_ack] happened on the acking hart no matter which hart's slot
+    recorded it), else [current ()], the currently executing hart.
+    Allocation-free, so the always-on {!Flight} recorder can call it on
+    every event. *)
+val hart_of_event : current:(unit -> int) -> event -> int
 
 (** The fixed-capacity recorder. *)
 type ring
@@ -176,9 +178,63 @@ val dropped : ring -> int
     ordered). *)
 val clear : ring -> unit
 
+(** {1 The event schema}
+
+    Every event kind is described once, as its stable name and its
+    payload fields in export order.  {!event_name} and the JSON codec
+    ({!args_of_event}, which writes the Chrome [args] and the
+    [mv-flight/1] dump entries, and {!event_of_args}, which reads them
+    back) are generic walks over these descriptions, so they cannot
+    drift apart.
+
+    To add an event: add its constructor to {!event}, a [kind] value
+    (name, fields in export order, and [make]) to {!kinds}, an arm to
+    the [describe] match in [trace.ml] — which does not compile until
+    the new constructor has one — and an arm to {!pp_event}.  If the event names the hart it
+    happened on, add it to {!hart_of_event} as well.  Consumers that
+    interpret events ([Metrics], [Heat], [Causal], [Analyze]) keep their
+    own matches. *)
+
+(** One typed payload field and its JSON member name.  [Switches] is a
+    switch-valuation list, written as a JSON object of ints. *)
+type _ field =
+  | Int : string -> int field
+  | Float : string -> float field
+  | Str : string -> string field
+  | Bool : string -> bool field
+  | Switches : string -> (string * int) list field
+
+(** A kind's fields, written with list syntax:
+    [[ Str "fn"; Int "cid" ]]. *)
+type _ fields = [] : unit fields | ( :: ) : 'a field * 'b fields -> ('a * 'b) fields
+
+(** One event's payload values, in the order of its kind's fields. *)
+type _ values = [] : unit values | ( :: ) : 'a * 'b values -> ('a * 'b) values
+
+(** An event kind: its stable name (the [name] of the Chrome export and
+    the flight dump, and the [kind] label of [mv_events_total]), its
+    fields, and the constructor that rebuilds an event from values. *)
+type 'a kind = { name : string; fields : 'a fields; make : 'a values -> event }
+
+(** A kind with its payload type hidden, for {!kinds}. *)
+type any_kind = Kind : 'a kind -> any_kind
+
+(** Every event kind, one per constructor of {!event}. *)
+val kinds : any_kind list
+
 (** Stable machine-readable tag of an event's constructor, e.g.
-    ["site_retargeted"] — the [name] field of the Chrome export. *)
+    ["site_retargeted"] — the name of its {!kind}. *)
 val event_name : event -> string
+
+(** An event's payload as JSON members, one per field of its {!kind} in
+    the kind's order ([cid], [rdv], [hart], ...): the [args] of the
+    Chrome export and of every [mv-flight/1] dump entry. *)
+val args_of_event : event -> (string * Json.t) list
+
+(** The inverse of {!args_of_event}: rebuild an event from its
+    {!event_name} and [args].  Ints written as floats and floats written
+    as ints still decode; [None] for unknown names or missing fields. *)
+val event_of_args : string -> Json.t -> event option
 
 (** One-line human rendering of an event. *)
 val pp_event : Format.formatter -> event -> unit

@@ -234,7 +234,7 @@ val trace_dump : session -> string
 (** The session's always-on flight recorder. *)
 val flight : session -> Mv_obs.Flight.t
 
-(** The flight recorder's surviving window, decoded (oldest first). *)
+(** The flight recorder's surviving window, stamped (oldest first). *)
 val flight_events : session -> Mv_obs.Trace.stamped list
 
 (** The session's flight recorder dumped as a [mv-flight/1] document

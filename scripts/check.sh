@@ -28,7 +28,7 @@ fi
 # materialization/eviction state behind the diverging cache can be
 # inspected with `mvtrace heat`'s JSON offline.
 fuzz_status=0
-fuzz_log=$(mktemp /tmp/mv-fuzz-XXXXXX.log)
+fuzz_log=$(mktemp "${TMPDIR:-/tmp}"/mv-fuzz-XXXXXX.log)
 dune exec bin/mvfuzz.exe -- --iters 500 --seed 1 --quiet \
   ${MVFUZZ_CORPUS:+--corpus "$MVFUZZ_CORPUS"} > "$fuzz_log" 2>&1 \
   || fuzz_status=$?
@@ -37,7 +37,7 @@ if [ "$fuzz_status" -ne 0 ]; then
   if [ -n "${MV_SMP_ARTIFACT_DIR:-}" ] \
       && grep -q "lazy-eager-equiv" "$fuzz_log"; then
     mkdir -p "$MV_SMP_ARTIFACT_DIR"
-    lazy_heat_mvc=$(mktemp /tmp/mv-lazy-heat-XXXXXX.mvc)
+    lazy_heat_mvc=$(mktemp "${TMPDIR:-/tmp}"/mv-lazy-heat-XXXXXX.mvc)
     cat > "$lazy_heat_mvc" <<'EOF'
 multiverse int config_smp;
 int lock_word;
@@ -84,7 +84,7 @@ fi
 # parked frame from the wrong register or spill slot — and the diverged
 # case must leave an mv-flight/1 dump that `mvtrace postmortem` parses.
 # If the chaos run exits 0 the OSR oracle has lost its teeth.
-osr_flight_dir=$(mktemp -d /tmp/mv-osr-flight-XXXXXX)
+osr_flight_dir=$(mktemp -d "${TMPDIR:-/tmp}"/mv-osr-flight-XXXXXX)
 if MV_SMP_ARTIFACT_DIR="$osr_flight_dir" dune exec bin/mvfuzz.exe -- \
     --iters 3 --seed 1 --quiet --small --chaos corrupt-framemap \
     --oracle osr-state-equiv --shrink-budget 0 > /dev/null 2>&1; then
@@ -105,9 +105,9 @@ rm -rf "$osr_flight_dir"
 
 # Smoke the machine-readable bench export: one fast experiment, then
 # check the document parses and carries the expected schema/rows.
-bench_json=$(mktemp /tmp/mv-bench-XXXXXX.json)
+bench_json=$(mktemp "${TMPDIR:-/tmp}"/mv-bench-XXXXXX.json)
 trap 'rm -f "$bench_json"' EXIT
-dune exec bench/main.exe -- --fast --only fig1 --no-bechamel --json "$bench_json" > /dev/null
+dune exec bench/main.exe -- --fast --only fig1 --json "$bench_json" > /dev/null
 if command -v jq > /dev/null 2>&1; then
   jq -e '.schema == "mv-bench-rows/1" and (.experiments.fig1 | length > 0)' \
     "$bench_json" > /dev/null || { echo "bench JSON invalid: $bench_json"; exit 1; }
@@ -122,8 +122,8 @@ fi
 # variant frame, and the fig1 rows just produced must match the committed
 # baseline (the simulator is deterministic, so any drift beyond the gate
 # means BENCH_results.json is stale).
-smoke_mvc=$(mktemp /tmp/mv-smoke-XXXXXX.mvc)
-smoke_folded=$(mktemp /tmp/mv-folded-XXXXXX.txt)
+smoke_mvc=$(mktemp "${TMPDIR:-/tmp}"/mv-smoke-XXXXXX.mvc)
+smoke_folded=$(mktemp "${TMPDIR:-/tmp}"/mv-folded-XXXXXX.txt)
 trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded"' EXIT
 cat > "$smoke_mvc" <<'EOF'
 multiverse int config_smp;
@@ -144,7 +144,7 @@ dune exec bin/mvtrace.exe -- diff --gate 0 BENCH_results.json "$bench_json" > /d
 
 # Profile smoke: mvcc --profile prints the stack profiler's per-leaf
 # hot-function table, which must attribute the committed variant.
-smoke_profile=$(mktemp /tmp/mv-profile-XXXXXX.txt)
+smoke_profile=$(mktemp "${TMPDIR:-/tmp}"/mv-profile-XXXXXX.txt)
 trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_profile"' EXIT
 dune exec bin/mvcc.exe -- "$smoke_mvc" --set config_smp=1 --commit \
   --run bench_loop --arg 200 --profile > "$smoke_profile" 2> /dev/null
@@ -154,7 +154,7 @@ grep -q 'spin_lock.config_smp=1 \[variant\]' "$smoke_profile" \
 # Heat smoke: the block-heat census on the same workload must attribute
 # nonzero heat to the committed variant's text region (if the variant
 # region reads 0 the dispatch-path hook or the region census is broken).
-smoke_heat=$(mktemp /tmp/mv-heat-XXXXXX.txt)
+smoke_heat=$(mktemp "${TMPDIR:-/tmp}"/mv-heat-XXXXXX.txt)
 trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_profile" "$smoke_heat"' EXIT
 dune exec bin/mvtrace.exe -- heat "$smoke_mvc" --set config_smp=1 --commit \
   --run bench_loop --arg 200 > "$smoke_heat" 2> /dev/null
@@ -169,8 +169,8 @@ awk '$1 == "spin_lock.config_smp=1" && $6 + 0 > 0 { found = 1 } END { exit !foun
 # corpus a single-domain run writes (case seeds are domain-count
 # invariant).  Chaos skip-flush guarantees divergences, so both runs
 # exit 1 by contract and the compared corpora are non-empty.
-corpus_1dom=$(mktemp -d /tmp/mv-corpus1-XXXXXX)
-corpus_ndom=$(mktemp -d /tmp/mv-corpus2-XXXXXX)
+corpus_1dom=$(mktemp -d "${TMPDIR:-/tmp}"/mv-corpus1-XXXXXX)
+corpus_ndom=$(mktemp -d "${TMPDIR:-/tmp}"/mv-corpus2-XXXXXX)
 trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_profile" "$smoke_heat"; rm -rf "$corpus_1dom" "$corpus_ndom"' EXIT
 run_striped_campaign() {
   status=0
@@ -189,8 +189,8 @@ diff -r "$corpus_1dom" "$corpus_ndom" > /dev/null \
 # make the run exit non-zero AND leave a mv-flight/1 dump that
 # `mvtrace postmortem` parses.  If either half breaks, the postmortem
 # story is dead even though every green-path test still passes.
-trap_mvc=$(mktemp /tmp/mv-trap-XXXXXX.mvc)
-flight_dir=$(mktemp -d /tmp/mv-flight-XXXXXX)
+trap_mvc=$(mktemp "${TMPDIR:-/tmp}"/mv-trap-XXXXXX.mvc)
+flight_dir=$(mktemp -d "${TMPDIR:-/tmp}"/mv-flight-XXXXXX)
 trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_profile" "$smoke_heat" "$trap_mvc"; rm -rf "$corpus_1dom" "$corpus_ndom" "$flight_dir"' EXIT
 cat > "$trap_mvc" <<'EOF'
 multiverse int config_smp;
@@ -215,5 +215,8 @@ flight_dump=$(ls "$flight_dir"/*.flight.json 2> /dev/null | head -n 1) \
   || { echo "flight smoke: trap left no .flight.json in $flight_dir"; exit 1; }
 dune exec bin/mvtrace.exe -- postmortem "$flight_dump" > /dev/null \
   || { echo "flight smoke: mvtrace postmortem cannot parse $flight_dump"; exit 1; }
+# The dump is lossless: the commit's begin event keeps its switch values.
+grep -q '"config_smp": 1' "$flight_dump" \
+  || { echo "flight smoke: commit_begin lost its switches in $flight_dump"; exit 1; }
 
 echo "check.sh: all gates passed"

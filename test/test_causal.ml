@@ -345,8 +345,7 @@ let test_live_smp_metrics_bridge () =
 (* Flight recorder                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* one of each constructor; Commit_begin's switch list is the recorder's
-   one documented lossy field and decodes as [] *)
+(* one of each constructor *)
 let sample_events =
   [
     Trace.Commit_begin { cid = 1; op = "commit"; switches = [ ("config_smp", 1) ] };
@@ -367,13 +366,13 @@ let sample_events =
     Trace.Rendezvous_begin { rdv = 7; initiator = 0; waiting = 1 };
     Trace.Rendezvous_end { rdv = 7; initiator = 0; acks = 1; latency = 12.5 };
     Trace.Causal_edge { edge = "ipi"; id = 7; src_hart = 0; dst_hart = 1 };
+    Trace.Osr_transfer
+      { cid = 1; hart = 2; fn = "spin_lock"; sp_id = 5; from_pc = 300; to_pc = 420; slots = 3 };
+    Trace.Variant_materialized
+      { fn = "spin_lock"; variant = "spin_lock.config_smp=1"; addr = 512; size = 24; dedup = true };
+    Trace.Variant_evicted { fn = "spin_lock"; variant = "spin_lock.config_smp=1"; freed = 24 };
     Trace.Commit_end { cid = 1; op = "commit"; bound = 3 };
   ]
-
-let expected_decode ev =
-  match ev with
-  | Trace.Commit_begin c -> Trace.Commit_begin { c with switches = [] }
-  | ev -> ev
 
 let counter_clock () =
   let t = ref 0.0 in
@@ -401,7 +400,13 @@ let test_flight_window_is_bounded () =
       | _ -> Alcotest.fail "wrong event decoded")
     window
 
-let test_flight_binary_roundtrip () =
+let test_flight_ring_roundtrip () =
+  let kind_names = List.map (fun (Trace.Kind k) -> k.Trace.name) Trace.kinds in
+  check_int "kind names are unique" (List.length kind_names)
+    (List.length (List.sort_uniq compare kind_names));
+  check_bool "one sample per kind" true
+    (List.sort compare (List.map Trace.event_name sample_events)
+    = List.sort compare kind_names);
   let f = Flight.create ~capacity:64 ~hart:(fun () -> 3) ~clock:(counter_clock ()) () in
   List.iter (Flight.record f) sample_events;
   let decoded = Flight.events f in
@@ -409,7 +414,7 @@ let test_flight_binary_roundtrip () =
     (List.length decoded);
   List.iter2
     (fun ev (s : Trace.stamped) ->
-      if expected_decode ev <> s.Trace.ev then
+      if ev <> s.Trace.ev then
         Alcotest.failf "%s did not round-trip" (Trace.event_name ev))
     sample_events decoded;
   (* intrinsic hart attribution beats the hart source *)
@@ -457,31 +462,135 @@ let test_flight_dump_json_roundtrip () =
   check_bool "unknown names decode to None" true
     (Flight.event_of_json "not_an_event" (Json.Obj []) = None)
 
-let fresh_dir prefix =
-  let file = Filename.temp_file prefix "" in
-  Sys.remove file;
-  ignore (Sys.command (Printf.sprintf "mkdir -p %s" (Filename.quote file)));
-  file
+(* Generated events of every kind in [Trace.kinds]: one generator per
+   field type, walked over each kind's fields. *)
+let gen_field : type a. a Trace.field -> a QCheck.Gen.t =
+ fun field ->
+  let open QCheck.Gen in
+  (* quotes, backslashes, control bytes and non-ASCII among plain text *)
+  let str =
+    string_size (int_bound 12)
+      ~gen:
+        (frequency
+           [
+             (4, printable);
+             (1, oneofl [ '"'; '\\' ]);
+             (1, map Char.chr (int_bound 31));
+             (1, map Char.chr (int_range 128 255));
+           ])
+  in
+  match field with
+  | Trace.Int _ -> oneof [ small_signed_int; int ]
+  (* cycle counts as the simulator produces them: non-negative multiples
+     of 1/4 below 2^30, which Json's %.12g writes exactly *)
+  | Trace.Float _ ->
+      map2
+        (fun whole quarters -> float_of_int whole +. (float_of_int quarters /. 4.0))
+        (int_bound ((1 lsl 30) - 1))
+        (int_bound 3)
+  | Trace.Str _ -> str
+  | Trace.Bool _ -> bool
+  | Trace.Switches _ -> list_size (int_bound 4) (pair str int)
+
+let rec gen_values : type a. a Trace.fields -> a Trace.values QCheck.Gen.t = function
+  | Trace.[] -> QCheck.Gen.return Trace.[]
+  | Trace.(f :: fs) ->
+      QCheck.Gen.map2 (fun v vs -> Trace.(v :: vs)) (gen_field f) (gen_values fs)
+
+(* (kind name, event) pairs: one of every kind plus a random tail,
+   shuffled *)
+let gen_named_events =
+  let open QCheck.Gen in
+  let gen_of (Trace.Kind k) =
+    map (fun vs -> (k.Trace.name, k.Trace.make vs)) (gen_values k.Trace.fields)
+  in
+  let every = flatten_l (List.map gen_of Trace.kinds) in
+  let more = list_size (int_bound 24) (oneof (List.map gen_of Trace.kinds)) in
+  map2 ( @ ) every more >>= shuffle_l
+
+let prop_flight_roundtrip =
+  QCheck.Test.make ~name:"flight round-trips generated events of every kind"
+    ~count:200
+    (QCheck.make gen_named_events ~print:(fun named ->
+         String.concat "\n"
+           (List.map (fun (_, ev) -> Format.asprintf "%a" Trace.pp_event ev) named)))
+    (fun named ->
+      List.iter
+        (fun (name, ev) ->
+          if Trace.event_name ev <> name then
+            QCheck.Test.fail_reportf "%s built a %s" name (Trace.event_name ev))
+        named;
+      let evs = List.map snd named in
+      let f =
+        Flight.create ~capacity:(List.length evs) ~hart:(fun () -> 3)
+          ~clock:(counter_clock ()) ()
+      in
+      List.iter (Flight.record f) evs;
+      let window = Flight.events f in
+      if List.map (fun (st : Trace.stamped) -> st.Trace.ev) window <> evs then
+        QCheck.Test.fail_report "Flight.events changed an event";
+      match Json.parse (Flight.dump_string f ~reason:"qcheck" ()) with
+      | Error e -> QCheck.Test.fail_reportf "dump does not parse: %s" e
+      | Ok doc ->
+          (* ts, seq, hart, hseq and the event, all of them *)
+          Flight.events_of_dump doc = window
+          || QCheck.Test.fail_report "the dump did not decode back to the window")
+
+(* The always-on recorder keeps the event the emitter already allocated:
+   with a constant clock, recording allocates nothing, for every kind. *)
+let test_flight_record_allocates_nothing () =
+  let f = Flight.create ~capacity:8 ~hart:(fun () -> 3) ~clock:(fun () -> 0.0) () in
+  let minor_words_of g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  let baseline = minor_words_of (fun () -> ()) in
+  List.iter
+    (fun ev ->
+      let words =
+        minor_words_of (fun () ->
+            for _ = 1 to 100 do
+              Flight.record f ev
+            done)
+      in
+      if words <> baseline then
+        Alcotest.failf "recording %s allocates %.2f minor words per event"
+          (Trace.event_name ev)
+          ((words -. baseline) /. 100.0))
+    sample_events
+
+(* Run [f dir] on a fresh directory in the temp dir, then remove it with
+   the files [f] left there. *)
+let with_fresh_dir prefix f =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
 
 let test_flight_artifact_writing () =
   let f = Flight.create ~capacity:8 ~clock:(counter_clock ()) () in
   Flight.record f (Trace.Fallback { fn = "f" });
   (* explicit dir wins over the environment *)
-  let dir = fresh_dir "mvflight" in
-  (match Flight.write_artifact f ~reason:"unit-test" ~name:"probe" ~dir () with
-  | Some path ->
-      check_bool "written under dir" true (Filename.dirname path = dir);
-      check_bool "flight.json suffix" true
-        (Filename.check_suffix path ".flight.json");
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let body = really_input_string ic n in
-      close_in ic;
-      (match Json.parse body with
-      | Ok doc ->
-          check_int "artifact decodes" 1 (List.length (Flight.events_of_dump doc))
-      | Error e -> Alcotest.failf "artifact does not parse: %s" e)
-  | None -> Alcotest.fail "write_artifact with ~dir must write");
+  with_fresh_dir "mvflight" (fun dir ->
+      match Flight.write_artifact f ~reason:"unit-test" ~name:"probe" ~dir () with
+      | Some path ->
+          check_bool "written under dir" true (Filename.dirname path = dir);
+          check_bool "flight.json suffix" true
+            (Filename.check_suffix path ".flight.json");
+          let ic = open_in path in
+          let n = in_channel_length ic in
+          let body = really_input_string ic n in
+          close_in ic;
+          (match Json.parse body with
+          | Ok doc ->
+              check_int "artifact decodes" 1 (List.length (Flight.events_of_dump doc))
+          | Error e -> Alcotest.failf "artifact does not parse: %s" e)
+      | None -> Alcotest.fail "write_artifact with ~dir must write");
   (* unwritable dir degrades to None instead of raising *)
   check_bool "unwritable dir returns None" true
     (Flight.write_artifact f ~reason:"unit-test" ~name:"probe"
@@ -509,14 +618,14 @@ let trap_source =
 (* Run [f dir] with MV_SMP_ARTIFACT_DIR pointing at a fresh directory. *)
 let with_artifact_dir f =
   let saved = Sys.getenv_opt "MV_SMP_ARTIFACT_DIR" in
-  let dir = fresh_dir "mvtrap" in
-  Unix.putenv "MV_SMP_ARTIFACT_DIR" dir;
-  Fun.protect
-    ~finally:(fun () ->
-      match saved with
-      | Some v -> Unix.putenv "MV_SMP_ARTIFACT_DIR" v
-      | None -> Unix.putenv "MV_SMP_ARTIFACT_DIR" "")
-    (fun () -> f dir)
+  with_fresh_dir "mvtrap" (fun dir ->
+      Unix.putenv "MV_SMP_ARTIFACT_DIR" dir;
+      Fun.protect
+        ~finally:(fun () ->
+          match saved with
+          | Some v -> Unix.putenv "MV_SMP_ARTIFACT_DIR" v
+          | None -> Unix.putenv "MV_SMP_ARTIFACT_DIR" "")
+        (fun () -> f dir))
 
 let flight_dumps dir =
   Sys.readdir dir |> Array.to_list
@@ -653,9 +762,11 @@ let suite =
     tc "live SMP metrics bridge labels harts and counts edges"
       test_live_smp_metrics_bridge;
     tc "flight window is bounded and oldest-first" test_flight_window_is_bounded;
-    tc "flight binary cells round-trip every constructor"
-      test_flight_binary_roundtrip;
+    tc "flight ring keeps every constructor" test_flight_ring_roundtrip;
     tc "flight dump JSON round-trips" test_flight_dump_json_roundtrip;
+    (* pinned seed, QCHECK_SEED honoured — see test_props.ml *)
+    Test_props.to_alcotest prop_flight_roundtrip;
+    tc "flight record allocates nothing" test_flight_record_allocates_nothing;
     tc "flight artifacts write under an explicit dir"
       test_flight_artifact_writing;
     tc "trap hook writes a parseable postmortem artifact"

@@ -443,6 +443,52 @@ let test_materialize_and_evict_trace_events () =
   check_bool "Variant_materialized traced" true mat;
   check_bool "Variant_evicted traced" true ev
 
+(* Switch names are resolved once at Runtime.create; every traced commit
+   must still report exactly the declared switches, in declaration order,
+   with their values at that commit.  Declared out of alphabetical order
+   so a sorted or hash-ordered list cannot pass. *)
+let three_switches =
+  {|
+  multiverse int zeta;
+  multiverse bool alpha;
+  multiverse int mid;
+  int effects;
+  multiverse void step() {
+    if (alpha) { effects = effects + zeta; } else { effects = effects + mid; }
+  }
+  int run() { effects = 0; step(); return effects; }
+|}
+
+let test_commit_begin_lists_declared_switches () =
+  let s = H.session1 ~lazy_variants:true three_switches in
+  H.enable_tracing s;
+  let valuations = [ (1, 1, 0); (2, 0, 1); (0, 1, 1); (1, 1, 0) ] in
+  List.iter
+    (fun (zeta, alpha, mid) ->
+      H.set s "zeta" zeta;
+      H.set s "alpha" alpha;
+      H.set s "mid" mid;
+      ignore (H.commit s))
+    valuations;
+  check_bool "the commits materialized variants" true
+    ((stats s).Runtime.st_materialized > 0);
+  let begins =
+    List.filter_map
+      (fun st ->
+        match st.Trace.ev with
+        | Trace.Commit_begin { switches; _ } -> Some switches
+        | _ -> None)
+      (H.trace_events s)
+  in
+  check_int "one begin per commit" (List.length valuations) (List.length begins);
+  List.iter2
+    (fun (zeta, alpha, mid) switches ->
+      Alcotest.(check (list (pair string int)))
+        "declared switches, in order, with current values"
+        [ ("zeta", zeta); ("alpha", alpha); ("mid", mid) ]
+        switches)
+    valuations begins
+
 let test_metrics_count_cache_traffic () =
   let s = H.session1 ~lazy_variants:true clones in
   H.enable_metrics s;
@@ -616,4 +662,6 @@ let suite =
       (test_heat_advisor_evicts_cold ~n_harts:1);
     tc "advisor: heat evicts the cold variant (2 harts)"
       (test_heat_advisor_evicts_cold ~n_harts:2);
+    tc "obs: commit_begin lists the declared switches"
+      test_commit_begin_lists_declared_switches;
   ]
