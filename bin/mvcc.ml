@@ -210,9 +210,9 @@ let main files run args sets commit perf ir asm descriptors xen stats strategy p
         let total = ref 0.0 in
         let samples = 100 in
         for _ = 1 to samples do
-          let before = machine.Mv_vm.Machine.perf.Mv_vm.Perf.cycles in
+          let before = Mv_vm.Perf.cycles machine.Mv_vm.Machine.perf in
           ignore (Mv_vm.Machine.call machine loop_fn [ calls ]);
-          total := !total +. (machine.Mv_vm.Machine.perf.Mv_vm.Perf.cycles -. before)
+          total := !total +. (Mv_vm.Perf.cycles machine.Mv_vm.Machine.perf -. before)
         done;
         Format.printf "%s: %.2f cycles/call (%d samples x %d calls)@." loop_fn
           (!total /. float_of_int (samples * calls))

@@ -800,12 +800,7 @@ let osr_state_equiv ?(chaos = No_chaos) (case : Gen.case) (_sched : Schedule.t)
              oh_set_reg = (fun r v -> machine.Machine.regs.(r) <- v);
              oh_mem = (fun addr -> Image.read img addr 8);
              oh_set_mem = (fun addr v -> Image.write img addr v 8);
-             oh_set_top_frame =
-               (fun addr ->
-                 machine.Machine.frames <-
-                   (match machine.Machine.frames with
-                   | _ :: rest -> addr :: rest
-                   | [] -> [ addr ]));
+             oh_set_top_frame = Machine.set_top_frame machine;
            }));
     prep case img;
     Machine.start_call machine "__osr_spin" [ osr_spin_iters; arg ];

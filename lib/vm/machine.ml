@@ -59,8 +59,10 @@ type t = {
           page_bits)] holds the decode state of text offset [off].  It
           is empty until the first write, then spans the code span; a
           slot never written holds the shared, always-empty [no_page] *)
-  mutable sb_cur : superblock option;
-      (** dispatch cursor: the superblock expected to contain [pc] *)
+  mutable sb_cur : superblock;
+      (** dispatch cursor: the superblock expected to contain [pc], or the
+          never-live [no_block] when there is none.  A sentinel rather
+          than an option, so entering a block allocates no [Some] box *)
   mutable sb_ix : int;  (** index into [sb_cur] expected to execute next *)
   dstats : decode_stats;
   mutable irq_enabled : bool;
@@ -75,11 +77,14 @@ type t = {
       (** optional per-instruction pc observer — the sampling profiler's
           feed.  A host-side observer: it charges no simulated cycles, so
           cycle counts are identical with and without it *)
-  mutable frames : int list;
-      (** entry addresses of live activations, innermost first — pushed on
-          [call], popped on [ret].  Host-side bookkeeping like the perf
-          counters: it charges no simulated cycles, and the stack profiler
-          reads it through {!call_frames} to symbolize whole call stacks *)
+  mutable frames : int array;
+      (** entry addresses of live activations, outermost first, as a stack
+          of [depth] entries — pushed on [call], popped on [ret].  An array
+          (doubled when full) so a call allocates nothing.  Host-side
+          bookkeeping like the perf counters: it charges no simulated
+          cycles, and the stack profiler reads it through {!call_frames}
+          to symbolize whole call stacks *)
+  mutable depth : int;  (** live entries of [frames] *)
   mutable brk : (int -> bool) option;
       (** breakpoint handler: called with the pc of a fetched [Brk].
           Returning [true] means "spin here" (the pc does not advance and a
@@ -116,9 +121,9 @@ and superblock = {
    so a machine's decode state grows with the code that runs rather than
    with the code span. *)
 and page = {
-  pg_blocks : superblock option array;
-      (** the live superblock entered at each offset — the dispatch slow
-          path's lookup *)
+  pg_blocks : superblock array;
+      (** the live superblock entered at each offset, or [no_block] — the
+          dispatch slow path's lookup *)
   pg_insns : (Insn.t * int) option array;
       (** per-instruction decode cache — the reference stepper's
           ({!step_ref}) icache model.  The superblock path keeps it
@@ -134,6 +139,12 @@ and page = {
 
 let return_sentinel = 0
 
+(* The "no block" sentinel of the dispatch cursor and the decode index.
+   Never live, so the cursor check refuses it; shared by all machines and
+   never run. *)
+let no_block =
+  { sb_start = -1; sb_end = -1; sb_pcs = [||]; sb_ops = [||]; sb_live = false }
+
 (* Text offsets per decode-index page: a small program touches a few
    pages, and the directory of a multi-MiB code span is a few thousand
    words at most. *)
@@ -142,11 +153,16 @@ let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
 
 let new_page () =
-  { pg_blocks = Array.make page_size None; pg_insns = Array.make page_size None; pg_heat = [||] }
+  {
+    pg_blocks = Array.make page_size no_block;
+    pg_insns = Array.make page_size None;
+    pg_heat = [||];
+  }
 
 (* What every directory slot that was never written holds: reads find
-   [None] in it without first testing that the page exists.  Shared by all
-   machines and never written — [page_for_write] replaces it first. *)
+   [no_block] and [None] in it without first testing that the page
+   exists.  Shared by all machines and never written — [page_for_write]
+   replaces it first. *)
 let no_page = new_page ()
 
 let create ?(cost = Cost.default) ?(platform = Native) ?(max_steps = 2_000_000_000)
@@ -179,7 +195,7 @@ let create ?(cost = Cost.default) ?(platform = Native) ?(max_steps = 2_000_000_0
     platform;
     code_span = max 1 code_span;
     pages = [||];
-    sb_cur = None;
+    sb_cur = no_block;
     sb_ix = 0;
     dstats = { ds_blocks = 0; ds_insns = 0; ds_invalidated = 0 };
     irq_enabled = true;
@@ -188,7 +204,8 @@ let create ?(cost = Cost.default) ?(platform = Native) ?(max_steps = 2_000_000_0
     safepoint = None;
     tracer = None;
     sampler = None;
-    frames = [];
+    frames = Array.make 16 0;
+    depth = 0;
     brk = None;
     on_trap = None;
     heat = false;
@@ -289,16 +306,14 @@ let invalidate_blocks t ~lo ~hi =
   if hi > lo then
     iter_pages t ~lo:(max 0 (lo - max_block_span)) ~hi (fun pg _ first last ->
         for s = first to last - 1 do
-          match Array.unsafe_get pg.pg_blocks s with
-          | Some b when b.sb_end > lo ->
-              b.sb_live <- false;
-              t.dstats.ds_invalidated <- t.dstats.ds_invalidated + 1;
-              Array.unsafe_set pg.pg_blocks s None
-          | _ -> ()
+          let b = Array.unsafe_get pg.pg_blocks s in
+          if b != no_block && b.sb_end > lo then begin
+            b.sb_live <- false;
+            t.dstats.ds_invalidated <- t.dstats.ds_invalidated + 1;
+            Array.unsafe_set pg.pg_blocks s no_block
+          end
         done);
-  match t.sb_cur with
-  | Some b when not b.sb_live -> t.sb_cur <- None
-  | _ -> ()
+  if not t.sb_cur.sb_live then t.sb_cur <- no_block
 
 (** Drop decoded state overlapping [addr, addr+len): per-instruction cache
     entries and every superblock touching the range.  Mirrors an
@@ -364,7 +379,28 @@ let fetch t pc : Insn.t * int =
       (page_for_write t off).pg_insns.(off land page_mask) <- Some entry;
       entry
 
-let add_cycles t c = t.perf.Perf.cycles <- t.perf.Perf.cycles +. c
+(* Charge [c] simulated cycles.  It stays here, next to the compiled
+   instructions, where the compiler inlines it: the update writes the
+   unboxed clock in place.  Cross-module calls are never inlined when
+   modules are compiled [-opaque] (dune's dev profile), and an out-of-line
+   call would box [c] whenever it is read from the flat float [Cost.t]. *)
+let add_cycles t c =
+  let k = t.perf.Perf.clock in
+  k.Perf.cycles <- k.Perf.cycles +. c
+
+(* The call-frame stack.  It only grows, by doubling, so pushes allocate
+   only until the deepest call chain has been seen once. *)
+let grow_frames t =
+  let a = Array.make (2 * Array.length t.frames) 0 in
+  Array.blit t.frames 0 a 0 t.depth;
+  t.frames <- a
+
+let push_frame t addr =
+  if t.depth = Array.length t.frames then grow_frames t;
+  Array.unsafe_set t.frames t.depth addr;
+  t.depth <- t.depth + 1
+
+let pop_frame t = if t.depth > 0 then t.depth <- t.depth - 1
 
 let push_word t v =
   t.regs.(Insn.sp) <- t.regs.(Insn.sp) - 8;
@@ -394,10 +430,12 @@ let alu_eval op a b =
   | Insn.Gt -> Bool.to_int (a > b)
   | Insn.Ge -> Bool.to_int (a >= b)
 
-let alu_cost t = function
-  | Insn.Mul -> t.cost.Cost.mul
-  | Insn.Div | Insn.Mod -> t.cost.Cost.div
-  | _ -> t.cost.Cost.alu
+(* Inlined, so the reference stepper's charge reads the float straight
+   from the flat [Cost.t]; an out-of-line call would box it. *)
+let[@inline] alu_cost (c : Cost.t) = function
+  | Insn.Mul -> c.Cost.mul
+  | Insn.Div | Insn.Mod -> c.Cost.div
+  | _ -> c.Cost.alu
 
 (* A quiescence point: an activation just ended ([ret]/halt), so code ranges
    that were live may have gone quiet.  The poll itself models a cached-flag
@@ -443,23 +481,13 @@ let compile (c : Cost.t) pc (insn : Insn.t) size : t -> unit =
         t.regs.(rd) <- t.regs.(rs);
         add_cycles t cyc
   | Insn.Alu (op, rd, ra, rb) ->
-      let cyc =
-        match op with
-        | Insn.Mul -> c.Cost.mul
-        | Insn.Div | Insn.Mod -> c.Cost.div
-        | _ -> c.Cost.alu
-      in
+      let cyc = alu_cost c op in
       fun t ->
         t.pc <- next;
         t.regs.(rd) <- alu_eval op t.regs.(ra) t.regs.(rb);
         add_cycles t cyc
   | Insn.Alu_ri (op, rd, ra, imm) ->
-      let cyc =
-        match op with
-        | Insn.Mul -> c.Cost.mul
-        | Insn.Div | Insn.Mod -> c.Cost.div
-        | _ -> c.Cost.alu
-      in
+      let cyc = alu_cost c op in
       fun t ->
         t.pc <- next;
         t.regs.(rd) <- alu_eval op t.regs.(ra) imm;
@@ -515,7 +543,7 @@ let compile (c : Cost.t) pc (insn : Insn.t) size : t -> unit =
         t.pc <- next;
         push_word t next;
         t.pc <- target;
-        t.frames <- target :: t.frames;
+        push_frame t target;
         t.perf.Perf.calls <- t.perf.Perf.calls + 1;
         add_cycles t cyc
   | Insn.Call_ind addr ->
@@ -526,7 +554,7 @@ let compile (c : Cost.t) pc (insn : Insn.t) size : t -> unit =
         let target = Image.read t.image addr 8 in
         push_word t next;
         t.pc <- target;
-        t.frames <- target :: t.frames;
+        push_frame t target;
         t.perf.Perf.calls <- t.perf.Perf.calls + 1;
         t.perf.Perf.indirect_calls <- t.perf.Perf.indirect_calls + 1;
         add_cycles t cyc;
@@ -559,7 +587,7 @@ let compile (c : Cost.t) pc (insn : Insn.t) size : t -> unit =
         t.pc <- next;
         let target = pop_word t in
         t.pc <- target;
-        (match t.frames with [] -> () | _ :: rest -> t.frames <- rest);
+        pop_frame t;
         add_cycles t cyc;
         poll_safepoint t
   | Insn.Push r ->
@@ -619,12 +647,12 @@ let compile (c : Cost.t) pc (insn : Insn.t) size : t -> unit =
       let cyc = c.Cost.rdtsc in
       fun t ->
         t.pc <- next;
-        t.regs.(rd) <- int_of_float t.perf.Perf.cycles;
+        t.regs.(rd) <- int_of_float t.perf.Perf.clock.Perf.cycles;
         add_cycles t cyc
   | Insn.Halt ->
       fun t ->
         t.pc <- return_sentinel;
-        t.frames <- [];
+        t.depth <- 0;
         poll_safepoint t
   | Insn.Nop ->
       let cyc = c.Cost.nop in
@@ -687,7 +715,7 @@ let build_block t pc0 : superblock =
       sb_live = true;
     }
   in
-  (page_for_write t b.sb_start).pg_blocks.(b.sb_start land page_mask) <- Some b;
+  (page_for_write t b.sb_start).pg_blocks.(b.sb_start land page_mask) <- b;
   t.dstats.ds_blocks <- t.dstats.ds_blocks + 1;
   t.dstats.ds_insns <- t.dstats.ds_insns + Array.length b.sb_ops;
   b
@@ -700,11 +728,8 @@ let locate_slow t pc : superblock =
   let off = pc - text_base t in
   if off < 0 || off >= t.code_span then
     faultf "instruction fetch outside text at 0x%x" pc;
-  let b =
-    match Array.unsafe_get (page_at t off).pg_blocks (off land page_mask) with
-    | Some b -> b
-    | None -> build_block t pc
-  in
+  let b = Array.unsafe_get (page_at t off).pg_blocks (off land page_mask) in
+  let b = if b != no_block then b else build_block t pc in
   (* Code-heat hook: every fresh block entry passes through here exactly
      once (cursor hits are mid-block continuations), so counting at this
      point charges one hit per superblock execution.  Host-side only —
@@ -717,30 +742,35 @@ let locate_slow t pc : superblock =
     address (top-level return).
 
     The fast path — the cursor still points at a live block position whose
-    recorded pc matches — is allocation-free: field loads, two compares,
-    one closure call.  Only a cursor miss (block transition, invalidation,
-    or a jump the cursor did not predict) touches the decode index, and
-    only there is the [Some] cursor box allocated. *)
+    recorded pc matches — is field loads, two compares and one closure
+    call.  Only a cursor miss (block transition, invalidation, or a jump
+    the cursor did not predict) touches the decode index.  Neither path
+    allocates once the blocks are built: the cursor is a plain field, the
+    cycle charge writes the unboxed clock, and [call] pushes onto the
+    frame array. *)
 let step_core t : bool =
   if t.steps_left <= 0 then faultf "step limit exceeded (pc=0x%x)" t.pc;
   t.steps_left <- t.steps_left - 1;
   let pc = t.pc in
-  (match t.sb_cur with
-  | Some b
-    when b.sb_live && t.sb_ix < Array.length b.sb_pcs
-         && Array.unsafe_get b.sb_pcs t.sb_ix = pc ->
-      t.perf.Perf.instructions <- t.perf.Perf.instructions + 1;
-      (match t.sampler with None -> () | Some observe -> observe pc);
-      let ix = t.sb_ix in
-      t.sb_ix <- ix + 1;
-      (Array.unsafe_get b.sb_ops ix) t
-  | _ ->
-      let b = locate_slow t pc in
-      t.perf.Perf.instructions <- t.perf.Perf.instructions + 1;
-      (match t.sampler with None -> () | Some observe -> observe pc);
-      t.sb_cur <- Some b;
-      t.sb_ix <- 1;
-      (Array.unsafe_get b.sb_ops 0) t);
+  let b = t.sb_cur in
+  if
+    b.sb_live && t.sb_ix < Array.length b.sb_pcs
+    && Array.unsafe_get b.sb_pcs t.sb_ix = pc
+  then begin
+    t.perf.Perf.instructions <- t.perf.Perf.instructions + 1;
+    (match t.sampler with None -> () | Some observe -> observe pc);
+    let ix = t.sb_ix in
+    t.sb_ix <- ix + 1;
+    (Array.unsafe_get b.sb_ops ix) t
+  end
+  else begin
+    let b = locate_slow t pc in
+    t.perf.Perf.instructions <- t.perf.Perf.instructions + 1;
+    (match t.sampler with None -> () | Some observe -> observe pc);
+    t.sb_cur <- b;
+    t.sb_ix <- 1;
+    (Array.unsafe_get b.sb_ops 0) t
+  end;
   t.pc <> return_sentinel
 
 let step t : bool = try step_core t with Fault _ as e -> report_trap t e
@@ -771,10 +801,10 @@ let step_ref_core t : bool =
       add_cycles t c.Cost.mov
   | Insn.Alu (op, rd, ra, rb) ->
       t.regs.(rd) <- alu_eval op t.regs.(ra) t.regs.(rb);
-      add_cycles t (alu_cost t op)
+      add_cycles t (alu_cost c op)
   | Insn.Alu_ri (op, rd, ra, imm) ->
       t.regs.(rd) <- alu_eval op t.regs.(ra) imm;
-      add_cycles t (alu_cost t op)
+      add_cycles t (alu_cost c op)
   | Insn.Un (op, rd, ra) ->
       let a = t.regs.(ra) in
       t.regs.(rd) <-
@@ -805,14 +835,14 @@ let step_ref_core t : bool =
   | Insn.Call rel ->
       push_word t next;
       t.pc <- next + rel;
-      t.frames <- t.pc :: t.frames;
+      push_frame t t.pc;
       perf.Perf.calls <- perf.Perf.calls + 1;
       add_cycles t c.Cost.call
   | Insn.Call_ind addr ->
       let target = Image.read t.image addr 8 in
       push_word t next;
       t.pc <- target;
-      t.frames <- target :: t.frames;
+      push_frame t target;
       perf.Perf.calls <- perf.Perf.calls + 1;
       perf.Perf.indirect_calls <- perf.Perf.indirect_calls + 1;
       add_cycles t (c.Cost.call +. c.Cost.call_ind);
@@ -839,7 +869,7 @@ let step_ref_core t : bool =
   | Insn.Ret ->
       let target = pop_word t in
       t.pc <- target;
-      (match t.frames with [] -> () | _ :: rest -> t.frames <- rest);
+      pop_frame t;
       add_cycles t c.Cost.ret;
       poll_safepoint t
   | Insn.Push r ->
@@ -870,11 +900,11 @@ let step_ref_core t : bool =
       perf.Perf.hypercalls <- perf.Perf.hypercalls + 1;
       add_cycles t c.Cost.hypercall
   | Insn.Rdtsc rd ->
-      t.regs.(rd) <- int_of_float perf.Perf.cycles;
+      t.regs.(rd) <- int_of_float perf.Perf.clock.Perf.cycles;
       add_cycles t c.Cost.rdtsc
   | Insn.Halt ->
       t.pc <- return_sentinel;
-      t.frames <- [];
+      t.depth <- 0;
       poll_safepoint t
   | Insn.Nop -> add_cycles t c.Cost.nop
   | Insn.Brk -> (
@@ -899,7 +929,8 @@ let start_call_addr t addr (args : int list) : unit =
   t.regs.(Insn.sp) <- t.stack_base;
   push_word t return_sentinel;
   t.pc <- addr;
-  t.frames <- [ addr ];
+  t.depth <- 0;
+  push_frame t addr;
   t.steps_left <- t.max_steps
 
 let start_call t name args = start_call_addr t (Image.symbol t.image name) args
@@ -938,17 +969,18 @@ let rec run_block_sampled t perf observe ops pcs n i =
 
 let rec finish_loop t perf =
   let pc = t.pc in
+  let b = t.sb_cur in
   let b =
-    match t.sb_cur with
-    | Some b
-      when b.sb_live && t.sb_ix < Array.length b.sb_pcs
-           && Array.unsafe_get b.sb_pcs t.sb_ix = pc ->
-        b
-    | _ ->
-        let b = locate_slow t pc in
-        t.sb_cur <- Some b;
-        t.sb_ix <- 0;
-        b
+    if
+      b.sb_live && t.sb_ix < Array.length b.sb_pcs
+      && Array.unsafe_get b.sb_pcs t.sb_ix = pc
+    then b
+    else begin
+      let b = locate_slow t pc in
+      t.sb_cur <- b;
+      t.sb_ix <- 0;
+      b
+    end
   in
   let ops = b.sb_ops in
   let n = Array.length ops in
@@ -1006,8 +1038,19 @@ let live_code_addrs t : int list =
 (** The live call stack as function entry addresses, innermost first.
     Exact (maintained on call/ret), unlike the conservative
     {!live_code_addrs} scan; the stack profiler symbolizes it into folded
-    stacks.  Reading it costs nothing on the simulated clock. *)
-let call_frames t : int list = t.frames
+    stacks.  Reading it costs nothing on the simulated clock; the list is
+    built here, on read, so the call path never allocates one. *)
+let call_frames t : int list =
+  let rec build i acc =
+    if i = t.depth then acc else build (i + 1) (t.frames.(i) :: acc)
+  in
+  build 0 []
+
+(** Replace the innermost call frame with [addr] (push it when the stack
+    is empty) — what an on-stack replacement does to the activation it
+    moves into another body. *)
+let set_top_frame t addr =
+  if t.depth = 0 then push_frame t addr else t.frames.(t.depth - 1) <- addr
 
 (** Read/write globals by symbol from the host side (test and benchmark
     drivers use this to set configuration switches). *)

@@ -55,8 +55,10 @@ type t = {
           offsets.  The directory is empty until the first write, so
           creating a machine costs O(1) in the code span and decode
           state grows only with the code that runs *)
-  mutable sb_cur : superblock option;
-      (** dispatch cursor: the superblock expected to contain [pc] *)
+  mutable sb_cur : superblock;
+      (** dispatch cursor: the superblock expected to contain [pc], or a
+          shared never-live sentinel when there is none (a sentinel, not
+          an option, so entering a block allocates nothing) *)
   mutable sb_ix : int;
       (** index into [sb_cur] expected to execute next *)
   dstats : decode_stats;  (** read via {!decode_stats} *)
@@ -69,8 +71,11 @@ type t = {
       (** machine-side event sink; install via {!set_tracer} *)
   mutable sampler : (int -> unit) option;
       (** per-instruction pc observer; install via {!set_sampler} *)
-  mutable frames : int list;
-      (** live activation entries, innermost first; read via {!call_frames} *)
+  mutable frames : int array;
+      (** live activation entries as a stack, outermost first, of [depth]
+          entries; grown by doubling, so a [call] allocates nothing.  Read
+          via {!call_frames}, rewrite the top via {!set_top_frame} *)
+  mutable depth : int;  (** live entries of [frames] *)
   mutable brk : (int -> bool) option;
       (** breakpoint handler; install via {!set_brk_handler} *)
   mutable on_trap : (string -> unit) option;
@@ -248,8 +253,15 @@ val live_code_addrs : t -> int list
     {!start_call_addr}/halt.  Exact where {!live_code_addrs} is
     conservative.  Host-side bookkeeping only — maintaining and reading
     it never moves the simulated clock, so a stack profiler built on it
-    (see [Mv_obs.Stackprof]) keeps cycle counts bit-identical. *)
+    (see [Mv_obs.Stackprof]) keeps cycle counts bit-identical.  The list
+    is built on each read; the call path itself allocates none. *)
 val call_frames : t -> int list
+
+(** [set_top_frame t addr] replaces the innermost call frame with [addr],
+    or pushes it when the stack is empty: on-stack replacement moves the
+    parked activation into another body, and the stack profiler should
+    follow it there. *)
+val set_top_frame : t -> int -> unit
 
 (** [read_global t name ~width] reads a global by symbol (host-side view of
     configuration switches). *)

@@ -2,8 +2,15 @@
     CPU_CLK_UNHALTED measurements (Section 6) and the branch counts
     reported for musl ("-40% branches for malloc(1)"). *)
 
+(** The simulated cycle counter.  It is a record of its own because an
+    all-float record stores its field unboxed: [Machine] charges every
+    instruction by updating it in place, which allocates nothing, where a
+    float field of {!t} would box a fresh float on every charge.  Only
+    the machine writes it; everyone else reads {!cycles}. *)
+type clock = { mutable cycles : float }
+
 type t = {
-  mutable cycles : float;
+  clock : clock;  (** read via {!cycles} *)
   mutable instructions : int;
   mutable branches : int;
   mutable branch_mispredicts : int;
@@ -19,6 +26,9 @@ type t = {
 
 (** Fresh counters, all zero. *)
 val create : unit -> t
+
+(** Simulated cycles charged so far. *)
+val cycles : t -> float
 
 (** Immutable counter snapshot. *)
 type snapshot = {

@@ -47,7 +47,7 @@ type t = {
   policy : policy;
   seed : int;
   mutable rng : int;
-  mutable rr : int;  (* round-robin cursor: last hart scheduled *)
+  mutable rr : int;  (* round-robin cursor: last hart it scheduled *)
   parked : bool array;  (* acked a rendezvous; not schedulable *)
   ipi_pending : bool array;
   ipi_sent_at : float array;  (* clock reading at post, for ack latency *)
@@ -89,7 +89,7 @@ let machine t i = t.harts.(i)
     measured on (there is no global wall clock in a simulator that steps
     one hart at a time). *)
 let clock t =
-  Array.fold_left (fun acc m -> acc +. m.Machine.perf.Perf.cycles) 0.0 t.harts
+  Array.fold_left (fun acc m -> acc +. Perf.cycles m.Machine.perf) 0.0 t.harts
 
 let emit t ev = match t.tracer with None -> () | Some sink -> sink ev
 
@@ -170,42 +170,44 @@ let weight t i =
   | Round_robin -> 1
   | Weighted_random w -> if i < Array.length w then max 0 w.(i) else 1
 
-(* Pick the next hart to run among runnable ones (minus [exclude]),
-   according to the policy; [None] when nothing is runnable. *)
-let pick ?(exclude = -1) t =
-  let n = n_harts t in
-  let candidates = ref [] in
-  for i = n - 1 downto 0 do
-    if i <> exclude && runnable t i then candidates := i :: !candidates
-  done;
-  match !candidates with
-  | [] -> None
-  | [ i ] ->
-      t.rr <- i;
-      Some i
-  | cs -> (
-      match t.policy with
-      | Round_robin ->
-          let rec next j =
-            let j = (j + 1) mod n in
-            if j <> exclude && runnable t j then j else next j
-          in
-          let i = next t.rr in
-          t.rr <- i;
-          Some i
-      | Weighted_random _ ->
-          let total = List.fold_left (fun acc i -> acc + weight t i) 0 cs in
-          if total = 0 then Some (List.hd cs)
-          else begin
-            let r = rand_below t total in
-            let rec walk acc = function
-              | [] -> List.hd cs (* unreachable: r < total *)
-              | i :: rest ->
-                  let acc = acc + weight t i in
-                  if r < acc then i else walk acc rest
-            in
-            Some (walk 0 cs)
-          end)
+(* Round robin: the first hart other than [exclude] that can run, in
+   cyclic order after [rr] — one scan, which reaches [rr] itself last. *)
+let rec rr_scan t ~exclude k =
+  let n = Array.length t.harts in
+  if k > n then -1
+  else
+    let j = (t.rr + k) mod n in
+    if j <> exclude && runnable t j then j else rr_scan t ~exclude (k + 1)
+
+(* Weighted random: the ascending walk over the candidates, to the first
+   whose cumulative weight exceeds the draw [r]. *)
+let rec weighted_walk t ~exclude r acc i =
+  if i <> exclude && runnable t i then
+    let acc = acc + weight t i in
+    if r < acc then i else weighted_walk t ~exclude r acc (i + 1)
+  else weighted_walk t ~exclude r acc (i + 1)
+
+(* Pick the next hart to run among the runnable ones other than [exclude]
+   (-1 excludes none), according to the policy; -1 when none can run.  A
+   lone candidate runs without a draw.  Runs once per simulated step, so
+   it allocates nothing. *)
+let pick t ~exclude =
+  match t.policy with
+  | Round_robin ->
+      let i = rr_scan t ~exclude 1 in
+      if i >= 0 then t.rr <- i;
+      i
+  | Weighted_random _ ->
+      let count = ref 0 and total = ref 0 and first = ref (-1) in
+      for i = n_harts t - 1 downto 0 do
+        if i <> exclude && runnable t i then begin
+          incr count;
+          total := !total + weight t i;
+          first := i
+        end
+      done;
+      if !count < 2 || !total = 0 then !first
+      else weighted_walk t ~exclude (rand_below t !total) 0 0
 
 let ack t i =
   t.ipi_pending.(i) <- false;
@@ -251,7 +253,9 @@ let step_hart t i =
 
 (** One global scheduler step: pick a runnable hart by policy and give it
     a slot.  [false] when every hart is halted (or parked). *)
-let step t = match pick t with None -> false | Some i -> step_hart t i
+let step t =
+  let i = pick t ~exclude:(-1) in
+  i >= 0 && step_hart t i
 
 (** Drive the whole system until no hart is runnable. *)
 let run t =
@@ -341,10 +345,11 @@ let rendezvous_drive t =
     Array.iteri
       (fun i pending -> if pending && not (running t i) then ack t i)
       t.ipi_pending;
-    if not (rendezvous_complete t) then
-      match pick ~exclude:t.rdv_initiator t with
-      | Some i -> ignore (step_hart t i)
-      | None -> raise (Machine.Fault "rendezvous: no runnable hart left to ack")
+    if not (rendezvous_complete t) then begin
+      let i = pick t ~exclude:t.rdv_initiator in
+      if i < 0 then raise (Machine.Fault "rendezvous: no runnable hart left to ack");
+      ignore (step_hart t i)
+    end
   done
 
 (** [stop_machine t f] runs [f] with every other hart parked at an

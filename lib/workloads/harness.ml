@@ -215,12 +215,7 @@ let osr_hart_of_machine (m : Machine.t) : Core.Runtime.osr_hart =
     oh_set_reg = (fun r v -> m.Machine.regs.(r) <- v);
     oh_mem = (fun addr -> Image.read img addr 8);
     oh_set_mem = (fun addr v -> Image.write img addr v 8);
-    oh_set_top_frame =
-      (fun addr ->
-        m.Machine.frames <-
-          (match m.Machine.frames with
-          | _ :: rest -> addr :: rest
-          | [] -> [ addr ]));
+    oh_set_top_frame = Machine.set_top_frame m;
   }
 
 (* Arm on-stack replacement: the runtime resolves the accessors of
@@ -377,7 +372,7 @@ let enable_stack_profiling ?interval s =
             ?root:(if n > 1 then Some (Printf.sprintf "hart%d" i) else None)
             ~resolve:(Image.symbol_at img)
             ~frames:(fun () -> Machine.call_frames m)
-            ~now:(fun () -> m.Machine.perf.Perf.cycles)
+            ~now:(fun () -> Perf.cycles m.Machine.perf)
             ()
         in
         Machine.set_sampler m (Some (Stackprof.sample sp));
@@ -448,9 +443,9 @@ let call s fn args = Machine.call s.machine fn args
 
 (** Cycles consumed by one invocation [fn args]. *)
 let cycles_of_call s fn args =
-  let before = s.machine.Machine.perf.Perf.cycles in
+  let before = Perf.cycles s.machine.Machine.perf in
   let (_ : int) = Machine.call s.machine fn args in
-  s.machine.Machine.perf.Perf.cycles -. before
+  Perf.cycles s.machine.Machine.perf -. before
 
 let mean values =
   if values = [] then 0.0

@@ -96,7 +96,7 @@ let test_zero_simulated_cost () =
     H.set s "config_smp" 1;
     ignore (H.commit s);
     ignore (H.call s "bench_loop" [ 25 ]);
-    s.H.machine.Machine.perf.Perf.cycles
+    Perf.cycles s.H.machine.Machine.perf
   in
   check_float "cycles identical with heat armed" (run false) (run true)
 

@@ -372,7 +372,7 @@ let test_zero_overhead_without_and_with_sinks () =
       H.enable_metrics s
     end;
     ignore (H.call s "bench_loop" [ 200 ]);
-    s.H.machine.Machine.perf.Perf.cycles
+    Perf.cycles s.H.machine.Machine.perf
   in
   (* the tracer and sampler are host-side observers: the simulated clock
      must not move by even one cycle when they are armed *)

@@ -31,12 +31,7 @@ let enable s =
            oh_set_reg = (fun r v -> m.Machine.regs.(r) <- v);
            oh_mem = (fun addr -> Image.read img addr 8);
            oh_set_mem = (fun addr v -> Image.write img addr v 8);
-           oh_set_top_frame =
-             (fun addr ->
-               m.Machine.frames <-
-                 (match m.Machine.frames with
-                 | _ :: rest -> addr :: rest
-                 | [] -> [ addr ]));
+           oh_set_top_frame = Machine.set_top_frame m;
          }))
 
 (* Collect every trace event the runtime emits (no ring, no clock: the

@@ -211,10 +211,10 @@ let test_single_hart_bit_identity () =
   Harness.start smp ~hart:0 "bench_loop" [ 40 ];
   Harness.run smp;
   let mp = plain.machine and ms = Smp.machine smp.Harness.smp 0 in
-  if mp.Machine.perf.Perf.cycles <> ms.Machine.perf.Perf.cycles then
+  if Perf.cycles mp.Machine.perf <> Perf.cycles ms.Machine.perf then
     Alcotest.failf "cycles diverge: plain %.1f (%d insns) vs smp %.1f (%d insns)"
-      mp.Machine.perf.Perf.cycles mp.Machine.perf.Perf.instructions
-      ms.Machine.perf.Perf.cycles ms.Machine.perf.Perf.instructions;
+      (Perf.cycles mp.Machine.perf) mp.Machine.perf.Perf.instructions
+      (Perf.cycles ms.Machine.perf) ms.Machine.perf.Perf.instructions;
   check_int "identical instruction count" mp.Machine.perf.Perf.instructions
     ms.Machine.perf.Perf.instructions;
   check_int "hart 0 keeps the image stack base" ms.Machine.stack_base
@@ -303,6 +303,68 @@ let test_all_zero_weights_run_lowest_first () =
   Harness.run s;
   check_int "hart 0 first" 1 (Harness.get s "order0");
   check_int "hart 1 still completes" 2 (Harness.get s "order1")
+
+(* The schedule itself, pinned: a 4-hart contended run with a commit
+   after 300 steps, recording the hart that ran each [Harness.step] and
+   then the order in which the harts acked the commit's rendezvous (whose
+   picks exclude the initiator).  The expected lengths and digests are
+   those of an earlier scheduler that built a candidate list on every
+   pick, so a match shows that the same harts run and the same random
+   draws are made; the determinism tests above only compare two runs of
+   one build.  Not seed-swept: the figures belong to seed 7. *)
+let schedule_fingerprint policy =
+  let s = Harness.session1 ~n_harts:4 ~policy ~seed:7 Spinlock.contended_source in
+  Harness.set s "config_smp" 1;
+  ignore (Harness.commit s);
+  Harness.enable_tracing s;
+  for h = 0 to 3 do
+    Harness.start s ~hart:h "worker" [ 12 ]
+  done;
+  let buf = Buffer.create 4096 in
+  let step () =
+    let more = Harness.step s in
+    Buffer.add_char buf (Char.chr (Char.code '0' + Smp.current_hart s.Harness.smp));
+    more
+  in
+  let more = ref true and steps = ref 0 in
+  while !more && !steps < 300 do
+    more := step ();
+    incr steps
+  done;
+  (* commit where hart 0, the initiator, can take part *)
+  let m0 = Smp.machine s.Harness.smp 0 in
+  while !more && not m0.Machine.irq_enabled do
+    more := step ()
+  done;
+  check_bool "the commit lands mid-run" true !more;
+  ignore (Harness.commit s);
+  while step () do
+    ()
+  done;
+  check_int "exact counter" 48 (Harness.get s "counter");
+  let steps = Buffer.length buf in
+  List.iter
+    (fun (e : Trace.stamped) ->
+      match e.Trace.ev with
+      | Trace.Ipi_ack { hart; _ } -> Buffer.add_char buf (Char.chr (Char.code 'a' + hart))
+      | _ -> ())
+    (Harness.trace_events s);
+  check_int "every other hart acked once" 3 (Buffer.length buf - steps);
+  (steps, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_schedule_pinned () =
+  let check what policy (len, digest) =
+    let l, d = schedule_fingerprint policy in
+    check_int (what ^ ": steps") len l;
+    check_string (what ^ ": schedule digest") digest d
+  in
+  check "round robin" Smp.Round_robin (1812, "0704d0660da7222adc2076572d512714");
+  check "weighted random" (Smp.Weighted_random [| 3; 1; 0; 2 |])
+    (1327, "b65ba1636bef4fb36672a9111f0b7c4e");
+  (* no zero weight: the last hart to ack is a lone candidate of nonzero
+     weight, which must run without a draw *)
+  check "weighted random, no zero weight" (Smp.Weighted_random [| 1; 2; 1; 2 |])
+    (1640, "2ed4b3d58bad45d114062b6e160346ee")
 
 (* ------------------------------------------------------------------ *)
 (* Contended critical sections                                         *)
@@ -551,11 +613,11 @@ let test_text_poke_phases_and_brk_spin () =
   park_hart s ~hart:1 "seven";
   let m1 = Smp.machine smp 1 in
   Smp.text_poke_start smp ~addr:seven nine_bytes;
-  let c0 = m1.Machine.perf.Perf.cycles in
+  let c0 = Perf.cycles m1.Machine.perf in
   ignore (Smp.step_hart smp 1);
   ignore (Smp.step_hart smp 1);
   check_int "spinning on the trap byte" seven m1.Machine.pc;
-  check_bool "the spin charges cycles" true (m1.Machine.perf.Perf.cycles > c0);
+  check_bool "the spin charges cycles" true (Perf.cycles m1.Machine.perf > c0);
   check_bool "tail phase does not finish the poke" false (Smp.text_poke_step smp);
   ignore (Smp.step_hart smp 1);
   check_int "still spinning while the trap guards the entry" seven m1.Machine.pc;
@@ -824,8 +886,8 @@ let test_clock_and_seed_accessors () =
   Harness.start s ~hart:1 "w" [ 25 ];
   Harness.run s;
   let sum =
-    (Smp.machine smp 0).Machine.perf.Perf.cycles
-    +. (Smp.machine smp 1).Machine.perf.Perf.cycles
+    Perf.cycles (Smp.machine smp 0).Machine.perf
+    +. Perf.cycles (Smp.machine smp 1).Machine.perf
   in
   check_bool "clock sums per-hart cycles" true (Smp.clock smp = sum);
   check_bool "clock advanced" true (Smp.clock smp > 0.0)
@@ -961,4 +1023,5 @@ let suite =
     tc_slow "OSR transfer is deterministic per seed"
       test_osr_transfer_deterministic_per_seed;
     tc "clock and seed accessors" test_clock_and_seed_accessors;
+    tc "the schedule is pinned (round robin and weighted)" test_schedule_pinned;
   ]

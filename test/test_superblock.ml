@@ -43,7 +43,7 @@ let run_script fin =
   let events = ref [] in
   Machine.set_tracer s.machine
     (Some
-       (fun e -> events := (s.machine.Machine.perf.Perf.cycles, e) :: !events));
+       (fun e -> events := (Perf.cycles s.machine.Machine.perf, e) :: !events));
   let call fn args =
     Machine.start_call s.machine fn args;
     fin s.machine
@@ -96,7 +96,7 @@ let test_stepwise_identity () =
     check_bool "both streams end together" ka kb;
     check_int "same pc" b.machine.Machine.pc a.machine.Machine.pc;
     if
-      a.machine.Machine.perf.Perf.cycles <> b.machine.Machine.perf.Perf.cycles
+      Perf.cycles a.machine.Machine.perf <> Perf.cycles b.machine.Machine.perf
     then
       Alcotest.failf "cycles diverge at pc 0x%x" a.machine.Machine.pc;
     more := ka
@@ -419,6 +419,75 @@ let test_fetch_past_code_span () =
     (fault_at Machine.step_ref (span_end - 1) <> outside (span_end - 1))
 
 (* ------------------------------------------------------------------ *)
+(* The hot loop allocates nothing                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words per simulated instruction of [run ()], measured on the
+   second of two runs so that block decoding and frame-stack growth stay
+   in the first.  [start ()] prepares each run outside the window. *)
+let words_per_insn ~insns ~start ~run =
+  start ();
+  run ();
+  start ();
+  let i0 = insns () in
+  let w0 = Gc.minor_words () in
+  run ();
+  let w = Gc.minor_words () -. w0 in
+  w /. float_of_int (insns () - i0)
+
+let check_alloc_free what wpi =
+  if wpi >= 0.01 then
+    Alcotest.failf "%s allocates %.3f minor words per simulated instruction" what wpi
+
+(* The guest-exec loops (the paper's spinlock, musl and pvops loops) on
+   unicore sessions, through both the superblock path and the reference
+   stepper it is compared with, and the contended spinlock on four harts
+   with safe commit armed: once the blocks are built, stepping allocates
+   nothing — no boxed cycle counter, cursor option, frame cons or
+   scheduler list.  A boxed field added to the hot path fails here, not
+   only in a host-time figure. *)
+let test_hot_loop_allocates_nothing () =
+  let module W = Mv_workloads in
+  let insns (m : Machine.t) () = m.Machine.perf.Perf.instructions in
+  let loop what (s : Harness.session) fn n =
+    let m = s.Harness.machine in
+    List.iter
+      (fun (path, finish) ->
+        check_alloc_free (what ^ ", " ^ path)
+          (words_per_insn ~insns:(insns m)
+             ~start:(fun () -> Machine.start_call m fn [ n ])
+             ~run:(fun () -> ignore (finish m))))
+      [ ("superblocks", Machine.finish); ("reference stepper", Machine.finish_ref) ]
+  in
+  List.iter
+    (fun smp ->
+      let s = Harness.session1 (W.Spinlock.source W.Spinlock.Multiverse) in
+      Harness.set s "config_smp" smp;
+      ignore (Harness.commit s);
+      loop (Printf.sprintf "spinlock (config_smp=%d)" smp) s "bench_loop" 3000)
+    [ 0; 1 ];
+  let musl = W.Musl.prepare W.Musl.Multiversed ~threads:0 in
+  loop "musl random" musl "bench_random" 2000;
+  loop "musl malloc(1)" musl "bench_malloc1" 1500;
+  loop "musl fputc" musl "bench_fputc" 2000;
+  let pv = Harness.session1 (W.Pvops.source W.Pvops.Multiverse) in
+  W.Pvops.boot pv W.Pvops.Multiverse Machine.Native;
+  loop "pvops" pv "bench_loop" 3000;
+  let n_harts = 4 in
+  let s = Harness.session1 ~n_harts W.Spinlock.contended_source in
+  Harness.set s "config_smp" 1;
+  ignore (Harness.commit s);
+  let harts = List.init n_harts (Smp.machine s.Harness.smp) in
+  check_alloc_free "the 4-hart contended spinlock"
+    (words_per_insn
+       ~insns:(fun () -> List.fold_left (fun a m -> a + insns m ()) 0 harts)
+       ~start:(fun () ->
+         for h = 0 to n_harts - 1 do
+           Harness.start s ~hart:h "worker" [ 200 ]
+         done)
+       ~run:(fun () -> Harness.run s))
+
+(* ------------------------------------------------------------------ *)
 (* Domain-parallel fuzzing determinism                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -490,4 +559,5 @@ let suite =
     tc "heat survives a page-boundary flush" test_heat_survives_boundary_flush;
     tc "fetch past the code span faults" test_fetch_past_code_span;
     tc_slow "parallel fuzzing is deterministic" test_parallel_fuzz_determinism;
+    tc "the hot loop allocates nothing" test_hot_loop_allocates_nothing;
   ]

@@ -12,9 +12,9 @@ module Image = Mv_link.Image
 module Insn = Mv_isa.Insn
 
 let cycles_of s fn args =
-  let before = s.machine.Machine.perf.Perf.cycles in
+  let before = Perf.cycles s.machine.Machine.perf in
   let _ = Mv_vm.Machine.call s.machine fn args in
-  s.machine.Machine.perf.Perf.cycles -. before
+  Perf.cycles s.machine.Machine.perf -. before
 
 let test_state_persists_across_calls () =
   let s = session "int counter; int bump() { counter = counter + 1; return counter; }" in
