@@ -141,7 +141,10 @@ let bench_arg =
   Arg.(
     value & opt (some string) None
     & info [ "bench" ] ~docv:"FN"
-        ~doc:"Measure mean cycles per call of loop function $(docv) (called with a count argument)")
+        ~doc:
+          "Measure mean cycles per call of loop function $(docv) (called with a \
+           count argument) by the harness protocol: 3 warm-up calls, then 100 \
+           samples of 100 calls, outliers excluded")
 
 let trace_arg =
   Arg.(
@@ -202,21 +205,10 @@ let main files run args sets commit perf ir asm descriptors xen stats strategy p
     end;
     (match bench with
     | Some loop_fn ->
-        let calls = 100 in
-        (* warmup + measure, mirroring the benchmark harness *)
-        for _ = 1 to 3 do
-          ignore (Mv_vm.Machine.call machine loop_fn [ calls ])
-        done;
-        let total = ref 0.0 in
-        let samples = 100 in
-        for _ = 1 to samples do
-          let before = Mv_vm.Perf.cycles machine.Mv_vm.Machine.perf in
-          ignore (Mv_vm.Machine.call machine loop_fn [ calls ]);
-          total := !total +. (Mv_vm.Perf.cycles machine.Mv_vm.Machine.perf -. before)
-        done;
+        let samples = 100 and calls = 100 in
+        let m = Mv_workloads.Harness.measure ~samples ~calls session ~loop_fn in
         Format.printf "%s: %.2f cycles/call (%d samples x %d calls)@." loop_fn
-          (!total /. float_of_int (samples * calls))
-          samples calls
+          m.Mv_workloads.Harness.m_mean samples calls
     | None -> ());
     (match run with
     | Some fn ->

@@ -744,11 +744,11 @@ let diff_main base fresh gate all no_skip json_out =
                       (* postmortem artifact for CI: the offending deltas
                          in the same schema every other failure dump
                          uses (gated on MV_SMP_ARTIFACT_DIR) *)
-                      let flight =
-                        Flight.create ~capacity:1 ~clock:(fun () -> 0.0) ()
+                      let ring =
+                        Trace.ring ~capacity:1 ~clock:(fun () -> 0.0) ()
                       in
                       (match
-                         Flight.write_artifact flight ~reason:"bench-gate"
+                         Flight.write_artifact ring ~reason:"bench-gate"
                            ~name:"bench-gate"
                            ~extra:
                              [

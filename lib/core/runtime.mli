@@ -189,7 +189,7 @@ val set_inlining : t -> bool -> unit
     sink installed the emit sites reduce to a single [option] match:
     tracing is pay-for-use, like the safepoint hook.  The usual sink is
     [Mv_obs.Trace.sink] over a ring clocked by the machine's cycle
-    counter (see [Harness.enable_tracing]). *)
+    counter (every [Harness.session] installs one at creation). *)
 val set_tracer : t -> (Mv_obs.Trace.event -> unit) option -> unit
 
 (** Install (or remove, with [None]) the hart source used to attribute

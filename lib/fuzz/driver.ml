@@ -21,7 +21,7 @@ let schedule_for case seed = Schedule.gen (Rng.split (Rng.create seed) 3) case
 let write_flight_artifact ~log seed (div : Oracle.divergence)
     (shrunk : Shrink.result) : string option =
   let module Json = Mv_obs.Json in
-  let flight = Mv_obs.Flight.create ~capacity:1 ~clock:(fun () -> 0.0) () in
+  let ring = Mv_obs.Trace.ring ~capacity:1 ~clock:(fun () -> 0.0) () in
   let extra =
     [
       ("seed", Json.Int seed);
@@ -36,7 +36,7 @@ let write_flight_artifact ~log seed (div : Oracle.divergence)
     ]
   in
   match
-    Mv_obs.Flight.write_artifact flight ~reason:"fuzz-oracle"
+    Mv_obs.Flight.write_artifact ring ~reason:"fuzz-oracle"
       ~name:(Printf.sprintf "fuzz-seed-%d" seed)
       ~extra ()
   with

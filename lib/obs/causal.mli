@@ -3,8 +3,8 @@
     reconstruction.
 
     Everything here is a pure host-side fold over [Trace.stamped list] —
-    run it after the fact on [Harness.trace_events] (or a flight
-    recorder's decoded window); nothing touches the simulated machine.
+    run it after the fact on [Harness.trace_events] (or a decoded
+    [mv-flight/1] dump's window); nothing touches the simulated machine.
     The [mvtrace timeline] and [mvtrace blame] subcommands are thin
     renderers over this module. *)
 

@@ -61,8 +61,8 @@ type sink = event -> unit
 (* Events that name the hart they happened on attribute themselves; the
    rest fall back to [current] (the scheduler's notion of "currently
    executing hart").  Causal edges land on their destination hart — that
-   is where the effect materializes.  Returns a bare int: both recorders
-   call this on every event, and the always-on one must not allocate. *)
+   is where the effect materializes.  Returns a bare int: the ring calls
+   this on every event and must not allocate. *)
 let hart_of_event ~current = function
   | Icache_flush { hart; _ } | Ipi_ack { hart; _ } -> hart
   | Ipi_send { from_hart; _ } -> from_hart
@@ -71,57 +71,60 @@ let hart_of_event ~current = function
   | Osr_transfer { hart; _ } -> hart
   | _ -> current ()
 
+(* Three preallocated arrays hold each event (the emitter has already
+   allocated it), its clock reading and its hart, so recording is three
+   stores with no allocation — cheap enough to leave armed for the whole
+   life of every harness session.  Stamping waits until the window is
+   read. *)
 type ring = {
   clock : unit -> float;
   hart : unit -> int;
-  slots : stamped option array;  (* circular, indexed by seq mod capacity *)
-  hseqs : (int, int) Hashtbl.t;  (* per-hart next sequence number *)
-  mutable next_seq : int;
-  mutable base_seq : int;  (* sequence numbers below this were cleared *)
-  mutable dropped : int;
+  evs : event array;  (* circular, indexed by seq mod capacity *)
+  clocks : float array;
+  harts : int array;
+  mutable next_seq : int;  (* total events ever recorded *)
 }
 
 let ring ?(capacity = 4096) ?(hart = fun () -> 0) ~clock () =
+  let capacity = max 1 capacity in
   {
     clock;
     hart;
-    slots = Array.make (max 1 capacity) None;
-    hseqs = Hashtbl.create 8;
+    (* never read: only slots below [next_seq] are *)
+    evs = Array.make capacity (Safepoint_poll { pending = 0 });
+    clocks = Array.make capacity 0.0;
+    harts = Array.make capacity 0;
     next_seq = 0;
-    base_seq = 0;
-    dropped = 0;
   }
 
+let capacity r = Array.length r.evs
+let now r = r.clock ()
+
 let record r ev =
-  let cap = Array.length r.slots in
   let seq = r.next_seq in
-  r.next_seq <- seq + 1;
-  if r.slots.(seq mod cap) <> None then r.dropped <- r.dropped + 1;
-  let hart = hart_of_event ~current:r.hart ev in
-  let hseq = Option.value ~default:0 (Hashtbl.find_opt r.hseqs hart) in
-  Hashtbl.replace r.hseqs hart (hseq + 1);
-  r.slots.(seq mod cap) <- Some { ts = r.clock (); seq; hart; hseq; ev }
+  let i = seq mod capacity r in
+  r.evs.(i) <- ev;
+  r.clocks.(i) <- r.clock ();
+  r.harts.(i) <- hart_of_event ~current:r.hart ev;
+  r.next_seq <- seq + 1
 
 let sink r : sink = fun ev -> record r ev
+let recorded r = r.next_seq
+let dropped r = max 0 (r.next_seq - capacity r)
 
+(* Stamp the surviving window, oldest first.  [hseq] counts densely
+   within the window: after overflow it restarts rather than continuing
+   the lost prefix, which is what the postmortem consumers need. *)
 let events r =
-  let cap = Array.length r.slots in
-  let lo = max r.base_seq (r.next_seq - cap) in
-  let acc = ref [] in
-  for seq = r.next_seq - 1 downto lo do
-    match r.slots.(seq mod cap) with
-    | Some st when st.seq = seq -> acc := st :: !acc
-    | _ -> ()
-  done;
-  !acc
-
-let recorded r = r.next_seq - r.base_seq
-let dropped r = r.dropped
-
-let clear r =
-  Array.fill r.slots 0 (Array.length r.slots) None;
-  r.base_seq <- r.next_seq;
-  r.dropped <- 0
+  let lo = dropped r in
+  let hseqs = Hashtbl.create 8 in
+  List.init (r.next_seq - lo) (fun k ->
+      let seq = lo + k in
+      let i = seq mod capacity r in
+      let hart = r.harts.(i) in
+      let hseq = Option.value ~default:0 (Hashtbl.find_opt hseqs hart) in
+      Hashtbl.replace hseqs hart (hseq + 1);
+      { ts = r.clocks.(i); seq; hart; hseq; ev = r.evs.(i) })
 
 (* ------------------------------------------------------------------ *)
 (* The event schema                                                    *)

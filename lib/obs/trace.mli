@@ -1,16 +1,19 @@
 (** Structured trace events for the multiverse runtime and the machine
-    simulator.
+    simulator, and the one bounded ring that records them.
 
     The runtime and the machine each accept an optional sink (an
     [event -> unit] function).  With no sink installed the hook sites
     reduce to one [option] match and the simulated cycle counts are
     bit-for-bit identical to an untraced run — tracing is strictly
     pay-for-use, like the safepoint hook.  The usual sink is {!sink} over
-    a {!ring}, which stamps each event with a clock reading (simulated
-    cycles), a global sequence number, the hart it happened on, and a
-    per-hart sequence number, and stores it in a fixed-capacity ring
-    buffer: tracing a long run costs bounded memory, and overflow drops
-    the {e oldest} events, keeping the most recent window.
+    a {!ring}, which stores each event with a clock reading (simulated
+    cycles) and the hart it happened on in preallocated arrays, and
+    stamps the window with global and per-hart sequence numbers when it
+    is read: recording allocates nothing and a long run costs bounded
+    memory, and overflow drops the {e oldest} events, keeping the most
+    recent window.  Every harness session keeps one ring armed from
+    creation; its window is what a [mv-flight/1] postmortem
+    ([Flight]) dumps.
 
     Causal correlation ids thread through the distributed protocols:
     [rdv] ties the IPI/rendezvous events of one stop_machine together and
@@ -131,7 +134,8 @@ type event =
     cycles for the standard wiring), [seq] a strictly increasing per-ring
     sequence number (survives overflow, so gaps reveal drops), [hart] the
     hart the event is attributed to, and [hseq] the event's position in
-    that hart's own timeline (dense per hart, also monotonic). *)
+    that hart's own timeline within the window (dense per hart; after
+    overflow it restarts from 0 at the oldest surviving event). *)
 type stamped = { ts : float; seq : int; hart : int; hseq : int; ev : event }
 
 (** An event consumer, installed into [Runtime.set_tracer] /
@@ -141,42 +145,47 @@ type sink = event -> unit
 (** The hart an event is attributed to: the one it intrinsically names
     ([Ipi_ack] happened on the acking hart no matter which hart's slot
     recorded it), else [current ()], the currently executing hart.
-    Allocation-free, so the always-on {!Flight} recorder can call it on
-    every event. *)
+    Allocation-free, so the ring can call it on every event. *)
 val hart_of_event : current:(unit -> int) -> event -> int
 
-(** The fixed-capacity recorder. *)
+(** The fixed-capacity recorder: three preallocated arrays (event, clock
+    reading, hart) and a sequence counter. *)
 type ring
 
 (** [ring ~clock ()] creates an empty recorder keeping the last
-    [capacity] events (default 4096; at least 1).  [clock] supplies the
-    timestamp for each recorded event — wire it to the machine's cycle
-    counter.  [hart] supplies the currently-executing hart for events
-    that do not name one themselves (default: constant 0, right for a
-    single-hart machine; wire it to [Smp.current_hart] under SMP). *)
+    [capacity] events (default 4096; at least 1); older events are
+    overwritten, never reallocated.  [clock] supplies the timestamp for
+    each recorded event — wire it to the machine's cycle counter.
+    [hart] supplies the currently-executing hart for events that do not
+    name one themselves (default: constant 0, right for a single-hart
+    machine; wire it to [Smp.current_hart] under SMP). *)
 val ring :
   ?capacity:int -> ?hart:(unit -> int) -> clock:(unit -> float) -> unit -> ring
 
-(** The sink that stamps and records into the ring. *)
+(** The sink that records into the ring. *)
 val sink : ring -> sink
 
-(** Stamp and store one event (what {!sink} does). *)
+(** Store one event (what {!sink} does): O(1), and allocation-free as
+    long as the ring's [clock] and [hart] are. *)
 val record : ring -> event -> unit
 
-(** Recorded events, oldest first. *)
+(** Stamp the surviving window, oldest first.  [seq] is the event's
+    global record index; [hseq] is recomputed densely within the window
+    (see {!stamped}). *)
 val events : ring -> stamped list
 
-(** Number of events recorded since creation (or {!clear}), including
-    any that overflow has already discarded. *)
+(** Number of events recorded since creation, including any that
+    overflow has already discarded. *)
 val recorded : ring -> int
 
-(** Events discarded by overflow. *)
+(** Events discarded by overflow ([max 0 (recorded - capacity)]). *)
 val dropped : ring -> int
 
-(** Forget all events and reset the drop counter (sequence numbers —
-    global and per-hart — keep increasing, so merged logs stay
-    ordered). *)
-val clear : ring -> unit
+(** The ring's window size. *)
+val capacity : ring -> int
+
+(** The ring's clock, read now. *)
+val now : ring -> float
 
 (** {1 The event schema}
 

@@ -81,9 +81,10 @@ val set_drop_ack : t -> int option -> unit
 val set_slow_ack : t -> (int * int) option -> unit
 
 (** The hart that last received a scheduling slot (0 before any step).
-    This is the attribution source trace rings and metrics sinks use for
-    host-driven events that do not name a hart themselves — wire it into
-    [Trace.ring]'s [hart] argument. *)
+    This is the attribution source the event ring and metrics sinks use
+    for host-driven events that do not name a hart themselves — wire it
+    into [Trace.ring]'s [hart] argument, as every harness session does
+    for its always-on ring. *)
 val current_hart : t -> int
 
 (** Install (or remove) the event sink on the container {e and} every

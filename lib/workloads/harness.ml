@@ -41,8 +41,7 @@ type session = {
   machine : Machine.t;  (** hart 0 *)
   runtime : Core.Runtime.t;
   sm_runtime : Core.Runtime.t;  (** [runtime] again, a benchmark alias *)
-  flight : Flight.t;  (** always-on flight recorder, armed at creation *)
-  mutable trace : Trace.ring option;  (** set by {!enable_tracing} *)
+  mutable ring : Trace.ring;  (** always on; {!enable_tracing} swaps it *)
   mutable stackprofs : Stackprof.t array;  (** set by {!enable_stack_profiling} *)
   mutable metrics : Metrics.t option;  (** set by {!enable_metrics} *)
   mutable metrics_sink : Trace.sink option;  (** the registry's trace bridge *)
@@ -83,18 +82,17 @@ let trap_extra ~msg s : (string * Json.t) list =
   ]
 
 (* One sink serves both emitters (the runtime, and the container, which
-   hands it to every hart); the always-on flight recorder is in every
-   chain, the ring, the metrics bridge and the heat sink tee in front of
-   it when armed.  Re-run after any enable_* so the installed chain
-   always reflects the session's current state. *)
+   hands it to every hart); the ring is in every chain, the metrics
+   bridge and the heat sink tee in behind it when armed.  Re-run after
+   any enable_* so the installed chain always reflects the session's
+   current state. *)
 let install_tracers s =
   let sinks =
     List.filter_map Fun.id
       [
-        Option.map Trace.sink s.trace;
+        Some (Trace.sink s.ring);
         s.metrics_sink;
         Option.map (fun h -> Heat.sink h ~clock:(clock s)) s.heat;
-        Some (Flight.sink s.flight);
       ]
   in
   let sink =
@@ -129,9 +127,9 @@ let enable_stop_machine s =
     every patching operation runs inside a [stop_machine] rendezvous,
     text mutations go through the breakpoint-first [text_poke], commit
     chains carry the hart they ran on, and safe commit is armed.  The
-    flight recorder is armed here — always-on, every session — and every
-    hart's trap hook wired to dump it (gated on [MV_SMP_ARTIFACT_DIR], so
-    a plain test run writes nothing). *)
+    512-event ring is armed here — always-on, every session — and every
+    hart's trap hook wired to dump the session's current ring (gated on
+    [MV_SMP_ARTIFACT_DIR], so a plain test run writes nothing). *)
 let session ?(n_harts = 1) ?policy ?seed ?platform ?callsite_padding
     ?(lazy_variants = false) ?vtext_size ?budget
     (sources : (string * string) list) : session =
@@ -155,12 +153,11 @@ let session ?(n_harts = 1) ?policy ?seed ?platform ?callsite_padding
       machine = Smp.machine smp 0;
       runtime;
       sm_runtime = runtime;
-      flight =
-        Flight.create
+      ring =
+        Trace.ring ~capacity:512
           ~clock:(fun () -> Smp.clock smp)
           ~hart:(fun () -> Smp.current_hart smp)
           ();
-      trace = None;
       stackprofs = [||];
       metrics = None;
       metrics_sink = None;
@@ -175,12 +172,12 @@ let session ?(n_harts = 1) ?policy ?seed ?platform ?callsite_padding
            (fun msg ->
              let n = Atomic.fetch_and_add trap_counter 1 in
              ignore
-               (Flight.write_artifact s.flight ~reason:"vm-trap"
+               (Flight.write_artifact s.ring ~reason:"vm-trap"
                   ~name:(Printf.sprintf "trap-%d" n)
                   ~extra:(trap_extra ~msg s) ()))))
     (harts s);
-  (* the recorder listens from the first instruction; enable_tracing /
-     enable_metrics / enable_heat later tee their sinks in front of it *)
+  (* the ring listens from the first instruction; enable_metrics /
+     enable_heat later tee their sinks in behind it *)
   install_tracers s;
   s
 
@@ -236,12 +233,11 @@ let result s ~hart = Smp.result s.smp ~hart
 (* Observability: tracing, profiling, metrics, heat                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Wire the structured-event recorder: one ring, clocked by the session
-   clock, receiving the runtime's patching events, every hart's icache
-   flushes, and the IPI/rendezvous lifecycle.  The second call replaces
-   the ring (useful to re-arm with a different capacity). *)
-let enable_tracing ?capacity s =
-  s.trace <- Some (Trace.ring ?capacity ~clock:(clock s) ~hart:(current_hart s) ());
+(* Swap the always-on ring for a fresh one of the Trace.ring default
+   capacity (4096), clocked and stamped like it; every reader and the
+   trap hooks follow the swap.  A second call starts another fresh ring. *)
+let enable_tracing s =
+  s.ring <- Trace.ring ~clock:(clock s) ~hart:(current_hart s) ();
   install_tracers s
 
 (* Arm the metrics registry: a second consumer of the same event stream
@@ -378,15 +374,12 @@ let enable_stack_profiling ?interval s =
         Machine.set_sampler m (Some (Stackprof.sample sp));
         sp)
 
-let trace_events s = match s.trace with None -> [] | Some ring -> Trace.events ring
+let trace_events s = Trace.events s.ring
 
 let trace_dump s = Mv_obs.Export.chrome_trace_string (trace_events s)
 
-let flight s = s.flight
-let flight_events s = Flight.events s.flight
-
 let flight_dump ?(reason = "manual") s =
-  Flight.dump_string s.flight ~reason ~extra:(trap_extra ~msg:"" s) ()
+  Flight.dump_string s.ring ~reason ~extra:(trap_extra ~msg:"" s) ()
 
 let stack_report s = List.concat_map Stackprof.report (Array.to_list s.stackprofs)
 
@@ -396,9 +389,9 @@ let folded_dump s =
 let metrics s = s.metrics
 
 (* The unified metrics snapshot: runtime patching counters, hart 0's perf
-   counters (with derived metrics), static program statistics, and — when
-   enabled — the profiler's hot-function and hot-stack tables and the
-   trace recorder's accounting. *)
+   counters (with derived metrics), static program statistics, the ring's
+   accounting, and — when enabled — the profiler's hot-function and
+   hot-stack tables. *)
 let metrics_json s : Json.t =
   let extra =
     (match Array.to_list s.stackprofs with
@@ -420,18 +413,14 @@ let metrics_json s : Json.t =
           | None -> ());
           [ ("metrics", Metrics.to_json m) ]
       | None -> [])
-    @
-    match s.trace with
-    | Some ring ->
-        [
-          ( "trace",
-            Json.Obj
-              [
-                ("recorded", Json.Int (Trace.recorded ring));
-                ("dropped", Json.Int (Trace.dropped ring));
-              ] );
-        ]
-    | None -> []
+    @ [
+        ( "trace",
+          Json.Obj
+            [
+              ("recorded", Json.Int (Trace.recorded s.ring));
+              ("dropped", Json.Int (Trace.dropped s.ring));
+            ] );
+      ]
   in
   Mv_obs.Export.metrics ~extra
     ~runtime:(Core.Runtime.stats_json (Core.Runtime.stats s.runtime))

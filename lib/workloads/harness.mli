@@ -16,9 +16,9 @@ type measurement = {
 (** A built program on an N-hart {!Mv_vm.Smp.t} container — one shared
     image, per-hart registers/stacks/icaches, a deterministic seeded
     scheduler — with its multiverse runtime, plus the observability
-    state (the [enable_*] functions fill the optional fields).  A
-    unicore session is the 1-hart case: its container's only hart is
-    bit-identical to a plain machine. *)
+    state: the event ring, always on, and the optional fields the
+    [enable_*] functions fill.  A unicore session is the 1-hart case:
+    its container's only hart is bit-identical to a plain machine. *)
 type session = {
   program : Core.Compiler.program;
   smp : Mv_vm.Smp.t;
@@ -26,14 +26,17 @@ type session = {
   runtime : Core.Runtime.t;
   sm_runtime : Core.Runtime.t;
       (** [runtime] again, for the benchmark (see the aliases below) *)
-  flight : Mv_obs.Flight.t;
-      (** the always-on flight recorder, armed at session creation *)
-  mutable trace : Mv_obs.Trace.ring option;
+  mutable ring : Mv_obs.Trace.ring;
+      (** the session's one event recorder, the only recording sink in
+          its chain: 512 events from creation, replaced by a fresh
+          4,096-event ring by {!enable_tracing}.  {!trace_events},
+          {!trace_dump}, {!flight_dump}, the trap hooks and
+          {!metrics_json} all read the current ring. *)
   mutable stackprofs : Mv_obs.Stackprof.t array;
       (** one per hart once {!enable_stack_profiling} ran *)
   mutable metrics : Mv_obs.Metrics.t option;
   mutable metrics_sink : Mv_obs.Trace.sink option;
-      (** the registry's event bridge, teed with the ring sink *)
+      (** the registry's event bridge, teed behind the ring sink *)
   mutable heat : Mv_obs.Heat.t option;
       (** the code-heat accumulator, set by {!enable_heat} *)
 }
@@ -61,10 +64,11 @@ type session = {
     harts); structurally identical bodies dedup to one copy; cold
     variants are evicted when the budget runs out.
 
-    The flight recorder (512 events) is armed immediately, clocked by the
+    The event ring (512 events) is armed immediately, clocked by the
     session clock (summed hart cycles), with every hart's trap hook
-    dumping a [mv-flight/1] artifact on an escaping fault (gated on
-    [MV_SMP_ARTIFACT_DIR] — a plain test run writes nothing). *)
+    dumping the session's current ring as a [mv-flight/1] artifact on an
+    escaping fault (gated on [MV_SMP_ARTIFACT_DIR] — a plain test run
+    writes nothing). *)
 val session :
   ?n_harts:int ->
   ?policy:Mv_vm.Smp.policy ->
@@ -153,16 +157,21 @@ val result : session -> hart:int -> int
 (** {1 Observability}
 
     Structured tracing, sampling profiling, code heat, and the unified
-    metrics snapshot.  All of it is pay-for-use: a session that never
-    calls an [enable_*] executes with bit-identical simulated cycle
-    counts. *)
+    metrics snapshot.  All of it is host-side: the always-on ring and
+    every [enable_*] leave the simulated cycle counts bit-identical to a
+    session with no sink at all. *)
 
-(** Arm the structured-event recorder: one ring of [capacity] events
-    (default 4096), clocked by the session clock, with hart stamps from
-    the container's current hart, receiving the runtime's patching
-    events, every hart's icache flushes, and the IPI/rendezvous
-    lifecycle.  Calling again replaces the ring. *)
-val enable_tracing : ?capacity:int -> session -> unit
+(** Widen the event window: swap the session's 512-event ring for a
+    fresh, empty one of 4,096 events, clocked by the session clock, with
+    hart stamps from the container's current hart, receiving the
+    runtime's patching events, every hart's icache flushes, and the
+    IPI/rendezvous lifecycle.  Events recorded before the call are
+    dropped with the old ring.  The swap is visible everywhere the ring
+    is read: a later {!flight_dump} or trap dump covers the traced
+    window, and a run longer than 4,096 events numbers [hseq] densely
+    within the window (see {!Mv_obs.Trace.stamped}).  Calling again
+    starts another fresh ring. *)
+val enable_tracing : session -> unit
 
 (** Attach the stack-aware sampler to every hart ([interval] is the
     sampling period in instructions, default 97): each sample records the
@@ -224,22 +233,17 @@ val heat_json : ?budget:int -> session -> Mv_obs.Json.t
     {!enable_heat} and a [lazy_variants] session. *)
 val enable_evict_advisor : ?budget:int -> session -> unit
 
-(** Recorded events, oldest first ([[]] until {!enable_tracing}). *)
+(** The current ring's window, stamped, oldest first: the always-on
+    512-event window until {!enable_tracing}, the traced window after. *)
 val trace_events : session -> Mv_obs.Trace.stamped list
 
 (** The recorded events as a Chrome [trace_event] JSON document (one lane
     per hart) — loadable in [about:tracing] / Perfetto. *)
 val trace_dump : session -> string
 
-(** The session's always-on flight recorder. *)
-val flight : session -> Mv_obs.Flight.t
-
-(** The flight recorder's surviving window, stamped (oldest first). *)
-val flight_events : session -> Mv_obs.Trace.stamped list
-
-(** The session's flight recorder dumped as a [mv-flight/1] document
-    with full postmortem context (runtime stats, every hart's pc/stack)
-    — what the trap hooks write, callable on demand. *)
+(** The current ring dumped as a [mv-flight/1] document with full
+    postmortem context (runtime stats, every hart's pc/stack) — what the
+    trap hooks write, callable on demand. *)
 val flight_dump : ?reason:string -> session -> string
 
 (** Every hart's hot-stack table, hart 0's first, each hottest first with
@@ -257,8 +261,10 @@ val metrics : session -> Mv_obs.Metrics.t option
 
 (** The unified metrics snapshot ([mv-metrics/1]): runtime patching
     counters, hart 0's perf counters with derived metrics, static
-    program statistics, plus profile (the stack profiler's per-leaf
-    view), stacks, metrics and trace sections when enabled. *)
+    program statistics, profile (the stack profiler's per-leaf view),
+    stacks and metrics sections when enabled, and a trace section with
+    the current ring's [recorded]/[dropped] counts (the always-on
+    window's before {!enable_tracing}). *)
 val metrics_json : session -> Mv_obs.Json.t
 
 (** Run a guest function by symbol name to completion; returns r0. *)

@@ -7,15 +7,17 @@
    completed rendezvous has exactly one Ipi_ack, the reconstructed
    critical path length equals the Rendezvous_end latency the machine
    reported, and an injected slow-ack straggler is deterministically the
-   hart the blame ranking fingers.  The flight recorder's window
-   arithmetic, binary round-trip, artifact gating and zero-cycle
-   overhead close the file. *)
+   hart the blame ranking fingers.  The event ring's window arithmetic,
+   round-trip, allocation-free recording and zero-cycle overhead, the
+   mv-flight/1 dump's round-trip and artifact gating, and the trap
+   hooks' dumps close the file. *)
 
 open Util
 module Harness = Mv_workloads.Harness
 module Spinlock = Mv_workloads.Spinlock
 module Smp = Mv_vm.Smp
 module Machine = Mv_vm.Machine
+module Perf = Mv_vm.Perf
 module Trace = Mv_obs.Trace
 module Causal = Mv_obs.Causal
 module Flight = Mv_obs.Flight
@@ -381,14 +383,14 @@ let counter_clock () =
     !t
 
 let test_flight_window_is_bounded () =
-  let f = Flight.create ~capacity:4 ~clock:(counter_clock ()) () in
+  let ring = Trace.ring ~capacity:4 ~clock:(counter_clock ()) () in
   for i = 0 to 9 do
-    Flight.record f (Trace.Safepoint_poll { pending = i })
+    Trace.record ring (Trace.Safepoint_poll { pending = i })
   done;
-  check_int "recorded counts everything" 10 (Flight.recorded f);
-  check_int "capacity" 4 (Flight.capacity f);
-  check_int "dropped = recorded - capacity" 6 (Flight.dropped f);
-  let window = Flight.events f in
+  check_int "recorded counts everything" 10 (Trace.recorded ring);
+  check_int "capacity" 4 (Trace.capacity ring);
+  check_int "dropped = recorded - capacity" 6 (Trace.dropped ring);
+  let window = Trace.events ring in
   check_int "window holds the last four" 4 (List.length window);
   List.iteri
     (fun i (s : Trace.stamped) ->
@@ -407,9 +409,9 @@ let test_flight_ring_roundtrip () =
   check_bool "one sample per kind" true
     (List.sort compare (List.map Trace.event_name sample_events)
     = List.sort compare kind_names);
-  let f = Flight.create ~capacity:64 ~hart:(fun () -> 3) ~clock:(counter_clock ()) () in
-  List.iter (Flight.record f) sample_events;
-  let decoded = Flight.events f in
+  let ring = Trace.ring ~capacity:64 ~hart:(fun () -> 3) ~clock:(counter_clock ()) () in
+  List.iter (Trace.record ring) sample_events;
+  let decoded = Trace.events ring in
   check_int "every constructor decodes" (List.length sample_events)
     (List.length decoded);
   List.iter2
@@ -434,10 +436,10 @@ let test_flight_ring_roundtrip () =
   check_int "hart source stamps the rest" 3 poll.Trace.hart
 
 let test_flight_dump_json_roundtrip () =
-  let f = Flight.create ~capacity:64 ~clock:(counter_clock ()) () in
-  List.iter (Flight.record f) sample_events;
+  let ring = Trace.ring ~capacity:64 ~clock:(counter_clock ()) () in
+  List.iter (Trace.record ring) sample_events;
   let doc =
-    match Json.parse (Flight.dump_string f ~reason:"unit-test" ()) with
+    match Json.parse (Flight.dump_string ring ~reason:"unit-test" ()) with
     | Ok doc -> doc
     | Error e -> Alcotest.failf "dump does not parse: %s" e
   in
@@ -458,9 +460,9 @@ let test_flight_dump_json_roundtrip () =
           (Trace.event_name a.Trace.ev);
       check_float "timestamps survive" a.Trace.ts b.Trace.ts;
       check_int "harts survive" a.Trace.hart b.Trace.hart)
-    (Flight.events f) reparsed;
+    (Trace.events ring) reparsed;
   check_bool "unknown names decode to None" true
-    (Flight.event_of_json "not_an_event" (Json.Obj []) = None)
+    (Trace.event_of_args "not_an_event" (Json.Obj []) = None)
 
 (* Generated events of every kind in [Trace.kinds]: one generator per
    field type, walked over each kind's fields. *)
@@ -521,25 +523,25 @@ let prop_flight_roundtrip =
             QCheck.Test.fail_reportf "%s built a %s" name (Trace.event_name ev))
         named;
       let evs = List.map snd named in
-      let f =
-        Flight.create ~capacity:(List.length evs) ~hart:(fun () -> 3)
+      let ring =
+        Trace.ring ~capacity:(List.length evs) ~hart:(fun () -> 3)
           ~clock:(counter_clock ()) ()
       in
-      List.iter (Flight.record f) evs;
-      let window = Flight.events f in
+      List.iter (Trace.record ring) evs;
+      let window = Trace.events ring in
       if List.map (fun (st : Trace.stamped) -> st.Trace.ev) window <> evs then
-        QCheck.Test.fail_report "Flight.events changed an event";
-      match Json.parse (Flight.dump_string f ~reason:"qcheck" ()) with
+        QCheck.Test.fail_report "Trace.events changed an event";
+      match Json.parse (Flight.dump_string ring ~reason:"qcheck" ()) with
       | Error e -> QCheck.Test.fail_reportf "dump does not parse: %s" e
       | Ok doc ->
           (* ts, seq, hart, hseq and the event, all of them *)
           Flight.events_of_dump doc = window
           || QCheck.Test.fail_report "the dump did not decode back to the window")
 
-(* The always-on recorder keeps the event the emitter already allocated:
-   with a constant clock, recording allocates nothing, for every kind. *)
+(* The ring keeps the event the emitter already allocated: with a
+   constant clock, recording allocates nothing, for every kind. *)
 let test_flight_record_allocates_nothing () =
-  let f = Flight.create ~capacity:8 ~hart:(fun () -> 3) ~clock:(fun () -> 0.0) () in
+  let ring = Trace.ring ~capacity:8 ~hart:(fun () -> 3) ~clock:(fun () -> 0.0) () in
   let minor_words_of g =
     let before = Gc.minor_words () in
     g ();
@@ -551,7 +553,7 @@ let test_flight_record_allocates_nothing () =
       let words =
         minor_words_of (fun () ->
             for _ = 1 to 100 do
-              Flight.record f ev
+              Trace.record ring ev
             done)
       in
       if words <> baseline then
@@ -573,11 +575,11 @@ let with_fresh_dir prefix f =
     (fun () -> f dir)
 
 let test_flight_artifact_writing () =
-  let f = Flight.create ~capacity:8 ~clock:(counter_clock ()) () in
-  Flight.record f (Trace.Fallback { fn = "f" });
+  let ring = Trace.ring ~capacity:8 ~clock:(counter_clock ()) () in
+  Trace.record ring (Trace.Fallback { fn = "f" });
   (* explicit dir wins over the environment *)
   with_fresh_dir "mvflight" (fun dir ->
-      match Flight.write_artifact f ~reason:"unit-test" ~name:"probe" ~dir () with
+      match Flight.write_artifact ring ~reason:"unit-test" ~name:"probe" ~dir () with
       | Some path ->
           check_bool "written under dir" true (Filename.dirname path = dir);
           check_bool "flight.json suffix" true
@@ -593,7 +595,7 @@ let test_flight_artifact_writing () =
       | None -> Alcotest.fail "write_artifact with ~dir must write");
   (* unwritable dir degrades to None instead of raising *)
   check_bool "unwritable dir returns None" true
-    (Flight.write_artifact f ~reason:"unit-test" ~name:"probe"
+    (Flight.write_artifact ring ~reason:"unit-test" ~name:"probe"
        ~dir:"/proc/no-such-dir/nested" ()
     = None)
 
@@ -690,9 +692,9 @@ let test_flight_events_always_on () =
   let s = Harness.session1 trap_source in
   Harness.set s "config_smp" 1;
   ignore (Harness.commit s);
-  check_bool "flight records without any enable_* call" true
-    (Flight.recorded (Harness.flight s) > 0);
-  check_bool "window decodes" true (Harness.flight_events s <> []);
+  check_bool "the ring records without any enable_* call" true
+    (Trace.recorded s.Harness.ring > 0);
+  check_bool "window decodes" true (Harness.trace_events s <> []);
   match Json.parse (Harness.flight_dump s) with
   | Ok (Json.Obj fields) ->
       check_bool "on-demand dump carries the schema" true
@@ -701,9 +703,9 @@ let test_flight_events_always_on () =
 
 let test_smp_flight_always_on () =
   let s = contended_run ~seed:42 () in
-  check_bool "container flight recorded the run" true
-    (Flight.recorded (Harness.flight s) > 0);
-  let window = Harness.flight_events s in
+  check_bool "the container's ring recorded the run" true
+    (Trace.recorded s.Harness.ring > 0);
+  let window = Harness.trace_events s in
   check_bool "window decodes" true (window <> []);
   check_bool "window saw more than one hart" true
     (List.length
@@ -716,25 +718,58 @@ let test_smp_flight_always_on () =
         (List.length (Flight.events_of_dump doc))
   | Error e -> Alcotest.failf "smp flight dump does not parse: %s" e
 
-(* The recorder must never move the simulated clock: a session that only
-   has the always-on flight armed and one with the full opt-in
-   observability stack must report bit-identical guest cycles. *)
+(* The always-on ring must never move the simulated clock: a session
+   that keeps only its ring and one whose sink chain is detached (no sink
+   at all) must report bit-identical guest cycles, the commit's included,
+   since the ring records its events from the session's creation. *)
 let test_flight_zero_cycle_overhead () =
-  let run enable =
+  let run arm =
     let s = Harness.session1 trap_source in
-    if enable then begin
-      Harness.enable_tracing s;
-      Harness.enable_metrics s
-    end;
+    arm s;
     Harness.set s "config_smp" 1;
     ignore (Harness.commit s);
-    let c = Harness.cycles_of_call s "bench_loop" [ 0 ] in
-    (c, Flight.recorded (Harness.flight s))
+    ignore (Harness.call s "bench_loop" [ 0 ]);
+    (Perf.cycles s.Harness.machine.Machine.perf, Trace.recorded s.Harness.ring)
   in
-  let bare_cycles, bare_recorded = run false in
-  let full_cycles, _ = run true in
-  check_bool "flight was live during the bare run" true (bare_recorded > 0);
-  check_bool "guest cycles are bit-identical" true (bare_cycles = full_cycles)
+  let bare_cycles, bare_recorded = run detach_sinks in
+  let ring_cycles, ring_recorded = run ignore in
+  check_int "the detached session records nothing" 0 bare_recorded;
+  check_bool "the ring was live during the run" true (ring_recorded > 0);
+  check_bool "guest cycles are bit-identical" true (bare_cycles = ring_cycles)
+
+(* A trap dumps the session's current ring: after enable_tracing that is
+   the 4,096-event traced window, not the 512-event ring built at
+   creation, and it holds the commit that preceded the fault. *)
+let test_trap_dumps_current_ring () =
+  with_artifact_dir (fun dir ->
+      let s = Harness.session1 trap_source in
+      Harness.enable_tracing s;
+      Harness.set s "config_smp" 1;
+      ignore (Harness.commit s);
+      (match Harness.call s "bench_loop" [ 5 ] with
+      | exception Machine.Fault _ -> ()
+      | _ -> Alcotest.fail "division by zero should fault");
+      match flight_dumps dir with
+      | [ name ] -> (
+          let ic = open_in (Filename.concat dir name) in
+          let body = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          match Json.parse body with
+          | Error e -> Alcotest.failf "trap dump does not parse: %s" e
+          | Ok doc ->
+              check_bool "mv-flight/1 schema" true
+                (Json.member "schema" doc = Some (Json.String Flight.schema));
+              check_bool "the traced ring's capacity" true
+                (Json.member "capacity" doc = Some (Json.Int 4096));
+              check_bool "the commit's begin with config_smp = 1" true
+                (List.exists
+                   (fun (st : Trace.stamped) ->
+                     match st.Trace.ev with
+                     | Trace.Commit_begin { switches; _ } ->
+                         List.assoc_opt "config_smp" switches = Some 1
+                     | _ -> false)
+                   (Flight.events_of_dump doc)))
+      | dumps -> Alcotest.failf "expected one flight dump, found %d" (List.length dumps))
 
 let suite =
   [
@@ -776,4 +811,5 @@ let suite =
     tc "flight is armed without any enable call" test_flight_events_always_on;
     tc "smp flight records cross-hart windows" test_smp_flight_always_on;
     tc "flight adds zero simulated cycles" test_flight_zero_cycle_overhead;
+    tc "trap dumps the current ring" test_trap_dumps_current_ring;
   ]

@@ -86,19 +86,21 @@ let test_counters_survive_invalidation () =
   check_int "hits survive the flush and keep accumulating" 20
     (stat_of "spin_lock.config_smp=1" (H.heat_report s)).Heat.rs_hits
 
-(* Arming heat must not move the simulated clock: same workload, with and
-   without, bit-identical cycles (the obs-overhead bench pins the same
-   invariant; this is the unit-test version). *)
+(* Arming heat must not move the simulated clock: same workload, against
+   a session with no sink at all and with heat armed before the commit,
+   bit-identical cycles (the obs-overhead bench pins the same invariant;
+   this is the unit-test version). *)
 let test_zero_simulated_cost () =
   let run arm =
     let s = H.session1 spin_src in
-    if arm then H.enable_heat s;
+    arm s;
     H.set s "config_smp" 1;
     ignore (H.commit s);
     ignore (H.call s "bench_loop" [ 25 ]);
     Perf.cycles s.H.machine.Machine.perf
   in
-  check_float "cycles identical with heat armed" (run false) (run true)
+  check_float "cycles identical with heat armed" (run detach_sinks)
+    (run (fun s -> H.enable_heat s))
 
 let test_smp_counters () =
   let s = H.session1 ~n_harts:2 ~seed:7 spin_src in

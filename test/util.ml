@@ -80,3 +80,10 @@ let check_differential ?(args = []) name src fn =
   let s = session src in
   let actual = run s fn args in
   check_int name expected actual
+
+(** Detach a harness session's sink chain, its always-on ring included,
+    so that no observer sees its events: the baseline against which the
+    zero-simulated-cost tests compare an armed observer. *)
+let detach_sinks (s : Mv_workloads.Harness.session) =
+  Core.Runtime.set_tracer s.Mv_workloads.Harness.runtime None;
+  Mv_vm.Smp.set_tracer s.Mv_workloads.Harness.smp None
