@@ -44,22 +44,38 @@ type site = {
   mutable s_written : bytes;  (** what we believe the site holds *)
 }
 
+(** One selectable variant under its own symbol.  Descriptors identify
+    functions, switches and variants by address only (Section 5), so the
+    runtime names each once — at [create], or for a lazy alias by the
+    symbol [link_alias] registers — and every report reads the stored
+    name.  Aliases that share a deduplicated body share
+    [vn_addr]/[vn_size] but keep their own names. *)
+type variant = {
+  vn_name : string;
+  vn_addr : int;  (** body address *)
+  vn_size : int;  (** encoded body size *)
+  vn_guards : Descriptor.guard_record list;
+  mutable vn_stamp : int;  (** lazy LRU clock at the last selection *)
+}
+
 type fn_entry = {
   fe_name : string;
   fe_record : Descriptor.function_record;
-  mutable fe_variants : Descriptor.variant_record list;
+  mutable fe_variants : variant list;
       (** the selectable variants: the parsed descriptor records, plus —
           under lazy materialization — every alias the runtime has linked
           so far (and minus the evicted ones) *)
   fe_sites : site list;
   mutable fe_prologue : bytes option;  (** saved generic prologue *)
   mutable fe_saved_body : bytes option;  (** saved generic body (body patching) *)
-  mutable fe_installed : int option;  (** installed variant address *)
+  mutable fe_installed : variant option;  (** the bound alias *)
 }
 
+(** A configuration switch and its symbol. *)
+type switch = { sw_name : string; sw_var : Descriptor.variable }
+
 type fnptr_entry = {
-  fp_name : string;
-  fp_var : Descriptor.variable;
+  fp_switch : switch;
   fp_sites : site list;
   mutable fp_committed : int option;
 }
@@ -73,7 +89,7 @@ type fnptr_entry = {
    all actions or none — at a later quiescence point. *)
 
 type pending_action =
-  | Act_bind of fn_entry * Descriptor.variant_record
+  | Act_bind of fn_entry * variant
       (** install this variant for the function *)
   | Act_unbind of fn_entry  (** revert the function to its generic state *)
   | Act_bind_ptr of fnptr_entry * int
@@ -154,7 +170,7 @@ type dedup_entry = {
 type mat_info = {
   mi_fn : fn_entry;
   mi_key : string;  (** the body's canonical form — its dedup key *)
-  mi_record : Descriptor.variant_record;
+  mi_alias : variant;
 }
 
 type lazy_state = {
@@ -170,7 +186,6 @@ type lazy_state = {
   lz_variants : (string, mat_info) Hashtbl.t;  (** by variant symbol *)
   mutable lz_bytes : int;  (** resident bytes (unique blocks, alloc-sized) *)
   mutable lz_tick : int;  (** LRU clock, bumped per selection *)
-  lz_lru : (string, int) Hashtbl.t;  (** variant symbol -> last-selected tick *)
   mutable lz_evict_pending : string list;
       (** victims whose body still has a live activation (or an undrained
           unbind): freed at a later safepoint, oldest first *)
@@ -188,14 +203,23 @@ type lazy_state = {
   mutable lz_budget_denials : int;
 }
 
+(** How variants are installed.
+
+    [Call_site_patching] is the paper's design: retarget (or inline into)
+    every recorded call site, plus the completeness jump in the generic
+    prologue.
+
+    [Body_patching] is the alternative Section 7.1 weighs and rejects:
+    copy the (relocated) variant body over the generic body.  It patches
+    one location per function instead of one per call site — faster to
+    commit — but requires the runtime to relocate variant bodies, and falls
+    back to a prologue jump when the variant is larger than the generic. *)
+type strategy = Call_site_patching | Body_patching
+
 type t = {
   image : Image.t;
   patch : Patch.t;
-  variables : Descriptor.variable list;
-  switch_names : string list Lazy.t;
-      (** the symbol names of [variables], resolved on the first traced
-          commit: [Image.symbol_at] scans the whole symbol table, and an
-          untraced runtime never needs them *)
+  switches : switch list;  (** every configuration switch, descriptor order *)
   functions : fn_entry list;
   fnptrs : fnptr_entry list;
   mutable fallbacks : string list;  (** functions left generic by the last commit *)
@@ -237,19 +261,6 @@ type t = {
   mutable lazy_st : lazy_state option;  (** demand-driven variant cache *)
 }
 
-(** How variants are installed.
-
-    [Call_site_patching] is the paper's design: retarget (or inline into)
-    every recorded call site, plus the completeness jump in the generic
-    prologue.
-
-    [Body_patching] is the alternative Section 7.1 weighs and rejects:
-    copy the (relocated) variant body over the generic body.  It patches
-    one location per function instead of one per call site — faster to
-    commit — but requires the runtime to relocate variant bodies, and falls
-    back to a prologue jump when the variant is larger than the generic. *)
-and strategy = Call_site_patching | Body_patching
-
 exception Runtime_error of string
 
 let errf fmt = Printf.ksprintf (fun m -> raise (Runtime_error m)) fmt
@@ -283,10 +294,23 @@ let site_of_callsite (img : Image.t) (cs : Descriptor.callsite) : site =
     s_written = original;
   }
 
-let name_of img addr =
-  match Image.symbol_at img addr with
-  | Some name -> name
-  | None -> Printf.sprintf "<0x%x>" addr
+(* Name every address in [addrs] in one pass over the symbol table: the
+   first symbol the table yields at exactly that address, which is the
+   one [Image.symbol_at] picks for it (descriptor addresses are symbol
+   bases), or [<0xADDR>] when no symbol starts there. *)
+let names_at (img : Image.t) (addrs : int list) : int -> string =
+  let names = Hashtbl.create 64 in
+  List.iter (fun a -> Hashtbl.replace names a None) addrs;
+  Hashtbl.iter
+    (fun sym a ->
+      match Hashtbl.find_opt names a with
+      | Some None -> Hashtbl.replace names a (Some sym)
+      | _ -> ())
+    img.Image.symbols;
+  fun a ->
+    match Hashtbl.find_opt names a with
+    | Some (Some name) -> name
+    | _ -> Printf.sprintf "<0x%x>" a
 
 (** Attach a runtime to a linked image.  [flush] is called after every text
     patch with the affected range (wire it to the machine's instruction-
@@ -295,53 +319,65 @@ let create (img : Image.t) ~flush : t =
   let variables = Descriptor.parse_variables img in
   let fn_records = Descriptor.parse_functions img in
   let callsites = Descriptor.parse_callsites img in
+  let name =
+    names_at img
+      (List.map (fun (v : Descriptor.variable) -> v.vr_addr) variables
+      @ List.concat_map
+          (fun (fr : Descriptor.function_record) ->
+            fr.fd_generic
+            :: List.map (fun (v : Descriptor.variant_record) -> v.va_addr) fr.fd_variants)
+          fn_records)
+  in
+  let sites_of target =
+    List.filter_map
+      (fun (cs : Descriptor.callsite) ->
+        if cs.cs_target = target then Some (site_of_callsite img cs) else None)
+      callsites
+  in
   let functions =
     List.map
       (fun (fr : Descriptor.function_record) ->
-        let sites =
-          List.filter_map
-            (fun (cs : Descriptor.callsite) ->
-              if cs.cs_target = fr.fd_generic then Some (site_of_callsite img cs)
-              else None)
-            callsites
-        in
         {
-          fe_name = name_of img fr.fd_generic;
+          fe_name = name fr.fd_generic;
           fe_record = fr;
-          fe_variants = fr.fd_variants;
-          fe_sites = sites;
+          fe_variants =
+            List.map
+              (fun (v : Descriptor.variant_record) ->
+                {
+                  vn_name = name v.va_addr;
+                  vn_addr = v.va_addr;
+                  vn_size = v.va_size;
+                  vn_guards = v.va_guards;
+                  vn_stamp = 0;
+                })
+              fr.fd_variants;
+          fe_sites = sites_of fr.fd_generic;
           fe_prologue = None;
           fe_saved_body = None;
           fe_installed = None;
         })
       fn_records
   in
+  let switches =
+    List.map (fun (v : Descriptor.variable) -> { sw_name = name v.vr_addr; sw_var = v }) variables
+  in
   let fnptrs =
     List.filter_map
-      (fun (v : Descriptor.variable) ->
-        if not v.vr_fnptr then None
+      (fun sw ->
+        if not sw.sw_var.vr_fnptr then None
         else
-          let sites =
-            List.filter_map
-              (fun (cs : Descriptor.callsite) ->
-                if cs.cs_target = v.vr_addr then Some (site_of_callsite img cs) else None)
-              callsites
-          in
           Some
             {
-              fp_name = name_of img v.vr_addr;
-              fp_var = v;
-              fp_sites = sites;
+              fp_switch = sw;
+              fp_sites = sites_of sw.sw_var.vr_addr;
               fp_committed = None;
             })
-      variables
+      switches
   in
   {
     image = img;
     patch = Patch.create img ~flush;
-    variables;
-    switch_names =
-      lazy (List.map (fun (v : Descriptor.variable) -> name_of img v.vr_addr) variables);
+    switches;
     functions;
     fnptrs;
     fallbacks = [];
@@ -380,12 +416,7 @@ let create (img : Image.t) ~flush : t =
 (** Install (or remove) the structured-event sink.  See {!Mv_obs.Trace}. *)
 let set_tracer t sink = t.tracer <- sink
 
-(* The single emit funnel: one match when no sink is installed.  Call
-   sites that build expensive payloads (e.g. the switch-value list of a
-   commit span) guard on [tracing] first so an untraced run never pays
-   for the construction either. *)
-let[@inline] tracing t = t.tracer <> None
-
+(* The single emit funnel: one match when no sink is installed. *)
 let emit t ev = match t.tracer with None -> () | Some sink -> sink ev
 
 (** Install (or remove) the cross-modifying-code barrier (see the
@@ -412,9 +443,9 @@ let with_barrier t (f : unit -> 'a) : 'a =
 (** Every configuration switch's (name, current value) — the payload of a
     commit span's begin event. *)
 let switch_values t =
-  List.map2
-    (fun name (v : Descriptor.variable) -> (name, Image.read t.image v.vr_addr v.vr_width))
-    (Lazy.force t.switch_names) t.variables
+  List.map
+    (fun sw -> (sw.sw_name, Image.read t.image sw.sw_var.vr_addr sw.sw_var.vr_width))
+    t.switches
 
 (** Install (or remove) the hart source used to attribute commit and
     drain events; wire to [Smp.current_hart].  Host-side only — never
@@ -441,12 +472,14 @@ let journal t actions =
   end
 
 (* Every commit/revert span gets a fresh causality id, traced or not, so
-   a sink attached mid-run still sees ids consistent with the journal. *)
+   a sink attached mid-run still sees ids consistent with the journal.  An
+   untraced run skips reading the switch values. *)
 let emit_span_begin t op =
   t.cur_cid <- t.next_cid;
   t.next_cid <- t.next_cid + 1;
-  if tracing t then
-    emit t (Trace.Commit_begin { cid = t.cur_cid; op; switches = switch_values t })
+  match t.tracer with
+  | None -> ()
+  | Some sink -> sink (Trace.Commit_begin { cid = t.cur_cid; op; switches = switch_values t })
 
 let emit_span_end t op bound = emit t (Trace.Commit_end { cid = t.cur_cid; op; bound })
 
@@ -475,9 +508,11 @@ let set_strategy t s =
 (* Switch evaluation                                                   *)
 (* ------------------------------------------------------------------ *)
 
+let find_switch t addr = List.find_opt (fun sw -> sw.sw_var.vr_addr = addr) t.switches
+
 let read_switch t (addr : int) : int =
-  match List.find_opt (fun (v : Descriptor.variable) -> v.vr_addr = addr) t.variables with
-  | Some v -> Image.read t.image v.vr_addr v.vr_width
+  match find_switch t addr with
+  | Some { sw_var = v; _ } -> Image.read t.image v.vr_addr v.vr_width
   | None -> errf "guard references unknown switch at 0x%x" addr
 
 let guards_satisfied t (guards : Descriptor.guard_record list) : bool =
@@ -554,46 +589,50 @@ let revert_fn_entry t (fe : fn_entry) =
   List.iter (restore_site t) fe.fe_sites;
   fe.fe_installed <- None
 
-let install_variant_call_sites t (fe : fn_entry) (v : Descriptor.variant_record) =
+let install_variant_call_sites t (fe : fn_entry) (v : variant) =
   List.iter
-    (fun s -> install_site t s ~who:fe.fe_name ~target:v.va_addr ~target_size:v.va_size)
+    (fun s -> install_site t s ~who:fe.fe_name ~target:v.vn_addr ~target_size:v.vn_size)
     fe.fe_sites;
   fe.fe_prologue <-
-    Some (Patch.install_prologue_jmp t.patch ~fn_addr:fe.fe_record.fd_generic ~target:v.va_addr);
-  emit t (Trace.Prologue_patched { fn = fe.fe_name; target = v.va_addr })
+    Some (Patch.install_prologue_jmp t.patch ~fn_addr:fe.fe_record.fd_generic ~target:v.vn_addr);
+  emit t (Trace.Prologue_patched { fn = fe.fe_name; target = v.vn_addr })
 
 (* The Section 7.1 alternative: overwrite the generic body with the
    relocated variant body.  One patch per function, no call-site work, but
    the body must fit — otherwise fall back to the completeness jump. *)
-let install_variant_body t (fe : fn_entry) (v : Descriptor.variant_record) =
+let install_variant_body t (fe : fn_entry) (v : variant) =
   let generic = fe.fe_record.fd_generic in
-  if v.va_size <= fe.fe_record.fd_generic_size then begin
+  if v.vn_size <= fe.fe_record.fd_generic_size then begin
     fe.fe_saved_body <-
       Some (Patch.read_text t.patch ~addr:generic ~len:fe.fe_record.fd_generic_size);
     let relocated =
-      Patch.relocate_body t.patch ~src:v.va_addr ~len:v.va_size ~dst:generic
+      Patch.relocate_body t.patch ~src:v.vn_addr ~len:v.vn_size ~dst:generic
     in
     Patch.write_text t.patch ~addr:generic relocated
   end
   else begin
     (* variant larger than the generic body: redirect the prologue instead *)
     fe.fe_prologue <-
-      Some (Patch.install_prologue_jmp t.patch ~fn_addr:generic ~target:v.va_addr);
-    emit t (Trace.Prologue_patched { fn = fe.fe_name; target = v.va_addr })
+      Some (Patch.install_prologue_jmp t.patch ~fn_addr:generic ~target:v.vn_addr);
+    emit t (Trace.Prologue_patched { fn = fe.fe_name; target = v.vn_addr })
   end
 
-let install_variant t (fe : fn_entry) (v : Descriptor.variant_record) =
-  if fe.fe_installed = Some v.va_addr then ()
-  else begin
-    if tracing t then
-      emit t
-        (Trace.Variant_selected { fn = fe.fe_name; variant = name_of t.image v.va_addr });
+(* Whether the function is bound to the body at [addr].  Aliases that
+   share a body are one binding: selecting another alias of the bound
+   body patches nothing and reports nothing, and evicting any alias of it
+   unbinds the function. *)
+let bound_at (fe : fn_entry) addr =
+  match fe.fe_installed with Some v -> v.vn_addr = addr | None -> false
+
+let install_variant t (fe : fn_entry) (v : variant) =
+  if not (bound_at fe v.vn_addr) then begin
+    emit t (Trace.Variant_selected { fn = fe.fe_name; variant = v.vn_name });
     (* return to the pristine state first, then apply the new variant *)
     revert_fn_entry t fe;
     (match t.strategy with
     | Call_site_patching -> install_variant_call_sites t fe v
     | Body_patching -> install_variant_body t fe v);
-    fe.fe_installed <- Some v.va_addr
+    fe.fe_installed <- Some v
   end
 
 (* Return the function to its generic body, reporting the unbind when a
@@ -601,10 +640,9 @@ let install_variant t (fe : fn_entry) (v : Descriptor.variant_record) =
    stays silent: the [Variant_selected] it emits already names the
    successor. *)
 let unbind_fn t (fe : fn_entry) =
-  (match fe.fe_installed with
-  | Some addr when tracing t ->
-      emit t (Trace.Variant_unbound { fn = fe.fe_name; variant = name_of t.image addr })
-  | _ -> ());
+  Option.iter
+    (fun v -> emit t (Trace.Variant_unbound { fn = fe.fe_name; variant = v.vn_name }))
+    fe.fe_installed;
   revert_fn_entry t fe
 
 (* ------------------------------------------------------------------ *)
@@ -638,7 +676,6 @@ let enable_lazy ?budget t ~recipes ~call_pad =
         lz_variants = Hashtbl.create 16;
         lz_bytes = 0;
         lz_tick = 0;
-        lz_lru = Hashtbl.create 16;
         lz_evict_pending = [];
         lz_advisor = None;
         lz_stale_cache = false;
@@ -739,15 +776,13 @@ let pending_variant_addrs t =
   List.concat_map
     (fun pset ->
       List.filter_map
-        (function
-          | Act_bind (_, (v : Descriptor.variant_record)) -> Some v.va_addr
-          | _ -> None)
+        (function Act_bind (_, v) -> Some v.vn_addr | _ -> None)
         pset.pset_actions)
     t.pending
 
-let touch_lru lz sym =
+let touch_lru lz (v : variant) =
   lz.lz_tick <- lz.lz_tick + 1;
-  Hashtbl.replace lz.lz_lru sym lz.lz_tick
+  v.vn_stamp <- lz.lz_tick
 
 (* Is any live activation inside [addr, addr+size)?  Without a scanner
    the paper's model applies — the caller guarantees a patchable state —
@@ -761,14 +796,12 @@ let victim_live t ~addr ~size =
    the last alias.  Returns the bytes returned to the allocator. *)
 let drop_alias t lz sym (mi : mat_info) : int =
   let fe = mi.mi_fn in
-  fe.fe_variants <-
-    List.filter (fun (v : Descriptor.variant_record) -> v != mi.mi_record) fe.fe_variants;
+  fe.fe_variants <- List.filter (fun v -> v != mi.mi_alias) fe.fe_variants;
   Hashtbl.remove lz.lz_variants sym;
-  Hashtbl.remove lz.lz_lru sym;
   Image.remove_symbol t.image sym;
   let freed =
     match Hashtbl.find_opt lz.lz_dedup mi.mi_key with
-    | Some de when de.de_addr = mi.mi_record.Descriptor.va_addr ->
+    | Some de when de.de_addr = mi.mi_alias.vn_addr ->
         de.de_refs <- de.de_refs - 1;
         if de.de_refs > 0 then 0
         else begin
@@ -798,13 +831,13 @@ let drop_alias t lz sym (mi : mat_info) : int =
    once the unbind lands. *)
 let evict_one t lz sym (mi : mat_info) : unit =
   let fe = mi.mi_fn in
-  let addr = mi.mi_record.Descriptor.va_addr in
-  let size = max mi.mi_record.Descriptor.va_size 1 in
+  let addr = mi.mi_alias.vn_addr in
+  let size = max mi.mi_alias.vn_size 1 in
   let defer () =
     if not (List.mem sym lz.lz_evict_pending) then
       lz.lz_evict_pending <- lz.lz_evict_pending @ [ sym ]
   in
-  if fe.fe_installed = Some addr then
+  if bound_at fe addr then
     if victim_live t ~addr ~size then begin
       journal t [ Act_unbind fe ];
       defer ()
@@ -827,15 +860,13 @@ let make_room t lz ~need : bool =
     let protected_addrs = pending_variant_addrs t in
     let evictable sym (mi : mat_info) =
       (not (List.mem sym lz.lz_evict_pending))
-      && not (List.mem mi.mi_record.Descriptor.va_addr protected_addrs)
+      && not (List.mem mi.mi_alias.vn_addr protected_addrs)
     in
     let by_lru =
       Hashtbl.fold (fun sym mi acc -> (sym, mi) :: acc) lz.lz_variants []
       |> List.filter (fun (sym, mi) -> evictable sym mi)
-      |> List.sort (fun (a, _) (b, _) ->
-             compare
-               (Option.value ~default:0 (Hashtbl.find_opt lz.lz_lru a), a)
-               (Option.value ~default:0 (Hashtbl.find_opt lz.lz_lru b), b))
+      |> List.sort (fun (a, (ma : mat_info)) (b, (mb : mat_info)) ->
+             compare (ma.mi_alias.vn_stamp, a) (mb.mi_alias.vn_stamp, b))
     in
     let advised =
       match lz.lz_advisor with
@@ -872,28 +903,30 @@ let set_variant_budget t b =
   lz.lz_budget <- b;
   ignore (make_room t lz ~need:0)
 
-(* Link one alias: append the descriptor record, register the symbol and
-   the book-keeping, stamp the LRU, report the materialization.  Returns
-   the new record. *)
+(* Link one alias: append it to the function's variants under its own
+   symbol, register the symbol and the book-keeping, stamp the LRU, report
+   the materialization.  Returns the new alias. *)
 let link_alias t lz (fe : fn_entry) ~symbol ~key ~addr ~size ~guards ~dedup =
-  let record = { Descriptor.va_addr = addr; va_size = size; va_guards = guards } in
-  fe.fe_variants <- fe.fe_variants @ [ record ];
+  let alias =
+    { vn_name = symbol; vn_addr = addr; vn_size = size; vn_guards = guards; vn_stamp = 0 }
+  in
+  fe.fe_variants <- fe.fe_variants @ [ alias ];
   Image.add_symbol t.image symbol ~addr ~size;
-  Hashtbl.replace lz.lz_variants symbol { mi_fn = fe; mi_key = key; mi_record = record };
-  touch_lru lz symbol;
+  Hashtbl.replace lz.lz_variants symbol { mi_fn = fe; mi_key = key; mi_alias = alias };
+  touch_lru lz alias;
   lz.lz_materialized <- lz.lz_materialized + 1;
   emit t (Trace.Variant_materialized { fn = fe.fe_name; variant = symbol; addr; size; dedup });
-  record
+  alias
 
 (* Materialize the variant for [assignment]: specialize the recipe,
    optimize, then either link the structurally-equal resident body (hash
    hit: no new bytes) or assemble the fragment, apply its relocations
    against the image's symbols, and write it into the variant-text
-   region.  Returns the linked record.  A budget (or region-capacity)
+   region.  Returns the linked alias.  A budget (or region-capacity)
    miss denies the materialization: no alias is linked ([None]), the
    function stays generic, and a later commit retries. *)
 let materialize t lz (fe : fn_entry) (recipe : Variantgen.recipe)
-    (assignment : (string * int) list) : Descriptor.variant_record option =
+    (assignment : (string * int) list) : variant option =
   let v = Variantgen.specialize_recipe recipe assignment in
   let key = Mv_opt.Merge.canonical_form v.Variantgen.v_fn in
   let guards =
@@ -992,12 +1025,8 @@ let materialize t lz (fe : fn_entry) (recipe : Variantgen.recipe)
     hit counts as a cache hit and refreshes the alias's LRU stamp.  One
     guard scan per call; with lazy materialization off, one [option]
     match more — pay-for-use, like the tracer. *)
-let select_variant t (fe : fn_entry) : Descriptor.variant_record option =
-  let found =
-    List.find_opt
-      (fun (v : Descriptor.variant_record) -> guards_satisfied t v.va_guards)
-      fe.fe_variants
-  in
+let select_variant t (fe : fn_entry) : variant option =
+  let found = List.find_opt (fun v -> guards_satisfied t v.vn_guards) fe.fe_variants in
   match t.lazy_st with
   | None -> found
   | Some lz -> (
@@ -1008,9 +1037,7 @@ let select_variant t (fe : fn_entry) : Descriptor.variant_record option =
           | None, _ -> found (* out of domain: the generic fallback handles it *)
           | Some _, Some v ->
               lz.lz_cache_hits <- lz.lz_cache_hits + 1;
-              Hashtbl.iter
-                (fun sym (mi : mat_info) -> if mi.mi_record == v then touch_lru lz sym)
-                lz.lz_variants;
+              touch_lru lz v;
               found
           | Some assignment, None ->
               (* the fresh alias is guarded by this very assignment, so it
@@ -1036,7 +1063,9 @@ let install_fnptr t (fp : fnptr_entry) ~target =
       | Some name -> Image.symbol_size t.image name
       | None -> 0
     in
-    List.iter (fun s -> install_site t s ~who:fp.fp_name ~target ~target_size) fp.fp_sites;
+    List.iter
+      (fun s -> install_site t s ~who:fp.fp_switch.sw_name ~target ~target_size)
+      fp.fp_sites;
     fp.fp_committed <- Some target
   end
 
@@ -1081,19 +1110,14 @@ let fnptr_touched_ranges (fp : fnptr_entry) : (int * int) list =
 let ranges_live ranges live =
   List.exists (fun a -> List.exists (fun (lo, hi) -> a >= lo && a < hi) ranges) live
 
-let variant_of (fe : fn_entry) addr =
-  List.find_opt
-    (fun (v : Descriptor.variant_record) -> v.va_addr = addr)
-    fe.fe_variants
-
 (* The body range of the currently installed variant.  Unbinding (or
    rebinding to a different variant) while an activation executes *inside*
    that body would leave it running code the runtime just declared stale,
    so the range counts as live-blocked — and is exactly what on-stack
    replacement transfers activations out of. *)
 let installed_body_range (fe : fn_entry) : (int * int) list =
-  match Option.bind fe.fe_installed (variant_of fe) with
-  | Some v -> [ (v.va_addr, v.va_addr + max v.va_size 1) ]
+  match fe.fe_installed with
+  | Some v -> [ (v.vn_addr, v.vn_addr + max v.vn_size 1) ]
   | None -> []
 
 (* The ranges an unbind would actually rewrite, given the entry's current
@@ -1127,7 +1151,7 @@ let action_ranges = function
 
 let action_name = function
   | Act_bind (fe, _) | Act_unbind fe -> fe.fe_name
-  | Act_bind_ptr (fp, _) | Act_unbind_ptr fp -> fp.fp_name
+  | Act_bind_ptr (fp, _) | Act_unbind_ptr fp -> fp.fp_switch.sw_name
 
 (* Lenient application, for patches staged to apply now: foreign site
    bytes are skipped and reported, never corrupted. *)
@@ -1187,7 +1211,7 @@ let stage t sg action : bool =
     [true] when the function ends bound. *)
 let commit_fn t sg (fe : fn_entry) : bool =
   match select_variant t fe with
-  | Some v -> fe.fe_installed = Some v.va_addr || stage t sg (Act_bind (fe, v))
+  | Some v -> bound_at fe v.vn_addr || stage t sg (Act_bind (fe, v))
   | None ->
       if fe.fe_installed <> None || fe.fe_prologue <> None || fe.fe_saved_body <> None
       then ignore (stage t sg (Act_unbind fe));
@@ -1201,10 +1225,10 @@ let commit_fn t sg (fe : fn_entry) : bool =
     to the pointer's current in-memory target, or restore them (with a
     fallback signal) while the pointer is null. *)
 let commit_fnptr t sg (fp : fnptr_entry) : bool =
-  let target = Image.read t.image fp.fp_var.vr_addr 8 in
+  let target = Image.read t.image fp.fp_switch.sw_var.vr_addr 8 in
   if target = 0 then begin
     if fp.fp_committed <> None then ignore (stage t sg (Act_unbind_ptr fp));
-    fallback t fp.fp_name;
+    fallback t fp.fp_switch.sw_name;
     false
   end
   else fp.fp_committed = Some target || stage t sg (Act_bind_ptr (fp, target))
@@ -1273,10 +1297,7 @@ let commit_safe ?(policy = Defer) t : int =
 let revert_safe ?(policy = Defer) t : int =
   span t "revert_safe" ~policy ~live:(fun () -> live_addrs t) (revert_each t)
 
-let find_fn_by_name t name =
-  match Image.symbol_opt t.image name with
-  | Some addr -> List.find_opt (fun fe -> fe.fe_record.fd_generic = addr) t.functions
-  | None -> None
+let find_fn_by_name t name = List.find_opt (fun fe -> fe.fe_name = name) t.functions
 
 (* Decide, with nothing live, for the multiversed function [name]. *)
 let on_func t name decide =
@@ -1308,8 +1329,8 @@ let functions_referencing t var_addr =
   List.filter
     (fun fe ->
       List.exists
-        (fun (v : Descriptor.variant_record) ->
-          List.exists (fun (g : Descriptor.guard_record) -> g.gr_var = var_addr) v.va_guards)
+        (fun v ->
+          List.exists (fun (g : Descriptor.guard_record) -> g.gr_var = var_addr) v.vn_guards)
         fe.fe_variants
       || recipe_refs fe)
     t.functions
@@ -1322,7 +1343,7 @@ let on_refs t name decide =
   | Some var ->
       with_barrier t @@ fun () ->
       decide (immediate ()) (functions_referencing t var)
-        (List.filter (fun fp -> fp.fp_var.vr_addr = var) t.fnptrs)
+        (List.filter (fun fp -> fp.fp_switch.sw_var.vr_addr = var) t.fnptrs)
 
 (** [multiverse_commit_refs(&var)]. *)
 let commit_refs t name = on_refs t name (commit_each t)
@@ -1482,22 +1503,20 @@ let osr_for_action t (ctx : osr_hart) ~cid = function
       let moved =
         try_osr_transfer t ctx ~cid ~fe
           ~src:(g, fe.fe_record.fd_generic_size)
-          ~dst:v.va_addr
+          ~dst:v.vn_addr
       in
       if not moved then (
         match fe.fe_installed with
-        | Some addr when addr <> v.va_addr -> (
-            match variant_of fe addr with
-            | Some old ->
-                ignore
-                  (try_osr_transfer t ctx ~cid ~fe ~src:(addr, old.va_size) ~dst:v.va_addr)
-            | None -> ())
+        | Some old when old.vn_addr <> v.vn_addr ->
+            ignore
+              (try_osr_transfer t ctx ~cid ~fe ~src:(old.vn_addr, old.vn_size)
+                 ~dst:v.vn_addr)
         | _ -> ())
   | Act_unbind fe -> (
-      match Option.bind fe.fe_installed (variant_of fe) with
+      match fe.fe_installed with
       | Some v ->
           ignore
-            (try_osr_transfer t ctx ~cid ~fe ~src:(v.va_addr, v.va_size)
+            (try_osr_transfer t ctx ~cid ~fe ~src:(v.vn_addr, v.vn_size)
                ~dst:fe.fe_record.fd_generic)
       | None -> ())
   | Act_bind_ptr _ | Act_unbind_ptr _ -> ()
@@ -1521,12 +1540,12 @@ let apply_action t action =
   (match action with
   | Act_bind (fe, _) | Act_unbind fe -> check_sites_strict t fe.fe_name fe.fe_sites
   | Act_bind_ptr (fp, _) | Act_unbind_ptr fp ->
-      check_sites_strict t fp.fp_name fp.fp_sites);
+      check_sites_strict t fp.fp_switch.sw_name fp.fp_sites);
   apply_action_lenient t action
 
 (* What it takes to restore an entity to its pre-transaction state. *)
 type undo =
-  | Undo_fn of fn_entry * int option  (* previously installed variant *)
+  | Undo_fn of fn_entry * variant option  (* previously bound alias *)
   | Undo_ptr of fnptr_entry * int option  (* previously committed target *)
 
 let undo_of = function
@@ -1535,7 +1554,7 @@ let undo_of = function
 
 let undo_action t = function
   | Undo_fn (fe, prior) -> (
-      match Option.bind prior (variant_of fe) with
+      match prior with
       | Some v ->
           revert_fn_entry t fe;
           install_variant t fe v
@@ -1600,10 +1619,10 @@ let sweep_evictions t =
               match Hashtbl.find_opt lz.lz_variants sym with
               | None -> false (* already gone *)
               | Some mi ->
-                  let addr = mi.mi_record.Descriptor.va_addr in
-                  let size = max mi.mi_record.Descriptor.va_size 1 in
+                  let addr = mi.mi_alias.vn_addr in
+                  let size = max mi.mi_alias.vn_size 1 in
                   if
-                    mi.mi_fn.fe_installed = Some addr
+                    bound_at mi.mi_fn addr
                     || List.exists (fun a -> a >= addr && a < addr + size) live
                   then true
                   else begin
@@ -1691,26 +1710,36 @@ let skipped_sites t = List.rev t.skipped_sites
 
 let installed_variant t name =
   match find_fn_by_name t name with
-  | Some fe -> Option.map (fun addr -> name_of t.image addr) fe.fe_installed
+  | Some fe -> Option.map (fun v -> v.vn_name) fe.fe_installed
   | None -> None
 
+(** Whether [name] is the symbol of a selectable variant: an eager
+    variant, or a resident lazy alias. *)
+let is_variant t name =
+  List.exists (fun fe -> List.exists (fun v -> v.vn_name = name) fe.fe_variants) t.functions
+
 (** Every multiversed body as a named [Mv_obs.Heat.region]: the generic
-    body plus each variant, with address ranges from the descriptors and
-    the variant's switch binding rendered from its guard records
-    ([switch=v], ranges as [switch=lo..hi], comma-joined).  Registration
-    order is function order, generic before variants, so heat reports are
-    deterministic.  This is the region census [Harness.enable_heat]
-    feeds to the heat accumulator. *)
+    body plus one region per variant alias under its own name, with
+    address ranges from the descriptors and the variant's switch binding
+    rendered from its guard records ([switch=v], ranges as
+    [switch=lo..hi], comma-joined).  Aliases that share a body share its
+    extent, so each reports the body's hits since it was registered.
+    Registration order is function order, generic before variants, so
+    heat reports are deterministic.  This is the region census
+    [Harness.enable_heat] feeds to the heat accumulator. *)
 let heat_regions t : Mv_obs.Heat.region list =
-  let switches_of (v : Descriptor.variant_record) =
+  let switch_name addr =
+    match find_switch t addr with Some sw -> sw.sw_name | None -> Printf.sprintf "<0x%x>" addr
+  in
+  let switches_of v =
     String.concat ","
       (List.map
          (fun (g : Descriptor.guard_record) ->
-           let name = name_of t.image g.Descriptor.gr_var in
+           let name = switch_name g.Descriptor.gr_var in
            if g.Descriptor.gr_lo = g.Descriptor.gr_hi then
              Printf.sprintf "%s=%d" name g.Descriptor.gr_lo
            else Printf.sprintf "%s=%d..%d" name g.Descriptor.gr_lo g.Descriptor.gr_hi)
-         v.Descriptor.va_guards)
+         v.vn_guards)
   in
   List.concat_map
     (fun fe ->
@@ -1724,14 +1753,14 @@ let heat_regions t : Mv_obs.Heat.region list =
         r_hi = fd.Descriptor.fd_generic + fd.Descriptor.fd_generic_size;
       }
       :: List.map
-           (fun (v : Descriptor.variant_record) ->
+           (fun v ->
              {
-               Mv_obs.Heat.r_name = name_of t.image v.Descriptor.va_addr;
+               Mv_obs.Heat.r_name = v.vn_name;
                r_fn = fe.fe_name;
                r_kind = Mv_obs.Heat.Variant;
                r_switches = switches_of v;
-               r_lo = v.Descriptor.va_addr;
-               r_hi = v.Descriptor.va_addr + v.Descriptor.va_size;
+               r_lo = v.vn_addr;
+               r_hi = v.vn_addr + v.vn_size;
              })
            fe.fe_variants)
     t.functions
@@ -1747,8 +1776,7 @@ let materialized_variants t : (string * int * int) list =
   | None -> []
   | Some lz ->
       Hashtbl.fold
-        (fun sym (mi : mat_info) acc ->
-          (sym, mi.mi_record.Descriptor.va_addr, mi.mi_record.Descriptor.va_size) :: acc)
+        (fun sym (mi : mat_info) acc -> (sym, mi.mi_alias.vn_addr, mi.mi_alias.vn_size) :: acc)
         lz.lz_variants []
       |> List.sort compare
 
@@ -1763,7 +1791,7 @@ let pending_variants t : string list =
       let addrs = pending_variant_addrs t in
       Hashtbl.fold
         (fun sym (mi : mat_info) acc ->
-          if List.mem mi.mi_record.Descriptor.va_addr addrs then sym :: acc else acc)
+          if List.mem mi.mi_alias.vn_addr addrs then sym :: acc else acc)
         lz.lz_variants []
       |> List.sort_uniq compare
 

@@ -34,77 +34,6 @@
     sub-word switch values are evaluated zero-extended (matching the
     machine's sub-word loads); use 8-byte switches for negative domains. *)
 
-type site_state =
-  | Site_original
-  | Site_retargeted of int  (** direct call to this variant address *)
-  | Site_inlined of int  (** body of this variant inlined into the site *)
-
-(** One patchable call site.  [s_size] is the call instruction plus any
-    pristine nop padding the compiler emitted ([callsite_padding]). *)
-type site = {
-  s_addr : int;
-  s_size : int;
-  s_original : bytes;
-  mutable s_state : site_state;
-  mutable s_written : bytes;  (** what the runtime believes the site holds *)
-}
-
-type fn_entry = {
-  fe_name : string;
-  fe_record : Descriptor.function_record;
-  mutable fe_variants : Descriptor.variant_record list;
-      (** the selectable variants: the parsed descriptor records plus —
-          under lazy materialization ({!enable_lazy}) — every alias the
-          runtime has linked so far, minus the evicted ones *)
-  fe_sites : site list;
-  mutable fe_prologue : bytes option;  (** saved generic prologue bytes *)
-  mutable fe_saved_body : bytes option;  (** saved body (body patching) *)
-  mutable fe_installed : int option;  (** installed variant address *)
-}
-
-type fnptr_entry = {
-  fp_name : string;
-  fp_var : Descriptor.variable;
-  fp_sites : site list;
-  mutable fp_committed : int option;
-}
-
-(** One entity's patch, as a commit or revert decision hands it to the
-    stager: applied at once or — when its target bytes have live
-    activations — journaled for a later quiescence point. *)
-type pending_action =
-  | Act_bind of fn_entry * Descriptor.variant_record
-      (** install this variant for the function *)
-  | Act_unbind of fn_entry  (** revert the function to its generic state *)
-  | Act_bind_ptr of fnptr_entry * int
-      (** bind the fn-pointer switch to the target captured at commit time *)
-  | Act_unbind_ptr of fnptr_entry  (** restore the indirect call sites *)
-
-(** One {!commit_safe}/{!revert_safe} call journals at most one set; a set
-    is applied transactionally — all actions or none. *)
-type pending_set = {
-  pset_id : int;
-  pset_cid : int;
-      (** causality id of the journaling commit — reported by the set's
-          eventual [Pending_drained] event *)
-  pset_hart : int;  (** hart the journaling commit ran on (see
-          {!set_hart_source}) *)
-  pset_actions : pending_action list;
-}
-
-(** Counters for the safe-commit paths (surfaced through {!stats}). *)
-type safe_counters = {
-  mutable sc_deferred : int;  (** actions journaled instead of applied *)
-  mutable sc_denied : int;  (** actions refused under the [Deny] policy *)
-  mutable sc_superseded : int;  (** journaled actions dropped by a newer commit *)
-  mutable sc_applied : int;  (** deferred actions applied at a safepoint *)
-  mutable sc_rolled_back : int;  (** pending sets rolled back mid-apply *)
-  mutable sc_polls : int;  (** safepoint invocations *)
-  mutable sc_osr_transfers : int;  (** live activations moved between bodies *)
-  mutable sc_osr_aborts : int;
-      (** transfers abandoned because the frame maps did not line up *)
-}
-
 (** Accessors for the hart currently parked at a safepoint, used by
     on-stack replacement to move its live activation between function
     bodies.  The runtime stays VM-agnostic: a harness builds these
@@ -123,60 +52,28 @@ type osr_hart = {
           stack symbolization follows the transferred frame *)
 }
 
-(** The demand-driven variant cache ({!enable_lazy}): recipes, the
-    variant-text allocator, the structural-hash dedup table, and the
-    eviction book-keeping.  Opaque — inspect it through {!stats},
-    {!materialized_variants} and {!pending_variants}. *)
-type lazy_state
-
-type t = {
-  image : Mv_link.Image.t;
-  patch : Patch.t;
-  variables : Descriptor.variable list;
-  switch_names : string list Lazy.t;
-      (** the symbol names of [variables], resolved once, on the first
-          traced commit *)
-  functions : fn_entry list;
-  fnptrs : fnptr_entry list;
-  mutable fallbacks : string list;
-  mutable skipped_sites : (int * string) list;
-  mutable inline_enabled : bool;
-  mutable strategy : strategy;
-  mutable live_scanner : (unit -> int list) option;
-  mutable pending : pending_set list;
-  mutable next_pset_id : int;
-  mutable next_cid : int;  (** commit-causality id generator *)
-  mutable cur_cid : int;  (** cid of the commit span in flight (-1 outside) *)
-  mutable hart_src : (unit -> int) option;
-      (** current-hart source for event attribution; install via
-          {!set_hart_source} *)
-  mutable in_safepoint : bool;
-  safe : safe_counters;
-  mutable tracer : (Mv_obs.Trace.event -> unit) option;
-  mutable barrier : ((unit -> unit) -> unit) option;
-      (** cross-modifying-code barrier; install via {!set_patch_barrier} *)
-  mutable framemaps : Descriptor.framemap_record list;
-      (** parsed [multiverse.framemaps] records, one per multiversed body;
-          lazy materialization appends a host-built record per fresh body
-          (and drops it again on eviction) *)
-  mutable osr : (unit -> osr_hart) option;
-      (** OSR hart accessors; install via {!set_osr} *)
-  mutable lazy_st : lazy_state option;
-      (** demand-driven variant cache; install via {!enable_lazy} *)
-}
+(** A runtime attached to one image: the parsed descriptors with every
+    function, switch and variant named once, at {!create}, the patch
+    state, the safe-commit journal, and — with {!enable_lazy} — the
+    variant cache.  Inspect it through {!stats} and the introspection
+    functions below. *)
+type t
 
 (** Variant installation strategy.  [Call_site_patching] is the paper's
     design; [Body_patching] is the Section 7.1 alternative: the relocated
     variant body overwrites the generic body — one patch per function, no
     call-site inlining, prologue-jump fallback when the variant does not
     fit. *)
-and strategy = Call_site_patching | Body_patching
+type strategy = Call_site_patching | Body_patching
 
 exception Runtime_error of string
 
 (** Attach a runtime to a linked image by parsing its descriptor sections.
     [flush] receives every patched range (wire it to the machine's
-    instruction-cache flush). *)
+    instruction-cache flush).  Descriptors identify functions, switches
+    and variants by address only (Section 5); one pass over the image's
+    symbol table names them all here, and every event and report reads
+    these names (a lazy alias keeps the symbol it is linked under). *)
 val create : Mv_link.Image.t -> flush:(addr:int -> len:int -> unit) -> t
 
 (** Disable/enable call-site body inlining (ablation A3). *)
@@ -402,14 +299,27 @@ val fallbacks : t -> string list
     wrote there — some other mechanism owns them (with the reason). *)
 val skipped_sites : t -> (int * string) list
 
-(** Symbol of the variant currently installed for the named function. *)
+(** Symbol of the variant alias bound to the named function — the one
+    its last [Variant_selected] event named.  Aliases that share a
+    deduplicated body are one binding: selecting another alias of the
+    bound body patches nothing and leaves this name as it was. *)
 val installed_variant : t -> string -> string option
 
+(** Whether [name] is the symbol of a selectable variant: an eager
+    variant, or a lazy alias currently resident.  The stack profiler's
+    variant classifier. *)
+val is_variant : t -> string -> bool
+
 (** Every multiversed body as a named text region for code-heat
-    telemetry: the generic body plus each variant, address ranges from
-    the descriptor records, and each variant's switch binding rendered
-    from its guards ([switch=v], ranges as [switch=lo..hi],
-    comma-joined).  Deterministic order (function order, generic before
+    telemetry: the generic body plus one region per variant alias under
+    the alias's own name, address ranges from the descriptor records,
+    and each variant's switch binding rendered from its guards
+    ([switch=v], ranges as [switch=lo..hi], comma-joined).  Aliases that
+    share a deduplicated body share its extent, so each reports the
+    body's hits since the alias was registered; [Heat.evict_plan]
+    charges a shared extent to its budget once, while the
+    [mv_variant_resident_bytes] gauge reports it once per alias.
+    Deterministic order (function order, generic before
     variants).  [Harness.enable_heat] feeds this census to
     [Mv_obs.Heat]. *)
 val heat_regions : t -> Mv_obs.Heat.region list

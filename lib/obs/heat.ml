@@ -53,11 +53,14 @@ let create ?(decay = 0.5) () =
     n_epochs = 0;
   }
 
+(* Re-registering a region keeps its coverage unless its extent moved:
+   [observe] folds only new hits, so blocks covered before would never
+   be covered again. *)
 let register t r =
   match Hashtbl.find_opt t.by_name r.r_name with
   | Some s ->
-      s.s_region <- r;
-      s.s_covered <- []
+      if s.s_region.r_lo <> r.r_lo || s.s_region.r_hi <> r.r_hi then s.s_covered <- [];
+      s.s_region <- r
   | None ->
       let s =
         {
@@ -260,13 +263,22 @@ let evict_plan ?(exclude = []) t ~budget =
         | c -> c)
       candidates
   in
-  let spent = ref 0 in
+  (* aliases of one deduplicated body share its extent: the body takes
+     budget once, and every alias of a kept body is kept with it *)
+  let spent = ref 0 and kept = ref [] in
   List.map
     (fun s ->
       let r = s.s_region in
       let bytes = r.r_hi - r.r_lo in
-      let verdict = if !spent + bytes <= budget then Keep else Evict in
-      if verdict = Keep then spent := !spent + bytes;
+      let verdict =
+        if List.mem (r.r_lo, r.r_hi) !kept then Keep
+        else if !spent + bytes <= budget then begin
+          spent := !spent + bytes;
+          kept := (r.r_lo, r.r_hi) :: !kept;
+          Keep
+        end
+        else Evict
+      in
       { ad_region = r; ad_heat = heat_of s; ad_bytes = bytes; ad_verdict = verdict })
     ranked
 

@@ -53,9 +53,10 @@ type t
 val create : ?decay:float -> unit -> t
 
 (** Register one region.  Registration order is preserved by every
-    report.  Re-registering a name replaces the old extent (bodies do
-    not move in this AOT pipeline, but a future lazy materializer's
-    will). *)
+    report.  Re-registering a name replaces the old extent (a lazily
+    materialized variant can come back at another address); its
+    coverage is cleared only when the extent moved, so re-registering
+    the same census keeps every covered byte. *)
 val register : t -> region -> unit
 
 (** Registered regions, in registration order. *)
@@ -139,7 +140,10 @@ type advice = {
 (** Rank the currently resident variant regions by heat density
     (hotness per byte, then hotness, then name — fully deterministic)
     and keep the densest prefix whose cumulative size fits [budget]
-    bytes; everything past the budget is marked [Evict].  Report-only:
+    bytes; everything past the budget is marked [Evict].  Regions with
+    one extent (aliases of one deduplicated body) count its bytes once:
+    an alias of a kept body is kept at no further cost, and [ad_bytes]
+    is still the whole body.  Report-only:
     nothing is patched.  A [budget] of 0 or less keeps nothing;
     non-resident variants do not appear (there is nothing to evict).
     [exclude] removes variants (by region name) from the candidate set
@@ -158,8 +162,10 @@ val to_json : ?budget:int -> ?exclude:string list -> ?now:float -> t -> Json.t
 (** Bridge the current state into a metrics registry:
     [mv_region_heat{region}] gauges carry each region's hotness, and
     [mv_variant_resident_bytes{fn,variant}] each variant region's byte
-    size while resident (0 once it is not).  Gauges, because heat is
-    already cumulative state: re-bridging overwrites. *)
+    size while resident (0 once it is not).  Aliases that share a body
+    each report its whole size, so a sum over the gauge counts a shared
+    body once per resident alias.  Gauges, because heat is already
+    cumulative state: re-bridging overwrites. *)
 val to_metrics : t -> Metrics.t -> unit
 
 (** The per-region heatmap table with ASCII heat bars (the [mvtrace

@@ -87,9 +87,15 @@ let machine t i = t.harts.(i)
 (** Total simulated work: the sum of every hart's cycle counter.  This is
     the deterministic, monotonic clock the IPI/rendezvous latencies are
     measured on (there is no global wall clock in a simulator that steps
-    one hart at a time). *)
+    one hart at a time).  The loop reads each hart's [Perf.clock] field
+    directly, so the only allocation is the boxed result: a fold, or a
+    call to [Perf.cycles], would box every hart's reading. *)
 let clock t =
-  Array.fold_left (fun acc m -> acc +. Perf.cycles m.Machine.perf) 0.0 t.harts
+  let sum = ref 0.0 in
+  for i = 0 to Array.length t.harts - 1 do
+    sum := !sum +. t.harts.(i).Machine.perf.Perf.clock.Perf.cycles
+  done;
+  !sum
 
 let emit t ev = match t.tracer with None -> () | Some sink -> sink ev
 

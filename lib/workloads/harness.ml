@@ -268,7 +268,8 @@ let enable_heat ?decay s =
    (delta-safe: calling it repeatedly never double-counts).  Under lazy
    materialization the body census changes as variants come and go, so
    re-register the runtime's current regions first — Heat.register
-   replaces extents by name, keeping registration order for survivors. *)
+   replaces extents by name, keeping registration order for survivors
+   and their coverage unless the extent moved. *)
 let heat_sync s =
   match s.heat with
   | None -> ()
@@ -322,32 +323,6 @@ let enable_evict_advisor ?(budget = 0) s =
                     else None)
              |> List.rev))
 
-(* Symbol names of all generated variants, for profiler classification. *)
-let variant_names s =
-  let img = s.program.Core.Compiler.p_image in
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (f : Core.Descriptor.function_record) ->
-      List.iter
-        (fun (v : Core.Descriptor.variant_record) ->
-          match Image.symbol_at img v.Core.Descriptor.va_addr with
-          | Some name -> Hashtbl.replace tbl name ()
-          | None -> ())
-        f.Core.Descriptor.fd_variants)
-    (Core.Descriptor.parse_functions img);
-  tbl
-
-(* Variant classifier for the profiler.  The descriptor-derived table is
-   complete for eager builds but empty under lazy ones (variants do not
-   exist at link time), so fall back to asking the runtime about bodies
-   it has materialized since. *)
-let is_variant_sym s tbl name =
-  Hashtbl.mem tbl name
-  || (Core.Runtime.lazy_enabled s.runtime
-     && List.exists
-          (fun (sym, _, _) -> sym = name)
-          (Core.Runtime.materialized_variants s.runtime))
-
 (* Attach one stack-aware sampler per hart, each clocked by its own hart's
    cycle counter: every [interval]-th instruction symbolizes the whole
    call stack (Machine.call_frames plus the pc as the leaf) and
@@ -358,13 +333,12 @@ let is_variant_sym s tbl name =
    attribution. *)
 let enable_stack_profiling ?interval s =
   let img = s.program.Core.Compiler.p_image in
-  let variants = variant_names s in
   let n = Smp.n_harts s.smp in
   s.stackprofs <-
     Array.init n (fun i ->
         let m = Smp.machine s.smp i in
         let sp =
-          Stackprof.create ?interval ~is_variant:(is_variant_sym s variants)
+          Stackprof.create ?interval ~is_variant:(Core.Runtime.is_variant s.runtime)
             ?root:(if n > 1 then Some (Printf.sprintf "hart%d" i) else None)
             ~resolve:(Image.symbol_at img)
             ~frames:(fun () -> Machine.call_frames m)

@@ -178,10 +178,12 @@ val enable_tracing : session -> unit
     collapsed call stack (from [Machine.call_frames]) with the sampled
     pc's symbol appended as the leaf when it differs from the innermost
     frame — so a prologue-jump into a variant shows up as
-    [...;spin_lock;spin_lock.config_smp=0].  On several harts each stack
-    is rooted at a synthetic ["hartN"] frame (see
-    [Mv_obs.Stackprof.create]'s [root]).  {!Mv_obs.Stackprof.leaves} over
-    [stackprofs] is the flat hot-function table. *)
+    [...;spin_lock;spin_lock.config_smp=0].  Frames are classified as
+    variants by the runtime's own names ({!Core.Runtime.is_variant}), so
+    a lazy session's materialized aliases count once resident.  On
+    several harts each stack is rooted at a synthetic ["hartN"] frame
+    (see [Mv_obs.Stackprof.create]'s [root]).  {!Mv_obs.Stackprof.leaves}
+    over [stackprofs] is the flat hot-function table. *)
 val enable_stack_profiling : ?interval:int -> session -> unit
 
 (** Attach the metrics registry: a {!Mv_obs.Metrics.trace_sink} bridges
@@ -212,7 +214,11 @@ val heat : session -> Mv_obs.Heat.t option
 val heat_epoch : session -> unit
 
 (** Per-region heat accounting across all harts, synced ([[]] until
-    {!enable_heat}). *)
+    {!enable_heat}).  A lazy session re-registers the runtime's current
+    census on every sync, one region per resident alias under its own
+    name (aliases that share a body each report its hits since the alias
+    was registered); coverage survives the re-registration unless a
+    region's extent moved, so consecutive reports agree. *)
 val heat_report : session -> Mv_obs.Heat.region_stat list
 
 (** The session's [mv-heat/1] document, synced, with open residency

@@ -165,13 +165,30 @@ awk '$1 == "spin_lock.config_smp=1" && $6 + 0 > 0 { found = 1 } END { exit !foun
   "$smoke_heat" \
   || { echo "mvtrace heat: variant region has zero heat"; exit 1; }
 
+# Alias smoke: f and g are clones, so under --lazy their m=1 bodies
+# dedup to one copy, but each function binds its own alias and must be
+# reported under it (g's row reads g.m=1, not f.m=1).
+alias_mvc=$(mktemp "${TMPDIR:-/tmp}"/mv-alias-XXXXXX.mvc)
+trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_profile" "$smoke_heat" "$alias_mvc"' EXIT
+cat > "$alias_mvc" <<'EOF'
+multiverse int m;
+int w;
+multiverse void f() { if (m) { w = w + 1; } }
+multiverse void g() { if (m) { w = w + 1; } }
+int foo() { w = 0; f(); g(); return w; }
+EOF
+dune exec bin/mvtrace.exe -- variants "$alias_mvc" --lazy --set m=1 --commit \
+  --run foo 2> /dev/null \
+  | awk '$1 == "g" && $2 == "g.m=1" { found = 1 } END { exit !found }' \
+  || { echo "mvtrace variants: g is not reported under its own alias"; exit 1; }
+
 # Parallel fuzz smoke: a domain-striped campaign must write the exact
 # corpus a single-domain run writes (case seeds are domain-count
 # invariant).  Chaos skip-flush guarantees divergences, so both runs
 # exit 1 by contract and the compared corpora are non-empty.
 corpus_1dom=$(mktemp -d "${TMPDIR:-/tmp}"/mv-corpus1-XXXXXX)
 corpus_ndom=$(mktemp -d "${TMPDIR:-/tmp}"/mv-corpus2-XXXXXX)
-trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_profile" "$smoke_heat"; rm -rf "$corpus_1dom" "$corpus_ndom"' EXIT
+trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_profile" "$smoke_heat" "$alias_mvc"; rm -rf "$corpus_1dom" "$corpus_ndom"' EXIT
 run_striped_campaign() {
   status=0
   dune exec bin/mvfuzz.exe -- --iters 4 --seed 1 --small --quiet \
@@ -191,7 +208,7 @@ diff -r "$corpus_1dom" "$corpus_ndom" > /dev/null \
 # story is dead even though every green-path test still passes.
 trap_mvc=$(mktemp "${TMPDIR:-/tmp}"/mv-trap-XXXXXX.mvc)
 flight_dir=$(mktemp -d "${TMPDIR:-/tmp}"/mv-flight-XXXXXX)
-trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_profile" "$smoke_heat" "$trap_mvc"; rm -rf "$corpus_1dom" "$corpus_ndom" "$flight_dir"' EXIT
+trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_profile" "$smoke_heat" "$alias_mvc" "$trap_mvc"; rm -rf "$corpus_1dom" "$corpus_ndom" "$flight_dir"' EXIT
 cat > "$trap_mvc" <<'EOF'
 multiverse int config_smp;
 int lock_word;

@@ -538,15 +538,15 @@ let prop_flight_roundtrip =
           Flight.events_of_dump doc = window
           || QCheck.Test.fail_report "the dump did not decode back to the window")
 
+let minor_words_of g =
+  let before = Gc.minor_words () in
+  g ();
+  Gc.minor_words () -. before
+
 (* The ring keeps the event the emitter already allocated: with a
    constant clock, recording allocates nothing, for every kind. *)
 let test_flight_record_allocates_nothing () =
   let ring = Trace.ring ~capacity:8 ~hart:(fun () -> 3) ~clock:(fun () -> 0.0) () in
-  let minor_words_of g =
-    let before = Gc.minor_words () in
-    g ();
-    Gc.minor_words () -. before
-  in
   let baseline = minor_words_of (fun () -> ()) in
   List.iter
     (fun ev ->
@@ -771,6 +771,27 @@ let test_trap_dumps_current_ring () =
                    (Flight.events_of_dump doc)))
       | dumps -> Alcotest.failf "expected one flight dump, found %d" (List.length dumps))
 
+(* A session's ring is clocked by the session clock, the summed hart
+   cycles, so every record reads it: the reading may box its one float
+   result, and nothing per hart. *)
+let test_session_ring_record_words () =
+  List.iter
+    (fun n_harts ->
+      let s = Harness.session1 ~n_harts Spinlock.contended_source in
+      let ev = Trace.Fallback { fn = "f" } in
+      let baseline = minor_words_of (fun () -> ()) in
+      let words =
+        minor_words_of (fun () ->
+            for _ = 1 to 1000 do
+              Trace.record s.Harness.ring ev
+            done)
+      in
+      let per_record = (words -. baseline) /. 1000.0 in
+      if per_record > 2.0 then
+        Alcotest.failf "%d harts: a session-ring record allocates %.2f minor words"
+          n_harts per_record)
+    [ 1; 4 ]
+
 let suite =
   [
     tc "timelines partition the stream by hart" test_timelines_partition_by_hart;
@@ -812,4 +833,6 @@ let suite =
     tc "smp flight records cross-hart windows" test_smp_flight_always_on;
     tc "flight adds zero simulated cycles" test_flight_zero_cycle_overhead;
     tc "trap dumps the current ring" test_trap_dumps_current_ring;
+    tc "session-ring record boxes only the clock reading"
+      test_session_ring_record_words;
   ]

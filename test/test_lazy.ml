@@ -13,6 +13,7 @@ module Runtime = Core.Runtime
 module Machine = Mv_vm.Machine
 module Image = Mv_link.Image
 module Trace = Mv_obs.Trace
+module Heat = Mv_obs.Heat
 
 (* The paper's Figure 2 shape: one multiversed function over two
    switches, four in-domain valuations. *)
@@ -629,6 +630,140 @@ let test_smp_materialization_under_rendezvous () =
   check_bool "patching ran under the rendezvous" true
     (List.exists (function Trace.Rendezvous_begin _ -> true | _ -> false) evs)
 
+(* ------------------------------------------------------------------ *)
+(* Alias names and the heat census                                    *)
+(* ------------------------------------------------------------------ *)
+
+let heat_stat s name =
+  match
+    List.find_opt
+      (fun (st : Heat.region_stat) -> st.Heat.rs_region.Heat.r_name = name)
+      (H.heat_report s)
+  with
+  | Some st -> st
+  | None -> Alcotest.failf "no heat region %s" name
+
+let selections s =
+  List.filter_map
+    (fun st ->
+      match st.Trace.ev with
+      | Trace.Variant_selected { fn; variant } -> Some (fn, variant)
+      | _ -> None)
+    (H.trace_events s)
+
+(* f's and g's m=1 bodies dedup to one copy, but each function binds its
+   own alias: the selection event, installed_variant and heat residency
+   name g's alias, and each alias is a heat region of its own over the
+   shared body.  The eviction advisor charges that body to its budget
+   once, so a budget of exactly one body keeps both aliases and one byte
+   less keeps neither; the residency gauge reports the whole body for
+   each alias. *)
+let test_clone_aliases_keep_their_names () =
+  let s = H.session1 ~lazy_variants:true clones in
+  H.enable_heat s;
+  H.enable_metrics s;
+  H.set s "m" 1;
+  ignore (H.commit s);
+  ignore (H.call s "foo" []);
+  Alcotest.(check (list (pair string string)))
+    "selections" [ ("f", "f.m=1"); ("g", "g.m=1") ] (selections s);
+  Alcotest.(check (option string))
+    "installed" (Some "g.m=1")
+    (Runtime.installed_variant s.H.runtime "g");
+  let hits name = (heat_stat s name).Heat.rs_hits in
+  check_bool "f's alias has hits" true (hits "f.m=1" > 0);
+  check_int "g's alias reports the shared body" (hits "f.m=1") (hits "g.m=1");
+  let h = match H.heat s with Some h -> h | None -> Alcotest.fail "heat armed" in
+  check_bool "g resident under its own alias" true
+    (Heat.resident h ~fn:"g" ~variant:"g.m=1");
+  let extent name =
+    let r = (heat_stat s name).Heat.rs_region in
+    (r.Heat.r_lo, r.Heat.r_hi)
+  in
+  let lo, hi = extent "f.m=1" in
+  Alcotest.(check (pair int int)) "one extent" (lo, hi) (extent "g.m=1");
+  let body = hi - lo in
+  let plan budget =
+    List.map
+      (fun (a : Heat.advice) ->
+        (a.Heat.ad_region.Heat.r_name, a.Heat.ad_verdict = Heat.Keep, a.Heat.ad_bytes))
+      (Heat.evict_plan h ~budget)
+    |> List.sort compare
+  in
+  Alcotest.(check (list (triple string bool int)))
+    "one body's budget keeps both aliases"
+    [ ("f.m=1", true, body); ("g.m=1", true, body) ]
+    (plan body);
+  Alcotest.(check (list (triple string bool int)))
+    "one byte less keeps neither"
+    [ ("f.m=1", false, body); ("g.m=1", false, body) ]
+    (plan (body - 1));
+  ignore (H.metrics_json s);
+  let m = match H.metrics s with Some m -> m | None -> Alcotest.fail "metrics armed" in
+  List.iter
+    (fun (fn, variant) ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "%s resident bytes" variant)
+        (float_of_int body)
+        (Option.value ~default:(-1.0)
+           (Mv_obs.Metrics.gauge_value m "mv_variant_resident_bytes"
+              [ ("fn", fn); ("variant", variant) ])))
+    [ ("f", "f.m=1"); ("g", "g.m=1") ]
+
+(* With A=0 the B-branch is dead, so (A=0,B=0) and (A=0,B=1) share one
+   body.  After a revert, committing (A=0,B=1) binds the second alias
+   and must name it, not the first alias at the same address.  Without
+   the revert, the second commit selects the body already bound: no
+   patch and no event, so the binding keeps the first alias's name. *)
+let test_alias_named_after_revert () =
+  let s = H.session1 ~lazy_variants:true fig2 in
+  commit_vals s 0 0;
+  ignore (H.revert s);
+  commit_vals s 0 1;
+  Alcotest.(check (list (pair string string)))
+    "selections"
+    [ ("multi", "multi.A=0.B=0"); ("multi", "multi.A=0.B=1") ]
+    (selections s);
+  Alcotest.(check (option string))
+    "installed" (Some "multi.A=0.B=1")
+    (Runtime.installed_variant s.H.runtime "multi");
+  let s = H.session1 ~lazy_variants:true fig2 in
+  commit_vals s 0 0;
+  let patches = (stats s).Runtime.st_patches in
+  commit_vals s 0 1;
+  check_int "second alias linked" 2 (stats s).Runtime.st_materialized;
+  check_int "no patch without a revert" patches (stats s).Runtime.st_patches;
+  Alcotest.(check (list (pair string string)))
+    "one selection without a revert"
+    [ ("multi", "multi.A=0.B=0") ]
+    (selections s);
+  Alcotest.(check (option string))
+    "the bound alias keeps its name" (Some "multi.A=0.B=0")
+    (Runtime.installed_variant s.H.runtime "multi")
+
+(* A lazy session re-registers its heat census on every read; that must
+   not clear coverage the counters already reported, since the fold only
+   adds blocks with new hits.  Two back-to-back reports must agree, and
+   match what the eager pre-expansion reports. *)
+let test_heat_resync_keeps_coverage () =
+  let covered ~lazy_variants =
+    let s = H.session1 ~lazy_variants fig2 in
+    H.enable_heat s;
+    commit_vals s 1 1;
+    for _ = 1 to 5 do
+      ignore (H.call s "foo" [])
+    done;
+    let read () = (heat_stat s "multi.A=1.B=1").Heat.rs_covered in
+    let first = read () in
+    (first, read ())
+  in
+  let eager, eager_again = covered ~lazy_variants:false in
+  let first, second = covered ~lazy_variants:true in
+  check_bool "the variant is covered" true (eager > 0);
+  check_int "eager reports agree" eager eager_again;
+  check_int "lazy covers what eager covers" eager first;
+  check_int "two consecutive lazy reports agree" first second
+
 let suite =
   [
     tc "lazy: link carries no variants" test_lazy_link_carries_no_variants;
@@ -664,4 +799,7 @@ let suite =
       (test_heat_advisor_evicts_cold ~n_harts:2);
     tc "obs: commit_begin lists the declared switches"
       test_commit_begin_lists_declared_switches;
+    tc "names: clone aliases keep their names" test_clone_aliases_keep_their_names;
+    tc "names: a re-bound alias is named after a revert" test_alias_named_after_revert;
+    tc "obs: lazy heat re-sync keeps coverage" test_heat_resync_keeps_coverage;
   ]

@@ -279,6 +279,109 @@ let test_farm_program_still_runs () =
   ignore (H.call s "run_all" []);
   check_int "lock released everywhere" 0 (H.get s "lock_word")
 
+(* ------------------------------------------------------------------ *)
+(* Runtime names                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Descriptors identify functions, switches and variants by address; the
+   runtime names them once, at create.  The reference is
+   [Image.symbol_at] of each address, the lookup the runtime used to make
+   per report.  No image here has two symbols at one address, so the two
+   must agree on every name the runtime reports: the heat census
+   (functions, variants, guard switches), the commit span's switch list,
+   every name in the patching events, and [installed_variant]. *)
+let test_runtime_names_match_symbol_at () =
+  let module D = Core.Descriptor in
+  let module Heat = Mv_obs.Heat in
+  let module Trace = Mv_obs.Trace in
+  List.iter
+    (fun (label, src) ->
+      let s = H.session1 src in
+      H.enable_tracing s;
+      let img = s.H.program.Core.Compiler.p_image in
+      let at addr = Option.value ~default:"?" (Image.symbol_at img addr) in
+      let vars = D.parse_variables img in
+      let fns = D.parse_functions img in
+      let region (r : Heat.region) =
+        Printf.sprintf "%s fn=%s %s [%s] %x-%x" r.Heat.r_name r.Heat.r_fn
+          (if r.Heat.r_kind = Heat.Generic then "generic" else "variant")
+          r.Heat.r_switches r.Heat.r_lo r.Heat.r_hi
+      in
+      let guard (g : D.guard_record) =
+        if g.D.gr_lo = g.D.gr_hi then Printf.sprintf "%s=%d" (at g.D.gr_var) g.D.gr_lo
+        else Printf.sprintf "%s=%d..%d" (at g.D.gr_var) g.D.gr_lo g.D.gr_hi
+      in
+      let reference =
+        List.concat_map
+          (fun (f : D.function_record) ->
+            let fn = at f.D.fd_generic in
+            Printf.sprintf "%s fn=%s generic [] %x-%x" fn fn f.D.fd_generic
+              (f.D.fd_generic + f.D.fd_generic_size)
+            :: List.map
+                 (fun (v : D.variant_record) ->
+                   Printf.sprintf "%s fn=%s variant [%s] %x-%x" (at v.D.va_addr) fn
+                     (String.concat "," (List.map guard v.D.va_guards))
+                     v.D.va_addr (v.D.va_addr + v.D.va_size))
+                 f.D.fd_variants)
+          fns
+      in
+      Alcotest.(check (list string))
+        (label ^ ": heat census") reference
+        (List.map region (Core.Runtime.heat_regions s.H.runtime));
+      let switches = List.map (fun (v : D.variable) -> at v.D.vr_addr) vars in
+      let plain =
+        List.filter_map
+          (fun (v : D.variable) -> if v.D.vr_fnptr then None else Some (at v.D.vr_addr))
+          vars
+      in
+      List.iter
+        (fun value ->
+          List.iter (fun name -> H.set s name value) plain;
+          ignore (H.commit s))
+        [ 1; 0 ];
+      ignore (H.revert s);
+      (* a name is its address's symbol_at when its own address maps back to it *)
+      let check_name what name =
+        match Image.symbol_opt img name with
+        | Some addr -> check_string (Printf.sprintf "%s: %s %s" label what name) name (at addr)
+        | None -> Alcotest.failf "%s: %s %s is no symbol" label what name
+      in
+      let events = List.map (fun st -> st.Trace.ev) (H.trace_events s) in
+      let lifecycle = ref 0 in
+      List.iter
+        (function
+          | Trace.Commit_begin { switches = sw; _ } ->
+              Alcotest.(check (list string))
+                (label ^ ": commit switches") switches (List.map fst sw)
+          | Trace.Variant_selected { fn; variant } | Trace.Variant_unbound { fn; variant } ->
+              incr lifecycle;
+              check_name "function" fn;
+              check_name "variant" variant
+          | Trace.Fallback { fn }
+          | Trace.Prologue_patched { fn; _ }
+          | Trace.Site_retargeted { fn; _ }
+          | Trace.Site_inlined { fn; _ } ->
+              check_name "entity" fn
+          | _ -> ())
+        events;
+      if fns <> [] then check_bool (label ^ ": variants bound and unbound") true (!lifecycle > 0);
+      List.iter (fun name -> H.set s name 1) plain;
+      ignore (H.commit s);
+      List.iter
+        (fun (f : D.function_record) ->
+          Option.iter (check_name "installed")
+            (Core.Runtime.installed_variant s.H.runtime (at f.D.fd_generic)))
+        fns)
+    [
+      ("spinlock", Spinlock.source Spinlock.Multiverse);
+      ("pvops", Pvops.source Pvops.Multiverse);
+      ("musl", Musl.source Musl.Multiversed);
+      ("grep", Grep.source Grep.Multiversed);
+      ("pygc", Pygc.source Pygc.Multiversed);
+      ("tracing", Mv_workloads.Tracing.source Mv_workloads.Tracing.Multiversed);
+      ("farm", Farm.source ~callers:4 ~pairs:2);
+    ]
+
 let suite =
   [
     tc "spinlock: functional in all modes" test_spinlock_functional;
@@ -306,4 +409,5 @@ let suite =
     tc "tracing: cycle ordering" test_tracing_cycle_ordering;
     tc "farm: call-site counts" test_farm_counts;
     tc "farm: program still runs" test_farm_program_still_runs;
+    tc "names: the runtime's names are symbol_at's" test_runtime_names_match_symbol_at;
   ]
