@@ -173,8 +173,32 @@ type mat_info = {
   mi_alias : variant;
 }
 
+(** What materializing one (recipe, assignment) pair needs besides the
+    IR, kept so a re-materialization after eviction skips specializing,
+    optimizing, hashing and emitting.  Eviction keeps it: it describes
+    the assignment, not a resident body. *)
+type spec = {
+  sp_symbol : string;  (** the variant symbol *)
+  sp_key : string;  (** the specialized body's canonical form *)
+  sp_guards : Descriptor.guard_record list;
+  mutable sp_frag : Emit.fragment option;
+      (** emitted on the first dedup miss; [materialize] relocates a
+          copy, so nothing writes these bytes *)
+}
+
+(** A function's specialization recipe and its memo. *)
+type lazy_recipe = {
+  lr_recipe : Variantgen.recipe;
+  lr_memo : spec option array;
+      (** one slot per assignment of the recipe's cross product, numbered
+          as [recipe_assignment] numbers them; [[||]] when the cross
+          product exceeds [Variantgen.default_max_variants] (the most
+          variants eager generation emits for one function), and then
+          every materialization specializes afresh *)
+}
+
 type lazy_state = {
-  lz_recipes : (string, Variantgen.recipe) Hashtbl.t;  (** by function symbol *)
+  lz_recipes : (string, lazy_recipe) Hashtbl.t;  (** by function symbol *)
   lz_call_pad : string -> int;
       (** the program's call-site padding rule, so materialized bodies are
           assembled byte-compatible with the eager pipeline's *)
@@ -186,6 +210,9 @@ type lazy_state = {
   lz_variants : (string, mat_info) Hashtbl.t;  (** by variant symbol *)
   mutable lz_bytes : int;  (** resident bytes (unique blocks, alloc-sized) *)
   mutable lz_tick : int;  (** LRU clock, bumped per selection *)
+  mutable lz_specialized : int;
+      (** recipe specializations run (read by [specializations], not part
+          of [stats]) *)
   mutable lz_evict_pending : string list;
       (** victims whose body still has a live activation (or an undrained
           unbind): freed at a later safepoint, oldest first *)
@@ -220,6 +247,9 @@ type t = {
   image : Image.t;
   patch : Patch.t;
   switches : switch list;  (** every configuration switch, descriptor order *)
+  switch_at : (int, switch) Hashtbl.t;
+      (** the switches by address; of two at one address, the first in
+          descriptor order *)
   functions : fn_entry list;
   fnptrs : fnptr_entry list;
   mutable fallbacks : string list;  (** functions left generic by the last commit *)
@@ -361,6 +391,12 @@ let create (img : Image.t) ~flush : t =
   let switches =
     List.map (fun (v : Descriptor.variable) -> { sw_name = name v.vr_addr; sw_var = v }) variables
   in
+  let switch_at = Hashtbl.create 64 in
+  List.iter
+    (fun sw ->
+      if not (Hashtbl.mem switch_at sw.sw_var.vr_addr) then
+        Hashtbl.add switch_at sw.sw_var.vr_addr sw)
+    switches;
   let fnptrs =
     List.filter_map
       (fun sw ->
@@ -378,6 +414,7 @@ let create (img : Image.t) ~flush : t =
     image = img;
     patch = Patch.create img ~flush;
     switches;
+    switch_at;
     functions;
     fnptrs;
     fallbacks = [];
@@ -508,7 +545,7 @@ let set_strategy t s =
 (* Switch evaluation                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let find_switch t addr = List.find_opt (fun sw -> sw.sw_var.vr_addr = addr) t.switches
+let find_switch t addr = Hashtbl.find_opt t.switch_at addr
 
 let read_switch t (addr : int) : int =
   match find_switch t addr with
@@ -662,7 +699,10 @@ let enable_lazy ?budget t ~recipes ~call_pad =
   if budget <= 0 then errf "variant budget must be positive";
   let tbl = Hashtbl.create 16 in
   List.iter
-    (fun (r : Variantgen.recipe) -> Hashtbl.replace tbl r.Variantgen.rc_name r)
+    (fun (r : Variantgen.recipe) ->
+      let n = Domain.cross_product_size r.Variantgen.rc_switches in
+      let memo = if n <= Variantgen.default_max_variants then Array.make n None else [||] in
+      Hashtbl.replace tbl r.Variantgen.rc_name { lr_recipe = r; lr_memo = memo })
     recipes;
   t.lazy_st <-
     Some
@@ -676,6 +716,7 @@ let enable_lazy ?budget t ~recipes ~call_pad =
         lz_variants = Hashtbl.create 16;
         lz_bytes = 0;
         lz_tick = 0;
+        lz_specialized = 0;
         lz_evict_pending = [];
         lz_advisor = None;
         lz_stale_cache = false;
@@ -713,11 +754,13 @@ let specializable t (fe : fn_entry) =
   | Some lz -> Hashtbl.mem lz.lz_recipes fe.fe_name
   | None -> false
 
-(* The current point assignment of a recipe's switches, or [None] when
-   any switch value is outside its specialization domain (the generic
-   fallback covers those, exactly as under eager generation). *)
-let recipe_assignment t (r : Variantgen.recipe) : (string * int) list option =
-  let ok = ref true in
+(* The current point assignment of a recipe's switches with its number
+   in the recipe's cross product (mixed radix over [rc_switches], each
+   digit the value's position in its domain), or [None] when any switch
+   value is outside its specialization domain (the generic fallback
+   covers those, exactly as under eager generation). *)
+let recipe_assignment t (r : Variantgen.recipe) : ((string * int) list * int) option =
+  let ok = ref true and index = ref 0 in
   let a =
     List.map
       (fun (name, dom) ->
@@ -727,11 +770,13 @@ let recipe_assignment t (r : Variantgen.recipe) : (string * int) list option =
             (name, 0)
         | Some addr ->
             let v = read_switch t addr in
-            if not (List.mem v dom) then ok := false;
+            (match List.find_index (Int.equal v) dom with
+            | Some i -> index := (!index * List.length dom) + i
+            | None -> ok := false);
             (name, v))
       r.Variantgen.rc_switches
   in
-  if !ok then Some a else None
+  if !ok then Some (a, !index) else None
 
 (* First-fit allocation from the free list, else from the bump cursor;
    blocks are 16-aligned like the static text layout. *)
@@ -780,6 +825,9 @@ let pending_variant_addrs t =
         pset.pset_actions)
     t.pending
 
+(* Every touch takes a fresh tick, so no two resident aliases share a
+   stamp and ordering by stamp alone is a total order ([make_room]
+   relies on it). *)
 let touch_lru lz (v : variant) =
   lz.lz_tick <- lz.lz_tick + 1;
   v.vn_stamp <- lz.lz_tick
@@ -865,8 +913,8 @@ let make_room t lz ~need : bool =
     let by_lru =
       Hashtbl.fold (fun sym mi acc -> (sym, mi) :: acc) lz.lz_variants []
       |> List.filter (fun (sym, mi) -> evictable sym mi)
-      |> List.sort (fun (a, (ma : mat_info)) (b, (mb : mat_info)) ->
-             compare (ma.mi_alias.vn_stamp, a) (mb.mi_alias.vn_stamp, b))
+      |> List.sort (fun (_, (ma : mat_info)) (_, (mb : mat_info)) ->
+             Int.compare ma.mi_alias.vn_stamp mb.mi_alias.vn_stamp)
     in
     let advised =
       match lz.lz_advisor with
@@ -918,42 +966,76 @@ let link_alias t lz (fe : fn_entry) ~symbol ~key ~addr ~size ~guards ~dedup =
   emit t (Trace.Variant_materialized { fn = fe.fe_name; variant = symbol; addr; size; dedup });
   alias
 
-(* Materialize the variant for [assignment]: specialize the recipe,
-   optimize, then either link the structurally-equal resident body (hash
-   hit: no new bytes) or assemble the fragment, apply its relocations
-   against the image's symbols, and write it into the variant-text
-   region.  Returns the linked alias.  A budget (or region-capacity)
-   miss denies the materialization: no alias is linked ([None]), the
-   function stays generic, and a later commit retries. *)
-let materialize t lz (fe : fn_entry) (recipe : Variantgen.recipe)
-    (assignment : (string * int) list) : variant option =
-  let v = Variantgen.specialize_recipe recipe assignment in
-  let key = Mv_opt.Merge.canonical_form v.Variantgen.v_fn in
-  let guards =
-    List.concat_map
-      (fun box ->
-        List.map
-          (fun (r : Guard.range) ->
-            {
-              Descriptor.gr_var = Image.symbol t.image r.Guard.g_var;
-              gr_lo = r.Guard.g_lo;
-              gr_hi = r.Guard.g_hi;
-            })
-          box)
-      v.Variantgen.v_guards
-  in
+let specialize lz (r : Variantgen.recipe) assignment =
+  lz.lz_specialized <- lz.lz_specialized + 1;
+  Variantgen.specialize_recipe r assignment
+
+(* The spec of assignment number [index] of [lr]: its memo entry, or a
+   fresh specialization — memoized when the recipe has a memo — returned
+   with the variant whose IR a dedup miss emits. *)
+let spec_of t lz (lr : lazy_recipe) assignment index : spec * Variantgen.variant option =
+  let memoized = Array.length lr.lr_memo > 0 in
+  match if memoized then lr.lr_memo.(index) else None with
+  | Some sp -> (sp, None)
+  | None ->
+      let v = specialize lz lr.lr_recipe assignment in
+      let key = Mv_opt.Merge.canonical_form v.Variantgen.v_fn in
+      let guards =
+        List.concat_map
+          (fun box ->
+            List.map
+              (fun (r : Guard.range) ->
+                {
+                  Descriptor.gr_var = Image.symbol t.image r.Guard.g_var;
+                  gr_lo = r.Guard.g_lo;
+                  gr_hi = r.Guard.g_hi;
+                })
+              box)
+          v.Variantgen.v_guards
+      in
+      let sp =
+        { sp_symbol = v.Variantgen.v_symbol; sp_key = key; sp_guards = guards; sp_frag = None }
+      in
+      if memoized then lr.lr_memo.(index) <- Some sp;
+      (sp, Some v)
+
+(* Materialize the variant for [assignment] (number [index] of its
+   recipe's cross product): specialize the recipe and optimize — or find
+   both done in the memo — then either link the structurally-equal
+   resident body (hash hit: no new bytes) or assemble the fragment (once
+   per memoized spec), apply its relocations against the image's symbols
+   to a copy, and write it into the variant-text region.  A spec whose
+   first materialization was a hash hit has no fragment: its first miss
+   specializes again to emit one.  Returns the linked alias.  A budget
+   (or region-capacity) miss denies the materialization: no alias is
+   linked ([None]), the function stays generic, and a later commit
+   retries. *)
+let materialize t lz (fe : fn_entry) (lr : lazy_recipe) (assignment : (string * int) list)
+    index : variant option =
+  let sp, fresh = spec_of t lz lr assignment index in
+  let symbol = sp.sp_symbol and key = sp.sp_key and guards = sp.sp_guards in
   match Hashtbl.find_opt lz.lz_dedup key with
   | Some de ->
       (* structural-hash hit: the body is already resident *)
       de.de_refs <- de.de_refs + 1;
       lz.lz_dedup_hits <- lz.lz_dedup_hits + 1;
       Some
-        (link_alias t lz fe ~symbol:v.Variantgen.v_symbol ~key ~addr:de.de_addr
-           ~size:de.de_size ~guards ~dedup:true)
+        (link_alias t lz fe ~symbol ~key ~addr:de.de_addr ~size:de.de_size ~guards
+           ~dedup:true)
   | None -> (
       let frag =
-        try Emit.emit_fn ~call_pad:lz.lz_call_pad v.Variantgen.v_fn
-        with Emit.Error m -> errf "materialize %s: %s" v.Variantgen.v_symbol m
+        match sp.sp_frag with
+        | Some frag -> frag
+        | None ->
+            let v =
+              match fresh with Some v -> v | None -> specialize lz lr.lr_recipe assignment
+            in
+            let frag =
+              try Emit.emit_fn ~call_pad:lz.lz_call_pad v.Variantgen.v_fn
+              with Emit.Error m -> errf "materialize %s: %s" symbol m
+            in
+            sp.sp_frag <- Some frag;
+            frag
       in
       let code = Bytes.copy frag.Emit.fr_code in
       let size = Bytes.length code in
@@ -973,13 +1055,11 @@ let materialize t lz (fe : fn_entry) (recipe : Variantgen.recipe)
                   match Image.symbol_opt t.image r.Objfile.r_sym with
                   | Some a -> a
                   | None ->
-                      errf "materialize %s: undefined symbol %s" v.Variantgen.v_symbol
-                        r.Objfile.r_sym
+                      errf "materialize %s: undefined symbol %s" symbol r.Objfile.r_sym
                 in
                 let off = r.Objfile.r_offset in
                 try Mv_link.Linker.patch_reloc code ~off ~p:(addr + off) ~s r
-                with Mv_link.Linker.Link_error m ->
-                  errf "materialize %s: %s" v.Variantgen.v_symbol m)
+                with Mv_link.Linker.Link_error m -> errf "materialize %s: %s" symbol m)
               frag.Emit.fr_relocs;
             Patch.write_text t.patch ~addr code;
             (* host-built frame map, so OSR can transfer activations in
@@ -1014,9 +1094,7 @@ let materialize t lz (fe : fn_entry) (recipe : Variantgen.recipe)
             Hashtbl.replace lz.lz_dedup key
               { de_addr = addr; de_size = size; de_alloc = alloc; de_refs = 1 };
             lz.lz_bytes <- lz.lz_bytes + alloc;
-            Some
-              (link_alias t lz fe ~symbol:v.Variantgen.v_symbol ~key ~addr ~size
-                 ~guards ~dedup:false))
+            Some (link_alias t lz fe ~symbol ~key ~addr ~size ~guards ~dedup:false))
 
 (** Select the variant for the current switch values: the first match in
     descriptor order.  On a lazy runtime an in-domain miss first
@@ -1032,17 +1110,17 @@ let select_variant t (fe : fn_entry) : variant option =
   | Some lz -> (
       match Hashtbl.find_opt lz.lz_recipes fe.fe_name with
       | None -> found
-      | Some recipe -> (
-          match (recipe_assignment t recipe, found) with
+      | Some lr -> (
+          match (recipe_assignment t lr.lr_recipe, found) with
           | None, _ -> found (* out of domain: the generic fallback handles it *)
           | Some _, Some v ->
               lz.lz_cache_hits <- lz.lz_cache_hits + 1;
               touch_lru lz v;
               found
-          | Some assignment, None ->
+          | Some (assignment, index), None ->
               (* the fresh alias is guarded by this very assignment, so it
                  is the one candidate that now matches *)
-              materialize t lz fe recipe assignment))
+              materialize t lz fe lr assignment index))
 
 (* ------------------------------------------------------------------ *)
 (* Function-pointer switches                                           *)
@@ -1321,10 +1399,10 @@ let functions_referencing t var_addr =
     | Some lz -> (
         match Hashtbl.find_opt lz.lz_recipes fe.fe_name with
         | None -> false
-        | Some r ->
+        | Some lr ->
             List.exists
               (fun (name, _) -> Image.symbol_opt t.image name = Some var_addr)
-              r.Variantgen.rc_switches)
+              lr.lr_recipe.Variantgen.rc_switches)
   in
   List.filter
     (fun fe ->
@@ -1800,6 +1878,11 @@ let pending_variants t : string list =
     off. *)
 let variant_bytes t =
   match t.lazy_st with None -> 0 | Some lz -> lz.lz_bytes
+
+(** Recipe specializations the variant cache has run.  [0] when lazy
+    materialization is off. *)
+let specializations t =
+  match t.lazy_st with None -> 0 | Some lz -> lz.lz_specialized
 
 type stats = {
   st_functions : int;

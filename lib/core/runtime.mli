@@ -237,7 +237,23 @@ val pending : t -> string list
     pipeline's; [budget] the resident variant-text byte budget (default:
     the whole variant-text region).  Raises {!Runtime_error} when the
     image was linked without a variant-text region or the budget is not
-    positive. *)
+    positive.
+
+    Specializations are memoized per (recipe, assignment): the variant
+    symbol, its dedup key (the canonical form), its descriptor guards
+    and — from the first structural-hash miss on — its emitted fragment,
+    but not the IR.  Re-materializing an evicted valuation then looks up
+    the dedup table and, on a miss, relocates a copy of the memoized
+    fragment, writing the bytes a fresh specialization would.  Only
+    recipes whose cross product fits within
+    [Variantgen.default_max_variants] — the most variants eager
+    generation emits for one function — are memoized; a larger recipe
+    (the 20-switch storm's ~1M valuations) specializes on every
+    materialization.  Eviction drops resident text and aliases, never
+    memo entries, so the memo holds at most that many entries per
+    recipe.  An assignment whose first materialization was a hash hit
+    has no fragment yet and is specialized once more on its first miss
+    ({!specializations} counts both). *)
 val enable_lazy :
   ?budget:int ->
   t ->
@@ -288,6 +304,13 @@ val pending_variants : t -> string list
     quantity the byte budget bounds.  [0] when lazy materialization is
     off. *)
 val variant_bytes : t -> int
+
+(** Recipe specializations the variant cache has run so far — each
+    specialize, optimize and hash of a recipe, whether for a first
+    materialization or a re-materialization that the memo could not
+    serve (see {!enable_lazy}).  A read-only probe, not a {!stats}
+    counter; [0] when lazy materialization is off. *)
+val specializations : t -> int
 
 (** {1 Introspection} *)
 

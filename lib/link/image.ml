@@ -27,6 +27,8 @@ type t = {
   prot : protection array;
   symbols : (string, int) Hashtbl.t;  (** symbol name -> absolute address *)
   symbol_sizes : (string, int) Hashtbl.t;
+  symbol_at_memo : (int, string option) Hashtbl.t;
+      (** [symbol_at]'s answers by address, cleared by every symbol write *)
   sections : (Objfile.section * section_range) list;
   text : section_range;
   vtext : section_range;
@@ -123,29 +125,41 @@ let symbol_opt t name = Hashtbl.find_opt t.symbols name
 let symbol_size t name = Option.value ~default:0 (Hashtbl.find_opt t.symbol_sizes name)
 
 (** Reverse lookup: the symbol whose [addr, addr+size) range contains the
-    address, preferring the closest preceding symbol. *)
+    address, preferring the closest preceding symbol.  The fold runs once
+    per address until the next symbol write: its answer is memoized as
+    is, since of two symbols at one base the fold keeps the one the
+    table yields first, which no sorted index reproduces. *)
 let symbol_at t addr =
-  Hashtbl.fold
-    (fun name base best ->
-      let size = symbol_size t name in
-      if addr >= base && (size = 0 || addr < base + size) then
-        match best with
-        | Some (_, best_base) when best_base >= base -> best
-        | _ -> Some (name, base)
-      else best)
-    t.symbols None
-  |> Option.map fst
+  match Hashtbl.find_opt t.symbol_at_memo addr with
+  | Some answer -> answer
+  | None ->
+      let answer =
+        Hashtbl.fold
+          (fun name base best ->
+            let size = symbol_size t name in
+            if addr >= base && (size = 0 || addr < base + size) then
+              match best with
+              | Some (_, best_base) when best_base >= base -> best
+              | _ -> Some (name, base)
+            else best)
+          t.symbols None
+        |> Option.map fst
+      in
+      Hashtbl.replace t.symbol_at_memo addr answer;
+      answer
 
 (** Register (or move) a symbol at runtime — how materialized variant
     bodies join the symbol table after load. *)
 let add_symbol t name ~addr ~size =
   Hashtbl.replace t.symbols name addr;
-  Hashtbl.replace t.symbol_sizes name size
+  Hashtbl.replace t.symbol_sizes name size;
+  Hashtbl.clear t.symbol_at_memo
 
 (** Drop a runtime-registered symbol (variant eviction). *)
 let remove_symbol t name =
   Hashtbl.remove t.symbols name;
-  Hashtbl.remove t.symbol_sizes name
+  Hashtbl.remove t.symbol_sizes name;
+  Hashtbl.clear t.symbol_at_memo
 
 let section_range t sec = List.assoc_opt sec t.sections
 

@@ -25,7 +25,13 @@ type t = {
   mem : Bytes.t;
   prot : protection array;  (** one entry per page *)
   symbols : (string, int) Hashtbl.t;
+      (** after the link, [symbols] and [symbol_sizes] are written only
+          through {!add_symbol} and {!remove_symbol}: they are the only
+          writers, and they clear [symbol_at_memo] *)
   symbol_sizes : (string, int) Hashtbl.t;
+  symbol_at_memo : (int, string option) Hashtbl.t;
+      (** {!symbol_at}'s answers by address.  {!symbol_at} writes it, so
+          one image must not be symbolized from two domains at once *)
   sections : (Objfile.section * section_range) list;
   text : section_range;
   vtext : section_range;
@@ -63,7 +69,9 @@ val symbol : t -> string -> int
 val symbol_opt : t -> string -> int option
 val symbol_size : t -> string -> int
 
-(** Symbol whose [base, base+size) range contains the address. *)
+(** Symbol whose [base, base+size) range contains the address.  A fold
+    over the whole symbol table, memoized per address until the next
+    {!add_symbol} or {!remove_symbol}. *)
 val symbol_at : t -> int -> string option
 
 (** [add_symbol t name ~addr ~size] registers (or moves) a symbol after

@@ -139,6 +139,7 @@ let link ?(mem_size = 1 lsl 22) ?(vtext_size = default_vtext_size)
     prot;
     symbols;
     symbol_sizes;
+    symbol_at_memo = Hashtbl.create 64;
     sections = List.rev !section_ranges;
     text = text_range;
     vtext = { Image.sr_base = vtext_base; sr_size = vtext_size };

@@ -64,6 +64,10 @@ type t = {
           never-live [no_block] when there is none.  A sentinel rather
           than an option, so entering a block allocates no [Some] box *)
   mutable sb_ix : int;  (** index into [sb_cur] expected to execute next *)
+  mutable sb_max_span : int;
+      (** the longest byte range of any superblock this machine has
+          built: no block overlapping a flushed window starts further
+          than this before it *)
   dstats : decode_stats;
   mutable irq_enabled : bool;
   mutable steps_left : int;
@@ -197,6 +201,7 @@ let create ?(cost = Cost.default) ?(platform = Native) ?(max_steps = 2_000_000_0
     pages = [||];
     sb_cur = no_block;
     sb_ix = 0;
+    sb_max_span = 0;
     dstats = { ds_blocks = 0; ds_insns = 0; ds_invalidated = 0 };
     irq_enabled = true;
     steps_left = max_steps;
@@ -290,12 +295,10 @@ let iter_pages t ~lo ~hi f =
 
 let max_block_insns = 64
 
-(* The longest byte range one superblock can cover. *)
-let max_block_span = max_block_insns * Insn.max_size
-
 (* Drop every superblock whose byte range overlaps the text-offset window
    [lo, hi) (which must not start below 0).  Such a block is entered below
-   [hi] and less than [max_block_span] bytes before [lo], so the walk
+   [hi] and less than [sb_max_span] bytes before [lo] — the longest block
+   this machine has built, not the longest one could be — so the walk
    reads only that stretch of the index: a flush costs its window plus the
    longest block, however many blocks were ever decoded.  A dropped block
    is marked dead so the dispatch cursor (which may still point at it
@@ -304,7 +307,7 @@ let max_block_span = max_block_insns * Insn.max_size
    simulated clock. *)
 let invalidate_blocks t ~lo ~hi =
   if hi > lo then
-    iter_pages t ~lo:(max 0 (lo - max_block_span)) ~hi (fun pg _ first last ->
+    iter_pages t ~lo:(max 0 (lo - t.sb_max_span)) ~hi (fun pg _ first last ->
         for s = first to last - 1 do
           let b = Array.unsafe_get pg.pg_blocks s in
           if b != no_block && b.sb_end > lo then begin
@@ -716,6 +719,7 @@ let build_block t pc0 : superblock =
     }
   in
   (page_for_write t b.sb_start).pg_blocks.(b.sb_start land page_mask) <- b;
+  t.sb_max_span <- max t.sb_max_span (b.sb_end - b.sb_start);
   t.dstats.ds_blocks <- t.dstats.ds_blocks + 1;
   t.dstats.ds_insns <- t.dstats.ds_insns + Array.length b.sb_ops;
   b

@@ -61,6 +61,9 @@ type t = {
           an option, so entering a block allocates nothing) *)
   mutable sb_ix : int;
       (** index into [sb_cur] expected to execute next *)
+  mutable sb_max_span : int;
+      (** the longest byte range of any superblock built so far: how far
+          before a flushed window {!flush_icache} looks for blocks *)
   dstats : decode_stats;  (** read via {!decode_stats} *)
   mutable irq_enabled : bool;
   mutable steps_left : int;
@@ -201,8 +204,11 @@ val heat_blocks : t -> (int * int * int * int) list
 (** Drop decoded state overlapping the range (icache flush): both the
     per-instruction cache entries and every superblock touching the
     range.  The cost is bounded by the range plus the longest superblock
-    span, not by the number of blocks ever decoded, and pages never
-    written are skipped without reading their slots. *)
+    this machine has built (at most 64 instructions, but usually far
+    shorter: the walk looks back [sb_max_span] bytes, not the 640 a
+    64-instruction block could span), not by the number of blocks ever
+    decoded, and pages never written are skipped without reading their
+    slots. *)
 val flush_icache : t -> addr:int -> len:int -> unit
 
 (** Execute one instruction through the superblock cache; [false] once

@@ -103,11 +103,14 @@ if [ -n "${MV_SMP_ARTIFACT_DIR:-}" ]; then
 fi
 rm -rf "$osr_flight_dir"
 
-# Smoke the machine-readable bench export: one fast experiment, then
+# Smoke the machine-readable bench export: four fast experiments, then
 # check the document parses and carries the expected schema/rows.
+# Besides fig1, the three lazy rows pin the variant cache's
+# materialize, evict and dedup counts and its peak resident bytes.
 bench_json=$(mktemp "${TMPDIR:-/tmp}"/mv-bench-XXXXXX.json)
 trap 'rm -f "$bench_json"' EXIT
-dune exec bench/main.exe -- --fast --only fig1 --json "$bench_json" > /dev/null
+dune exec bench/main.exe -- --fast --only fig1 --only lazy-first-commit \
+  --only lazy-cache-hit --only lazy-footprint --json "$bench_json" > /dev/null
 if command -v jq > /dev/null 2>&1; then
   jq -e '.schema == "mv-bench-rows/1" and (.experiments.fig1 | length > 0)' \
     "$bench_json" > /dev/null || { echo "bench JSON invalid: $bench_json"; exit 1; }
@@ -119,7 +122,7 @@ else
 fi
 
 # mvtrace smoke: folded stacks from a tiny committed workload must name a
-# variant frame, and the fig1 rows just produced must match the committed
+# variant frame, and the rows just produced must match the committed
 # baseline (the simulator is deterministic, so any drift beyond the gate
 # means BENCH_results.json is stale).
 smoke_mvc=$(mktemp "${TMPDIR:-/tmp}"/mv-smoke-XXXXXX.mvc)
@@ -140,7 +143,7 @@ dune exec bin/mvtrace.exe -- flame "$smoke_mvc" --set config_smp=1 --commit \
 grep -q 'spin_lock.config_smp=1' "$smoke_folded" \
   || { echo "mvtrace flame: no variant frame in folded stacks"; exit 1; }
 dune exec bin/mvtrace.exe -- diff --gate 0 BENCH_results.json "$bench_json" > /dev/null \
-  || { echo "mvtrace diff: fig1 rows drifted from BENCH_results.json"; exit 1; }
+  || { echo "mvtrace diff: fig1 or lazy rows drifted from BENCH_results.json"; exit 1; }
 
 # Profile smoke: mvcc --profile prints the stack profiler's per-leaf
 # hot-function table, which must attribute the committed variant.

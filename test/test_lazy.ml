@@ -764,6 +764,220 @@ let test_heat_resync_keeps_coverage () =
   check_int "lazy covers what eager covers" eager first;
   check_int "two consecutive lazy reports agree" first second
 
+(* ------------------------------------------------------------------ *)
+(* The commit stream, pinned                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The reconfig-storm shape of the repository benchmark, scaled down: a
+   40-site spinlock farm plus three multiversed functions over four bool
+   switches each.  Whenever a pair's outer switch is 0 its inner one is
+   dead, so 7 of each function's 16 valuations dedup. *)
+let storm_fns = 3
+
+let storm_consts k = (1 + (10 * k), 3 + (10 * k), 5 + (10 * k), 7 + (10 * k))
+
+let storm_src =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Mv_workloads.Callsite_farm.source ~callers:4 ~pairs:5);
+  Buffer.add_string b "\nint w;\n";
+  for j = 0 to (4 * storm_fns) - 1 do
+    Printf.bprintf b "multiverse bool s%d;\n" j
+  done;
+  for k = 0 to storm_fns - 1 do
+    let c1, c2, c3, c4 = storm_consts k in
+    let s j = Printf.sprintf "s%d" ((4 * k) + j) in
+    Printf.bprintf b
+      "multiverse void mf%d() {\n\
+      \  if (%s) { w = w + %d; if (%s) { w = w + %d; } }\n\
+      \  if (%s) { w = (w * 3) + %d; if (%s) { w = w + %d; } }\n\
+       }\n"
+      k (s 0) c1 (s 1) c2 (s 2) c3 (s 3) c4
+  done;
+  Buffer.add_string b "int probe() {\n  w = 0;\n";
+  for k = 0 to storm_fns - 1 do
+    Printf.bprintf b "  mf%d();\n" k
+  done;
+  Buffer.add_string b
+    "  spin_irq_lock();\n\
+    \  int l = lock_word;\n\
+    \  spin_irq_unlock();\n\
+    \  return w + (l * 1000000);\n\
+     }\n";
+  Buffer.contents b
+
+(* What [probe] returns under a valuation, from the source's meaning. *)
+let storm_expected bits smp =
+  let w = ref 0 in
+  for k = 0 to storm_fns - 1 do
+    let c1, c2, c3, c4 = storm_consts k in
+    let on j = (bits lsr ((4 * k) + j)) land 1 = 1 in
+    if on 0 then begin
+      w := !w + c1;
+      if on 1 then w := !w + c2
+    end;
+    if on 2 then begin
+      w := (!w * 3) + c3;
+      if on 3 then w := !w + c4
+    end
+  done;
+  !w + (smp * 1_000_000)
+
+(* Drive a seeded commit stream over [storm_src] under a budget of a few
+   bodies: each commit draws one of 24 valuations, skewed towards the
+   first ones, and flips config_smp about once in 16 commits.  Returns
+   the digest of every runtime and machine event (kind and fields, in
+   order), the final stats and the final variant-text bytes, with the
+   stats. *)
+let storm_stream_digest () =
+  let s = H.session1 ~lazy_variants:true ~budget:384 storm_src in
+  let buf = Buffer.create 65536 in
+  let sink ev =
+    Buffer.add_string buf (Trace.event_name ev);
+    Buffer.add_string buf (Mv_obs.Json.to_string (Mv_obs.Json.Obj (Trace.args_of_event ev)));
+    Buffer.add_char buf '\n'
+  in
+  Runtime.set_tracer s.H.runtime (Some sink);
+  Machine.set_tracer s.H.machine (Some sink);
+  let rand = lcg 0x5702 in
+  let universe = Array.init 24 (fun _ -> rand (1 lsl (4 * storm_fns))) in
+  let smp = ref 0 in
+  for _ = 1 to 300 do
+    let bits = universe.(min (rand 24) (rand 24)) in
+    if rand 16 = 0 then smp := 1 - !smp;
+    for j = 0 to (4 * storm_fns) - 1 do
+      H.set s (Printf.sprintf "s%d" j) ((bits lsr j) land 1)
+    done;
+    H.set s "config_smp" !smp;
+    ignore (H.commit s);
+    check_int "probe" (storm_expected bits !smp) (H.call s "probe" [])
+  done;
+  let st = stats s in
+  Buffer.add_string buf (Mv_obs.Json.to_string (Runtime.stats_json st));
+  let img = s.H.program.Core.Compiler.p_image in
+  let vt = img.Image.vtext in
+  Buffer.add_bytes buf (Image.read_bytes img vt.Image.sr_base vt.Image.sr_size);
+  (Digest.to_hex (Digest.string (Buffer.contents buf)), st)
+
+(* The digest the stream had before specializations were memoized, the
+   flush scan bounded and the switches indexed: those changes make
+   commits cheaper on the host and must leave every event, counter and
+   byte as it was. *)
+let storm_stream_pinned = "ff2703974bb9c91a14af5483ffcd0c6d"
+
+let test_storm_stream_unchanged () =
+  let digest, st = storm_stream_digest () in
+  check_bool "the stream evicts" true (st.Runtime.st_evictions > 0);
+  check_bool "the stream dedups" true (st.Runtime.st_dedup_hits > 0);
+  check_bool "the stream hits the cache" true (st.Runtime.st_cache_hits > 0);
+  check_string "events, stats and variant text" storm_stream_pinned digest
+
+(* Every assignment of the switches a session's recipes specialize on. *)
+let recipe_assignments s =
+  Core.Compiler.recipes s.H.program
+  |> List.concat_map (fun (r : Core.Variantgen.recipe) -> r.Core.Variantgen.rc_switches)
+  |> List.sort_uniq compare |> Core.Domain.cross_product
+
+let commit_assignment s asg =
+  List.iter (fun (sw, v) -> H.set s sw v) asg;
+  ignore (H.commit s)
+
+(* The resident aliases with their body bytes. *)
+let resident_bodies s =
+  let img = s.H.program.Core.Compiler.p_image in
+  List.map
+    (fun (sym, addr, size) -> (sym, addr, Bytes.to_string (Image.read_bytes img addr size)))
+    (Runtime.materialized_variants s.H.runtime)
+
+(* A runtime that has materialized every assignment once, then evicts
+   everything and commits one assignment, must write the bytes a cold
+   runtime writes for it: same aliases, same addresses, same bodies. *)
+let test_rematerialized_bytes_match_cold () =
+  List.iter
+    (fun (name, src) ->
+      let warm = H.session1 ~lazy_variants:true src in
+      let region = warm.H.program.Core.Compiler.p_image.Image.vtext.Image.sr_size in
+      let all = recipe_assignments warm in
+      List.iter (commit_assignment warm) all;
+      List.iter
+        (fun asg ->
+          let cold = H.session1 ~lazy_variants:true src in
+          commit_assignment cold asg;
+          ignore (H.revert warm);
+          Runtime.set_variant_budget warm.H.runtime 1;
+          check_int (name ^ ": evicted") 0 (Runtime.variant_bytes warm.H.runtime);
+          Runtime.set_variant_budget warm.H.runtime region;
+          commit_assignment warm asg;
+          Alcotest.(check (list (triple string int string)))
+            (Printf.sprintf "%s: %s" name
+               (String.concat "," (List.map (fun (sw, v) -> Printf.sprintf "%s=%d" sw v) asg)))
+            (resident_bodies cold) (resident_bodies warm))
+        all)
+    [
+      ("fig2", fig2);
+      ("clones", clones);
+      ("defer", defer_src);
+      ("advisor", advisor_src);
+      ("three switches", three_switches);
+      ("smp", smp_src);
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* The specialization memo and its bound                               *)
+(* ------------------------------------------------------------------ *)
+
+(* [f] over [n] bool switches: switch k adds 2^k, so every valuation
+   specializes to a body of its own and no materialization dedups. *)
+let bits_src n =
+  let b = Buffer.create 1024 in
+  for k = 0 to n - 1 do
+    Printf.bprintf b "multiverse bool s%d;\n" k
+  done;
+  Buffer.add_string b "int w;\nmultiverse void f() {\n";
+  for k = 0 to n - 1 do
+    Printf.bprintf b "  if (s%d) { w = w + %d; }\n" k (1 lsl k)
+  done;
+  Buffer.add_string b "}\nint foo() { w = 0; f(); return w; }\n";
+  Buffer.contents b
+
+(* Commit each of [valuations] three times over, evicting everything
+   before each commit, so every commit materializes; returns the
+   materializations and the specializations they ran. *)
+let rematerialize_rounds n valuations =
+  let s = H.session1 ~lazy_variants:true (bits_src n) in
+  let region = s.H.program.Core.Compiler.p_image.Image.vtext.Image.sr_size in
+  for _ = 1 to 3 do
+    List.iter
+      (fun bits ->
+        ignore (H.revert s);
+        Runtime.set_variant_budget s.H.runtime 1;
+        Runtime.set_variant_budget s.H.runtime region;
+        for k = 0 to n - 1 do
+          H.set s (Printf.sprintf "s%d" k) ((bits lsr k) land 1)
+        done;
+        ignore (H.commit s);
+        check_int "specialized result" bits (H.call s "foo" []))
+      valuations
+  done;
+  let st = stats s in
+  check_int "no dedup" 0 st.Runtime.st_dedup_hits;
+  (st.Runtime.st_materialized, Runtime.specializations s.H.runtime)
+
+(* A recipe within the variant cap specializes each assignment once,
+   however often eviction makes it re-materialize; one over the cap
+   (eight switches, 256 valuations) specializes on every
+   materialization. *)
+let test_memo_bound () =
+  check_bool "8 valuations fit the cap, 256 do not" true
+    (8 <= Core.Variantgen.default_max_variants && 256 > Core.Variantgen.default_max_variants);
+  let materialized, specialized = rematerialize_rounds 3 [ 0; 1; 2; 3; 4; 5; 6; 7 ] in
+  check_int "within the cap: every commit materializes" 24 materialized;
+  check_int "within the cap: each assignment specialized once" 8 specialized;
+  let materialized, specialized =
+    rematerialize_rounds 8 [ 0; 1; 3; 7; 15; 31; 63; 255 ]
+  in
+  check_int "over the cap: every commit materializes" 24 materialized;
+  check_int "over the cap: every materialization specializes" 24 specialized
+
 let suite =
   [
     tc "lazy: link carries no variants" test_lazy_link_carries_no_variants;
@@ -802,4 +1016,9 @@ let suite =
     tc "names: clone aliases keep their names" test_clone_aliases_keep_their_names;
     tc "names: a re-bound alias is named after a revert" test_alias_named_after_revert;
     tc "obs: lazy heat re-sync keeps coverage" test_heat_resync_keeps_coverage;
+    tc "stream: a seeded storm's events, stats and text are pinned"
+      test_storm_stream_unchanged;
+    tc "evict: re-materialized bytes equal a cold runtime's"
+      test_rematerialized_bytes_match_cold;
+    tc "memo: within the cap once per assignment, over it every time" test_memo_bound;
   ]

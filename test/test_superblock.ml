@@ -545,6 +545,86 @@ let test_parallel_fuzz_determinism () =
       let c1 = read_corpus d1 and c2 = read_corpus d2 in
       check_bool "merged corpus is byte-for-byte identical" true (c1 = c2))
 
+(* ------------------------------------------------------------------ *)
+(* The flush scan reaches back exactly the longest block               *)
+(* ------------------------------------------------------------------ *)
+
+(* [f] is straight-line code past the 64-instruction cap, so its entry
+   block is as long as a block can be in instructions; [pad], linked in
+   front of it, puts code before its entry. *)
+let long_adds = 80
+
+let long_src =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "int pad(int x) {\n  int a = x;\n  a = a + 1001;\n  return a;\n}\n";
+  Buffer.add_string b "int f(int x) {\n  int a = x;\n";
+  for i = 1 to long_adds do
+    Printf.bprintf b "  a = a + %d;\n" i
+  done;
+  Buffer.add_string b "  return a;\n}\n";
+  Buffer.contents b
+
+let long_sum = long_adds * (long_adds + 1) / 2
+
+(* The flush scan looks back only as far as the longest block the
+   machine has built.  Flushing the last byte of f's 64-instruction
+   entry block, which starts that far before the flushed window, drops
+   it, and the add patched there is seen by [step] and [step_ref] alike;
+   a flush ending just before the block's entry keeps it, and both
+   steppers still agree. *)
+let test_flush_reaches_the_longest_block () =
+  let drive ~superblocks =
+    let fin = if superblocks then Machine.finish else Machine.finish_ref in
+    let s = session long_src in
+    let img = s.program.Core.Compiler.p_image in
+    let f = Mv_link.Image.symbol img "f" in
+    (* f's entry block: its first 64 instructions, [last] the 64th *)
+    let rec walk addr n last =
+      if n = 0 then (addr, last)
+      else
+        let _, len = Mv_isa.Decode.decode img.Mv_link.Image.mem ~off:addr in
+        walk (addr + len) (n - 1) addr
+    in
+    let hi, last = walk f 64 f in
+    Machine.enable_heat s.machine;
+    let ds = Machine.decode_stats s.machine in
+    let call () =
+      Machine.start_call s.machine "f" [ 0 ];
+      let r = fin s.machine in
+      (r, Perf.cycles s.machine.Machine.perf)
+    in
+    let before = call () in
+    (* on the superblock path, the machine built exactly that block *)
+    if superblocks then begin
+      check_bool "f's entry block spans 64 instructions" true
+        (List.mem (f, hi, 1, 64) (Machine.heat_blocks s.machine));
+      check_int "it is the longest block built" (hi - f) s.machine.Machine.sb_max_span
+    end;
+    let invalidated = ds.Machine.ds_invalidated in
+    Machine.flush_icache s.machine ~addr:(f - 8) ~len:8;
+    check_int "a flush ending at the entry keeps the block" invalidated
+      ds.Machine.ds_invalidated;
+    let kept = call () in
+    let imm =
+      match Mv_isa.Decode.decode img.Mv_link.Image.mem ~off:last with
+      | Insn.Alu_ri (Insn.Add, _, _, imm), _ -> imm
+      | _ -> Alcotest.fail "the block's last instruction is not an add"
+    in
+    let patched_at, _ = patch_imm_insn s "f" ~from_imm:imm ~to_imm:(imm + 1000) in
+    check_int "the patch lands on the block's last instruction" last patched_at;
+    Machine.flush_icache s.machine ~addr:(hi - 1) ~len:1;
+    if superblocks then
+      check_int "a flush of its last byte drops it" (invalidated + 1)
+        ds.Machine.ds_invalidated;
+    let patched = call () in
+    check_int "unpatched" long_sum (fst before);
+    check_int "kept" long_sum (fst kept);
+    check_int "patched add visible" (long_sum + 1000) (fst patched);
+    [ before; kept; patched ]
+  in
+  Alcotest.(check (list (pair int (float 0.))))
+    "step and step_ref agree" (drive ~superblocks:false) (drive ~superblocks:true)
+
 let suite =
   [
     tc "superblock vs reference: results, counters, trace" test_bit_identity_vs_reference;
@@ -560,4 +640,5 @@ let suite =
     tc "fetch past the code span faults" test_fetch_past_code_span;
     tc_slow "parallel fuzzing is deterministic" test_parallel_fuzz_determinism;
     tc "the hot loop allocates nothing" test_hot_loop_allocates_nothing;
+    tc "flush reaches back to the longest block" test_flush_reaches_the_longest_block;
   ]
