@@ -76,6 +76,47 @@ let framemap_header_size = 24
 let framemap_safepoint_header_size = 16
 let framemap_live_entry_size = 8
 
+type frame_loc = Loc_reg of int | Loc_slot of int
+
+type safepoint_record = {
+  fs_id : int;
+  fs_pc : int;  (** absolute: body address + recorded offset *)
+  fs_live : (int * frame_loc) list;
+}
+
+type framemap_record = {
+  fm_addr : int;
+  fm_frame_bytes : int;
+  fm_saves : int list;
+  fm_safepoints : safepoint_record list;
+}
+
+(** The frame map of one emitted fragment placed at [addr]: the one
+    conversion from codegen's safepoint records, shared by the section
+    writer and the runtime's lazily materialized bodies. *)
+let framemap_of_fragment ~addr (fr : Mv_codegen.Emit.fragment) : framemap_record =
+  {
+    fm_addr = addr;
+    fm_frame_bytes = fr.fr_frame_bytes;
+    fm_saves = fr.fr_saves;
+    fm_safepoints =
+      List.map
+        (fun (sp : Mv_codegen.Emit.safepoint) ->
+          {
+            fs_id = sp.sp_id;
+            fs_pc = addr + sp.sp_offset;
+            fs_live =
+              List.map
+                (fun (vreg, (a : Mv_codegen.Regalloc.assignment)) ->
+                  match a with
+                  | Phys r -> (vreg, Loc_reg r)
+                  | Slot s -> (vreg, Loc_slot s)
+                  | Unused -> (* [Emit] filters unused vregs out of [sp_live] *) assert false)
+                sp.sp_live;
+          })
+        fr.fr_safepoints;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Serialization into an object file                                   *)
 (* ------------------------------------------------------------------ *)
@@ -153,43 +194,37 @@ let emit_function (obj : Objfile.t) (mf : Variantgen.mv_function)
     mf'.mf_variants
 
 (** Emit the frame-map record for one emitted fragment (a generic body or a
-    variant body of a multiversed function). *)
+    variant body of a multiversed function): its map placed at address 0,
+    so every safepoint pc is the body-relative offset the section stores. *)
 let emit_framemap (obj : Objfile.t) (fr : Mv_codegen.Emit.fragment) : unit =
-  let n_sp = List.length fr.fr_safepoints in
-  let n_saves = List.length fr.fr_saves in
+  let fm = framemap_of_fragment ~addr:0 fr in
+  let n_saves = List.length fm.fm_saves in
   let header = Bytes.make framemap_header_size '\000' in
-  u32 header 8 n_sp;
-  u32 header 12 fr.fr_frame_bytes;
+  u32 header 8 (List.length fm.fm_safepoints);
+  u32 header 12 fm.fm_frame_bytes;
   u32 header 16 n_saves;
   let off = Objfile.append obj Objfile.Mv_framemaps header in
   Objfile.add_reloc obj
     { Objfile.r_section = Objfile.Mv_framemaps; r_offset = off; r_kind = Objfile.Abs64;
       r_sym = fr.fr_name; r_addend = 0 };
-  let padded = (n_saves + 1) / 2 * 2 in
-  let sb = Bytes.make (padded * 4) '\000' in
-  List.iteri (fun i r -> u32 sb (i * 4) r) fr.fr_saves;
+  let sb = Bytes.make ((n_saves + 1) / 2 * 2 * 4) '\000' in
+  List.iteri (fun i r -> u32 sb (i * 4) r) fm.fm_saves;
   ignore (Objfile.append obj Objfile.Mv_framemaps sb);
   List.iter
-    (fun (sp : Mv_codegen.Emit.safepoint) ->
-      let n_live = List.length sp.sp_live in
+    (fun sp ->
       let hb = Bytes.make framemap_safepoint_header_size '\000' in
-      u32 hb 0 sp.sp_id;
-      u32 hb 4 sp.sp_offset;
-      u32 hb 8 n_live;
+      u32 hb 0 sp.fs_id;
+      u32 hb 4 sp.fs_pc;
+      u32 hb 8 (List.length sp.fs_live);
       ignore (Objfile.append obj Objfile.Mv_framemaps hb);
       List.iter
-        (fun (vreg, (a : Mv_codegen.Regalloc.assignment)) ->
+        (fun (vreg, loc) ->
           let eb = Bytes.make framemap_live_entry_size '\000' in
           u32 eb 0 vreg;
-          (match a with
-          | Mv_codegen.Regalloc.Phys r -> u32 eb 4 r
-          | Mv_codegen.Regalloc.Slot s -> u32 eb 4 (0x10000 lor s)
-          | Mv_codegen.Regalloc.Unused ->
-              (* [Emit] filters unused vregs out of [sp_live] *)
-              assert false);
+          u32 eb 4 (match loc with Loc_reg r -> r | Loc_slot s -> 0x10000 lor s);
           ignore (Objfile.append obj Objfile.Mv_framemaps eb))
-        sp.sp_live)
-    fr.fr_safepoints
+        sp.fs_live)
+    fm.fm_safepoints
 
 (* ------------------------------------------------------------------ *)
 (* Parsing from a linked image                                         *)
@@ -218,6 +253,14 @@ exception Parse_error of string
 
 let i32 mem off = Int32.to_int (Bytes.get_int32_le mem off)
 let u64 mem off = Int64.to_int (Bytes.get_int64_le mem off)
+
+(* Every count a record carries is checked against the bytes left in its
+   section before anything is read or allocated for it: [bytes] (the
+   count times the record size; negative for a negative count) must fit
+   between [off] and [limit]. *)
+let need section what ~off ~limit bytes =
+  if bytes < 0 || off + bytes > limit then
+    raise (Parse_error (Printf.sprintf "%s: %s runs past the section end" section what))
 
 let parse_variables (img : Image.t) : variable list =
   match Image.section_range img Objfile.Mv_variables with
@@ -263,13 +306,17 @@ let parse_functions (img : Image.t) : function_record list =
             let n_variants = i32 mem (off + 8) in
             let generic_size = i32 mem (off + 16) in
             let off = off + function_header_size in
+            let need = need "multiverse.functions" ~limit in
+            need "variant count" ~off (n_variants * variant_record_size);
             let rec parse_variants n off acc_v =
               if n = 0 then (List.rev acc_v, off)
               else begin
+                need "variant record" ~off variant_record_size;
                 let va_addr = u64 mem off in
                 let n_guards = i32 mem (off + 8) in
                 let va_size = i32 mem (off + 16) in
                 let off = off + variant_record_size in
+                need "guard count" ~off (n_guards * guard_record_size);
                 let guards =
                   List.init n_guards (fun i ->
                       let g = off + (i * guard_record_size) in
@@ -290,21 +337,6 @@ let parse_functions (img : Image.t) : function_record list =
       in
       parse_fns sr_base []
 
-type frame_loc = Loc_reg of int | Loc_slot of int
-
-type safepoint_record = {
-  fs_id : int;
-  fs_pc : int;  (** absolute: body address + recorded offset *)
-  fs_live : (int * frame_loc) list;
-}
-
-type framemap_record = {
-  fm_addr : int;
-  fm_frame_bytes : int;
-  fm_saves : int list;
-  fm_safepoints : safepoint_record list;
-}
-
 let parse_framemaps (img : Image.t) : framemap_record list =
   match Image.section_range img Objfile.Mv_framemaps with
   | None -> []
@@ -324,16 +356,21 @@ let parse_framemaps (img : Image.t) : framemap_record list =
             if n_sp < 0 || frame_bytes < 0 || n_saves < 0 then
               raise (Parse_error "malformed framemap header");
             let off = off + framemap_header_size in
+            let saves_bytes = (n_saves + 1) / 2 * 2 * 4 in
+            let need = need "multiverse.framemaps" ~limit in
+            need "save and safepoint counts" ~off
+              (saves_bytes + (n_sp * framemap_safepoint_header_size));
             let saves = List.init n_saves (fun i -> i32 mem (off + (i * 4))) in
-            let off = off + ((n_saves + 1) / 2 * 2 * 4) in
+            let off = off + saves_bytes in
             let rec parse_sps n off acc_s =
               if n = 0 then (List.rev acc_s, off)
               else begin
+                need "safepoint record" ~off framemap_safepoint_header_size;
                 let id = i32 mem off in
                 let pc_off = i32 mem (off + 4) in
                 let n_live = i32 mem (off + 8) in
-                if n_live < 0 then raise (Parse_error "malformed framemap safepoint");
                 let off = off + framemap_safepoint_header_size in
+                need "live count" ~off (n_live * framemap_live_entry_size);
                 let live =
                   List.init n_live (fun i ->
                       let e = off + (i * framemap_live_entry_size) in

@@ -53,9 +53,8 @@ val emit_callsite :
 val emit_function :
   Mv_codegen.Objfile.t -> Variantgen.mv_function -> size_of:(string -> int) -> unit
 
-(** Emit the [multiverse.framemaps] record for one emitted fragment: the
-    frame geometry (spill-area size, saved registers in push order) and the
-    per-safepoint live-location maps the fragment's emitter recorded. *)
+(** Emit the [multiverse.framemaps] record for one emitted fragment: its
+    {!framemap_of_fragment} map, serialized with body-relative pcs. *)
 val emit_framemap : Mv_codegen.Objfile.t -> Mv_codegen.Emit.fragment -> unit
 
 (** {1 Parsing from a linked image} *)
@@ -86,6 +85,9 @@ type function_record = {
   fd_variants : variant_record list;
 }
 
+(** A malformed section: a record size that does not divide the
+    section, or a count whose records would run past the section's end.
+    Every count is checked before anything is read or allocated for it. *)
 exception Parse_error of string
 
 (** Parse the [multiverse.variables] section of a linked image. *)
@@ -116,6 +118,11 @@ type framemap_record = {
           [i] lives at [sp_entry - 8*(i+1)] *)
   fm_safepoints : safepoint_record list;
 }
+
+(** The frame map of an emitted fragment placed at address [addr]: the
+    frame geometry (spill-area size, saved registers in push order) and
+    the per-safepoint live locations its emitter recorded. *)
+val framemap_of_fragment : addr:int -> Mv_codegen.Emit.fragment -> framemap_record
 
 (** Parse the [multiverse.framemaps] section of a linked image. *)
 val parse_framemaps : Mv_link.Image.t -> framemap_record list

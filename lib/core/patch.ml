@@ -61,14 +61,6 @@ let decode_at t ~addr =
   try Mv_isa.Decode.decode t.image.Image.mem ~off:addr
   with Mv_isa.Decode.Decode_error (m, off) -> errf "decode at 0x%x: %s" off m
 
-(** The absolute target the direct [Call]/[Jmp] at [addr] currently
-    transfers to. *)
-let current_call_target t ~addr =
-  match decode_at t ~addr with
-  | Insn.Call rel, size -> addr + size + rel
-  | Insn.Jmp rel, size -> addr + size + rel
-  | insn, _ -> errf "0x%x holds %s, not a direct call" addr (Mv_isa.Asm.insn_to_string insn)
-
 (* ------------------------------------------------------------------ *)
 (* Call-site patching                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -80,17 +72,6 @@ let encode_call ~site ~target =
 let encode_jmp ~site ~target =
   let rel = target - (site + Insn.jmp_size) in
   Mv_isa.Encode.encode (Insn.Jmp rel)
-
-(** Rewrite the direct call at [site] to target [target], verifying that the
-    site currently calls one of [expect] (Section 4: "check if they point to
-    an expected call target").  Raises [Patch_error] when verification
-    fails. *)
-let retarget_call t ~site ~expect ~target =
-  let current = current_call_target t ~addr:site in
-  if not (List.mem current expect) then
-    errf "call site 0x%x targets 0x%x, expected one of [%s]" site current
-      (String.concat "; " (List.map (Printf.sprintf "0x%x") expect));
-  write_text t ~addr:site (encode_call ~site ~target)
 
 (* ------------------------------------------------------------------ *)
 (* Body inlining (Figure 3 b/c)                                        *)

@@ -30,32 +30,14 @@ val create : Mv_link.Image.t -> flush:(addr:int -> len:int -> unit) -> t
     becomes a proper cross-modifying-code sequence. *)
 val set_writer : t -> (addr:int -> bytes -> unit) option -> unit
 
-(** Run [f] with the pages covering the range writable; the previous
-    protection is restored even if [f] raises. *)
-val with_writable : t -> addr:int -> len:int -> (unit -> 'a) -> 'a
-
 (** Protected write + icache flush: the single funnel for text mutation. *)
 val write_text : t -> addr:int -> bytes -> unit
 
 (** Read [len] text bytes at [addr] (no write window needed). *)
 val read_text : t -> addr:int -> len:int -> bytes
 
-(** Decode the instruction at [addr] (raises {!Patch_error} on garbage). *)
-val decode_at : t -> addr:int -> Mv_isa.Insn.t * int
-
-(** Absolute target of the direct [call]/[jmp] at [addr]. *)
-val current_call_target : t -> addr:int -> int
-
 (** Encode a direct call at [site] transferring to [target]. *)
 val encode_call : site:int -> target:int -> bytes
-
-(** Encode an unconditional jump at [site] transferring to [target]. *)
-val encode_jmp : site:int -> target:int -> bytes
-
-(** Rewrite the direct call at [site] to [target] after verifying that it
-    currently calls one of [expect] — the paper's "check if they point to
-    an expected call target".  Raises {!Patch_error} otherwise. *)
-val retarget_call : t -> site:int -> expect:int list -> target:int -> unit
 
 (** If the body at [fn_addr] is a straight line of position-independent
     instructions ending in [ret], with total encoded size at most [budget],

@@ -23,13 +23,16 @@
    Note on signedness: descriptor records carry the declared signedness of
    each switch, but sub-word switch values are evaluated zero-extended,
    matching the machine's sub-word loads; use full-width (8-byte) switches
-   for negative domain values. *)
+   for negative domain values.
+
+   Two extensions of ours live behind their own modules: the lazy variant
+   cache ([Variant_cache]) and on-stack replacement ([Osr]).  This module
+   keeps the sites, install and revert, the per-entity decision, the
+   stager and the spans, and the safe-commit journal. *)
 
 module Image = Mv_link.Image
 module Insn = Mv_isa.Insn
 module Trace = Mv_obs.Trace
-module Objfile = Mv_codegen.Objfile
-module Emit = Mv_codegen.Emit
 
 type site_state =
   | Site_original
@@ -44,27 +47,24 @@ type site = {
   mutable s_written : bytes;  (** what we believe the site holds *)
 }
 
-(** One selectable variant under its own symbol.  Descriptors identify
-    functions, switches and variants by address only (Section 5), so the
-    runtime names each once — at [create], or for a lazy alias by the
-    symbol [link_alias] registers — and every report reads the stored
-    name.  Aliases that share a deduplicated body share
-    [vn_addr]/[vn_size] but keep their own names. *)
-type variant = {
+(* Descriptors identify functions, switches and variants by address only
+   (Section 5), so the runtime names each variant once — at [create], or
+   for a lazy alias by the symbol the cache links it under — and every
+   report reads the stored name. *)
+type variant = Variant_cache.variant = {
   vn_name : string;
-  vn_addr : int;  (** body address *)
-  vn_size : int;  (** encoded body size *)
+  vn_addr : int;
+  vn_size : int;
   vn_guards : Descriptor.guard_record list;
-  mutable vn_stamp : int;  (** lazy LRU clock at the last selection *)
+  mutable vn_stamp : int;
 }
 
 type fn_entry = {
   fe_name : string;
   fe_record : Descriptor.function_record;
-  mutable fe_variants : variant list;
-      (** the selectable variants: the parsed descriptor records, plus —
-          under lazy materialization — every alias the runtime has linked
-          so far (and minus the evicted ones) *)
+  fe_variants : variant list;
+      (** the parsed descriptor records; a lazy runtime's resident
+          aliases are the cache's ({!variants}) *)
   fe_sites : site list;
   mutable fe_prologue : bytes option;  (** saved generic prologue *)
   mutable fe_saved_body : bytes option;  (** saved generic body (body patching) *)
@@ -113,121 +113,6 @@ type safe_counters = {
   mutable sc_applied : int;  (** deferred actions applied at a safepoint *)
   mutable sc_rolled_back : int;  (** pending sets rolled back mid-apply *)
   mutable sc_polls : int;  (** safepoint invocations *)
-  mutable sc_osr_transfers : int;  (** live activations moved between bodies *)
-  mutable sc_osr_aborts : int;
-      (** transfers abandoned because the frame maps did not line up *)
-}
-
-(* --- On-stack replacement (the ROADMAP's unbounded-drain-latency fix) ----
-
-   A never-returning activation (event loop, scheduler) keeps its function's
-   body live forever, so a deferred patch for it would never drain.  With
-   frame maps ([multiverse.framemaps]) the safepoint can instead *move* the
-   activation: read every live virtual register out of the source frame,
-   rebuild the frame in the target body's layout, and resume at the
-   equivalent program point of the target.  The runtime stays VM-agnostic:
-   it manipulates the hart through a closure record the harness wires to
-   [Mv_vm.Machine]. *)
-
-(** Accessors for the hart currently parked at a safepoint.  [oh_mem] /
-    [oh_set_mem] operate on 8-byte words at absolute addresses. *)
-type osr_hart = {
-  oh_hart : int;
-  oh_pc : unit -> int;
-  oh_set_pc : int -> unit;
-  oh_reg : int -> int;
-  oh_set_reg : int -> int -> unit;
-  oh_mem : int -> int;
-  oh_set_mem : int -> int -> unit;
-  oh_set_top_frame : int -> unit;
-}
-
-(* --- Lazy variant materialization (demand-driven specialization) ---------
-
-   With [enable_lazy] the image carries no pre-expanded variants; instead
-   the compiler hands over one specialization recipe per multiversed
-   function.  The first commit of an unseen switch valuation specializes
-   the recipe, optimizes and assembles the body, and links it into the
-   image's reserved variant-text region.  Bodies are cached under their
-   post-optimization canonical form — the same key the eager pipeline
-   merges equal clones by — so a structurally equal body is never stored
-   twice: a hash hit adds only a descriptor alias.  A configurable byte
-   budget bounds residency; eviction drops cold aliases (advisor-ordered,
-   least-recently-selected as the deterministic fallback) and routes
-   installed victims through the existing revert / safe-commit / OSR
-   machinery. *)
-
-(** One resident variant body, shared by every alias whose specialized
-    clone has the same canonical form. *)
-type dedup_entry = {
-  de_addr : int;  (** body address in the variant-text region *)
-  de_size : int;  (** encoded body size *)
-  de_alloc : int;  (** allocated block size (16-aligned) *)
-  mutable de_refs : int;  (** descriptor aliases sharing the body *)
-}
-
-(** Book-keeping for one materialized descriptor alias. *)
-type mat_info = {
-  mi_fn : fn_entry;
-  mi_key : string;  (** the body's canonical form — its dedup key *)
-  mi_alias : variant;
-}
-
-(** What materializing one (recipe, assignment) pair needs besides the
-    IR, kept so a re-materialization after eviction skips specializing,
-    optimizing, hashing and emitting.  Eviction keeps it: it describes
-    the assignment, not a resident body. *)
-type spec = {
-  sp_symbol : string;  (** the variant symbol *)
-  sp_key : string;  (** the specialized body's canonical form *)
-  sp_guards : Descriptor.guard_record list;
-  mutable sp_frag : Emit.fragment option;
-      (** emitted on the first dedup miss; [materialize] relocates a
-          copy, so nothing writes these bytes *)
-}
-
-(** A function's specialization recipe and its memo. *)
-type lazy_recipe = {
-  lr_recipe : Variantgen.recipe;
-  lr_memo : spec option array;
-      (** one slot per assignment of the recipe's cross product, numbered
-          as [recipe_assignment] numbers them; [[||]] when the cross
-          product exceeds [Variantgen.default_max_variants] (the most
-          variants eager generation emits for one function), and then
-          every materialization specializes afresh *)
-}
-
-type lazy_state = {
-  lz_recipes : (string, lazy_recipe) Hashtbl.t;  (** by function symbol *)
-  lz_call_pad : string -> int;
-      (** the program's call-site padding rule, so materialized bodies are
-          assembled byte-compatible with the eager pipeline's *)
-  mutable lz_budget : int;  (** resident variant-text byte budget *)
-  mutable lz_cursor : int;  (** bump pointer into the variant-text region *)
-  mutable lz_free : (int * int) list;
-      (** freed (addr, size) blocks, address-sorted and coalesced *)
-  lz_dedup : (string, dedup_entry) Hashtbl.t;  (** canonical form -> body *)
-  lz_variants : (string, mat_info) Hashtbl.t;  (** by variant symbol *)
-  mutable lz_bytes : int;  (** resident bytes (unique blocks, alloc-sized) *)
-  mutable lz_tick : int;  (** LRU clock, bumped per selection *)
-  mutable lz_specialized : int;
-      (** recipe specializations run (read by [specializations], not part
-          of [stats]) *)
-  mutable lz_evict_pending : string list;
-      (** victims whose body still has a live activation (or an undrained
-          unbind): freed at a later safepoint, oldest first *)
-  mutable lz_advisor : (unit -> string list) option;
-      (** preferred eviction order (e.g. [Heat.evict_plan] victims) *)
-  mutable lz_stale_cache : bool;
-      (** fuzzing chaos: skip the dedup-table invalidation on free, so a
-          later hash hit links a recycled block (must be caught by the
-          lazy-eager-equiv oracle) *)
-  (* counters, surfaced through [stats] *)
-  mutable lz_materialized : int;
-  mutable lz_dedup_hits : int;
-  mutable lz_cache_hits : int;
-  mutable lz_evictions : int;
-  mutable lz_budget_denials : int;
 }
 
 (** How variants are installed.
@@ -280,18 +165,17 @@ type t = {
           patches only land with every other hart parked at an
           interrupts-enabled instruction boundary.  Must be re-entrant:
           nested operations run their thunk directly. *)
-  mutable framemaps : Descriptor.framemap_record list;
-      (** parsed [multiverse.framemaps] records, one per multiversed body;
-          lazy materialization appends a host-built record per fresh body
-          (and drops it again on eviction) *)
-  mutable osr : (unit -> osr_hart) option;
+  osr : Osr.t;  (** the frame maps and the transfer counters *)
+  mutable osr_hart : (unit -> Osr.hart) option;
       (** accessors for the hart currently polling a safepoint; the harness
           wires them to [Mv_vm.Machine].  With [None] installed, safepoints
           never attempt on-stack replacement. *)
-  mutable lazy_st : lazy_state option;  (** demand-driven variant cache *)
+  cache : fn_entry Variant_cache.t;
+      (** the variant cache: empty, and never consulted past its recipe
+          table, until [enable_lazy] *)
 }
 
-exception Runtime_error of string
+exception Runtime_error = Variant_cache.Error
 
 let errf fmt = Printf.ksprintf (fun m -> raise (Runtime_error m)) fmt
 
@@ -410,9 +294,10 @@ let create (img : Image.t) ~flush : t =
             })
       switches
   in
+  let patch = Patch.create img ~flush and osr = Osr.create img in
   {
     image = img;
-    patch = Patch.create img ~flush;
+    patch;
     switches;
     switch_at;
     functions;
@@ -436,14 +321,12 @@ let create (img : Image.t) ~flush : t =
         sc_applied = 0;
         sc_rolled_back = 0;
         sc_polls = 0;
-        sc_osr_transfers = 0;
-        sc_osr_aborts = 0;
       };
     tracer = None;
     barrier = None;
-    framemaps = Descriptor.parse_framemaps img;
-    osr = None;
-    lazy_st = None;
+    osr;
+    osr_hart = None;
+    cache = Variant_cache.create img patch osr;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -564,10 +447,11 @@ let guards_satisfied t (guards : Descriptor.guard_record list) : bool =
 (* ------------------------------------------------------------------ *)
 
 (** A site is only touched when its current bytes are exactly what the
-    runtime last wrote there (initially: what the linker produced).  A
-    mismatch means some other mechanism — e.g. the prologue jump of an
-    enclosing multiversed function — owns those bytes now; the site is
-    skipped and reported, never corrupted. *)
+    runtime last wrote there (initially: what the linker produced) — the
+    paper's check that a site still points to an expected call target
+    (Section 4).  A mismatch means some other mechanism — e.g. the
+    prologue jump of an enclosing multiversed function — owns those bytes
+    now; the site is skipped and reported, never corrupted. *)
 let site_intact t (s : site) : bool =
   let current = Image.read_bytes t.image s.s_addr s.s_size in
   Bytes.equal current s.s_written
@@ -683,137 +567,19 @@ let unbind_fn t (fe : fn_entry) =
   revert_fn_entry t fe
 
 (* ------------------------------------------------------------------ *)
-(* Lazy materialization: the demand-driven variant cache               *)
+(* Selection, and the variant cache behind it                          *)
 (* ------------------------------------------------------------------ *)
 
-(** Enable demand-driven materialization: [recipes] are the compiler's
-    per-function specialization recipes ([Compiler.recipes]), [call_pad]
-    the program-wide call-site padding rule ([Compiler.call_pad]), and
-    [budget] the resident variant-text byte budget (default: the whole
-    variant-text region). *)
-let enable_lazy ?budget t ~recipes ~call_pad =
-  let vt = t.image.Image.vtext in
-  if vt.Image.sr_size = 0 then
-    errf "lazy materialization needs a variant-text region (link with vtext_size > 0)";
-  let budget = match budget with Some b -> b | None -> vt.Image.sr_size in
-  if budget <= 0 then errf "variant budget must be positive";
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Variantgen.recipe) ->
-      let n = Domain.cross_product_size r.Variantgen.rc_switches in
-      let memo = if n <= Variantgen.default_max_variants then Array.make n None else [||] in
-      Hashtbl.replace tbl r.Variantgen.rc_name { lr_recipe = r; lr_memo = memo })
-    recipes;
-  t.lazy_st <-
-    Some
-      {
-        lz_recipes = tbl;
-        lz_call_pad = call_pad;
-        lz_budget = budget;
-        lz_cursor = vt.Image.sr_base;
-        lz_free = [];
-        lz_dedup = Hashtbl.create 16;
-        lz_variants = Hashtbl.create 16;
-        lz_bytes = 0;
-        lz_tick = 0;
-        lz_specialized = 0;
-        lz_evict_pending = [];
-        lz_advisor = None;
-        lz_stale_cache = false;
-        lz_materialized = 0;
-        lz_dedup_hits = 0;
-        lz_cache_hits = 0;
-        lz_evictions = 0;
-        lz_budget_denials = 0;
-      }
+(* Is any of the [live] code addresses inside [lo, hi)? *)
+let live_in live (lo, hi) = List.exists (fun a -> a >= lo && a < hi) live
 
-let lazy_required t =
-  match t.lazy_st with
-  | Some lz -> lz
-  | None -> errf "lazy materialization is not enabled (Runtime.enable_lazy)"
+let body_range v = (v.vn_addr, v.vn_addr + max v.vn_size 1)
 
-(** Install (or remove) the eviction advisor: a thunk returning variant
-    symbols in preferred eviction order (harnesses wire the [Evict]
-    verdicts of [Heat.evict_plan] here).  Symbols the cache cannot evict
-    — unknown, journaled for a pending bind, or already draining — are
-    skipped; least-recently-selected order covers whatever the advisor
-    does not. *)
-let set_evict_advisor t adv = (lazy_required t).lz_advisor <- adv
-
-(** Fuzzing chaos: make eviction skip the dedup-table invalidation, so a
-    later structural-hash hit links a freed (and possibly recycled)
-    block.  The lazy-eager-equiv oracle must catch the divergence. *)
-let set_stale_cache_chaos t flag = (lazy_required t).lz_stale_cache <- flag
-
-(** Whether the variant cache would specialize [fe] at all — it has
-    resident variants, or a recipe to materialize one from. *)
-let specializable t (fe : fn_entry) =
-  fe.fe_variants <> []
-  ||
-  match t.lazy_st with
-  | Some lz -> Hashtbl.mem lz.lz_recipes fe.fe_name
-  | None -> false
-
-(* The current point assignment of a recipe's switches with its number
-   in the recipe's cross product (mixed radix over [rc_switches], each
-   digit the value's position in its domain), or [None] when any switch
-   value is outside its specialization domain (the generic fallback
-   covers those, exactly as under eager generation). *)
-let recipe_assignment t (r : Variantgen.recipe) : ((string * int) list * int) option =
-  let ok = ref true and index = ref 0 in
-  let a =
-    List.map
-      (fun (name, dom) ->
-        match Image.symbol_opt t.image name with
-        | None ->
-            ok := false;
-            (name, 0)
-        | Some addr ->
-            let v = read_switch t addr in
-            (match List.find_index (Int.equal v) dom with
-            | Some i -> index := (!index * List.length dom) + i
-            | None -> ok := false);
-            (name, v))
-      r.Variantgen.rc_switches
-  in
-  if !ok then Some (a, !index) else None
-
-(* First-fit allocation from the free list, else from the bump cursor;
-   blocks are 16-aligned like the static text layout. *)
-let vtext_alloc t lz size : (int * int) option =
-  let size = (size + 15) / 16 * 16 in
-  let rec take acc = function
-    | [] -> None
-    | (a, s) :: rest when s >= size ->
-        let rest' = if s > size then (a + size, s - size) :: rest else rest in
-        Some (a, List.rev_append acc rest')
-    | blk :: rest -> take (blk :: acc) rest
-  in
-  match take [] lz.lz_free with
-  | Some (a, free') ->
-      lz.lz_free <- free';
-      Some (a, size)
-  | None ->
-      let vt = t.image.Image.vtext in
-      let a = lz.lz_cursor in
-      if a + size <= vt.Image.sr_base + vt.Image.sr_size then begin
-        lz.lz_cursor <- a + size;
-        Some (a, size)
-      end
-      else None
-
-let vtext_free lz ~addr ~size =
-  let rec insert = function
-    | [] -> [ (addr, size) ]
-    | (a, s) :: rest when addr < a -> (addr, size) :: (a, s) :: rest
-    | blk :: rest -> blk :: insert rest
-  in
-  let rec coalesce = function
-    | (a1, s1) :: (a2, s2) :: rest when a1 + s1 = a2 -> coalesce ((a1, s1 + s2) :: rest)
-    | blk :: rest -> blk :: coalesce rest
-    | [] -> []
-  in
-  lz.lz_free <- coalesce (insert lz.lz_free)
+(* Is an activation live in the body of [v]?  Without a scanner the
+   paper's model applies — the caller guarantees a patchable state — and
+   no body is. *)
+let body_live t v =
+  match t.live_scanner with None -> false | Some scan -> live_in (scan ()) (body_range v)
 
 (* Variant addresses a journaled Act_bind still needs: their bodies must
    survive until the set drains (or is superseded). *)
@@ -825,120 +591,39 @@ let pending_variant_addrs t =
         pset.pset_actions)
     t.pending
 
-(* Every touch takes a fresh tick, so no two resident aliases share a
-   stamp and ordering by stamp alone is a total order ([make_room]
-   relies on it). *)
-let touch_lru lz (v : variant) =
-  lz.lz_tick <- lz.lz_tick + 1;
-  v.vn_stamp <- lz.lz_tick
+(** Enable demand-driven materialization: [recipes] are the compiler's
+    per-function specialization recipes ([Compiler.recipes]), [call_pad]
+    the program-wide call-site padding rule ([Compiler.call_pad]), and
+    [budget] the resident variant-text byte budget (default: the whole
+    variant-text region).  The cache calls back for an eviction victim:
+    an installed one is unbound now or — while its body is live — its
+    unbind is journaled, to drain (with OSR's help) at a later safepoint,
+    and its bytes wait until the body is no longer in use. *)
+let enable_lazy ?budget t ~recipes ~call_pad =
+  let region = t.image.Image.vtext.Image.sr_size in
+  if region = 0 then
+    errf "lazy materialization needs a variant-text region (link with vtext_size > 0)";
+  let budget = Option.value budget ~default:region in
+  if budget <= 0 then errf "variant budget must be positive";
+  Variant_cache.enable t.cache ~recipes ~call_pad ~budget
+    {
+      Variant_cache.emit = emit t;
+      read = read_switch t;
+      release =
+        (fun fe v ->
+          let live = body_live t v in
+          if bound_at fe v.vn_addr then
+            if live then journal t [ Act_unbind fe ] else unbind_fn t fe;
+          live);
+      in_use = (fun fe v -> bound_at fe v.vn_addr || body_live t v);
+      journaled = (fun () -> pending_variant_addrs t);
+    }
 
-(* Is any live activation inside [addr, addr+size)?  Without a scanner
-   the paper's model applies — the caller guarantees a patchable state —
-   and victims are treated as quiescent. *)
-let victim_live t ~addr ~size =
-  match t.live_scanner with
-  | None -> false
-  | Some scan -> List.exists (fun a -> a >= addr && a < addr + size) (scan ())
-
-(* Drop the descriptor alias [sym]; release its body block when it was
-   the last alias.  Returns the bytes returned to the allocator. *)
-let drop_alias t lz sym (mi : mat_info) : int =
-  let fe = mi.mi_fn in
-  fe.fe_variants <- List.filter (fun v -> v != mi.mi_alias) fe.fe_variants;
-  Hashtbl.remove lz.lz_variants sym;
-  Image.remove_symbol t.image sym;
-  let freed =
-    match Hashtbl.find_opt lz.lz_dedup mi.mi_key with
-    | Some de when de.de_addr = mi.mi_alias.vn_addr ->
-        de.de_refs <- de.de_refs - 1;
-        if de.de_refs > 0 then 0
-        else begin
-          (* last alias gone: release the block.  The stale-cache chaos
-             mode skips the dedup invalidation — a later hash hit would
-             link the recycled block, which the lazy-eager-equiv fuzz
-             oracle exists to catch. *)
-          if not lz.lz_stale_cache then Hashtbl.remove lz.lz_dedup mi.mi_key;
-          t.framemaps <-
-            List.filter
-              (fun (fm : Descriptor.framemap_record) -> fm.Descriptor.fm_addr <> de.de_addr)
-              t.framemaps;
-          vtext_free lz ~addr:de.de_addr ~size:de.de_alloc;
-          lz.lz_bytes <- lz.lz_bytes - de.de_alloc;
-          de.de_alloc
-        end
-    | _ -> 0
-  in
-  lz.lz_evictions <- lz.lz_evictions + 1;
-  emit t (Trace.Variant_evicted { fn = fe.fe_name; variant = sym; freed });
-  freed
-
-(* Evict one victim.  An installed victim whose body is quiescent is
-   reverted to generic on the spot (the existing revert machinery); one
-   with a live activation is journaled as an Act_unbind — drained, with
-   OSR's help, at a later safepoint — and its bytes are released only
-   once the unbind lands. *)
-let evict_one t lz sym (mi : mat_info) : unit =
-  let fe = mi.mi_fn in
-  let addr = mi.mi_alias.vn_addr in
-  let size = max mi.mi_alias.vn_size 1 in
-  let defer () =
-    if not (List.mem sym lz.lz_evict_pending) then
-      lz.lz_evict_pending <- lz.lz_evict_pending @ [ sym ]
-  in
-  if bound_at fe addr then
-    if victim_live t ~addr ~size then begin
-      journal t [ Act_unbind fe ];
-      defer ()
-    end
-    else begin
-      unbind_fn t fe;
-      ignore (drop_alias t lz sym mi)
-    end
-  else if victim_live t ~addr ~size then defer ()
-  else ignore (drop_alias t lz sym mi)
-
-(* Make room for [need] more resident bytes: evict candidates — advisor
-   order first, then least-recently-selected — until the budget fits.
-   Aliases journaled for a pending bind and victims already draining are
-   never candidates.  Returns [false] when the budget still does not fit
-   (deferred victims free their bytes only at a safepoint). *)
-let make_room t lz ~need : bool =
-  if lz.lz_bytes + need <= lz.lz_budget then true
-  else begin
-    let protected_addrs = pending_variant_addrs t in
-    let evictable sym (mi : mat_info) =
-      (not (List.mem sym lz.lz_evict_pending))
-      && not (List.mem mi.mi_alias.vn_addr protected_addrs)
-    in
-    let by_lru =
-      Hashtbl.fold (fun sym mi acc -> (sym, mi) :: acc) lz.lz_variants []
-      |> List.filter (fun (sym, mi) -> evictable sym mi)
-      |> List.sort (fun (_, (ma : mat_info)) (_, (mb : mat_info)) ->
-             Int.compare ma.mi_alias.vn_stamp mb.mi_alias.vn_stamp)
-    in
-    let advised =
-      match lz.lz_advisor with
-      | None -> []
-      | Some f ->
-          List.filter_map
-            (fun sym ->
-              match Hashtbl.find_opt lz.lz_variants sym with
-              | Some mi when evictable sym mi -> Some (sym, mi)
-              | _ -> None)
-            (f ())
-    in
-    let rec go seen = function
-      | _ when lz.lz_bytes + need <= lz.lz_budget -> true
-      | [] -> lz.lz_bytes + need <= lz.lz_budget
-      | (sym, mi) :: rest ->
-          if List.mem sym seen then go seen rest
-          else begin
-            evict_one t lz sym mi;
-            go (sym :: seen) rest
-          end
-    in
-    go [] (advised @ by_lru)
-  end
+(* The one check of the setters that need a lazy runtime. *)
+let lazy_cache t =
+  if not (Variant_cache.enabled t.cache) then
+    errf "lazy materialization is not enabled (Runtime.enable_lazy)";
+  t.cache
 
 (** Shrink (or grow) the resident byte budget.  Shrinking evicts down to
     the new budget immediately where possible; victims with live
@@ -946,181 +631,30 @@ let make_room t lz ~need : bool =
     just-shrunk budget until then — new materializations are denied in
     the meantime. *)
 let set_variant_budget t b =
-  let lz = lazy_required t in
+  let c = lazy_cache t in
   if b <= 0 then errf "variant budget must be positive";
-  lz.lz_budget <- b;
-  ignore (make_room t lz ~need:0)
+  Variant_cache.set_budget c b
 
-(* Link one alias: append it to the function's variants under its own
-   symbol, register the symbol and the book-keeping, stamp the LRU, report
-   the materialization.  Returns the new alias. *)
-let link_alias t lz (fe : fn_entry) ~symbol ~key ~addr ~size ~guards ~dedup =
-  let alias =
-    { vn_name = symbol; vn_addr = addr; vn_size = size; vn_guards = guards; vn_stamp = 0 }
-  in
-  fe.fe_variants <- fe.fe_variants @ [ alias ];
-  Image.add_symbol t.image symbol ~addr ~size;
-  Hashtbl.replace lz.lz_variants symbol { mi_fn = fe; mi_key = key; mi_alias = alias };
-  touch_lru lz alias;
-  lz.lz_materialized <- lz.lz_materialized + 1;
-  emit t (Trace.Variant_materialized { fn = fe.fe_name; variant = symbol; addr; size; dedup });
-  alias
+let set_evict_advisor t adv = Variant_cache.set_advisor (lazy_cache t) adv
+let set_stale_cache_chaos t flag = Variant_cache.set_stale_cache (lazy_cache t) flag
 
-let specialize lz (r : Variantgen.recipe) assignment =
-  lz.lz_specialized <- lz.lz_specialized + 1;
-  Variantgen.specialize_recipe r assignment
+(* Every selectable variant of [fe]: its descriptor records, then the
+   cache's resident aliases in link order. *)
+let variants t fe = fe.fe_variants @ Variant_cache.aliases t.cache fe.fe_name
 
-(* The spec of assignment number [index] of [lr]: its memo entry, or a
-   fresh specialization — memoized when the recipe has a memo — returned
-   with the variant whose IR a dedup miss emits. *)
-let spec_of t lz (lr : lazy_recipe) assignment index : spec * Variantgen.variant option =
-  let memoized = Array.length lr.lr_memo > 0 in
-  match if memoized then lr.lr_memo.(index) else None with
-  | Some sp -> (sp, None)
-  | None ->
-      let v = specialize lz lr.lr_recipe assignment in
-      let key = Mv_opt.Merge.canonical_form v.Variantgen.v_fn in
-      let guards =
-        List.concat_map
-          (fun box ->
-            List.map
-              (fun (r : Guard.range) ->
-                {
-                  Descriptor.gr_var = Image.symbol t.image r.Guard.g_var;
-                  gr_lo = r.Guard.g_lo;
-                  gr_hi = r.Guard.g_hi;
-                })
-              box)
-          v.Variantgen.v_guards
-      in
-      let sp =
-        { sp_symbol = v.Variantgen.v_symbol; sp_key = key; sp_guards = guards; sp_frag = None }
-      in
-      if memoized then lr.lr_memo.(index) <- Some sp;
-      (sp, Some v)
-
-(* Materialize the variant for [assignment] (number [index] of its
-   recipe's cross product): specialize the recipe and optimize — or find
-   both done in the memo — then either link the structurally-equal
-   resident body (hash hit: no new bytes) or assemble the fragment (once
-   per memoized spec), apply its relocations against the image's symbols
-   to a copy, and write it into the variant-text region.  A spec whose
-   first materialization was a hash hit has no fragment: its first miss
-   specializes again to emit one.  Returns the linked alias.  A budget
-   (or region-capacity) miss denies the materialization: no alias is
-   linked ([None]), the function stays generic, and a later commit
-   retries. *)
-let materialize t lz (fe : fn_entry) (lr : lazy_recipe) (assignment : (string * int) list)
-    index : variant option =
-  let sp, fresh = spec_of t lz lr assignment index in
-  let symbol = sp.sp_symbol and key = sp.sp_key and guards = sp.sp_guards in
-  match Hashtbl.find_opt lz.lz_dedup key with
-  | Some de ->
-      (* structural-hash hit: the body is already resident *)
-      de.de_refs <- de.de_refs + 1;
-      lz.lz_dedup_hits <- lz.lz_dedup_hits + 1;
-      Some
-        (link_alias t lz fe ~symbol ~key ~addr:de.de_addr ~size:de.de_size ~guards
-           ~dedup:true)
-  | None -> (
-      let frag =
-        match sp.sp_frag with
-        | Some frag -> frag
-        | None ->
-            let v =
-              match fresh with Some v -> v | None -> specialize lz lr.lr_recipe assignment
-            in
-            let frag =
-              try Emit.emit_fn ~call_pad:lz.lz_call_pad v.Variantgen.v_fn
-              with Emit.Error m -> errf "materialize %s: %s" symbol m
-            in
-            sp.sp_frag <- Some frag;
-            frag
-      in
-      let code = Bytes.copy frag.Emit.fr_code in
-      let size = Bytes.length code in
-      let alloc_size = (size + 15) / 16 * 16 in
-      let denied () =
-        lz.lz_budget_denials <- lz.lz_budget_denials + 1;
-        None
-      in
-      if not (make_room t lz ~need:alloc_size) then denied ()
-      else
-        match vtext_alloc t lz size with
-        | None -> denied () (* the region itself is exhausted (or too fragmented) *)
-        | Some (addr, alloc) ->
-            List.iter
-              (fun (r : Objfile.reloc) ->
-                let s =
-                  match Image.symbol_opt t.image r.Objfile.r_sym with
-                  | Some a -> a
-                  | None ->
-                      errf "materialize %s: undefined symbol %s" symbol r.Objfile.r_sym
-                in
-                let off = r.Objfile.r_offset in
-                try Mv_link.Linker.patch_reloc code ~off ~p:(addr + off) ~s r
-                with Mv_link.Linker.Link_error m -> errf "materialize %s: %s" symbol m)
-              frag.Emit.fr_relocs;
-            Patch.write_text t.patch ~addr code;
-            (* host-built frame map, so OSR can transfer activations in
-               and out of the materialized body *)
-            t.framemaps <-
-              t.framemaps
-              @ [
-                  {
-                    Descriptor.fm_addr = addr;
-                    fm_frame_bytes = frag.Emit.fr_frame_bytes;
-                    fm_saves = frag.Emit.fr_saves;
-                    fm_safepoints =
-                      List.map
-                        (fun (sp : Emit.safepoint) ->
-                          {
-                            Descriptor.fs_id = sp.Emit.sp_id;
-                            fs_pc = addr + sp.Emit.sp_offset;
-                            fs_live =
-                              List.map
-                                (fun (vreg, (a : Mv_codegen.Regalloc.assignment)) ->
-                                  match a with
-                                  | Mv_codegen.Regalloc.Phys r ->
-                                      (vreg, Descriptor.Loc_reg r)
-                                  | Mv_codegen.Regalloc.Slot s ->
-                                      (vreg, Descriptor.Loc_slot s)
-                                  | Mv_codegen.Regalloc.Unused -> assert false)
-                                sp.Emit.sp_live;
-                          })
-                        frag.Emit.fr_safepoints;
-                  }
-                ];
-            Hashtbl.replace lz.lz_dedup key
-              { de_addr = addr; de_size = size; de_alloc = alloc; de_refs = 1 };
-            lz.lz_bytes <- lz.lz_bytes + alloc;
-            Some (link_alias t lz fe ~symbol ~key ~addr ~size ~guards ~dedup:false))
+(** Whether the function has variants, or a recipe to materialize one. *)
+let specializable t (fe : fn_entry) =
+  fe.fe_variants <> [] || Option.is_some (Variant_cache.recipe t.cache fe.fe_name)
 
 (** Select the variant for the current switch values: the first match in
-    descriptor order.  On a lazy runtime an in-domain miss first
-    materializes the variant (or dedup-links a resident body), so
-    selection sees the candidates an eager image carries; an in-domain
-    hit counts as a cache hit and refreshes the alias's LRU stamp.  One
-    guard scan per call; with lazy materialization off, one [option]
-    match more — pay-for-use, like the tracer. *)
+    descriptor order.  On a lazy runtime the cache completes the
+    selection — the first resident alias that matches; an in-domain miss
+    first materializes the variant (or dedup-links a resident body), so
+    selection sees the candidates an eager image carries.  One guard scan
+    per call. *)
 let select_variant t (fe : fn_entry) : variant option =
-  let found = List.find_opt (fun v -> guards_satisfied t v.vn_guards) fe.fe_variants in
-  match t.lazy_st with
-  | None -> found
-  | Some lz -> (
-      match Hashtbl.find_opt lz.lz_recipes fe.fe_name with
-      | None -> found
-      | Some lr -> (
-          match (recipe_assignment t lr.lr_recipe, found) with
-          | None, _ -> found (* out of domain: the generic fallback handles it *)
-          | Some _, Some v ->
-              lz.lz_cache_hits <- lz.lz_cache_hits + 1;
-              touch_lru lz v;
-              found
-          | Some (assignment, index), None ->
-              (* the fresh alias is guarded by this very assignment, so it
-                 is the one candidate that now matches *)
-              materialize t lz fe lr assignment index))
+  let sat v = guards_satisfied t v.vn_guards in
+  Variant_cache.select t.cache fe ~name:fe.fe_name ~sat (List.find_opt sat fe.fe_variants)
 
 (* ------------------------------------------------------------------ *)
 (* Function-pointer switches                                           *)
@@ -1185,8 +719,7 @@ let fn_touched_ranges (fe : fn_entry) : (int * int) list =
 let fnptr_touched_ranges (fp : fnptr_entry) : (int * int) list =
   List.map (fun s -> (s.s_addr, s.s_addr + s.s_size)) fp.fp_sites
 
-let ranges_live ranges live =
-  List.exists (fun a -> List.exists (fun (lo, hi) -> a >= lo && a < hi) ranges) live
+let ranges_live ranges live = List.exists (live_in live) ranges
 
 (* The body range of the currently installed variant.  Unbinding (or
    rebinding to a different variant) while an activation executes *inside*
@@ -1194,9 +727,7 @@ let ranges_live ranges live =
    so the range counts as live-blocked — and is exactly what on-stack
    replacement transfers activations out of. *)
 let installed_body_range (fe : fn_entry) : (int * int) list =
-  match fe.fe_installed with
-  | Some v -> [ (v.vn_addr, v.vn_addr + max v.vn_size 1) ]
-  | None -> []
+  match fe.fe_installed with Some v -> [ body_range v ] | None -> []
 
 (* The ranges an unbind would actually rewrite, given the entry's current
    state: the saved prologue bytes, the saved generic body (body patching),
@@ -1394,22 +925,19 @@ let revert_func t name = on_func t name (revert_each t)
     it (their variants may not be resident yet). *)
 let functions_referencing t var_addr =
   let recipe_refs fe =
-    match t.lazy_st with
+    match Variant_cache.recipe t.cache fe.fe_name with
     | None -> false
-    | Some lz -> (
-        match Hashtbl.find_opt lz.lz_recipes fe.fe_name with
-        | None -> false
-        | Some lr ->
-            List.exists
-              (fun (name, _) -> Image.symbol_opt t.image name = Some var_addr)
-              lr.lr_recipe.Variantgen.rc_switches)
+    | Some r ->
+        List.exists
+          (fun (name, _) -> Image.symbol_opt t.image name = Some var_addr)
+          r.Variantgen.rc_switches
   in
   List.filter
     (fun fe ->
       List.exists
         (fun v ->
           List.exists (fun (g : Descriptor.guard_record) -> g.gr_var = var_addr) v.vn_guards)
-        fe.fe_variants
+        (variants t fe)
       || recipe_refs fe)
     t.functions
 
@@ -1437,166 +965,21 @@ let revert_refs t name = on_refs t name (revert_each t)
     safepoint that finds a pending set blocked by a live activation of the
     polling hart transfers that activation into the target body instead of
     leaving the set journaled. *)
-let set_osr t ctx = t.osr <- ctx
+let set_osr t hart_of = t.osr_hart <- hart_of
 
-let framemap_of t addr =
-  List.find_opt
-    (fun (fm : Descriptor.framemap_record) -> fm.Descriptor.fm_addr = addr)
-    t.framemaps
-
-(* Transfer the polling hart's activation from the body at [src] (address,
-   size) to the equivalent program point of the body at [dst].  Succeeds
-   only when the hart is parked exactly at a safepoint the source frame map
-   records AND the target body kept a safepoint with the same stable id
-   (specialization can delete program points; a lost id means there is no
-   equivalent place to resume, and the set simply stays deferred).
-
-   Frame reconstruction: with [sp_entry] the stack pointer at function
-   entry, a body with [n] saved callee-saved registers and [frame_bytes] of
-   spill area runs with [sp = sp_entry - 8n - frame_bytes]; save slot [i]
-   (push order) lives at [sp_entry - 8(i+1)] and spill slot [s] at
-   [sp + 8s].  The caller's value of a callee-saved register is in the
-   source save area if the source pushed it, and still in the register
-   itself if it did not (an untouched register is never clobbered).  The
-   target spill area is zeroed before the live slots land so stale code
-   addresses cannot keep the conservative stack scanner believing the old
-   frame is still live. *)
-let try_osr_transfer t (ctx : osr_hart) ~cid ~(fe : fn_entry) ~src:(src_addr, src_size)
-    ~(dst : int) : bool =
-  let pc = ctx.oh_pc () in
-  if src_addr = dst || pc < src_addr || pc >= src_addr + src_size then false
-  else
-    match (framemap_of t src_addr, framemap_of t dst) with
-    | Some fm_s, Some fm_d -> (
-        match
-          List.find_opt
-            (fun (s : Descriptor.safepoint_record) -> s.Descriptor.fs_pc = pc)
-            fm_s.Descriptor.fm_safepoints
-        with
-        | None -> false (* live in the body, but not parked at a known point *)
-        | Some sp_s -> (
-            match
-              List.find_opt
-                (fun (s : Descriptor.safepoint_record) ->
-                  s.Descriptor.fs_id = sp_s.Descriptor.fs_id)
-                fm_d.Descriptor.fm_safepoints
-            with
-            | None ->
-                (* the target body lost this program point to specialization *)
-                t.safe.sc_osr_aborts <- t.safe.sc_osr_aborts + 1;
-                false
-            | Some sp_d ->
-                let sp_cur = ctx.oh_reg Insn.sp in
-                let n_saves_s = List.length fm_s.Descriptor.fm_saves in
-                let sp_entry = sp_cur + fm_s.Descriptor.fm_frame_bytes + (8 * n_saves_s) in
-                let read_loc = function
-                  | Descriptor.Loc_reg r -> ctx.oh_reg r
-                  | Descriptor.Loc_slot s -> ctx.oh_mem (sp_cur + (8 * s))
-                in
-                let src_vals =
-                  List.map (fun (v, loc) -> (v, read_loc loc)) sp_s.Descriptor.fs_live
-                in
-                if
-                  List.exists
-                    (fun (v, _) -> not (List.mem_assoc v src_vals))
-                    sp_d.Descriptor.fs_live
-                then begin
-                  (* a target-live vreg has no source value: maps disagree *)
-                  t.safe.sc_osr_aborts <- t.safe.sc_osr_aborts + 1;
-                  false
-                end
-                else begin
-                  let src_save_idx r =
-                    let rec go i = function
-                      | [] -> None
-                      | r' :: _ when r' = r -> Some i
-                      | _ :: rest -> go (i + 1) rest
-                    in
-                    go 0 fm_s.Descriptor.fm_saves
-                  in
-                  let caller_val r =
-                    match src_save_idx r with
-                    | Some i -> ctx.oh_mem (sp_entry - (8 * (i + 1)))
-                    | None -> ctx.oh_reg r
-                  in
-                  let caller_vals =
-                    List.map
-                      (fun r -> (r, caller_val r))
-                      (List.sort_uniq compare
-                         (fm_s.Descriptor.fm_saves @ fm_d.Descriptor.fm_saves))
-                  in
-                  let n_saves_d = List.length fm_d.Descriptor.fm_saves in
-                  let sp_new =
-                    sp_entry - (8 * n_saves_d) - fm_d.Descriptor.fm_frame_bytes
-                  in
-                  List.iteri
-                    (fun i r ->
-                      ctx.oh_set_mem (sp_entry - (8 * (i + 1))) (List.assoc r caller_vals))
-                    fm_d.Descriptor.fm_saves;
-                  for s = 0 to (fm_d.Descriptor.fm_frame_bytes / 8) - 1 do
-                    ctx.oh_set_mem (sp_new + (8 * s)) 0
-                  done;
-                  List.iter
-                    (fun (v, loc) ->
-                      let value = List.assoc v src_vals in
-                      match loc with
-                      | Descriptor.Loc_reg r -> ctx.oh_set_reg r value
-                      | Descriptor.Loc_slot s -> ctx.oh_set_mem (sp_new + (8 * s)) value)
-                    sp_d.Descriptor.fs_live;
-                  (* registers only the source saved: the target epilogue
-                     will not restore them, so the caller's value goes back
-                     into the register now *)
-                  List.iter
-                    (fun r ->
-                      if not (List.mem r fm_d.Descriptor.fm_saves) then
-                        ctx.oh_set_reg r (List.assoc r caller_vals))
-                    fm_s.Descriptor.fm_saves;
-                  ctx.oh_set_reg Insn.sp sp_new;
-                  ctx.oh_set_pc sp_d.Descriptor.fs_pc;
-                  ctx.oh_set_top_frame dst;
-                  t.safe.sc_osr_transfers <- t.safe.sc_osr_transfers + 1;
-                  emit t
-                    (Trace.Osr_transfer
-                       {
-                         cid;
-                         hart = ctx.oh_hart;
-                         fn = fe.fe_name;
-                         sp_id = sp_s.Descriptor.fs_id;
-                         from_pc = pc;
-                         to_pc = sp_d.Descriptor.fs_pc;
-                         slots = List.length sp_d.Descriptor.fs_live;
-                       });
-                  true
-                end))
-    | _ -> false
-
-(* Candidate (source, target) body pairs for one pending action: a bind
-   moves the activation out of the generic (or the previously installed
-   variant) into the variant being bound; an unbind moves it from the
-   installed variant back into the generic.  Function-pointer actions have
-   no frame maps — their sites are in foreign callers. *)
-let osr_for_action t (ctx : osr_hart) ~cid = function
-  | Act_bind (fe, v) ->
-      let g = fe.fe_record.fd_generic in
-      let moved =
-        try_osr_transfer t ctx ~cid ~fe
-          ~src:(g, fe.fe_record.fd_generic_size)
-          ~dst:v.vn_addr
-      in
-      if not moved then (
-        match fe.fe_installed with
-        | Some old when old.vn_addr <> v.vn_addr ->
-            ignore
-              (try_osr_transfer t ctx ~cid ~fe ~src:(old.vn_addr, old.vn_size)
-                 ~dst:v.vn_addr)
-        | _ -> ())
-  | Act_unbind fe -> (
-      match fe.fe_installed with
-      | Some v ->
-          ignore
-            (try_osr_transfer t ctx ~cid ~fe ~src:(v.vn_addr, v.vn_size)
-               ~dst:fe.fe_record.fd_generic)
-      | None -> ())
+(* Move the polling hart's activation of [fe] into the body at [into]
+   (see [Osr.transfer]).  Function-pointer actions have no frame maps —
+   their sites are in foreign callers. *)
+let osr_for_action t hart ~cid action =
+  let move fe into =
+    Osr.transfer t.osr hart ~emit:(emit t) ~cid ~fn:fe.fe_name
+      ~generic:(fe.fe_record.fd_generic, fe.fe_record.fd_generic_size)
+      ~installed:(Option.map (fun v -> (v.vn_addr, v.vn_size)) fe.fe_installed)
+      ~into
+  in
+  match action with
+  | Act_bind (fe, v) -> move fe v.vn_addr
+  | Act_unbind fe -> move fe fe.fe_record.fd_generic
   | Act_bind_ptr _ | Act_unbind_ptr _ -> ()
 
 (* Deferred application is strict where an interactive commit is lenient: a
@@ -1680,50 +1063,20 @@ let apply_set t (pset : pending_set) : bool =
       emit t (Trace.Pending_rollback { cid = pset.pset_cid; pset = pset.pset_id });
       false
 
-(* Sweep the variant cache's deferred eviction victims: a victim on the
-   evict-pending list releases its alias (and, for the last alias, its
-   body bytes) once the body is neither installed — its journaled unbind
-   drained, or a newer commit re-bound the function elsewhere — nor home
-   to a live activation (OSR may have just moved one out). *)
-let sweep_evictions t =
-  match t.lazy_st with
-  | None -> ()
-  | Some lz ->
-      if lz.lz_evict_pending <> [] then begin
-        let live = match t.live_scanner with Some scan -> scan () | None -> [] in
-        lz.lz_evict_pending <-
-          List.filter
-            (fun sym ->
-              match Hashtbl.find_opt lz.lz_variants sym with
-              | None -> false (* already gone *)
-              | Some mi ->
-                  let addr = mi.mi_alias.vn_addr in
-                  let size = max mi.mi_alias.vn_size 1 in
-                  if
-                    bound_at mi.mi_fn addr
-                    || List.exists (fun a -> a >= addr && a < addr + size) live
-                  then true
-                  else begin
-                    ignore (drop_alias t lz sym mi);
-                    false
-                  end)
-            lz.lz_evict_pending
-      end
-
 (** The quiescence-point drain, wired to the machine's safepoint hook.
     Cheap when nothing is pending (one list check).  Otherwise each pending
     set whose touched ranges are all quiescent is applied transactionally
     and removed — applied exactly once, or rolled back and dropped if an
     application fails mid-set.  Sets whose targets are still live stay
     journaled for a later safepoint.  The variant cache's deferred
-    eviction victims are swept here too: their bytes come free once the
-    unbind has landed and no activation remains in the body. *)
+    eviction victims are swept here too: a victim's alias (and, for the
+    last alias, its body bytes) goes once the body is neither installed —
+    its journaled unbind drained, or a newer commit re-bound the function
+    elsewhere — nor home to a live activation (OSR may have just moved
+    one out). *)
 let safepoint t =
   t.safe.sc_polls <- t.safe.sc_polls + 1;
-  let evict_waiting =
-    match t.lazy_st with Some lz -> lz.lz_evict_pending <> [] | None -> false
-  in
-  if (t.pending <> [] || evict_waiting) && not t.in_safepoint then begin
+  if (t.pending <> [] || Variant_cache.sweeping t.cache) && not t.in_safepoint then begin
     (* only polls that actually inspect a journal are reported: the
        empty-journal fast path would flood the ring with noise *)
     if t.pending <> [] then
@@ -1736,9 +1089,9 @@ let safepoint t =
            rendezvous: parking the other harts advances the container's
            current-hart cursor, and the transfer must target the hart
            whose safepoint this is. *)
-        let osr_ctx =
-          match t.osr with
-          | Some ctx_of when t.strategy = Call_site_patching -> Some (ctx_of ())
+        let osr_hart =
+          match t.osr_hart with
+          | Some hart_of when t.strategy = Call_site_patching -> Some (hart_of ())
           | _ -> None
         in
         with_barrier t @@ fun () ->
@@ -1747,11 +1100,11 @@ let safepoint t =
            (on-stack replacement).  Only under call-site patching — body
            patching relocates variant code over the generic body, which the
            frame maps do not describe. *)
-        (match osr_ctx with
-        | Some ctx ->
+        (match osr_hart with
+        | Some hart ->
             List.iter
               (fun pset ->
-                List.iter (osr_for_action t ctx ~cid:pset.pset_cid) pset.pset_actions)
+                List.iter (osr_for_action t hart ~cid:pset.pset_cid) pset.pset_actions)
               t.pending
         | None -> ());
         if t.pending <> [] then begin
@@ -1772,7 +1125,7 @@ let safepoint t =
                 else true)
               t.pending
         end;
-        sweep_evictions t)
+        Variant_cache.sweep t.cache)
   end
 
 (** Names of entities with journaled (not yet applied) patches. *)
@@ -1794,7 +1147,7 @@ let installed_variant t name =
 (** Whether [name] is the symbol of a selectable variant: an eager
     variant, or a resident lazy alias. *)
 let is_variant t name =
-  List.exists (fun fe -> List.exists (fun v -> v.vn_name = name) fe.fe_variants) t.functions
+  List.exists (fun fe -> List.exists (fun v -> v.vn_name = name) (variants t fe)) t.functions
 
 (** Every multiversed body as a named [Mv_obs.Heat.region]: the generic
     body plus one region per variant alias under its own name, with
@@ -1840,49 +1193,29 @@ let heat_regions t : Mv_obs.Heat.region list =
                r_lo = v.vn_addr;
                r_hi = v.vn_addr + v.vn_size;
              })
-           fe.fe_variants)
+           (variants t fe))
     t.functions
 
 (** Whether demand-driven materialization is enabled. *)
-let lazy_enabled t = t.lazy_st <> None
+let lazy_enabled t = Variant_cache.enabled t.cache
 
 (** Materialized variants currently resident: (symbol, body address,
     body size), symbol-sorted.  Dedup aliases appear individually (same
     address, distinct symbols); empty when lazy materialization is off. *)
-let materialized_variants t : (string * int * int) list =
-  match t.lazy_st with
-  | None -> []
-  | Some lz ->
-      Hashtbl.fold
-        (fun sym (mi : mat_info) acc -> (sym, mi.mi_alias.vn_addr, mi.mi_alias.vn_size) :: acc)
-        lz.lz_variants []
-      |> List.sort compare
+let materialized_variants t = Variant_cache.resident t.cache
 
 (** Variant symbols the cache must keep resident for the journal's sake:
     each journaled (not yet drained) bind still needs its variant's body
     bytes, so [Heat.evict_plan] advisors must exclude these.  Sorted;
     empty when lazy materialization is off. *)
 let pending_variants t : string list =
-  match t.lazy_st with
-  | None -> []
-  | Some lz ->
-      let addrs = pending_variant_addrs t in
-      Hashtbl.fold
-        (fun sym (mi : mat_info) acc ->
-          if List.mem mi.mi_alias.vn_addr addrs then sym :: acc else acc)
-        lz.lz_variants []
-      |> List.sort_uniq compare
+  let addrs = pending_variant_addrs t in
+  List.filter_map
+    (fun (sym, addr, _) -> if List.mem addr addrs then Some sym else None)
+    (materialized_variants t)
 
-(** Resident variant-text bytes (unique bodies, allocation-sized) — the
-    quantity the byte budget bounds.  [0] when lazy materialization is
-    off. *)
-let variant_bytes t =
-  match t.lazy_st with None -> 0 | Some lz -> lz.lz_bytes
-
-(** Recipe specializations the variant cache has run.  [0] when lazy
-    materialization is off. *)
-let specializations t =
-  match t.lazy_st with None -> 0 | Some lz -> lz.lz_specialized
+let variant_bytes t = (Variant_cache.counters t.cache).bytes
+let specializations t = (Variant_cache.counters t.cache).specialized
 
 type stats = {
   st_functions : int;
@@ -1914,11 +1247,11 @@ let stats t =
     List.concat_map (fun fe -> fe.fe_sites) t.functions
     @ List.concat_map (fun fp -> fp.fp_sites) t.fnptrs
   in
-  let lzc f = match t.lazy_st with None -> 0 | Some lz -> f lz in
+  let c = Variant_cache.counters t.cache in
   {
     st_functions = List.length t.functions;
     st_variants =
-      List.fold_left (fun acc fe -> acc + List.length fe.fe_variants) 0 t.functions;
+      List.fold_left (fun acc fe -> acc + List.length (variants t fe)) 0 t.functions;
     st_callsites = List.length all_sites;
     st_sites_inlined =
       List.length (List.filter (fun s -> match s.s_state with Site_inlined _ -> true | _ -> false) all_sites);
@@ -1935,14 +1268,14 @@ let stats t =
     st_safepoint_polls = t.safe.sc_polls;
     st_pending =
       List.fold_left (fun acc pset -> acc + List.length pset.pset_actions) 0 t.pending;
-    st_osr_transfers = t.safe.sc_osr_transfers;
-    st_osr_aborts = t.safe.sc_osr_aborts;
-    st_materialized = lzc (fun lz -> lz.lz_materialized);
-    st_dedup_hits = lzc (fun lz -> lz.lz_dedup_hits);
-    st_cache_hits = lzc (fun lz -> lz.lz_cache_hits);
-    st_evictions = lzc (fun lz -> lz.lz_evictions);
-    st_budget_denials = lzc (fun lz -> lz.lz_budget_denials);
-    st_variant_bytes = lzc (fun lz -> lz.lz_bytes);
+    st_osr_transfers = Osr.transfers t.osr;
+    st_osr_aborts = Osr.aborts t.osr;
+    st_materialized = c.materialized;
+    st_dedup_hits = c.dedup_hits;
+    st_cache_hits = c.cache_hits;
+    st_evictions = c.evictions;
+    st_budget_denials = c.budget_denials;
+    st_variant_bytes = c.bytes;
   }
 
 (* Every {!stats} counter with its export name (the field without the

@@ -30,33 +30,20 @@
     live set; the [_func]/[_refs] forms stage single entities with
     nothing live.
 
+    Two extensions live behind their own modules, and this one calls
+    them: {!Variant_cache} owns which lazily materialized bodies are
+    resident, and {!Osr} owns the frame maps and the transfer of a live
+    activation between bodies.
+
     Note on signedness: descriptors record declared signedness, but
     sub-word switch values are evaluated zero-extended (matching the
     machine's sub-word loads); use 8-byte switches for negative domains. *)
 
-(** Accessors for the hart currently parked at a safepoint, used by
-    on-stack replacement to move its live activation between function
-    bodies.  The runtime stays VM-agnostic: a harness builds these
-    closures over [Mv_vm.Machine] ([Harness.enable_osr]).  [oh_mem] and
-    [oh_set_mem] operate on 8-byte words at absolute image addresses. *)
-type osr_hart = {
-  oh_hart : int;  (** hart id, for event attribution *)
-  oh_pc : unit -> int;
-  oh_set_pc : int -> unit;
-  oh_reg : int -> int;
-  oh_set_reg : int -> int -> unit;
-  oh_mem : int -> int;
-  oh_set_mem : int -> int -> unit;
-  oh_set_top_frame : int -> unit;
-      (** replace the entry address of the innermost activation record, so
-          stack symbolization follows the transferred frame *)
-}
-
 (** A runtime attached to one image: the parsed descriptors with every
     function, switch and variant named once, at {!create}, the patch
-    state, the safe-commit journal, and — with {!enable_lazy} — the
-    variant cache.  Inspect it through {!stats} and the introspection
-    functions below. *)
+    state, the safe-commit journal, the frame maps, and the variant cache
+    (empty until {!enable_lazy}).  Inspect it through {!stats} and the
+    introspection functions below. *)
 type t
 
 (** Variant installation strategy.  [Call_site_patching] is the paper's
@@ -73,7 +60,9 @@ exception Runtime_error of string
     instruction-cache flush).  Descriptors identify functions, switches
     and variants by address only (Section 5); one pass over the image's
     symbol table names them all here, and every event and report reads
-    these names (a lazy alias keeps the symbol it is linked under). *)
+    these names (a lazy alias keeps the symbol it is linked under).
+    Raises {!Descriptor.Parse_error} when a descriptor section is
+    malformed, a count running past its section included. *)
 val create : Mv_link.Image.t -> flush:(addr:int -> len:int -> unit) -> t
 
 (** Disable/enable call-site body inlining (ablation A3). *)
@@ -186,17 +175,14 @@ val revert_safe : ?policy:safe_policy -> t -> int
 (** Install (or remove, with [None]) the on-stack-replacement hart
     accessors.  Once installed, a {!safepoint} that finds a pending set
     blocked by a live activation of the polling hart {e transfers} the
-    activation into the target body — reading every live virtual register
-    out of the source frame via the [multiverse.framemaps] descriptors,
-    rebuilding the frame in the target body's layout, and resuming at the
-    safepoint with the same stable id — instead of leaving the set
-    journaled until the frame unwinds.  A transfer that cannot be proven
-    equivalent (the target body lost the safepoint to specialization, or
-    a target-live value has no source) is abandoned ([sc_osr_aborts]) and
-    the set simply stays deferred.  Each transfer emits an [Osr_transfer]
-    event carrying the journaling commit's [cid].  Only attempted under
-    [Call_site_patching]. *)
-val set_osr : t -> (unit -> osr_hart) option -> unit
+    activation into the target body ({!Osr.transfer}: from the generic
+    body or the installed variant, at the safepoint with the same stable
+    id) instead of leaving the set journaled until the frame unwinds.  A
+    transfer that cannot be proven equivalent is abandoned
+    ([st_osr_aborts]) and the set simply stays deferred.  Each transfer
+    emits an [Osr_transfer] event carrying the journaling commit's [cid].
+    Only attempted under [Call_site_patching]. *)
+val set_osr : t -> (unit -> Osr.hart) option -> unit
 
 (** The quiescence-point drain; wire to [Machine.set_safepoint].  Cheap
     when nothing is pending.  Each pending set whose touched ranges are all
@@ -235,9 +221,9 @@ val pending : t -> string list
     program-wide call-site padding rule ([Compiler.call_pad]), so
     materialized bodies are assembled byte-compatible with the eager
     pipeline's; [budget] the resident variant-text byte budget (default:
-    the whole variant-text region).  Raises {!Runtime_error} when the
-    image was linked without a variant-text region or the budget is not
-    positive.
+    the whole variant-text region).  Call it once per runtime.  Raises
+    {!Runtime_error} when the image was linked without a variant-text
+    region or the budget is not positive.
 
     Specializations are memoized per (recipe, assignment): the variant
     symbol, its dedup key (the canonical form), its descriptor guards

@@ -793,13 +793,11 @@ let osr_state_equiv ?(chaos = No_chaos) (case : Gen.case) (_sched : Schedule.t)
       (Some
          (fun () ->
            {
-             Runtime.oh_hart = Machine.hart_id machine;
+             Core.Osr.oh_hart = Machine.hart_id machine;
              oh_pc = (fun () -> machine.Machine.pc);
              oh_set_pc = (fun pc -> machine.Machine.pc <- pc);
              oh_reg = (fun r -> machine.Machine.regs.(r));
              oh_set_reg = (fun r v -> machine.Machine.regs.(r) <- v);
-             oh_mem = (fun addr -> Image.read img addr 8);
-             oh_set_mem = (fun addr v -> Image.write img addr v 8);
              oh_set_top_frame = Machine.set_top_frame machine;
            }));
     prep case img;

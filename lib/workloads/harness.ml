@@ -200,18 +200,16 @@ let commit_safe ?policy s = Core.Runtime.commit_safe ?policy s.runtime
 let revert_safe ?policy s = Core.Runtime.revert_safe ?policy s.runtime
 
 (* The OSR accessor record over one machine: direct register/pc access,
-   8-byte stack words through the image, and top-frame replacement so the
-   stack profiler follows the transferred activation. *)
-let osr_hart_of_machine (m : Machine.t) : Core.Runtime.osr_hart =
-  let img = m.Machine.image in
+   and top-frame replacement so the stack profiler follows the
+   transferred activation (stack words go through the runtime's image,
+   which every hart's stack lives in). *)
+let osr_hart_of_machine (m : Machine.t) : Core.Osr.hart =
   {
-    Core.Runtime.oh_hart = Machine.hart_id m;
+    Core.Osr.oh_hart = Machine.hart_id m;
     oh_pc = (fun () -> m.Machine.pc);
     oh_set_pc = (fun pc -> m.Machine.pc <- pc);
     oh_reg = (fun r -> m.Machine.regs.(r));
     oh_set_reg = (fun r v -> m.Machine.regs.(r) <- v);
-    oh_mem = (fun addr -> Image.read img addr 8);
-    oh_set_mem = (fun addr v -> Image.write img addr v 8);
     oh_set_top_frame = Machine.set_top_frame m;
   }
 

@@ -6,6 +6,25 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Every temporary file and directory lives in one scratch directory,
+# removed on exit however the script ends.
+tmp=$(mktemp -d "${TMPDIR:-/tmp}"/mv-check-XXXXXX)
+trap 'rm -rf "$tmp"' EXIT
+
+# The spinlock workload of the lazy-heat dump and of the mvtrace,
+# profile and heat smokes.
+smoke_mvc="$tmp"/spinlock.mvc
+cat > "$smoke_mvc" <<'EOF'
+multiverse int config_smp;
+int lock_word;
+multiverse void spin_lock() {
+  if (config_smp) { lock_word = lock_word + 1; }
+}
+void bench_loop(int n) {
+  for (int i = 0; i < n; i = i + 1) { spin_lock(); }
+}
+EOF
+
 dune build @doc
 dune build
 dune runtest
@@ -28,7 +47,7 @@ fi
 # materialization/eviction state behind the diverging cache can be
 # inspected with `mvtrace heat`'s JSON offline.
 fuzz_status=0
-fuzz_log=$(mktemp "${TMPDIR:-/tmp}"/mv-fuzz-XXXXXX.log)
+fuzz_log="$tmp"/fuzz.log
 dune exec bin/mvfuzz.exe -- --iters 500 --seed 1 --quiet \
   ${MVFUZZ_CORPUS:+--corpus "$MVFUZZ_CORPUS"} > "$fuzz_log" 2>&1 \
   || fuzz_status=$?
@@ -37,27 +56,13 @@ if [ "$fuzz_status" -ne 0 ]; then
   if [ -n "${MV_SMP_ARTIFACT_DIR:-}" ] \
       && grep -q "lazy-eager-equiv" "$fuzz_log"; then
     mkdir -p "$MV_SMP_ARTIFACT_DIR"
-    lazy_heat_mvc=$(mktemp "${TMPDIR:-/tmp}"/mv-lazy-heat-XXXXXX.mvc)
-    cat > "$lazy_heat_mvc" <<'EOF'
-multiverse int config_smp;
-int lock_word;
-multiverse void spin_lock() {
-  if (config_smp) { lock_word = lock_word + 1; }
-}
-void bench_loop(int n) {
-  for (int i = 0; i < n; i = i + 1) { spin_lock(); }
-}
-EOF
-    dune exec bin/mvtrace.exe -- heat "$lazy_heat_mvc" --lazy \
+    dune exec bin/mvtrace.exe -- heat "$smoke_mvc" --lazy \
       --set config_smp=1 --commit --run bench_loop --arg 200 \
       --json "$MV_SMP_ARTIFACT_DIR"/lazy-cache.heat.json > /dev/null 2>&1 \
       || echo "note: could not produce the lazy mv-heat/1 dump"
-    rm -f "$lazy_heat_mvc"
   fi
-  rm -f "$fuzz_log"
   exit "$fuzz_status"
 fi
-rm -f "$fuzz_log"
 
 # SMP smoke: the multi-hart oracle must be clean on the real pipeline,
 # and a severed IPI channel (drop-ack) must be caught — if the chaos run
@@ -84,7 +89,8 @@ fi
 # parked frame from the wrong register or spill slot — and the diverged
 # case must leave an mv-flight/1 dump that `mvtrace postmortem` parses.
 # If the chaos run exits 0 the OSR oracle has lost its teeth.
-osr_flight_dir=$(mktemp -d "${TMPDIR:-/tmp}"/mv-osr-flight-XXXXXX)
+osr_flight_dir="$tmp"/osr-flight
+mkdir "$osr_flight_dir"
 if MV_SMP_ARTIFACT_DIR="$osr_flight_dir" dune exec bin/mvfuzz.exe -- \
     --iters 3 --seed 1 --quiet --small --chaos corrupt-framemap \
     --oracle osr-state-equiv --shrink-budget 0 > /dev/null 2>&1; then
@@ -101,14 +107,12 @@ if [ -n "${MV_SMP_ARTIFACT_DIR:-}" ]; then
   mkdir -p "$MV_SMP_ARTIFACT_DIR"
   cp "$osr_dump" "$MV_SMP_ARTIFACT_DIR"/osr-chaos.flight.json
 fi
-rm -rf "$osr_flight_dir"
 
 # Smoke the machine-readable bench export: four fast experiments, then
 # check the document parses and carries the expected schema/rows.
 # Besides fig1, the three lazy rows pin the variant cache's
 # materialize, evict and dedup counts and its peak resident bytes.
-bench_json=$(mktemp "${TMPDIR:-/tmp}"/mv-bench-XXXXXX.json)
-trap 'rm -f "$bench_json"' EXIT
+bench_json="$tmp"/bench.json
 dune exec bench/main.exe -- --fast --only fig1 --only lazy-first-commit \
   --only lazy-cache-hit --only lazy-footprint --json "$bench_json" > /dev/null
 if command -v jq > /dev/null 2>&1; then
@@ -125,19 +129,7 @@ fi
 # variant frame, and the rows just produced must match the committed
 # baseline (the simulator is deterministic, so any drift beyond the gate
 # means BENCH_results.json is stale).
-smoke_mvc=$(mktemp "${TMPDIR:-/tmp}"/mv-smoke-XXXXXX.mvc)
-smoke_folded=$(mktemp "${TMPDIR:-/tmp}"/mv-folded-XXXXXX.txt)
-trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded"' EXIT
-cat > "$smoke_mvc" <<'EOF'
-multiverse int config_smp;
-int lock_word;
-multiverse void spin_lock() {
-  if (config_smp) { lock_word = lock_word + 1; }
-}
-void bench_loop(int n) {
-  for (int i = 0; i < n; i = i + 1) { spin_lock(); }
-}
-EOF
+smoke_folded="$tmp"/folded.txt
 dune exec bin/mvtrace.exe -- flame "$smoke_mvc" --set config_smp=1 --commit \
   --run bench_loop --arg 200 --interval 7 --out "$smoke_folded" 2> /dev/null
 grep -q 'spin_lock.config_smp=1' "$smoke_folded" \
@@ -147,8 +139,7 @@ dune exec bin/mvtrace.exe -- diff --gate 0 BENCH_results.json "$bench_json" > /d
 
 # Profile smoke: mvcc --profile prints the stack profiler's per-leaf
 # hot-function table, which must attribute the committed variant.
-smoke_profile=$(mktemp "${TMPDIR:-/tmp}"/mv-profile-XXXXXX.txt)
-trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_profile"' EXIT
+smoke_profile="$tmp"/profile.txt
 dune exec bin/mvcc.exe -- "$smoke_mvc" --set config_smp=1 --commit \
   --run bench_loop --arg 200 --profile > "$smoke_profile" 2> /dev/null
 grep -q 'spin_lock.config_smp=1 \[variant\]' "$smoke_profile" \
@@ -157,8 +148,7 @@ grep -q 'spin_lock.config_smp=1 \[variant\]' "$smoke_profile" \
 # Heat smoke: the block-heat census on the same workload must attribute
 # nonzero heat to the committed variant's text region (if the variant
 # region reads 0 the dispatch-path hook or the region census is broken).
-smoke_heat=$(mktemp "${TMPDIR:-/tmp}"/mv-heat-XXXXXX.txt)
-trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_profile" "$smoke_heat"' EXIT
+smoke_heat="$tmp"/heat.txt
 dune exec bin/mvtrace.exe -- heat "$smoke_mvc" --set config_smp=1 --commit \
   --run bench_loop --arg 200 > "$smoke_heat" 2> /dev/null
 grep -q 'spin_lock.config_smp=1' "$smoke_heat" \
@@ -171,8 +161,7 @@ awk '$1 == "spin_lock.config_smp=1" && $6 + 0 > 0 { found = 1 } END { exit !foun
 # Alias smoke: f and g are clones, so under --lazy their m=1 bodies
 # dedup to one copy, but each function binds its own alias and must be
 # reported under it (g's row reads g.m=1, not f.m=1).
-alias_mvc=$(mktemp "${TMPDIR:-/tmp}"/mv-alias-XXXXXX.mvc)
-trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_profile" "$smoke_heat" "$alias_mvc"' EXIT
+alias_mvc="$tmp"/alias.mvc
 cat > "$alias_mvc" <<'EOF'
 multiverse int m;
 int w;
@@ -189,9 +178,9 @@ dune exec bin/mvtrace.exe -- variants "$alias_mvc" --lazy --set m=1 --commit \
 # corpus a single-domain run writes (case seeds are domain-count
 # invariant).  Chaos skip-flush guarantees divergences, so both runs
 # exit 1 by contract and the compared corpora are non-empty.
-corpus_1dom=$(mktemp -d "${TMPDIR:-/tmp}"/mv-corpus1-XXXXXX)
-corpus_ndom=$(mktemp -d "${TMPDIR:-/tmp}"/mv-corpus2-XXXXXX)
-trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_profile" "$smoke_heat" "$alias_mvc"; rm -rf "$corpus_1dom" "$corpus_ndom"' EXIT
+corpus_1dom="$tmp"/corpus1
+corpus_ndom="$tmp"/corpus2
+mkdir "$corpus_1dom" "$corpus_ndom"
 run_striped_campaign() {
   status=0
   dune exec bin/mvfuzz.exe -- --iters 4 --seed 1 --small --quiet \
@@ -209,9 +198,9 @@ diff -r "$corpus_1dom" "$corpus_ndom" > /dev/null \
 # make the run exit non-zero AND leave a mv-flight/1 dump that
 # `mvtrace postmortem` parses.  If either half breaks, the postmortem
 # story is dead even though every green-path test still passes.
-trap_mvc=$(mktemp "${TMPDIR:-/tmp}"/mv-trap-XXXXXX.mvc)
-flight_dir=$(mktemp -d "${TMPDIR:-/tmp}"/mv-flight-XXXXXX)
-trap 'rm -f "$bench_json" "$smoke_mvc" "$smoke_folded" "$smoke_profile" "$smoke_heat" "$alias_mvc" "$trap_mvc"; rm -rf "$corpus_1dom" "$corpus_ndom" "$flight_dir"' EXIT
+trap_mvc="$tmp"/trap.mvc
+flight_dir="$tmp"/flight
+mkdir "$flight_dir"
 cat > "$trap_mvc" <<'EOF'
 multiverse int config_smp;
 int lock_word;

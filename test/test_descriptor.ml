@@ -165,8 +165,41 @@ let test_stats_accounting () =
     + stats.Core.Stats.ps_sections.Core.Stats.sz_callsites)
     (Core.Stats.descriptor_overhead stats.Core.Stats.ps_sections)
 
+(* One count corrupted in the image before [Runtime.create]: every count
+   is checked against the bytes left in its section, so each corruption
+   raises [Parse_error] before the parser reads past the section or
+   allocates for the count.  An unchecked count of 2^24 would read
+   megabytes of the image and allocate millions of words first, hence
+   the allocation bound. *)
+let test_corrupt_counts_raise_parse_error () =
+  let cases =
+    [
+      ("n_variants = -1", fig2, Objfile.Mv_functions, 8, -1);
+      ("n_variants = 2^24", fig2, Objfile.Mv_functions, 8, 1 lsl 24);
+      ("n_guards = -1", fig2, Objfile.Mv_functions, D.function_header_size + 8, -1);
+      ("n_guards = 2^24", fig2, Objfile.Mv_functions, D.function_header_size + 8, 1 lsl 24);
+      ("n_sp = -1", Test_osr.spin_src, Objfile.Mv_framemaps, 8, -1);
+      ("n_sp = 2^24", Test_osr.spin_src, Objfile.Mv_framemaps, 8, 1 lsl 24);
+      ("n_saves = 2^24", Test_osr.spin_src, Objfile.Mv_framemaps, 16, 1 lsl 24);
+    ]
+  in
+  List.iter
+    (fun (what, src, section, field, count) ->
+      let img = (build src).Core.Compiler.p_image in
+      (match Image.section_range img section with
+      | Some r -> Image.write img (r.Image.sr_base + field) count 4
+      | None -> Alcotest.failf "%s: no section" what);
+      let before = Gc.allocated_bytes () in
+      (match Core.Runtime.create img ~flush:(fun ~addr:_ ~len:_ -> ()) with
+      | exception D.Parse_error _ -> ()
+      | _ -> Alcotest.failf "%s: Runtime.create must raise Parse_error" what);
+      let words = int_of_float ((Gc.allocated_bytes () -. before) /. 8.) in
+      check_bool (Printf.sprintf "%s: %d words allocated" what words) true (words < 100_000))
+    cases
+
 let suite =
   [
+    tc "corrupt counts raise Parse_error" test_corrupt_counts_raise_parse_error;
     tc "record size constants (Section 5)" test_record_size_constants;
     tc "section sizes match the formulas" test_section_sizes_match_formulas;
     tc "variable record fields" test_variable_record_fields;

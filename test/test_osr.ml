@@ -2,8 +2,9 @@
    activation is unblocked by *moving* the activation — frame and pc — into
    the target body at the next safepoint, instead of waiting for the frame
    to unwind.  The battery covers transfer at every safepoint of a loop
-   body, the transfer-then-revert round trip, the never-returning-body
-   drain guarantee, and an SMP transfer under the rendezvous barrier. *)
+   body, transfer between two variants, the transfer-then-revert round
+   trip, the never-returning-body drain guarantee, and an SMP transfer
+   under the rendezvous barrier. *)
 
 open Util
 module Runtime = Core.Runtime
@@ -19,18 +20,15 @@ let enable s =
   Runtime.set_live_scanner s.runtime (fun () -> Machine.live_code_addrs s.machine);
   Machine.set_safepoint s.machine (Some (fun () -> Runtime.safepoint s.runtime));
   let m = s.machine in
-  let img = s.program.Core.Compiler.p_image in
   Runtime.set_osr s.runtime
     (Some
        (fun () ->
          {
-           Runtime.oh_hart = Machine.hart_id m;
+           Core.Osr.oh_hart = Machine.hart_id m;
            oh_pc = (fun () -> m.Machine.pc);
            oh_set_pc = (fun pc -> m.Machine.pc <- pc);
            oh_reg = (fun r -> m.Machine.regs.(r));
            oh_set_reg = (fun r v -> m.Machine.regs.(r) <- v);
-           oh_mem = (fun addr -> Image.read img addr 8);
-           oh_set_mem = (fun addr v -> Image.write img addr v 8);
            oh_set_top_frame = Machine.set_top_frame m;
          }))
 
@@ -125,6 +123,29 @@ let test_transfer_unblocks_live_loop () =
       in
       check_bool "cid matches the deferring commit" true (Some x.x_cid = defer_cid)
   | xs -> Alcotest.failf "expected exactly one Osr_transfer event, got %d" (List.length xs)
+
+(* Variant to variant: the activation runs in the installed m=0 variant
+   when a safe commit binds the m=1 variant.  The generic body holds no
+   activation, so only the second pair — installed variant to the new
+   one — can move it; the first safepoint does, before any iteration
+   accumulates, so every iteration adds 2. *)
+let test_transfer_between_variants () =
+  let s = session spin_src in
+  enable s;
+  set_global s "m" 0;
+  ignore (Runtime.commit s.runtime);
+  Machine.start_call s.machine "driver" [ 10 ];
+  park s "spin.m=0";
+  set_global s "m" 1;
+  ignore (Runtime.commit_safe s.runtime);
+  let acc = Machine.finish s.machine in
+  check_int "every iteration ran in the new variant" 20 acc;
+  let st = Runtime.stats s.runtime in
+  check_int "one transfer" 1 st.Runtime.st_osr_transfers;
+  check_int "no aborts" 0 st.Runtime.st_osr_aborts;
+  check_int "set drained" 0 st.Runtime.st_pending;
+  check_bool "spin.m=1 installed" true
+    (Runtime.installed_variant s.runtime "spin" = Some "spin.m=1")
 
 let test_without_osr_set_stays_pending_until_return () =
   let s = session spin_src in
@@ -350,6 +371,7 @@ let test_smp_transfer_under_rendezvous () =
 let suite =
   [
     tc "transfer unblocks a live loop" test_transfer_unblocks_live_loop;
+    tc "transfer between two variants" test_transfer_between_variants;
     tc "without OSR the set waits for return"
       test_without_osr_set_stays_pending_until_return;
     tc_slow "transfer at every safepoint offset"

@@ -229,26 +229,6 @@ let test_stats_shape () =
   check_bool "patches recorded" true (st1.Runtime.st_patches > 0);
   check_bool "bytes recorded" true (st1.Runtime.st_bytes_patched > 0)
 
-let test_patch_module_verification () =
-  (* Patch.retarget_call must verify the expected current target *)
-  let s = session fig2 in
-  let img = s.program.Core.Compiler.p_image in
-  let patch =
-    Patch.create img ~flush:(fun ~addr ~len ->
-        Mv_vm.Machine.flush_icache s.machine ~addr ~len)
-  in
-  let sites = Core.Descriptor.parse_callsites img in
-  let site = (List.hd sites).Core.Descriptor.cs_site in
-  let multi = Image.symbol img "multi" in
-  let side = Image.symbol img "side" in
-  (* wrong expectation -> refused *)
-  (match Patch.retarget_call patch ~site ~expect:[ side ] ~target:side with
-  | exception Patch.Patch_error _ -> ()
-  | () -> Alcotest.fail "verification must reject a wrong expected target");
-  (* right expectation -> patched *)
-  Patch.retarget_call patch ~site ~expect:[ multi ] ~target:side;
-  check_int "target rewritten" side (Patch.current_call_target patch ~addr:site)
-
 let test_inlineable_body_detection () =
   let s = session "void tiny() { __cli(); } int w; void big() { w = 1; w = 2; }" in
   let img = s.program.Core.Compiler.p_image in
@@ -281,6 +261,5 @@ let suite =
     tc "null fnptr falls back" test_fnptr_null_falls_back;
     tc "many functions bind independently" test_commit_with_many_functions;
     tc "runtime statistics" test_stats_shape;
-    tc "Patch.retarget_call verification" test_patch_module_verification;
     tc "inlineable body detection" test_inlineable_body_detection;
   ]
