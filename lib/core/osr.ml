@@ -21,6 +21,7 @@ type hart = {
   oh_reg : int -> int;
   oh_set_reg : int -> int -> unit;
   oh_set_top_frame : int -> unit;
+  oh_stack : int * int;
 }
 
 type t = {
@@ -68,7 +69,13 @@ let set_mem t addr v = Image.write t.image addr v 8
    itself if it did not (an untouched register is never clobbered).  The
    target spill area is zeroed before the live slots land so stale code
    addresses cannot keep the conservative stack scanner believing the old
-   frame is still live. *)
+   frame is still live.
+
+   The maps come from the image, so they are checked before anything is
+   read or written: a map naming a register that does not exist or a
+   live slot outside its body's spill area, or a rebuilt frame
+   [\[sp_new, sp_entry)] outside the hart's stack (a map claiming more
+   spill area than the stack holds), is an abort. *)
 let try_transfer t (h : hart) ~emit ~cid ~fn ~src:(src_addr, src_size) ~(dst : int) : bool =
   let pc = h.oh_pc () in
   if src_addr = dst || pc < src_addr || pc >= src_addr + src_size then false
@@ -93,20 +100,34 @@ let try_transfer t (h : hart) ~emit ~cid ~fn ~src:(src_addr, src_size) ~(dst : i
                 false
             | Some sp_d ->
                 let sp_cur = h.oh_reg Insn.sp in
-                let n_saves_s = List.length fm_s.fm_saves in
-                let sp_entry = sp_cur + fm_s.fm_frame_bytes + (8 * n_saves_s) in
-                let read_loc = function
-                  | Descriptor.Loc_reg r -> h.oh_reg r
-                  | Descriptor.Loc_slot s -> mem t (sp_cur + (8 * s))
+                let sp_entry = sp_cur + fm_s.fm_frame_bytes + (8 * List.length fm_s.fm_saves) in
+                let sp_new = sp_entry - (8 * List.length fm_d.fm_saves) - fm_d.fm_frame_bytes in
+                let stack_lo, stack_hi = h.oh_stack in
+                (* every register and spill slot a map names exists *)
+                let locations_exist (fm : Descriptor.framemap_record) sp =
+                  let reg r = 0 <= r && r < Insn.num_regs in
+                  List.for_all reg fm.fm_saves
+                  && List.for_all
+                       (function
+                         | _, Descriptor.Loc_slot s -> 8 * (s + 1) <= fm.fm_frame_bytes
+                         | _, Descriptor.Loc_reg r -> reg r)
+                       sp.Descriptor.fs_live
                 in
-                let src_vals = List.map (fun (v, loc) -> (v, read_loc loc)) sp_s.fs_live in
-                if List.exists (fun (v, _) -> not (List.mem_assoc v src_vals)) sp_d.fs_live
-                then begin
+                if
+                  sp_new < stack_lo || sp_entry > stack_hi
+                  || not (locations_exist fm_s sp_s && locations_exist fm_d sp_d)
                   (* a target-live vreg has no source value: maps disagree *)
+                  || List.exists (fun (v, _) -> not (List.mem_assoc v sp_s.fs_live)) sp_d.fs_live
+                then begin
                   t.aborts <- t.aborts + 1;
                   false
                 end
                 else begin
+                  let read_loc = function
+                    | Descriptor.Loc_reg r -> h.oh_reg r
+                    | Descriptor.Loc_slot s -> mem t (sp_cur + (8 * s))
+                  in
+                  let src_vals = List.map (fun (v, loc) -> (v, read_loc loc)) sp_s.fs_live in
                   let src_save_idx r =
                     let rec go i = function
                       | [] -> None
@@ -125,8 +146,6 @@ let try_transfer t (h : hart) ~emit ~cid ~fn ~src:(src_addr, src_size) ~(dst : i
                       (fun r -> (r, caller_val r))
                       (List.sort_uniq compare (fm_s.fm_saves @ fm_d.fm_saves))
                   in
-                  let n_saves_d = List.length fm_d.fm_saves in
-                  let sp_new = sp_entry - (8 * n_saves_d) - fm_d.fm_frame_bytes in
                   List.iteri
                     (fun i r -> set_mem t (sp_entry - (8 * (i + 1))) (List.assoc r caller_vals))
                     fm_d.fm_saves;

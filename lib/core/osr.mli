@@ -24,6 +24,9 @@ type hart = {
   oh_set_top_frame : int -> unit;
       (** replace the entry address of the innermost activation record, so
           stack symbolization follows the transferred frame *)
+  oh_stack : int * int;
+      (** the hart's stack as [\[lo, hi)]: every word a transfer writes
+          lies inside it *)
 }
 
 (** The frame maps of one image, indexed by body address, and the
@@ -49,8 +52,11 @@ val remove : t -> int -> unit
     (bodies as (address, size); a body never transfers into itself).  A
     transfer needs the hart parked exactly at a safepoint of the source
     map, and the target map to keep the same stable id with a source value
-    for every variable it needs live; a lost id or a missing value is an
-    abort.  Each transfer emits an [Osr_transfer] event carrying [cid]. *)
+    for every variable it needs live; a lost id, a missing value, a map
+    naming a register that does not exist or a live spill slot outside
+    its body's spill area, or a rebuilt frame that would not lie inside
+    the hart's stack ([oh_stack]) is an abort, and an abort reads no
+    stack word and writes nothing.  Each transfer emits an [Osr_transfer] event carrying [cid]. *)
 val transfer :
   t ->
   hart ->

@@ -142,18 +142,3 @@ let relocate_body t ~src ~len ~dst : bytes =
   in
   go src;
   out
-
-(* ------------------------------------------------------------------ *)
-(* Prologue redirection (completeness, Section 7.4)                    *)
-(* ------------------------------------------------------------------ *)
-
-(** Overwrite the first bytes of the generic function with an unconditional
-    jump to [target]; returns the saved original bytes for later
-    restoration.  This catches invocations through function pointers,
-    assembler code, and anything else the compiler could not see. *)
-let install_prologue_jmp t ~fn_addr ~target : bytes =
-  let saved = read_text t ~addr:fn_addr ~len:Insn.jmp_size in
-  write_text t ~addr:fn_addr (encode_jmp ~site:fn_addr ~target);
-  saved
-
-let restore_bytes t ~addr (saved : bytes) = write_text t ~addr saved

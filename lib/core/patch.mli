@@ -39,6 +39,11 @@ val read_text : t -> addr:int -> len:int -> bytes
 (** Encode a direct call at [site] transferring to [target]. *)
 val encode_call : site:int -> target:int -> bytes
 
+(** Encode an unconditional jump at [site] to [target]: the runtime writes
+    one over the generic prologue so that pointer calls and foreign code
+    land in the bound variant too (completeness, Section 7.4). *)
+val encode_jmp : site:int -> target:int -> bytes
+
 (** If the body at [fn_addr] is a straight line of position-independent
     instructions ending in [ret], with total encoded size at most [budget],
     return those bytes (possibly empty: Figure 3c's nop-able case). *)
@@ -49,12 +54,3 @@ val inlineable_body : t -> fn_addr:int -> fn_size:int -> budget:int -> bytes opt
     intra-body branches keep their displacement.  This is the relocation
     work that makes body patching costly (Section 7.1). *)
 val relocate_body : t -> src:int -> len:int -> dst:int -> bytes
-
-(** Overwrite the first bytes of a function with a jump to [target],
-    returning the saved original bytes.  This is the completeness
-    mechanism: pointer calls and foreign code land in the committed variant
-    (Section 7.4). *)
-val install_prologue_jmp : t -> fn_addr:int -> target:int -> bytes
-
-(** Write previously saved bytes back (the revert side of every patch). *)
-val restore_bytes : t -> addr:int -> bytes -> unit

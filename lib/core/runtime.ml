@@ -25,10 +25,17 @@
    matching the machine's sub-word loads; use full-width (8-byte) switches
    for negative domain values.
 
+   Binding an entity — a function to a variant or back to its generic
+   body, a fn-pointer switch to a target or back to its indirect calls —
+   is one operation: it writes each location whose bytes change once,
+   over the bytes the runtime last wrote there.  A rebind retargets every
+   site and the prologue jump directly; it never passes through the
+   linker's bytes.
+
    Two extensions of ours live behind their own modules: the lazy variant
    cache ([Variant_cache]) and on-stack replacement ([Osr]).  This module
-   keeps the sites, install and revert, the per-entity decision, the
-   stager and the spans, and the safe-commit journal. *)
+   keeps the sites, the binds, the per-entity decision, the stager and
+   the spans, and the safe-commit journal. *)
 
 module Image = Mv_link.Image
 module Insn = Mv_isa.Insn
@@ -66,8 +73,10 @@ type fn_entry = {
       (** the parsed descriptor records; a lazy runtime's resident
           aliases are the cache's ({!variants}) *)
   fe_sites : site list;
-  mutable fe_prologue : bytes option;  (** saved generic prologue *)
-  mutable fe_saved_body : bytes option;  (** saved generic body (body patching) *)
+  mutable fe_saved : bytes option;
+      (** the generic bytes at the function's entry that a bind covered:
+          the prologue under a jump, or the whole body under a relocated
+          variant body (body patching) *)
   mutable fe_installed : variant option;  (** the bound alias *)
 }
 
@@ -89,12 +98,12 @@ type fnptr_entry = {
    all actions or none — at a later quiescence point. *)
 
 type pending_action =
-  | Act_bind of fn_entry * variant
-      (** install this variant for the function *)
-  | Act_unbind of fn_entry  (** revert the function to its generic state *)
-  | Act_bind_ptr of fnptr_entry * int
-      (** bind the fn-pointer switch to the target captured at commit time *)
-  | Act_unbind_ptr of fnptr_entry  (** restore the indirect call sites *)
+  | Act_fn of fn_entry * variant option
+      (** bind the function to this variant, or ([None]) return it to its
+          generic body *)
+  | Act_ptr of fnptr_entry * int option
+      (** bind the fn-pointer switch's call sites to the target captured
+          at commit time, or ([None]) restore its indirect calls *)
 
 type pending_set = {
   pset_id : int;
@@ -266,8 +275,7 @@ let create (img : Image.t) ~flush : t =
                 })
               fr.fd_variants;
           fe_sites = sites_of fr.fd_generic;
-          fe_prologue = None;
-          fe_saved_body = None;
+          fe_saved = None;
           fe_installed = None;
         })
       fn_records
@@ -461,82 +469,59 @@ let write_site t (s : site) (b : bytes) (state : site_state) =
   s.s_written <- Image.read_bytes t.image s.s_addr s.s_size;
   s.s_state <- state
 
-let skip_site t (s : site) reason =
-  t.skipped_sites <- (s.s_addr, reason) :: t.skipped_sites
-
-(** Point the site at [target]: either inline the body at [target] (if small
-    enough) or patch a direct call.  [target_size] is the encoded size of
-    the target body, from its descriptor. *)
-let install_site t (s : site) ~who ~target ~target_size =
-  if not (site_intact t s) then skip_site t s "site bytes changed by another mechanism"
-  else begin
-    let body =
-      if t.inline_enabled then
-        Patch.inlineable_body t.patch ~fn_addr:target ~fn_size:target_size ~budget:s.s_size
-      else None
-    in
-    match body with
-    | Some body ->
-        let b = Bytes.make s.s_size (Char.chr (Insn.opcode Insn.Nop)) in
-        Bytes.blit body 0 b 0 (Bytes.length body);
-        write_site t s b (Site_inlined target);
-        emit t (Trace.Site_inlined { fn = who; site = s.s_addr; target })
-    | None ->
-        (* a 6-byte indirect site gets a 5-byte direct call plus one nop *)
-        let call = Patch.encode_call ~site:s.s_addr ~target in
-        let b = Bytes.make s.s_size (Char.chr (Insn.opcode Insn.Nop)) in
-        Bytes.blit call 0 b 0 (Bytes.length call);
-        write_site t s b (Site_retargeted target);
-        emit t (Trace.Site_retargeted { fn = who; site = s.s_addr; target })
-  end
-
-let restore_site t (s : site) =
-  match s.s_state with
-  | Site_original -> ()
-  | Site_retargeted _ | Site_inlined _ ->
-      if site_intact t s then write_site t s s.s_original Site_original
-      else skip_site t s "cannot restore: site bytes changed by another mechanism"
+(** Point the site at [target] — [Some (addr, size)]: inline the body at
+    [addr] (of [size] encoded bytes, from its descriptor) if it is small
+    enough, else call it; [None]: the original bytes, written only when
+    the runtime last wrote something else there.  One write over what the
+    runtime last wrote there; a site whose bytes are foreign is skipped
+    and reported instead. *)
+let set_site t (s : site) ~who target =
+  match (target, s.s_state) with
+  | None, Site_original -> ()
+  | _ when not (site_intact t s) ->
+      t.skipped_sites <- (s.s_addr, "site bytes changed by another mechanism") :: t.skipped_sites
+  | None, (Site_retargeted _ | Site_inlined _) -> write_site t s s.s_original Site_original
+  | Some (target, target_size), _ -> (
+      let body =
+        if t.inline_enabled then
+          Patch.inlineable_body t.patch ~fn_addr:target ~fn_size:target_size ~budget:s.s_size
+        else None
+      in
+      (* a 6-byte indirect site gets a 5-byte direct call plus one nop *)
+      let b = Bytes.make s.s_size (Char.chr (Insn.opcode Insn.Nop)) in
+      match body with
+      | Some body ->
+          Bytes.blit body 0 b 0 (Bytes.length body);
+          write_site t s b (Site_inlined target);
+          emit t (Trace.Site_inlined { fn = who; site = s.s_addr; target })
+      | None ->
+          let call = Patch.encode_call ~site:s.s_addr ~target in
+          Bytes.blit call 0 b 0 (Bytes.length call);
+          write_site t s b (Site_retargeted target);
+          emit t (Trace.Site_retargeted { fn = who; site = s.s_addr; target }))
 
 (* ------------------------------------------------------------------ *)
-(* Function-level install / revert                                     *)
+(* Binding a function                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let revert_fn_entry t (fe : fn_entry) =
-  List.iter
-    (Option.iter (Patch.restore_bytes t.patch ~addr:fe.fe_record.fd_generic))
-    [ fe.fe_saved_body; fe.fe_prologue ];
-  fe.fe_saved_body <- None;
-  fe.fe_prologue <- None;
-  List.iter (restore_site t) fe.fe_sites;
-  fe.fe_installed <- None
-
-let install_variant_call_sites t (fe : fn_entry) (v : variant) =
-  List.iter
-    (fun s -> install_site t s ~who:fe.fe_name ~target:v.vn_addr ~target_size:v.vn_size)
-    fe.fe_sites;
-  fe.fe_prologue <-
-    Some (Patch.install_prologue_jmp t.patch ~fn_addr:fe.fe_record.fd_generic ~target:v.vn_addr);
-  emit t (Trace.Prologue_patched { fn = fe.fe_name; target = v.vn_addr })
-
-(* The Section 7.1 alternative: overwrite the generic body with the
-   relocated variant body.  One patch per function, no call-site work, but
-   the body must fit — otherwise fall back to the completeness jump. *)
-let install_variant_body t (fe : fn_entry) (v : variant) =
+(* Write [b] over the function's entry, saving the generic bytes it
+   covers at the first such write; a later one (a rebind) keeps them. *)
+let write_entry t (fe : fn_entry) b =
   let generic = fe.fe_record.fd_generic in
-  if v.vn_size <= fe.fe_record.fd_generic_size then begin
-    fe.fe_saved_body <-
-      Some (Patch.read_text t.patch ~addr:generic ~len:fe.fe_record.fd_generic_size);
-    let relocated =
-      Patch.relocate_body t.patch ~src:v.vn_addr ~len:v.vn_size ~dst:generic
-    in
-    Patch.write_text t.patch ~addr:generic relocated
-  end
-  else begin
-    (* variant larger than the generic body: redirect the prologue instead *)
-    fe.fe_prologue <-
-      Some (Patch.install_prologue_jmp t.patch ~fn_addr:generic ~target:v.vn_addr);
-    emit t (Trace.Prologue_patched { fn = fe.fe_name; target = v.vn_addr })
-  end
+  if fe.fe_saved = None then
+    fe.fe_saved <- Some (Patch.read_text t.patch ~addr:generic ~len:(Bytes.length b));
+  Patch.write_text t.patch ~addr:generic b
+
+let restore_entry t (fe : fn_entry) =
+  Option.iter (Patch.write_text t.patch ~addr:fe.fe_record.fd_generic) fe.fe_saved;
+  fe.fe_saved <- None
+
+(* The completeness jump: calls the compiler could not see (function
+   pointers, foreign code) enter the generic prologue and land in [v]. *)
+let jump_entry t (fe : fn_entry) (v : variant) =
+  let generic = fe.fe_record.fd_generic in
+  write_entry t fe (Patch.encode_jmp ~site:generic ~target:v.vn_addr);
+  emit t (Trace.Prologue_patched { fn = fe.fe_name; target = v.vn_addr })
 
 (* Whether the function is bound to the body at [addr].  Aliases that
    share a body are one binding: selecting another alias of the bound
@@ -545,26 +530,44 @@ let install_variant_body t (fe : fn_entry) (v : variant) =
 let bound_at (fe : fn_entry) addr =
   match fe.fe_installed with Some v -> v.vn_addr = addr | None -> false
 
-let install_variant t (fe : fn_entry) (v : variant) =
-  if not (bound_at fe v.vn_addr) then begin
-    emit t (Trace.Variant_selected { fn = fe.fe_name; variant = v.vn_name });
-    (* return to the pristine state first, then apply the new variant *)
-    revert_fn_entry t fe;
-    (match t.strategy with
-    | Call_site_patching -> install_variant_call_sites t fe v
-    | Body_patching -> install_variant_body t fe v);
-    fe.fe_installed <- Some v
-  end
+(** Bind the function to [Some v], or return it to its generic body with
+    [None] (reporting the unbind when a variant was bound).  The entry
+    names its new binding before the first write, so a rollback after a
+    write fails midway undoes the whole bind.
 
-(* Return the function to its generic body, reporting the unbind when a
-   variant was bound.  [install_variant]'s own revert before a rebind
-   stays silent: the [Variant_selected] it emits already names the
-   successor. *)
-let unbind_fn t (fe : fn_entry) =
-  Option.iter
-    (fun v -> emit t (Trace.Variant_unbound { fn = fe.fe_name; variant = v.vn_name }))
-    fe.fe_installed;
-  revert_fn_entry t fe
+    Under call-site patching every site and the prologue jump is written
+    once, retargeted straight from the previous variant.  Body patching
+    (the Section 7.1 alternative) patches no call sites: it restores the
+    generic body and then overwrites it with the relocated variant body —
+    one patch per function — or, when the variant does not fit, with the
+    completeness jump. *)
+let bind_fn t (fe : fn_entry) (target : variant option) =
+  match target with
+  | Some v when bound_at fe v.vn_addr -> ()
+  | None ->
+      Option.iter
+        (fun v -> emit t (Trace.Variant_unbound { fn = fe.fe_name; variant = v.vn_name }))
+        fe.fe_installed;
+      fe.fe_installed <- None;
+      restore_entry t fe;
+      List.iter (fun s -> set_site t s ~who:fe.fe_name None) fe.fe_sites
+  | Some v -> (
+      emit t (Trace.Variant_selected { fn = fe.fe_name; variant = v.vn_name });
+      fe.fe_installed <- target;
+      match t.strategy with
+      | Call_site_patching ->
+          List.iter
+            (fun s -> set_site t s ~who:fe.fe_name (Some (v.vn_addr, v.vn_size)))
+            fe.fe_sites;
+          jump_entry t fe v
+      | Body_patching ->
+          restore_entry t fe;
+          List.iter (fun s -> set_site t s ~who:fe.fe_name None) fe.fe_sites;
+          let generic = fe.fe_record.fd_generic in
+          if v.vn_size <= fe.fe_record.fd_generic_size then
+            write_entry t fe
+              (Patch.relocate_body t.patch ~src:v.vn_addr ~len:v.vn_size ~dst:generic)
+          else jump_entry t fe v)
 
 (* ------------------------------------------------------------------ *)
 (* Selection, and the variant cache behind it                          *)
@@ -581,13 +584,13 @@ let body_range v = (v.vn_addr, v.vn_addr + max v.vn_size 1)
 let body_live t v =
   match t.live_scanner with None -> false | Some scan -> live_in (scan ()) (body_range v)
 
-(* Variant addresses a journaled Act_bind still needs: their bodies must
+(* Variant addresses a journaled bind still needs: their bodies must
    survive until the set drains (or is superseded). *)
 let pending_variant_addrs t =
   List.concat_map
     (fun pset ->
       List.filter_map
-        (function Act_bind (_, v) -> Some v.vn_addr | _ -> None)
+        (function Act_fn (_, Some v) -> Some v.vn_addr | _ -> None)
         pset.pset_actions)
     t.pending
 
@@ -613,7 +616,7 @@ let enable_lazy ?budget t ~recipes ~call_pad =
         (fun fe v ->
           let live = body_live t v in
           if bound_at fe v.vn_addr then
-            if live then journal t [ Act_unbind fe ] else unbind_fn t fe;
+            if live then journal t [ Act_fn (fe, None) ] else bind_fn t fe None;
           live);
       in_use = (fun fe v -> bound_at fe v.vn_addr || body_live t v);
       journaled = (fun () -> pending_variant_addrs t);
@@ -660,26 +663,22 @@ let select_variant t (fe : fn_entry) : variant option =
 (* Function-pointer switches                                           *)
 (* ------------------------------------------------------------------ *)
 
-let revert_fnptr_entry t (fp : fnptr_entry) =
-  List.iter (restore_site t) fp.fp_sites;
-  fp.fp_committed <- None
-
-(** Patch every recorded indirect call site of the fn-pointer switch into a
-    direct call to [target] (or inline the target body).  The target's size
-    is taken from the symbol table. *)
-let install_fnptr t (fp : fnptr_entry) ~target =
-  if fp.fp_committed <> Some target then begin
-    revert_fnptr_entry t fp;
-    let target_size =
-      match Image.symbol_at t.image target with
-      | Some name -> Image.symbol_size t.image name
-      | None -> 0
-    in
-    List.iter
-      (fun s -> install_site t s ~who:fp.fp_switch.sw_name ~target ~target_size)
-      fp.fp_sites;
-    fp.fp_committed <- Some target
-  end
+(** Bind every recorded indirect call site of the fn-pointer switch to a
+    direct call to [Some target] (or inline the target body), or restore
+    the indirect calls with [None].  The target's size is taken from the
+    symbol table. *)
+let bind_ptr t (fp : fnptr_entry) (target : int option) =
+  match target with
+  | Some a when fp.fp_committed = Some a -> ()
+  | _ ->
+      fp.fp_committed <- target;
+      let sized a =
+        match Image.symbol_at t.image a with
+        | Some name -> (a, Image.symbol_size t.image name)
+        | None -> (a, 0)
+      in
+      let target = Option.map sized target in
+      List.iter (fun s -> set_site t s ~who:fp.fp_switch.sw_name target) fp.fp_sites
 
 (* ------------------------------------------------------------------ *)
 (* Staging: apply a patch now, or journal / refuse it while live      *)
@@ -730,18 +729,16 @@ let installed_body_range (fe : fn_entry) : (int * int) list =
   match fe.fe_installed with Some v -> [ body_range v ] | None -> []
 
 (* The ranges an unbind would actually rewrite, given the entry's current
-   state: the saved prologue bytes, the saved generic body (body patching),
-   every non-pristine call site — plus the installed variant's body (see
-   above).  Unlike a bind, an unbind leaves the *generic* body semantically
-   current for every switch value, so a generic activation parked past the
-   prologue bytes does not block it; a pristine entry blocks on nothing,
-   because its unbind rewrites nothing. *)
+   state: the saved generic bytes (prologue or body), every non-pristine
+   call site — plus the installed variant's body (see above).  Unlike a
+   bind, an unbind leaves the *generic* body semantically current for
+   every switch value, so a generic activation parked past the prologue
+   bytes does not block it; a pristine entry blocks on nothing, because
+   its unbind rewrites nothing. *)
 let fn_unbind_ranges (fe : fn_entry) : (int * int) list =
   let generic = fe.fe_record.fd_generic in
   let saved =
-    List.filter_map
-      (Option.map (fun b -> (generic, generic + Bytes.length b)))
-      [ fe.fe_prologue; fe.fe_saved_body ]
+    match fe.fe_saved with Some b -> [ (generic, generic + Bytes.length b) ] | None -> []
   in
   let sites =
     List.filter_map
@@ -754,21 +751,19 @@ let fn_unbind_ranges (fe : fn_entry) : (int * int) list =
   installed_body_range fe @ saved @ sites
 
 let action_ranges = function
-  | Act_bind (fe, _) -> installed_body_range fe @ fn_touched_ranges fe
-  | Act_unbind fe -> fn_unbind_ranges fe
-  | Act_bind_ptr (fp, _) | Act_unbind_ptr fp -> fnptr_touched_ranges fp
+  | Act_fn (fe, Some _) -> installed_body_range fe @ fn_touched_ranges fe
+  | Act_fn (fe, None) -> fn_unbind_ranges fe
+  | Act_ptr (fp, _) -> fnptr_touched_ranges fp
 
 let action_name = function
-  | Act_bind (fe, _) | Act_unbind fe -> fe.fe_name
-  | Act_bind_ptr (fp, _) | Act_unbind_ptr fp -> fp.fp_switch.sw_name
+  | Act_fn (fe, _) -> fe.fe_name
+  | Act_ptr (fp, _) -> fp.fp_switch.sw_name
 
 (* Lenient application, for patches staged to apply now: foreign site
    bytes are skipped and reported, never corrupted. *)
 let apply_action_lenient t = function
-  | Act_bind (fe, v) -> install_variant t fe v
-  | Act_unbind fe -> unbind_fn t fe
-  | Act_bind_ptr (fp, target) -> install_fnptr t fp ~target
-  | Act_unbind_ptr fp -> revert_fnptr_entry t fp
+  | Act_fn (fe, v) -> bind_fn t fe v
+  | Act_ptr (fp, target) -> bind_ptr t fp target
 
 (* The stager every commit and revert entry point hands its actions to:
    the live-activation set it was opened with ([[]] for the Table 1 API,
@@ -820,10 +815,10 @@ let stage t sg action : bool =
     [true] when the function ends bound. *)
 let commit_fn t sg (fe : fn_entry) : bool =
   match select_variant t fe with
-  | Some v -> bound_at fe v.vn_addr || stage t sg (Act_bind (fe, v))
+  | Some v -> bound_at fe v.vn_addr || stage t sg (Act_fn (fe, Some v))
   | None ->
-      if fe.fe_installed <> None || fe.fe_prologue <> None || fe.fe_saved_body <> None
-      then ignore (stage t sg (Act_unbind fe));
+      if fe.fe_installed <> None || fe.fe_saved <> None then
+        ignore (stage t sg (Act_fn (fe, None)));
       (* only signal when the function actually has (or could materialize)
          specialized variants: a variant-less function is trivially bound
          to its generic body *)
@@ -836,14 +831,14 @@ let commit_fn t sg (fe : fn_entry) : bool =
 let commit_fnptr t sg (fp : fnptr_entry) : bool =
   let target = Image.read t.image fp.fp_switch.sw_var.vr_addr 8 in
   if target = 0 then begin
-    if fp.fp_committed <> None then ignore (stage t sg (Act_unbind_ptr fp));
+    if fp.fp_committed <> None then ignore (stage t sg (Act_ptr (fp, None)));
     fallback t fp.fp_switch.sw_name;
     false
   end
-  else fp.fp_committed = Some target || stage t sg (Act_bind_ptr (fp, target))
+  else fp.fp_committed = Some target || stage t sg (Act_ptr (fp, Some target))
 
-let revert_fn t sg fe = stage t sg (Act_unbind fe)
-let revert_fnptr t sg fp = stage t sg (Act_unbind_ptr fp)
+let revert_fn t sg fe = stage t sg (Act_fn (fe, None))
+let revert_fnptr t sg fp = stage t sg (Act_ptr (fp, None))
 
 (* Decide over the functions, then the fn-pointer switches; returns how
    many ended in the requested state. *)
@@ -978,9 +973,9 @@ let osr_for_action t hart ~cid action =
       ~into
   in
   match action with
-  | Act_bind (fe, v) -> move fe v.vn_addr
-  | Act_unbind fe -> move fe fe.fe_record.fd_generic
-  | Act_bind_ptr _ | Act_unbind_ptr _ -> ()
+  | Act_fn (fe, Some v) -> move fe v.vn_addr
+  | Act_fn (fe, None) -> move fe fe.fe_record.fd_generic
+  | Act_ptr _ -> ()
 
 (* Deferred application is strict where an interactive commit is lenient: a
    call site whose bytes diverged from what the runtime last wrote is a
@@ -999,41 +994,25 @@ let check_sites_strict t who sites =
    bytes abort the set (and roll it back) instead of being skipped. *)
 let apply_action t action =
   (match action with
-  | Act_bind (fe, _) | Act_unbind fe -> check_sites_strict t fe.fe_name fe.fe_sites
-  | Act_bind_ptr (fp, _) | Act_unbind_ptr fp ->
-      check_sites_strict t fp.fp_switch.sw_name fp.fp_sites);
+  | Act_fn (fe, _) -> check_sites_strict t fe.fe_name fe.fe_sites
+  | Act_ptr (fp, _) -> check_sites_strict t fp.fp_switch.sw_name fp.fp_sites);
   apply_action_lenient t action
 
-(* What it takes to restore an entity to its pre-transaction state. *)
-type undo =
-  | Undo_fn of fn_entry * variant option  (* previously bound alias *)
-  | Undo_ptr of fnptr_entry * int option  (* previously committed target *)
-
-let undo_of = function
-  | Act_bind (fe, _) | Act_unbind fe -> Undo_fn (fe, fe.fe_installed)
-  | Act_bind_ptr (fp, _) | Act_unbind_ptr fp -> Undo_ptr (fp, fp.fp_committed)
-
-let undo_action t = function
-  | Undo_fn (fe, prior) -> (
-      match prior with
-      | Some v ->
-          revert_fn_entry t fe;
-          install_variant t fe v
-      | None -> unbind_fn t fe)
-  | Undo_ptr (fp, prior) -> (
-      revert_fnptr_entry t fp;
-      match prior with None -> () | Some target -> install_fnptr t fp ~target)
+(* The action that returns an entity to its current binding. *)
+let inverse = function
+  | Act_fn (fe, _) -> Act_fn (fe, fe.fe_installed)
+  | Act_ptr (fp, _) -> Act_ptr (fp, fp.fp_committed)
 
 (** Apply one journaled set transactionally: every action, in order, or —
-    if any application fails — undo the already-applied prefix (in reverse
-    order) so the image is exactly as before the attempt.  Returns [true]
-    on full application. *)
+    if any application fails — apply the inverses of the already-started
+    prefix (in reverse order, leniently) so the image is exactly as
+    before the attempt.  Returns [true] on full application. *)
 let apply_set t (pset : pending_set) : bool =
   let applied = ref [] in
   match
     List.iter
       (fun act ->
-        applied := undo_of act :: !applied;
+        applied := inverse act :: !applied;
         apply_action t act)
       pset.pset_actions
   with
@@ -1058,7 +1037,7 @@ let apply_set t (pset : pending_set) : bool =
            });
       true
   | exception (Runtime_error _ | Patch.Patch_error _) ->
-      List.iter (undo_action t) !applied;
+      List.iter (apply_action_lenient t) !applied;
       t.safe.sc_rolled_back <- t.safe.sc_rolled_back + 1;
       emit t (Trace.Pending_rollback { cid = pset.pset_cid; pset = pset.pset_id });
       false

@@ -8,9 +8,10 @@
     body fits, the body is inlined in place of the call — empty bodies
     become pure nops), and the generic prologue is overwritten with a jump
     to the variant so that calls the compiler never saw (function pointers,
-    foreign code) land in the bound variant too.  If no variant matches,
-    the function reverts to its generic body and the situation is signalled
-    through {!fallbacks}.
+    foreign code) land in the bound variant too.  A rebind writes each
+    site and the prologue once, straight from the previous variant's
+    bytes.  If no variant matches, the function reverts to its generic
+    body and the situation is signalled through {!fallbacks}.
 
     Like the paper's library, the {!commit}/{!revert} family performs no
     synchronization: the caller guarantees a patchable state (Section 2).
@@ -187,9 +188,11 @@ val set_osr : t -> (unit -> Osr.hart) option -> unit
 (** The quiescence-point drain; wire to [Machine.set_safepoint].  Cheap
     when nothing is pending.  Each pending set whose touched ranges are all
     quiescent is applied transactionally — every action or, on a mid-set
-    failure (e.g. a call site changed by another mechanism), a full
-    rollback to the pre-set state — and removed either way, so a set is
-    applied at most once.  With {!set_osr} wired, a set blocked only by
+    failure (e.g. a call site changed by another mechanism, or a text
+    write that raises), a full rollback to the pre-set state — and
+    removed either way, so a set is applied at most once.  A rollback
+    closes every selection the failed set opened with a
+    [Variant_unbound] or the [Variant_selected] of the prior binding.  With {!set_osr} wired, a set blocked only by
     the polling hart's own parked activation is unblocked by transferring
     that activation first. *)
 val safepoint : t -> unit
@@ -305,7 +308,10 @@ val specializations : t -> int
 val fallbacks : t -> string list
 
 (** Call sites skipped because their bytes were not what the runtime last
-    wrote there — some other mechanism owns them (with the reason). *)
+    wrote there — some other mechanism owns them (with the reason).  Each
+    skipped write is reported once: a rebind over a foreign site reports
+    it once, and a later bind or revert that skips it again reports it
+    again. *)
 val skipped_sites : t -> (int * string) list
 
 (** Symbol of the variant alias bound to the named function — the one

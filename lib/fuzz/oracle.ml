@@ -799,6 +799,9 @@ let osr_state_equiv ?(chaos = No_chaos) (case : Gen.case) (_sched : Schedule.t)
              oh_reg = (fun r -> machine.Machine.regs.(r));
              oh_set_reg = (fun r v -> machine.Machine.regs.(r) <- v);
              oh_set_top_frame = Machine.set_top_frame machine;
+             oh_stack =
+               ( machine.Machine.stack_base - Mv_vm.Smp.hart_stack_bytes,
+                 machine.Machine.stack_base );
            }));
     prep case img;
     Machine.start_call machine "__osr_spin" [ osr_spin_iters; arg ];

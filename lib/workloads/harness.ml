@@ -211,6 +211,7 @@ let osr_hart_of_machine (m : Machine.t) : Core.Osr.hart =
     oh_reg = (fun r -> m.Machine.regs.(r));
     oh_set_reg = (fun r v -> m.Machine.regs.(r) <- v);
     oh_set_top_frame = Machine.set_top_frame m;
+    oh_stack = (m.Machine.stack_base - Smp.hart_stack_bytes, m.Machine.stack_base);
   }
 
 (* Arm on-stack replacement: the runtime resolves the accessors of

@@ -108,13 +108,17 @@ if [ -n "${MV_SMP_ARTIFACT_DIR:-}" ]; then
   cp "$osr_dump" "$MV_SMP_ARTIFACT_DIR"/osr-chaos.flight.json
 fi
 
-# Smoke the machine-readable bench export: four fast experiments, then
+# Smoke the machine-readable bench export: six fast experiments, then
 # check the document parses and carries the expected schema/rows.
 # Besides fig1, the three lazy rows pin the variant cache's
-# materialize, evict and dedup counts and its peak resident bytes.
+# materialize, evict and dedup counts and its peak resident bytes, and
+# patch-cost and ablation-body-patching pin what a commit and a revert
+# from pristine write: 4,688 patches and 23,440 bytes on the 1,170-site
+# farm, and 1,172 call-site patches against 2 body patches.
 bench_json="$tmp"/bench.json
 dune exec bench/main.exe -- --fast --only fig1 --only lazy-first-commit \
-  --only lazy-cache-hit --only lazy-footprint --json "$bench_json" > /dev/null
+  --only lazy-cache-hit --only lazy-footprint --only patch-cost \
+  --only ablation-body-patching --json "$bench_json" > /dev/null
 if command -v jq > /dev/null 2>&1; then
   jq -e '.schema == "mv-bench-rows/1" and (.experiments.fig1 | length > 0)' \
     "$bench_json" > /dev/null || { echo "bench JSON invalid: $bench_json"; exit 1; }
@@ -135,7 +139,7 @@ dune exec bin/mvtrace.exe -- flame "$smoke_mvc" --set config_smp=1 --commit \
 grep -q 'spin_lock.config_smp=1' "$smoke_folded" \
   || { echo "mvtrace flame: no variant frame in folded stacks"; exit 1; }
 dune exec bin/mvtrace.exe -- diff --gate 0 BENCH_results.json "$bench_json" > /dev/null \
-  || { echo "mvtrace diff: fig1 or lazy rows drifted from BENCH_results.json"; exit 1; }
+  || { echo "mvtrace diff: bench smoke rows drifted from BENCH_results.json"; exit 1; }
 
 # Profile smoke: mvcc --profile prints the stack profiler's per-leaf
 # hot-function table, which must attribute the committed variant.

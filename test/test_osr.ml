@@ -30,6 +30,7 @@ let enable s =
            oh_reg = (fun r -> m.Machine.regs.(r));
            oh_set_reg = (fun r v -> m.Machine.regs.(r) <- v);
            oh_set_top_frame = Machine.set_top_frame m;
+           oh_stack = (m.Machine.stack_base - Smp.hart_stack_bytes, m.Machine.stack_base);
          }))
 
 (* Collect every trace event the runtime emits (no ring, no clock: the
@@ -164,6 +165,87 @@ let test_without_osr_set_stays_pending_until_return () =
   check_int "no transfers without accessors" 0
     (Runtime.stats s.runtime).Runtime.st_osr_transfers;
   check_int "drained at return" 0 (Runtime.stats s.runtime).Runtime.st_pending
+
+(* Where the frame map of the body at [addr] sits in the image: the
+   offset of its header and of every live entry's location word. *)
+let frame_map_offsets img addr =
+  let module D = Core.Descriptor in
+  match Image.section_range img Mv_codegen.Objfile.Mv_framemaps with
+  | None -> Alcotest.fail "no frame-map section"
+  | Some { Image.sr_base; sr_size } ->
+      let rec find off =
+        if off + D.framemap_header_size > sr_base + sr_size || Image.read img off 8 = 0 then
+          Alcotest.failf "no frame map for 0x%x" addr
+        else begin
+          let n_saves = Image.read img (off + 16) 4 in
+          let rec safepoints n sp locs =
+            if n = 0 then (sp, locs)
+            else begin
+              let live = sp + D.framemap_safepoint_header_size in
+              let n_live = Image.read img (sp + 8) 4 in
+              safepoints (n - 1)
+                (live + (n_live * D.framemap_live_entry_size))
+                (List.init n_live (fun i -> live + (i * D.framemap_live_entry_size) + 4) @ locs)
+            end
+          in
+          let next, locs =
+            safepoints (Image.read img (off + 8) 4)
+              (off + D.framemap_header_size + ((n_saves + 1) / 2 * 2 * 4))
+              []
+          in
+          if Image.read img off 8 = addr then (off, locs) else find next
+        end
+      in
+      find sr_base
+
+(* Frame maps naming locations a transfer cannot use: a target spill
+   area of 1 MiB, or of 2^30 bytes, which reaches below the image, and a
+   source whose live values all sit in spill slot 0xFFFF, 512 KiB above
+   its frame, or in register 0xFFFF.  The transfer must be abandoned
+   before it reads or writes a word: every iteration runs generic, the
+   set drains once spin returns, and every byte between the heap base
+   and the hart's stack keeps the marker it was filled with. *)
+let test_frame_map_outside_stack_aborts () =
+  let spill_area frame_bytes img =
+    let header, _ = frame_map_offsets img (Image.symbol img "spin.m=1") in
+    Image.write img (header + 12) frame_bytes 4
+  and source_locations loc img =
+    let _, locs = frame_map_offsets img (Image.symbol img "spin") in
+    List.iter (fun off -> Image.write img off loc 4) locs
+  in
+  List.iter
+    (fun (label, corrupt) ->
+      let program = build spin_src in
+      let img = program.Core.Compiler.p_image in
+      corrupt img;
+      let machine = Machine.create img in
+      let runtime =
+        Runtime.create img ~flush:(fun ~addr ~len -> Machine.flush_icache machine ~addr ~len)
+      in
+      let s = { program; machine; runtime } in
+      enable s;
+      let events = collect_events s in
+      let below = img.Image.heap_base and stack_lo = machine.Machine.stack_base - Smp.hart_stack_bytes in
+      Bytes.fill img.Image.mem below (stack_lo - below) '\x5a';
+      set_global s "m" 1;
+      Machine.start_call machine "driver" [ 10 ];
+      park s "spin";
+      ignore (Runtime.commit_safe runtime);
+      set_global s "m" 0;
+      check_int (label ^ ": every iteration ran generic") 10 (Machine.finish machine);
+      let st = Runtime.stats runtime in
+      check_int (label ^ ": no transfer") 0 st.Runtime.st_osr_transfers;
+      check_bool (label ^ ": transfers abandoned") true (st.Runtime.st_osr_aborts > 0);
+      check_int (label ^ ": no Osr_transfer event") 0 (List.length (osr_xfers (events ())));
+      check_int (label ^ ": drained at return") 0 st.Runtime.st_pending;
+      check_bool (label ^ ": nothing below the hart's stack written") true
+        (Bytes.for_all (fun c -> c = '\x5a') (Bytes.sub img.Image.mem below (stack_lo - below))))
+    [
+      ("1 MiB spill area", spill_area (1 lsl 20));
+      ("2^30-byte spill area", spill_area (1 lsl 30));
+      ("source slot 0xFFFF", source_locations 0x1FFFF);
+      ("source register 0xFFFF", source_locations 0xFFFF);
+    ]
 
 (* Two calls per iteration — two safepoints with distinct stable ids.  By
    issuing the commit after k = 0, 1, 2, … machine steps, the activation is
@@ -372,6 +454,7 @@ let suite =
   [
     tc "transfer unblocks a live loop" test_transfer_unblocks_live_loop;
     tc "transfer between two variants" test_transfer_between_variants;
+    tc "a frame map outside the stack aborts the transfer" test_frame_map_outside_stack_aborts;
     tc "without OSR the set waits for return"
       test_without_osr_set_stays_pending_until_return;
     tc_slow "transfer at every safepoint offset"

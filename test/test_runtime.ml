@@ -248,6 +248,39 @@ let test_inlineable_body_detection () =
   | None -> ()
   | Some _ -> Alcotest.fail "a 2-store body must not fit a 5-byte site"
 
+(* A rebind writes each changed site once.  On the 1,170-site spinlock
+   farm a config_smp toggle after warm-up rewrites every call site and
+   both prologue jumps exactly once — as many writes, bytes and icache
+   flushes as a first bind — and leaves the text a fresh session
+   committed straight to the new value holds. *)
+let test_toggle_writes_each_site_once () =
+  let src = Mv_workloads.Callsite_farm.source ~callers:117 ~pairs:5 in
+  let text s =
+    let img = s.program.Core.Compiler.p_image in
+    Image.read_bytes img img.Image.text.Image.sr_base img.Image.text.Image.sr_size
+  in
+  let s = session src in
+  set_global s "config_smp" 1;
+  ignore (Runtime.commit s.runtime);
+  let flushes = ref 0 in
+  Mv_vm.Machine.set_tracer s.machine
+    (Some (function Mv_obs.Trace.Icache_flush _ -> incr flushes | _ -> ()));
+  let before = Runtime.stats s.runtime in
+  set_global s "config_smp" 0;
+  ignore (Runtime.commit s.runtime);
+  let after = Runtime.stats s.runtime in
+  check_int "farm call sites" 1170 after.Runtime.st_callsites;
+  check_int "one write per site and prologue" 1172
+    (after.Runtime.st_patches - before.Runtime.st_patches);
+  check_int "bytes written" 5860
+    (after.Runtime.st_bytes_patched - before.Runtime.st_bytes_patched);
+  check_int "one flush per write" 1172 !flushes;
+  let fresh = session src in
+  set_global fresh "config_smp" 0;
+  ignore (Runtime.commit fresh.runtime);
+  check_bool "text equals a fresh commit to the new value" true
+    (Bytes.equal (text s) (text fresh))
+
 let suite =
   [
     tc "protection restored after commit (W^X)" test_protection_restored_after_commit;
@@ -262,4 +295,5 @@ let suite =
     tc "many functions bind independently" test_commit_with_many_functions;
     tc "runtime statistics" test_stats_shape;
     tc "inlineable body detection" test_inlineable_body_detection;
+    tc "a toggle writes each site once" test_toggle_writes_each_site_once;
   ]

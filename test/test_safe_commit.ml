@@ -177,6 +177,110 @@ let test_mid_set_failure_rolls_back () =
   check_bool "f never bound" true (Runtime.installed_variant s.runtime "f" = None);
   check_bool "set dropped, not retried" true (Runtime.pending s.runtime = [])
 
+(* A writer that raises on its [k]-th call and otherwise writes as the
+   default path does: a protected store, then the icache flush. *)
+let failing_writer s k =
+  let img = s.program.Core.Compiler.p_image and calls = ref 0 in
+  fun ~addr b ->
+    incr calls;
+    if !calls = k then raise (Core.Patch.Patch_error "injected write failure");
+    let len = Bytes.length b in
+    let prot = Image.prot_at img addr in
+    Image.mprotect img ~addr ~len Image.prot_rwx;
+    Image.write_bytes img addr b;
+    Image.mprotect img ~addr ~len prot;
+    Machine.flush_icache s.machine ~addr ~len
+
+(* Journal the rollback source's two-action set: from pristine, parked
+   at [g], or as a rebind from m=1 to m=0, parked at [g.m=1]. *)
+let journal_two_actions ~rebind =
+  let s = session rollback_src in
+  enable s;
+  set_global s "m" 1;
+  if rebind then ignore (Runtime.commit s.runtime);
+  Machine.start_call s.machine "driver" [];
+  park s (if rebind then "g.m=1" else "g");
+  if rebind then set_global s "m" 0;
+  check_int "both live, none bound now" 0 (Runtime.commit_safe s.runtime);
+  check_int "two actions journaled" 2 (Runtime.stats s.runtime).Runtime.st_pending;
+  s
+
+let text_of s =
+  let img = s.program.Core.Compiler.p_image in
+  Image.read_bytes img img.Image.text.Image.sr_base img.Image.text.Image.sr_size
+
+(* Rollback at every write: make the [k]-th text write of the drain fail,
+   for k = 1, 2, ... until the set applies.  Every rolled-back drain must
+   leave the text and both bindings as they were before it, and close
+   every selection it opened: replaying its [Variant_selected] and
+   [Variant_unbound] events over the bindings it started from (the
+   residency a heat sink keeps) must end at those bindings again.
+   Returns the first k at which the set applies: one more than the
+   writes a full application makes. *)
+let drain_fails_at_every_write ~rebind =
+  let bindings s = List.map (Runtime.installed_variant s.runtime) [ "f"; "g" ] in
+  let rec attempt k =
+    let s = journal_two_actions ~rebind in
+    let text0 = text_of s and bound0 = bindings s in
+    let events = ref [] in
+    Runtime.set_tracer s.runtime (Some (fun ev -> events := ev :: !events));
+    Runtime.set_text_writer s.runtime (Some (failing_writer s k));
+    ignore (Machine.finish s.machine);
+    let st = Runtime.stats s.runtime in
+    if st.Runtime.st_safe_applied > 0 then k
+    else begin
+      let label = Printf.sprintf "%s, write %d fails"
+          (if rebind then "rebind" else "from pristine") k in
+      check_int (label ^ ": rolled back") 1 st.Runtime.st_safe_rolled_back;
+      check_bool (label ^ ": text as before") true (Bytes.equal text0 (text_of s));
+      check_bool (label ^ ": bindings as before") true (bindings s = bound0);
+      let resident =
+        List.fold_left
+          (fun acc ev ->
+            match ev with
+            | Mv_obs.Trace.Variant_selected { fn; variant } ->
+                (fn, Some variant) :: List.remove_assoc fn acc
+            | Mv_obs.Trace.Variant_unbound { fn; _ } -> (fn, None) :: List.remove_assoc fn acc
+            | _ -> acc)
+          (List.combine [ "f"; "g" ] bound0)
+          (List.rev !events)
+      in
+      check_bool (label ^ ": every selection closed") true
+        (List.map (fun fn -> List.assoc fn resident) [ "f"; "g" ] = bound0);
+      attempt (k + 1)
+    end
+  in
+  attempt 1
+
+let test_rollback_at_every_write () =
+  let fresh = drain_fails_at_every_write ~rebind:false in
+  let rebind = drain_fails_at_every_write ~rebind:true in
+  check_bool "a fresh drain writes something" true (fresh > 1);
+  check_int "a rebind writes each location once, as a fresh bind does" fresh rebind
+
+(* A rebind over a call site some other mechanism rewrote skips it and
+   reports it once. *)
+let test_rebind_reports_foreign_site_once () =
+  let s = session rollback_src in
+  let img = s.program.Core.Compiler.p_image in
+  set_global s "m" 1;
+  ignore (Runtime.commit s.runtime);
+  let f_addr = Image.symbol img "f" in
+  let site =
+    (List.find
+       (fun (cs : Core.Descriptor.callsite) -> cs.Core.Descriptor.cs_target = f_addr)
+       (Core.Descriptor.parse_callsites img))
+      .Core.Descriptor.cs_site
+  in
+  Image.mprotect img ~addr:site ~len:5 Image.prot_rwx;
+  Image.write_bytes img site (Mv_isa.Encode.encode (Insn.Jmp 0));
+  Image.mprotect img ~addr:site ~len:5 Image.prot_rx;
+  set_global s "m" 0;
+  ignore (Runtime.commit s.runtime);
+  check_int "the foreign site is reported once" 1
+    (List.length (List.filter (fun (a, _) -> a = site) (Runtime.skipped_sites s.runtime)));
+  check_bool "f rebound" true (Runtime.installed_variant s.runtime "f" = Some "f.m=0")
+
 (* The same switch sequence through commit/revert and, on a twin, through
    commit_safe/revert_safe with nothing live: fn-pointer switches
    (bound, rebound, nulled), an out-of-domain fallback, reverts — eager
@@ -265,6 +369,76 @@ let twin_sessions_agree ~lazy_variants =
   check_int "same number of events" (List.length e1) (List.length e2);
   check_bool "same events, up to the span op" true (e1 = e2)
 
+(* A rebind equals a fresh bind.  Twelve valuations of the twin source —
+   mode in {0, 1, 2, 7} (7 is out of domain) times pv_irq_disable in
+   {native_cli, xen_cli, null} — and, under both strategies, for every
+   ordered pair (a, b): [commit a; commit b] leaves the text,
+   tick's binding, the fallbacks and drive's result that a fresh
+   [commit b] leaves.  One session per strategy runs the pairs, reverting
+   to the pristine text between them. *)
+let test_rebind_equals_fresh_bind () =
+  let module H = Mv_workloads.Harness in
+  let valuations =
+    List.concat_map
+      (fun mode -> List.map (fun ptr -> (mode, ptr)) [ Some "native_cli"; Some "xen_cli"; None ])
+      [ 0; 1; 2; 7 ]
+  in
+  let session strategy =
+    let s = H.session1 twin_src in
+    Runtime.set_strategy s.H.runtime strategy;
+    s
+  in
+  let commit s (mode, ptr) =
+    H.set s "mode" mode;
+    (match ptr with
+    | Some target -> H.set_fnptr s "pv_irq_disable" target
+    | None -> H.set s "pv_irq_disable" 0);
+    ignore (H.commit s)
+  in
+  let text s =
+    let img = s.H.program.Core.Compiler.p_image in
+    let bytes (r : Image.section_range) =
+      Bytes.to_string (Image.read_bytes img r.Image.sr_base r.Image.sr_size)
+    in
+    bytes img.Image.text ^ bytes img.Image.vtext
+  in
+  let outcome s =
+    ( text s,
+      Runtime.installed_variant s.H.runtime "tick",
+      Runtime.fallbacks s.H.runtime,
+      H.call s "drive" [ 3 ] )
+  in
+  let pairs = ref 0 in
+  List.iter
+    (fun (strategy, name) ->
+      let fresh =
+        List.map
+          (fun b ->
+            let s = session strategy in
+            commit s b;
+            outcome s)
+          valuations
+      in
+      let s = session strategy in
+      let pristine = text s in
+      List.iteri
+        (fun i a ->
+          List.iteri
+            (fun j b ->
+              ignore (H.revert s);
+              check_bool "revert restores the pristine text" true (text s = pristine);
+              commit s a;
+              commit s b;
+              incr pairs;
+              check_bool
+                (Printf.sprintf "%s: valuation %d then %d equals a fresh %d" name i j j)
+                true
+                (outcome s = List.nth fresh j))
+            valuations)
+        valuations)
+    [ (Runtime.Call_site_patching, "call-site"); (Runtime.Body_patching, "body") ];
+  check_int "every ordered pair under both strategies" 288 !pairs
+
 let test_idle_commit_safe_acts_like_commit () =
   let s = session defer_src in
   enable s;
@@ -343,6 +517,9 @@ let suite =
     tc "new commit supersedes pending" test_new_commit_supersedes_pending;
     tc "revert_safe drains cleanly" test_revert_safe_defers_while_live;
     tc "mid-set failure rolls back" test_mid_set_failure_rolls_back;
+    tc "rollback at every write" test_rollback_at_every_write;
+    tc "a rebind reports a foreign site once" test_rebind_reports_foreign_site_once;
+    tc "a rebind equals a fresh bind" test_rebind_equals_fresh_bind;
     tc "idle commit_safe acts like commit" test_idle_commit_safe_acts_like_commit;
     tc "commit_safe requires a scanner" test_commit_safe_requires_scanner;
     tc "unsafe commit path unchanged" test_unsafe_commit_path_unchanged;
