@@ -82,19 +82,26 @@ let compile_unit ?(max_variants = Variantgen.default_max_variants)
     Variantgen.generate ~max_variants ~lazy_variants prog
   in
   let obj = Objfile.create u_name in
-  (* padded call sites (Section 7.1 extension): nop-pad calls to multiverse
-     symbols so the runtime can inline bodies larger than a bare call *)
-  let mv_symbols =
+  (* the multiversed call targets: functions (defined or declared here)
+     and function-pointer switches *)
+  let mv_fn_names =
     List.filter_map
       (fun (fn : Ir.fn) -> if fn.Ir.fn_multiverse then Some fn.fn_name else None)
       prog.Ir.p_fns
     @ List.filter_map (fun (name, mv) -> if mv then Some name else None) prog.Ir.p_extern_fns
-    @ List.filter_map
-        (fun (g : Ir.global) ->
-          if g.gl_multiverse && g.gl_is_fnptr then Some g.gl_name else None)
-        (prog.Ir.p_globals @ prog.Ir.p_extern_globals)
   in
-  let call_pad sym = if List.mem sym mv_symbols then callsite_padding else 0 in
+  let mv_fnptr_names =
+    List.filter_map
+      (fun (g : Ir.global) ->
+        if g.gl_multiverse && g.gl_is_fnptr then Some g.gl_name else None)
+      (prog.Ir.p_globals @ prog.Ir.p_extern_globals)
+  in
+  (* padded call sites (Section 7.1 extension): nop-pad calls to multiverse
+     symbols so the runtime can inline bodies larger than a bare call *)
+  let call_pad sym =
+    if List.mem sym mv_fn_names || List.mem sym mv_fnptr_names then callsite_padding
+    else 0
+  in
   (* text: all functions, generic and variants, in program order *)
   let fragments =
     List.map
@@ -129,18 +136,6 @@ let compile_unit ?(max_variants = Variantgen.default_max_variants)
   List.iter (fun mf -> Descriptor.emit_function obj mf ~size_of) mv_fns;
   (* 3. call-site descriptors: direct calls to multiversed functions and
         indirect calls through multiversed function pointers *)
-  let mv_fn_names =
-    List.filter_map
-      (fun (fn : Ir.fn) -> if fn.Ir.fn_multiverse then Some fn.fn_name else None)
-      prog.Ir.p_fns
-    @ List.filter_map (fun (name, mv) -> if mv then Some name else None) prog.Ir.p_extern_fns
-  in
-  let mv_fnptr_names =
-    List.filter_map
-      (fun (g : Ir.global) ->
-        if g.gl_multiverse && g.gl_is_fnptr then Some g.gl_name else None)
-      (prog.Ir.p_globals @ prog.Ir.p_extern_globals)
-  in
   List.iter
     (fun ((fn : Ir.fn), (frag : Emit.fragment), _off) ->
       List.iter

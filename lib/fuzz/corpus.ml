@@ -52,6 +52,10 @@ let of_json (j : Json.t) : (entry, string) result =
   | Ok () ->
       let* seed = int "seed" in
       let* oracle = str "oracle" in
+      let* () =
+        if List.mem oracle Oracle.oracle_names then Ok ()
+        else Error (Printf.sprintf "oracle (no oracle named %S)" oracle)
+      in
       let* detail = str "detail" in
       let* src = str "src" in
       let args =

@@ -13,11 +13,11 @@ let schedule_for case seed = Schedule.gen (Rng.split (Rng.create seed) 3) case
 
 (* Postmortem artifact for a diverged seed: a [mv-flight/1] document
    whose extra sections carry the oracle verdict and the shrunk
-   reproducer.  The oracles drive their own short-lived machines, so the
-   recorder window itself is empty here — the artifact's value is the
-   machine-readable failure context, in the same schema the VM trap and
-   bench-gate dumps use.  Gated on MV_SMP_ARTIFACT_DIR like every other
-   failure dump. *)
+   reproducer.  Each oracle's Harness sessions record into rings of
+   their own, gone by the time the verdict is in, so the recorder window
+   itself is empty here — the artifact's value is the machine-readable
+   failure context, in the same schema the VM trap and bench-gate dumps
+   use.  Gated on MV_SMP_ARTIFACT_DIR like every other failure dump. *)
 let write_flight_artifact ~log seed (div : Oracle.divergence)
     (shrunk : Shrink.result) : string option =
   let module Json = Mv_obs.Json in

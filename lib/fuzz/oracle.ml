@@ -2,9 +2,11 @@ module Ast = Minic.Ast
 module Interp = Mv_ir.Interp
 module Lower = Mv_ir.Lower
 module Machine = Mv_vm.Machine
+module Smp = Mv_vm.Smp
 module Image = Mv_link.Image
 module Runtime = Core.Runtime
 module Compiler = Core.Compiler
+module Harness = Mv_workloads.Harness
 
 type chaos =
   | No_chaos
@@ -126,34 +128,102 @@ let apply_interp it (a : Gen.assignment) =
       Interp.store it (Interp.global_addr it name) (Interp.symbol_addr it target) 8)
     a.Gen.a_ptrs
 
-(* The runtime's flush callback with the flush-path chaos applied: the
-   chaos modes exist so the fuzzer can prove it would catch a pipeline
-   that forgets to invalidate the decode cache.  [Skip_flush] drops every
-   invalidation request, [Lost_flush] every other one.  The other modes
-   leave flushes healthy: [Drop_ack] breaks a cross-hart IPI channel
-   (see [build_smp_session]), [Corrupt_framemap] bites only the OSR
-   oracle, which corrupts the section itself, and [Stale_cache] only
-   the lazy cache's eviction. *)
-let chaos_flush chaos flush =
-  let lost = ref false in
-  fun ~addr ~len ->
-    match chaos with
-    | No_chaos | Drop_ack | Corrupt_framemap | Stale_cache -> flush ~addr ~len
-    | Skip_flush -> ()
-    | Lost_flush ->
-        lost := not !lost;
-        if not !lost then flush ~addr ~len
+(* [Corrupt_framemap]: bump the low bits of the first live entry's
+   location word at every safepoint of [fn_addr]'s frame map.  The map
+   still parses and the vreg sets still line up, so the transfer goes
+   through — but it reads that value from the wrong register or spill
+   slot and reconstructs a wrong frame, which the oracle must catch. *)
+let corrupt_framemap img fn_addr =
+  let module D = Core.Descriptor in
+  match Image.section_range img Mv_codegen.Objfile.Mv_framemaps with
+  | None -> ()
+  | Some { Image.sr_base; sr_size } ->
+      let limit = sr_base + sr_size in
+      let rec maps off =
+        if off + D.framemap_header_size <= limit then begin
+          let addr = Image.read img off 8 in
+          if addr <> 0 then begin
+            let n_sp = Image.read img (off + 8) 4 in
+            let n_saves = Image.read img (off + 16) 4 in
+            let off' =
+              off + D.framemap_header_size + ((n_saves + 1) / 2 * 2 * 4)
+            in
+            let rec sps n off =
+              if n = 0 then off
+              else begin
+                let n_live = Image.read img (off + 8) 4 in
+                let off_e = off + D.framemap_safepoint_header_size in
+                if addr = fn_addr && n_live > 0 then begin
+                  let loc = Image.read img (off_e + 4) 4 in
+                  let loc' = loc land 0x10000 lor ((loc + 1) land 0xFFFF) in
+                  Image.write img (off_e + 4) loc' 4
+                end;
+                sps (n - 1) (off_e + (n_live * D.framemap_live_entry_size))
+              end
+            in
+            maps (sps n_sp off')
+          end
+        end
+      in
+      maps sr_base
 
-(* A machine + runtime pair with optional fault injection in the flush
-   path. *)
-let build_session ?(chaos = No_chaos) src =
-  let program = Compiler.build_string src in
-  let machine = Machine.create program.Compiler.p_image in
-  let runtime =
-    Runtime.create program.Compiler.p_image
-      ~flush:(chaos_flush chaos (Machine.flush_icache machine))
+(* Every oracle session is a Harness session over [src], with the chaos
+   mode applied where it bites.  The modes exist so the fuzzer can prove
+   it would catch a pipeline that forgets to invalidate the decode
+   cache, loses a hart in the rendezvous, misreads a frame map, or links
+   a stale variant body:
+   - [Skip_flush]/[Lost_flush] replace the text writer of a session
+     that writes text directly: the bytes land under a write window, as
+     the runtime's own write path stores them, and the icache flush
+     that should follow is dropped always or every other time.  [smp]
+     sessions poke text through [Smp.text_poke], which never calls the
+     runtime's flush, so these modes stay inert there;
+   - [Drop_ack] severs the last hart's IPI channel of a multi-hart
+     session: commits neither stop nor re-flush it;
+   - [Corrupt_framemap] corrupts [__osr_spin]'s frame map before the
+     runtime parses it at attach;
+   - [Stale_cache] makes a lazy session's eviction skip the dedup-table
+     invalidation.
+   [smp] = (harts, seed, policy) arms the cross-modifying-code wiring at
+   any hart count; [lazy_budget] builds in lazy-materialization mode
+   with that resident byte budget. *)
+let session ?(chaos = No_chaos) ?lazy_budget ?smp src : Harness.session =
+  let lazy_variants = lazy_budget <> None in
+  let program = Compiler.build_string ~lazy_variants src in
+  let img = program.Compiler.p_image in
+  if chaos = Corrupt_framemap then
+    Option.iter (corrupt_framemap img) (Image.symbol_opt img "__osr_spin");
+  let s =
+    match smp with
+    | None -> Harness.attach ?budget:lazy_budget program
+    | Some (n_harts, seed, policy) ->
+        let s = Harness.attach ~n_harts ~seed ~policy program in
+        Harness.enable_stop_machine s;
+        s
   in
-  (program, machine, runtime)
+  let harts = Smp.n_harts s.Harness.smp in
+  (match chaos with
+  | (Skip_flush | Lost_flush) when smp = None ->
+      let lost = ref false in
+      Runtime.set_text_writer s.Harness.runtime
+        (Some
+           (fun ~addr b ->
+             let len = Bytes.length b in
+             let restore_to = Image.prot_at img addr in
+             Image.mprotect img ~addr ~len Image.prot_rwx;
+             Fun.protect
+               ~finally:(fun () -> Image.mprotect img ~addr ~len restore_to)
+               (fun () -> Image.write_bytes img addr b);
+             lost := not !lost;
+             if chaos = Lost_flush && not !lost then
+               Smp.flush_icache s.Harness.smp ~addr ~len))
+  | Drop_ack when harts > 1 -> Smp.set_drop_ack s.Harness.smp (Some (harts - 1))
+  | Stale_cache when Runtime.lazy_enabled s.Harness.runtime ->
+      Runtime.set_stale_cache_chaos s.Harness.runtime true
+  | _ -> ());
+  s
+
+let image (s : Harness.session) = s.Harness.program.Compiler.p_image
 
 let text_snapshot img =
   let t = img.Image.text in
@@ -177,46 +247,76 @@ let make_interp src =
   Interp.create ~step_limit:interp_step_limit [ prog ]
 
 (* ------------------------------------------------------------------ *)
+(* The lockstep loop                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One side of a paired comparison: the case's driver on one argument,
+   and the observable state it leaves behind. *)
+type engine = { run : int -> outcome; state : unit -> (string * int) list }
+
+let interp_engine (case : Gen.case) it =
+  let obs = observables case in
+  { run = run_interp it case.Gen.c_entry; state = (fun () -> read_obs_interp it obs) }
+
+let machine_engine (case : Gen.case) s =
+  let obs = observables case in
+  {
+    run = run_machine s.Harness.machine case.Gen.c_entry;
+    state = (fun () -> read_obs_machine (image s) obs);
+  }
+
+(* The paired oracles' one loop: each step's [prepare] brings both
+   engines into its configuration, then every driver argument runs on
+   [a], then on [b].  The first differing outcome, else the first
+   differing observable global, is the divergence, prefixed with the
+   step's label; state persists across runs in both engines
+   identically. *)
+let lockstep ~oracle ~names:(na, nb) (case : Gen.case) a b steps =
+  List.find_map
+    (fun (label, prepare) ->
+      prepare ();
+      List.find_map
+        (fun arg ->
+          let ra = a.run arg in
+          let rb = b.run arg in
+          if ra <> rb then
+            Some
+              (Printf.sprintf "%sdriver(%d): %s=%s %s=%s" label arg na
+                 (pp_outcome ra) nb (pp_outcome rb))
+          else
+            Option.map
+              (fun d ->
+                Printf.sprintf "%sdriver(%d): global %s (%s vs %s)" label arg d na nb)
+              (diff_states (a.state ()) (b.state ())))
+        case.Gen.c_args)
+    steps
+  |> Option.map (fun d -> { d_oracle = oracle; d_detail = d })
+
+(* One step per switch assignment, labelled with its index and text. *)
+let assignment_steps ?(text = false) (case : Gen.case) prepare =
+  List.mapi
+    (fun i a ->
+      ( (if text then Format.asprintf "assignment #%d (%a), " i Gen.pp_assignment a
+         else Printf.sprintf "assignment #%d, " i),
+        fun () -> prepare a ))
+    case.Gen.c_assignments
+
+(* The initializer defaults first, then every assignment. *)
+let config_steps (case : Gen.case) apply =
+  ("", ignore) :: List.map (fun a -> ("", fun () -> apply a)) case.Gen.c_assignments
+
+(* ------------------------------------------------------------------ *)
 (* Oracle: reference interpreter vs full-pipeline machine              *)
 (* ------------------------------------------------------------------ *)
 
 let interp_vs_vm (case : Gen.case) (_sched : Schedule.t) : divergence option =
   let it = make_interp case.Gen.c_src in
-  let _program, machine, _rt = build_session case.Gen.c_src in
-  let img = _program.Compiler.p_image in
-  let obs = observables case in
-  let fail fmt = Printf.ksprintf (fun d -> Some { d_oracle = "interp-vs-vm"; d_detail = d }) fmt in
-  (* first with the initializer defaults, then under every assignment;
-     state persists across runs in both engines identically *)
-  let configs = None :: List.map Option.some case.Gen.c_assignments in
-  List.fold_left
-    (fun acc config ->
-      match acc with
-      | Some _ -> acc
-      | None -> (
-          (match config with
-          | None -> ()
-          | Some a ->
-              apply_interp it a;
-              apply_machine case img a);
-          List.fold_left
-            (fun acc arg ->
-              match acc with
-              | Some _ -> acc
-              | None -> (
-                  let ri = run_interp it case.Gen.c_entry arg in
-                  let rm = run_machine machine case.Gen.c_entry arg in
-                  if ri <> rm then
-                    fail "driver(%d): interp=%s vm=%s" arg (pp_outcome ri)
-                      (pp_outcome rm)
-                  else
-                    match
-                      diff_states (read_obs_interp it obs) (read_obs_machine img obs)
-                    with
-                    | Some d -> fail "driver(%d): global %s (interp vs vm)" arg d
-                    | None -> None))
-            None case.Gen.c_args))
-    None configs
+  let s = session case.Gen.c_src in
+  lockstep ~oracle:"interp-vs-vm" ~names:("interp", "vm") case
+    (interp_engine case it) (machine_engine case s)
+    (config_steps case (fun a ->
+         apply_interp it a;
+         apply_machine case (image s) a))
 
 (* ------------------------------------------------------------------ *)
 (* Oracle: unoptimized IR vs optimized IR                              *)
@@ -229,96 +329,41 @@ let opt_vs_unopt (case : Gen.case) (_sched : Schedule.t) : divergence option =
     Mv_opt.Pass.optimize_prog prog;
     Interp.create ~step_limit:interp_step_limit [ prog ]
   in
-  let obs = observables case in
-  let fail fmt = Printf.ksprintf (fun d -> Some { d_oracle = "opt-vs-unopt"; d_detail = d }) fmt in
-  let configs = None :: List.map Option.some case.Gen.c_assignments in
-  List.fold_left
-    (fun acc config ->
-      match acc with
-      | Some _ -> acc
-      | None -> (
-          (match config with
-          | None -> ()
-          | Some a ->
-              apply_interp plain a;
-              apply_interp opt a);
-          List.fold_left
-            (fun acc arg ->
-              match acc with
-              | Some _ -> acc
-              | None -> (
-                  let r0 = run_interp plain case.Gen.c_entry arg in
-                  let r1 = run_interp opt case.Gen.c_entry arg in
-                  if r0 <> r1 then
-                    fail "driver(%d): -O0=%s opt=%s" arg (pp_outcome r0) (pp_outcome r1)
-                  else
-                    match
-                      diff_states (read_obs_interp plain obs) (read_obs_interp opt obs)
-                    with
-                    | Some d -> fail "driver(%d): global %s (-O0 vs opt)" arg d
-                    | None -> None))
-            None case.Gen.c_args))
-    None configs
+  lockstep ~oracle:"opt-vs-unopt" ~names:("-O0", "opt") case
+    (interp_engine case plain) (interp_engine case opt)
+    (config_steps case (fun a ->
+         apply_interp plain a;
+         apply_interp opt a))
 
 (* ------------------------------------------------------------------ *)
 (* Oracle: generic (dynamic) image vs committed image                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Each assignment is committed from the pristine text: the step reverts
+   the previous assignment's commit first (a no-op before the first),
+   and the last one is reverted before the text is compared. *)
 let commit_soundness ?chaos (case : Gen.case) (_sched : Schedule.t) :
     divergence option =
-  let _dprog, dyn_machine, _dyn_rt = build_session case.Gen.c_src in
-  let dyn_img = _dprog.Compiler.p_image in
-  let _cprog, com_machine, com_rt = build_session ?chaos case.Gen.c_src in
-  let com_img = _cprog.Compiler.p_image in
-  let pristine = text_snapshot com_img in
-  let obs = observables case in
-  let fail fmt =
-    Printf.ksprintf (fun d -> Some { d_oracle = "commit-soundness"; d_detail = d }) fmt
+  let dyn = session case.Gen.c_src in
+  let com = session ?chaos case.Gen.c_src in
+  let pristine = text_snapshot (image com) in
+  let steps =
+    assignment_steps ~text:true case (fun a ->
+        ignore (Harness.revert com);
+        apply_machine case (image dyn) a;
+        apply_machine case (image com) a;
+        ignore (Harness.commit com))
   in
-  let result =
-    List.fold_left
-      (fun acc (ai, a) ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-            apply_machine case dyn_img a;
-            apply_machine case com_img a;
-            ignore (Runtime.commit com_rt);
-            let r =
-              List.fold_left
-                (fun acc arg ->
-                  match acc with
-                  | Some _ -> acc
-                  | None -> (
-                      let rd = run_machine dyn_machine case.Gen.c_entry arg in
-                      let rc = run_machine com_machine case.Gen.c_entry arg in
-                      if rd <> rc then
-                        fail "assignment #%d (%s), driver(%d): generic=%s committed=%s"
-                          ai
-                          (Format.asprintf "%a" Gen.pp_assignment a)
-                          arg (pp_outcome rd) (pp_outcome rc)
-                      else
-                        match
-                          diff_states
-                            (read_obs_machine dyn_img obs)
-                            (read_obs_machine com_img obs)
-                        with
-                        | Some d ->
-                            fail "assignment #%d, driver(%d): global %s (generic vs committed)"
-                              ai arg d
-                        | None -> None))
-                None case.Gen.c_args
-            in
-            ignore (Runtime.revert com_rt);
-            r)
-      None
-      (List.mapi (fun i a -> (i, a)) case.Gen.c_assignments)
-  in
-  match result with
-  | Some _ -> result
+  match
+    lockstep ~oracle:"commit-soundness" ~names:("generic", "committed") case
+      (machine_engine case dyn) (machine_engine case com) steps
+  with
+  | Some _ as d -> d
   | None -> (
-      match diff_text ~pristine com_img with
-      | Some d -> fail "after final revert: %s" d
+      ignore (Harness.revert com);
+      match diff_text ~pristine (image com) with
+      | Some d ->
+          Some { d_oracle = "commit-soundness"; d_detail = "after final revert: " ^ d }
       | None -> None)
 
 (* ------------------------------------------------------------------ *)
@@ -327,8 +372,8 @@ let commit_soundness ?chaos (case : Gen.case) (_sched : Schedule.t) :
 
 let commit_idempotent ?chaos (case : Gen.case) (_sched : Schedule.t) :
     divergence option =
-  let _prog, _machine, rt = build_session ?chaos case.Gen.c_src in
-  let img = _prog.Compiler.p_image in
+  let s = session ?chaos case.Gen.c_src in
+  let img = image s in
   let pristine = text_snapshot img in
   let fail fmt =
     Printf.ksprintf (fun d -> Some { d_oracle = "commit-idempotent"; d_detail = d }) fmt
@@ -337,14 +382,14 @@ let commit_idempotent ?chaos (case : Gen.case) (_sched : Schedule.t) :
   | [] -> None
   | a :: _ -> (
       apply_machine case img a;
-      ignore (Runtime.commit rt);
+      ignore (Harness.commit s);
       let snap1 = text_snapshot img in
-      ignore (Runtime.commit rt);
+      ignore (Harness.commit s);
       let snap2 = text_snapshot img in
       if not (Bytes.equal snap1 snap2) then
         fail "second commit changed the text segment"
       else begin
-        ignore (Runtime.revert rt);
+        ignore (Harness.revert s);
         match diff_text ~pristine img with
         | Some d -> fail "after revert: %s" d
         | None -> None
@@ -359,10 +404,9 @@ let commit_idempotent ?chaos (case : Gen.case) (_sched : Schedule.t) :
    operation, including safe ops injected at mid-run safepoint polls.
    Well-formed schedules (see schedule.mli) keep the two observationally
    equivalent. *)
-let run_rounds ~subject case (machine, rt) (sched : Schedule.t) : outcome list =
-  let img = machine.Machine.image in
-  if subject then
-    Runtime.set_live_scanner rt (fun () -> Machine.live_code_addrs machine);
+let run_rounds ~subject case s (sched : Schedule.t) : outcome list =
+  let img = image s and rt = s.Harness.runtime in
+  if subject then Harness.enable_safe_commit s;
   let returns =
     List.map
       (fun (round : Schedule.round) ->
@@ -380,7 +424,7 @@ let run_rounds ~subject case (machine, rt) (sched : Schedule.t) : outcome list =
         if subject then begin
           let polls = ref 0 in
           let todo = ref round.Schedule.r_mid in
-          Machine.set_safepoint machine
+          Smp.set_safepoint s.Harness.smp
             (Some
                (fun () ->
                  let i = !polls in
@@ -399,11 +443,11 @@ let run_rounds ~subject case (machine, rt) (sched : Schedule.t) : outcome list =
                    now;
                  Runtime.safepoint rt))
         end;
-        run_machine machine case.Gen.c_entry round.Schedule.r_arg)
+        run_machine s.Harness.machine case.Gen.c_entry round.Schedule.r_arg)
       sched
   in
   if subject then begin
-    Machine.set_safepoint machine None;
+    Smp.set_safepoint s.Harness.smp None;
     ignore (Runtime.revert rt);
     Runtime.safepoint rt
   end;
@@ -413,17 +457,15 @@ let schedule_equiv ?chaos (case : Gen.case) (sched : Schedule.t) :
     divergence option =
   if sched = [] then None
   else begin
-    let _bprog, base_machine, base_rt = build_session case.Gen.c_src in
-    let base_img = _bprog.Compiler.p_image in
-    let _sprog, subj_machine, subj_rt = build_session ?chaos case.Gen.c_src in
-    let subj_img = _sprog.Compiler.p_image in
-    let pristine = text_snapshot subj_img in
+    let base = session case.Gen.c_src in
+    let subj = session ?chaos case.Gen.c_src in
+    let pristine = text_snapshot (image subj) in
     let obs = observables case in
     let fail fmt =
       Printf.ksprintf (fun d -> Some { d_oracle = "schedule-equiv"; d_detail = d }) fmt
     in
-    let base_returns = run_rounds ~subject:false case (base_machine, base_rt) sched in
-    let subj_returns = run_rounds ~subject:true case (subj_machine, subj_rt) sched in
+    let base_returns = run_rounds ~subject:false case base sched in
+    let subj_returns = run_rounds ~subject:true case subj sched in
     let per_round =
       List.find_map
         (fun (i, (rb, rs)) ->
@@ -436,10 +478,12 @@ let schedule_equiv ?chaos (case : Gen.case) (sched : Schedule.t) :
     match per_round with
     | Some _ -> per_round
     | None -> (
-        match diff_states (read_obs_machine base_img obs) (read_obs_machine subj_img obs) with
+        match
+          diff_states (read_obs_machine (image base) obs) (read_obs_machine (image subj) obs)
+        with
         | Some d -> fail "final global %s (generic vs scheduled)" d
         | None -> (
-            match diff_text ~pristine subj_img with
+            match diff_text ~pristine (image subj) with
             | Some d -> fail "after final revert+drain: %s" d
             | None -> None))
   end
@@ -447,8 +491,6 @@ let schedule_equiv ?chaos (case : Gen.case) (sched : Schedule.t) :
 (* ------------------------------------------------------------------ *)
 (* Oracle: multi-hart schedule equivalence + icache coherence probe    *)
 (* ------------------------------------------------------------------ *)
-
-module Smp = Mv_vm.Smp
 
 (* Auxiliary SMP workload appended to every generated case.  The [__smp_]
    prefix cannot collide with generated identifiers, and the workload
@@ -498,29 +540,6 @@ type smp_summary = {
   ss_finals : (string * int) list;
 }
 
-(* The SMP counterpart of [build_session]: full cross-modifying-code
-   wiring (live scanner, stop_machine barrier, breakpoint-first text
-   writer, per-hart safepoints).  [Drop_ack] severs the last hart's IPI
-   channel — commits neither stop nor re-flush it — which the coherence
-   probe below must catch.  The flush-path chaos modes are mapped too,
-   though with the text writer installed most invalidation traffic goes
-   through [Smp.text_poke] and is exercised by the plain oracles. *)
-let build_smp_session ?(chaos = No_chaos) ~n_harts ~policy ~seed src =
-  let program = Compiler.build_string src in
-  let image = program.Compiler.p_image in
-  let smp = Smp.create ~policy ~seed ~n_harts image in
-  let runtime =
-    Runtime.create image ~flush:(chaos_flush chaos (Smp.flush_icache smp))
-  in
-  Runtime.set_live_scanner runtime (fun () -> Smp.live_code_addrs smp);
-  Runtime.set_patch_barrier runtime (Some (fun f -> Smp.stop_machine smp f));
-  Runtime.set_text_writer runtime (Some (fun ~addr b -> Smp.text_poke smp ~addr b));
-  Smp.set_safepoint smp (Some (fun () -> Runtime.safepoint runtime));
-  (match chaos with
-  | Drop_ack when n_harts > 1 -> Smp.set_drop_ack smp (Some (n_harts - 1))
-  | _ -> ());
-  (program, smp, runtime)
-
 let smp_schedule_equiv ?chaos (case : Gen.case) (_sched : Schedule.t) :
     divergence option =
   let fail fmt =
@@ -536,8 +555,8 @@ let smp_schedule_equiv ?chaos (case : Gen.case) (_sched : Schedule.t) :
         (fun d -> Error (Printf.sprintf "[%d harts, seed %d] %s" n_harts seed d))
         fmt
     in
-    let _prog, smp, rt = build_smp_session ?chaos ~n_harts ~policy ~seed src in
-    let img = _prog.Compiler.p_image in
+    let s = session ?chaos ~smp:(n_harts, seed, policy) src in
+    let img = image s and smp = s.Harness.smp and rt = s.Harness.runtime in
     let mode_addr = Image.symbol img "__smp_mode" in
     let acc_addr = Image.symbol img "__smp_acc" in
     (match case.Gen.c_assignments with
@@ -711,132 +730,70 @@ let osr_spin_iters = 6
    safepoint. *)
 let osr_park_steps = [ 3; 31 ]
 
-(* [Corrupt_framemap]: bump the low bits of the first live entry's
-   location word at every safepoint of [fn_addr]'s frame map.  The map
-   still parses and the vreg sets still line up, so the transfer goes
-   through — but it reads that value from the wrong register or spill
-   slot and reconstructs a wrong frame, which the oracle must catch. *)
-let corrupt_framemap img fn_addr =
-  let module D = Core.Descriptor in
-  match Image.section_range img Mv_codegen.Objfile.Mv_framemaps with
-  | None -> ()
-  | Some { Image.sr_base; sr_size } ->
-      let limit = sr_base + sr_size in
-      let rec maps off =
-        if off + D.framemap_header_size <= limit then begin
-          let addr = Image.read img off 8 in
-          if addr <> 0 then begin
-            let n_sp = Image.read img (off + 8) 4 in
-            let n_saves = Image.read img (off + 16) 4 in
-            let off' =
-              off + D.framemap_header_size + ((n_saves + 1) / 2 * 2 * 4)
-            in
-            let rec sps n off =
-              if n = 0 then off
-              else begin
-                let n_live = Image.read img (off + 8) 4 in
-                let off_e = off + D.framemap_safepoint_header_size in
-                if addr = fn_addr && n_live > 0 then begin
-                  let loc = Image.read img (off_e + 4) 4 in
-                  let loc' = loc land 0x10000 lor ((loc + 1) land 0xFFFF) in
-                  Image.write img (off_e + 4) loc' 4
-                end;
-                sps (n - 1) (off_e + (n_live * D.framemap_live_entry_size))
-              end
-            in
-            maps (sps n_sp off')
-          end
-        end
-      in
-      maps sr_base
-
-let osr_state_equiv ?(chaos = No_chaos) (case : Gen.case) (_sched : Schedule.t)
-    : divergence option =
+let osr_state_equiv ?chaos (case : Gen.case) (_sched : Schedule.t) :
+    divergence option =
   let fail fmt =
     Printf.ksprintf (fun d -> Some { d_oracle = "osr-state-equiv"; d_detail = d }) fmt
   in
   let src = case.Gen.c_src ^ osr_aux_src in
   let obs = observables case in
   let arg = match case.Gen.c_args with a :: _ -> a | [] -> 0 in
-  let prep case img =
+  let prep s =
+    let img = image s in
     (match case.Gen.c_assignments with
     | [] -> ()
     | a :: _ -> apply_machine case img a);
     Image.write img (Image.symbol img "__osr_mode") 1 8
   in
+  let final s =
+    let img = image s in
+    (read_obs_machine img obs, Image.read img (Image.symbol img "__osr_sink") 8)
+  in
   (* the baseline is always healthy: chaos is injected into the subject *)
   let run_baseline () =
-    let program, machine, rt = build_session src in
-    let img = program.Compiler.p_image in
-    prep case img;
-    ignore (Runtime.commit rt);
+    let s = session src in
+    prep s;
+    ignore (Harness.commit s);
     let out =
-      match Machine.call machine "__osr_spin" [ osr_spin_iters; arg ] with
+      match Machine.call s.Harness.machine "__osr_spin" [ osr_spin_iters; arg ] with
       | v -> Ret v
       | exception Machine.Fault m -> Fault m
     in
-    (out, read_obs_machine img obs, Image.read img (Image.symbol img "__osr_sink") 8)
+    (out, final s)
   in
   let run_subject k =
-    let program = Compiler.build_string src in
-    let img = program.Compiler.p_image in
-    let machine = Machine.create img in
-    (* corrupt the section before the runtime parses it *)
-    if chaos = Corrupt_framemap then
-      corrupt_framemap img (Image.symbol img "__osr_spin");
-    let rt =
-      Runtime.create img ~flush:(chaos_flush chaos (Machine.flush_icache machine))
-    in
-    Runtime.set_live_scanner rt (fun () -> Machine.live_code_addrs machine);
-    Machine.set_safepoint machine (Some (fun () -> Runtime.safepoint rt));
-    Runtime.set_osr rt
-      (Some
-         (fun () ->
-           {
-             Core.Osr.oh_hart = Machine.hart_id machine;
-             oh_pc = (fun () -> machine.Machine.pc);
-             oh_set_pc = (fun pc -> machine.Machine.pc <- pc);
-             oh_reg = (fun r -> machine.Machine.regs.(r));
-             oh_set_reg = (fun r v -> machine.Machine.regs.(r) <- v);
-             oh_set_top_frame = Machine.set_top_frame machine;
-             oh_stack =
-               ( machine.Machine.stack_base - Mv_vm.Smp.hart_stack_bytes,
-                 machine.Machine.stack_base );
-           }));
-    prep case img;
+    let s = session ?chaos src in
+    Harness.enable_safe_commit s;
+    Harness.enable_osr s;
+    prep s;
+    let machine = s.Harness.machine in
     Machine.start_call machine "__osr_spin" [ osr_spin_iters; arg ];
     let out =
       try
         for _ = 1 to k do
           ignore (Machine.step machine)
         done;
-        ignore (Runtime.commit_safe rt);
+        ignore (Harness.commit_safe s);
         Ret (Machine.finish machine)
       with Machine.Fault m -> Fault m
     in
-    ( out,
-      read_obs_machine img obs,
-      Image.read img (Image.symbol img "__osr_sink") 8,
-      (Runtime.stats rt).Runtime.st_osr_transfers )
+    (out, final s, (Runtime.stats s.Harness.runtime).Runtime.st_osr_transfers)
   in
-  let b_out, b_obs, b_sink = run_baseline () in
-  List.fold_left
-    (fun acc k ->
-      match acc with
-      | Some _ -> acc
-      | None -> (
-          let s_out, s_obs, s_sink, transfers = run_subject k in
-          if s_out <> b_out then
-            fail "park %d: transferred=%s from-scratch=%s (%d transfers)" k
-              (pp_outcome s_out) (pp_outcome b_out) transfers
-          else if s_sink <> b_sink then
-            fail "park %d: __osr_sink %d vs %d (%d transfers)" k s_sink b_sink
-              transfers
-          else
-            match diff_states s_obs b_obs with
-            | Some d -> fail "park %d: global %s (OSR vs from-scratch)" k d
-            | None -> None))
-    None osr_park_steps
+  let b_out, (b_obs, b_sink) = run_baseline () in
+  List.find_map
+    (fun k ->
+      let s_out, (s_obs, s_sink), transfers = run_subject k in
+      if s_out <> b_out then
+        fail "park %d: transferred=%s from-scratch=%s (%d transfers)" k
+          (pp_outcome s_out) (pp_outcome b_out) transfers
+      else if s_sink <> b_sink then
+        fail "park %d: __osr_sink %d vs %d (%d transfers)" k s_sink b_sink
+          transfers
+      else
+        match diff_states s_obs b_obs with
+        | Some d -> fail "park %d: global %s (OSR vs from-scratch)" k d
+        | None -> None)
+    osr_park_steps
 
 
 (* ------------------------------------------------------------------ *)
@@ -875,74 +832,27 @@ let lazy_aux_src =
 let lazy_budget = 32
 let lazy_probe_iters = 6
 
-(* The lazy counterpart of [build_session]: recipes recorded at compile
-   time, zero variants at link time, demand-driven materialization into
-   the variant-text region.  Flush-path chaos applies to the lazy
-   subject like everywhere else; [Stale_cache] additionally makes
-   eviction skip the dedup-table invalidation. *)
-let build_lazy_session ?(chaos = No_chaos) src =
-  let program = Compiler.build_string ~lazy_variants:true src in
-  let machine = Machine.create program.Compiler.p_image in
-  let runtime =
-    Runtime.create program.Compiler.p_image
-      ~flush:(chaos_flush chaos (Machine.flush_icache machine))
-  in
-  Runtime.enable_lazy ~budget:lazy_budget runtime
-    ~recipes:(Compiler.recipes program)
-    ~call_pad:(Compiler.call_pad program);
-  if chaos = Stale_cache then Runtime.set_stale_cache_chaos runtime true;
-  (program, machine, runtime)
-
-let lazy_eager_equiv ?(chaos = No_chaos) (case : Gen.case) (_sched : Schedule.t)
-    : divergence option =
+let lazy_eager_equiv ?chaos (case : Gen.case) (_sched : Schedule.t) :
+    divergence option =
   let fail fmt =
     Printf.ksprintf
       (fun d -> Some { d_oracle = "lazy-eager-equiv"; d_detail = d })
       fmt
   in
   let src = case.Gen.c_src ^ lazy_aux_src in
-  let obs = observables case in
-  let _eprog, eager_machine, eager_rt = build_session src in
-  let eimg = _eprog.Compiler.p_image in
-  let _lprog, lazy_machine, lazy_rt = build_lazy_session ~chaos src in
-  let limg = _lprog.Compiler.p_image in
+  let eager = session src in
+  let lazy_ = session ?chaos ~lazy_budget src in
   (* phase A: the case's own switch assignments and drivers — every
      committed valuation must behave identically whether its variant was
      pre-expanded, materialized on demand, or denied for budget *)
   let main =
-    List.fold_left
-      (fun acc (ai, a) ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-            apply_machine case eimg a;
-            apply_machine case limg a;
-            ignore (Runtime.commit eager_rt);
-            ignore (Runtime.commit lazy_rt);
-            List.fold_left
-              (fun acc arg ->
-                match acc with
-                | Some _ -> acc
-                | None -> (
-                    let re = run_machine eager_machine case.Gen.c_entry arg in
-                    let rl = run_machine lazy_machine case.Gen.c_entry arg in
-                    if re <> rl then
-                      fail "assignment #%d, driver(%d): eager=%s lazy=%s" ai
-                        arg (pp_outcome re) (pp_outcome rl)
-                    else
-                      match
-                        diff_states
-                          (read_obs_machine eimg obs)
-                          (read_obs_machine limg obs)
-                      with
-                      | Some d ->
-                          fail "assignment #%d, driver(%d): global %s (eager \
-                                vs lazy)"
-                            ai arg d
-                      | None -> None))
-              None case.Gen.c_args)
-      None
-      (List.mapi (fun i a -> (i, a)) case.Gen.c_assignments)
+    lockstep ~oracle:"lazy-eager-equiv" ~names:("eager", "lazy") case
+      (machine_engine case eager) (machine_engine case lazy_)
+      (assignment_steps case (fun a ->
+           apply_machine case (image eager) a;
+           apply_machine case (image lazy_) a;
+           ignore (Harness.commit eager);
+           ignore (Harness.commit lazy_)))
   in
   match main with
   | Some _ -> main
@@ -951,32 +861,32 @@ let lazy_eager_equiv ?(chaos = No_chaos) (case : Gen.case) (_sched : Schedule.t)
          evicts the resident tick body and recycles its block; a stale
          dedup entry links the recycled bytes on the second mode=1
          commit and the probe delta (2 per tick vs 1) exposes it *)
-      let probe img machine : (int, string) result =
+      let probe s : (int, string) result =
+        let img = image s in
         let acc_addr = Image.symbol img "__lz_acc" in
         let before = Image.read img acc_addr 8 in
-        match run_machine machine "__lz_probe" lazy_probe_iters with
+        match run_machine s.Harness.machine "__lz_probe" lazy_probe_iters with
         | Fault m -> Error m
         | Ret _ -> Ok (Image.read img acc_addr 8 - before)
       in
-      List.fold_left
-        (fun acc mode ->
-          match acc with
-          | Some _ -> acc
-          | None -> (
-              Image.write eimg (Image.symbol eimg "__lz_mode") mode 8;
-              Image.write limg (Image.symbol limg "__lz_mode") mode 8;
-              ignore (Runtime.commit eager_rt);
-              ignore (Runtime.commit lazy_rt);
-              match (probe eimg eager_machine, probe limg lazy_machine) with
-              | Ok de, Ok dl when de <> dl ->
-                  fail
-                    "mode %d: probe delta eager=%d lazy=%d (stale variant \
-                     body linked)"
-                    mode de dl
-              | Ok _, Ok _ -> None
-              | Error m, _ -> fail "mode %d: eager probe faulted: %s" mode m
-              | _, Error m -> fail "mode %d: lazy probe faulted: %s" mode m))
-        None
+      List.find_map
+        (fun mode ->
+          List.iter
+            (fun s ->
+              let img = image s in
+              Image.write img (Image.symbol img "__lz_mode") mode 8)
+            [ eager; lazy_ ];
+          ignore (Harness.commit eager);
+          ignore (Harness.commit lazy_);
+          match (probe eager, probe lazy_) with
+          | Ok de, Ok dl when de <> dl ->
+              fail
+                "mode %d: probe delta eager=%d lazy=%d (stale variant body \
+                 linked)"
+                mode de dl
+          | Ok _, Ok _ -> None
+          | Error m, _ -> fail "mode %d: eager probe faulted: %s" mode m
+          | _, Error m -> fail "mode %d: lazy probe faulted: %s" mode m)
         [ 1; 0; 1; 0; 1 ]
 
 (* ------------------------------------------------------------------ *)

@@ -9,12 +9,20 @@
 
     Observable state excludes pointer-typed globals (their values are
     layout-dependent) and [__rdtsc] never occurs in generated programs, so
-    any divergence is a genuine bug in the pipeline under test. *)
+    any divergence is a genuine bug in the pipeline under test.
+
+    Every compiled side runs in a {!Mv_workloads.Harness} session
+    ({!Mv_workloads.Harness.attach}), wired as the benchmarks and tests
+    wire theirs: each records into the session's 512-event ring, and
+    with [MV_SMP_ARTIFACT_DIR] set an escaping guest fault dumps a
+    [vm-trap] flight artifact. *)
 
 (** Fault injection for validating the oracles themselves: [Skip_flush]
-    drops the runtime's icache flushes entirely, [Lost_flush] drops every
-    other flush request (a lost invalidation IPI — the classic
-    cross-modifying-code bug), [Drop_ack] severs one hart's IPI channel
+    drops the icache flush after every text write, [Lost_flush] after
+    every other one (a lost invalidation IPI — the classic
+    cross-modifying-code bug) — both in the sessions that write text
+    directly, not in the multi-hart oracle, whose [text_poke] writer
+    flushes on its own — [Drop_ack] severs one hart's IPI channel
     in the multi-hart oracle (it is neither stopped by the rendezvous nor
     re-flushed, so it keeps executing the stale variant), and
     [Corrupt_framemap] bumps one live-entry location per safepoint in the

@@ -122,30 +122,28 @@ let enable_stop_machine s =
   Core.Runtime.set_hart_source s.runtime (Some (current_hart s));
   enable_safe_commit s
 
-(** Build a session.  One hart writes text directly and leaves safe
-    commit opt-in; more harts wire the runtime for cross-modifying code:
-    every patching operation runs inside a [stop_machine] rendezvous,
-    text mutations go through the breakpoint-first [text_poke], commit
-    chains carry the hart they ran on, and safe commit is armed.  The
-    512-event ring is armed here — always-on, every session — and every
-    hart's trap hook wired to dump the session's current ring (gated on
-    [MV_SMP_ARTIFACT_DIR], so a plain test run writes nothing). *)
-let session ?(n_harts = 1) ?policy ?seed ?platform ?callsite_padding
-    ?(lazy_variants = false) ?vtext_size ?budget
-    (sources : (string * string) list) : session =
-  let program =
-    Core.Compiler.build ?callsite_padding ~lazy_variants ?vtext_size sources
-  in
+(** Attach a session to a built program.  One hart writes text directly
+    and leaves safe commit opt-in; more harts wire the runtime for
+    cross-modifying code: every patching operation runs inside a
+    [stop_machine] rendezvous, text mutations go through the
+    breakpoint-first [text_poke], commit chains carry the hart they ran
+    on, and safe commit is armed.  The 512-event ring is armed here —
+    always-on, every session — and every hart's trap hook wired to dump
+    the session's current ring (gated on [MV_SMP_ARTIFACT_DIR], so a
+    plain test run writes nothing). *)
+let attach ?(n_harts = 1) ?policy ?seed ?platform ?budget
+    (program : Core.Compiler.program) : session =
   let image = program.Core.Compiler.p_image in
   let smp = Smp.create ?policy ?seed ?platform ~n_harts image in
   let runtime =
     Core.Runtime.create image ~flush:(fun ~addr ~len ->
         Smp.flush_icache smp ~addr ~len)
   in
-  if lazy_variants then
-    Core.Runtime.enable_lazy ?budget runtime
-      ~recipes:(Core.Compiler.recipes program)
-      ~call_pad:(Core.Compiler.call_pad program);
+  (match Core.Compiler.recipes program with
+  | [] -> ()
+  | recipes ->
+      Core.Runtime.enable_lazy ?budget runtime ~recipes
+        ~call_pad:(Core.Compiler.call_pad program));
   let s =
     {
       program;
@@ -180,6 +178,11 @@ let session ?(n_harts = 1) ?policy ?seed ?platform ?callsite_padding
      enable_heat later tee their sinks in behind it *)
   install_tracers s;
   s
+
+let session ?n_harts ?policy ?seed ?platform ?callsite_padding ?lazy_variants
+    ?vtext_size ?budget (sources : (string * string) list) : session =
+  attach ?n_harts ?policy ?seed ?platform ?budget
+    (Core.Compiler.build ?callsite_padding ?lazy_variants ?vtext_size sources)
 
 let session1 ?n_harts ?policy ?seed ?platform ?callsite_padding ?lazy_variants
     ?vtext_size ?budget source =

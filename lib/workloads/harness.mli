@@ -42,8 +42,9 @@ type session = {
 }
 
 (** Build a session over [n_harts] harts (default 1; [policy]/[seed] as
-    in {!Mv_vm.Smp.create}).  [callsite_padding] is passed to
-    {!Core.Compiler.build}.
+    in {!Mv_vm.Smp.create}): {!Core.Compiler.build} (given
+    [callsite_padding], [lazy_variants] and [vtext_size]), then
+    {!attach}.
 
     The wiring follows the hart count.  One hart writes text directly
     and leaves safe commit opt-in ({!enable_safe_commit}).  More harts
@@ -79,6 +80,25 @@ val session :
   ?vtext_size:int ->
   ?budget:int ->
   (string * string) list ->
+  session
+
+(** {!session} without the build: the container, the runtime and its
+    wiring, the ring and the trap hooks over an already built
+    [program] — the one place a runtime is attached to a simulated
+    machine.  A caller that edits the image between the link and the
+    runtime's first parse (a corrupted descriptor or frame map, say)
+    builds, edits, then attaches.  The arguments are {!session}'s that
+    do not go to the build.  A [lazy_variants] build's recipes arm the
+    lazy materializer with [budget]; a build without recipes (eager, or
+    lazy with no switch-dependent function) attaches as an eager
+    one. *)
+val attach :
+  ?n_harts:int ->
+  ?policy:Mv_vm.Smp.policy ->
+  ?seed:int ->
+  ?platform:Mv_vm.Machine.platform ->
+  ?budget:int ->
+  Core.Compiler.program ->
   session
 
 (** {!session} over one source (unit name ["main"]). *)

@@ -187,7 +187,7 @@ corpus_ndom="$tmp"/corpus2
 mkdir "$corpus_1dom" "$corpus_ndom"
 run_striped_campaign() {
   status=0
-  dune exec bin/mvfuzz.exe -- --iters 4 --seed 1 --small --quiet \
+  dune exec bin/mvfuzz.exe -- --iters 6 --seed 1 --small --quiet \
     --chaos skip-flush --keep-going --shrink-budget 8 \
     --domains "$1" --corpus "$2" > /dev/null 2>&1 || status=$?
   [ "$status" -eq 1 ] \

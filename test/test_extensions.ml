@@ -24,14 +24,7 @@ let fig2 =
   int foo() { w = 0; multi(); return w; }
 |}
 
-let padded_session ?(padding = 8) src =
-  let program = Core.Compiler.build ~callsite_padding:padding [ ("main", src) ] in
-  let machine = Mv_vm.Machine.create program.Core.Compiler.p_image in
-  let runtime =
-    Core.Runtime.create program.Core.Compiler.p_image ~flush:(fun ~addr ~len ->
-        Mv_vm.Machine.flush_icache machine ~addr ~len)
-  in
-  ({ program; machine; runtime } : session)
+let padded_session ?(padding = 8) src = Harness.session1 ~callsite_padding:padding src
 
 (* ------------------------------------------------------------------ *)
 (* Padded call sites                                                   *)

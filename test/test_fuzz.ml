@@ -128,40 +128,42 @@ let test_smp_oracle_clean () =
           Alcotest.failf "seed %d: %a" seed Oracle.pp_divergence d)
     [ 1; 7; 42 ]
 
+(* A chaos mode that bites one oracle: on [Gen.small_cfg] seeds 1 and 7
+   that oracle diverges under it, with a detail naming [blame], and is
+   clean on the same case without it; and because the other oracles
+   ignore the mode, a 5-case driver sweep under it reports divergences
+   and blames only that oracle. *)
+let chaos_is_caught_by chaos oracle ~blame =
+  List.iter
+    (fun seed ->
+      let case = Gen.case ~cfg:Gen.small_cfg seed in
+      let sched = Driver.schedule_for case seed in
+      match Oracle.run_named ~chaos oracle case sched with
+      | None -> Alcotest.failf "seed %d: chaos was not detected by %s" seed oracle
+      | Some d ->
+          check_string "caught by its oracle" oracle d.Oracle.d_oracle;
+          check_bool
+            (Printf.sprintf "divergence names %S (%s)" blame d.Oracle.d_detail)
+            true
+            (string_contains d.Oracle.d_detail blame);
+          check_bool "same case is clean without chaos" true
+            (Oracle.run_named oracle case sched = None))
+    [ 1; 7 ];
+  let summary =
+    Driver.run ~cfg:Gen.small_cfg ~chaos ~seed:1 ~iters:5 ~shrink_budget:0 ()
+  in
+  check_bool "driver sweep under chaos detects divergences" true
+    (summary.Driver.s_reports <> []);
+  List.iter
+    (fun r -> check_string "every report names the oracle" oracle r.Driver.rp_entry.Corpus.e_oracle)
+    summary.Driver.s_reports
+
 (* A severed IPI channel (the victim hart is neither stopped by the
    rendezvous nor re-flushed) must be caught — by the smp oracle
    specifically, via its post-commit coherence probe — and the same
    cases must be clean when the channel is healthy. *)
 let test_drop_ack_is_caught () =
-  List.iter
-    (fun seed ->
-      let case = Gen.case ~cfg:Gen.small_cfg seed in
-      let sched = Driver.schedule_for case seed in
-      match Oracle.run_named ~chaos:Oracle.Drop_ack "smp-schedule-equiv" case sched with
-      | None -> Alcotest.failf "seed %d: drop-ack chaos was not detected" seed
-      | Some d ->
-          check_string "caught by the smp oracle" "smp-schedule-equiv"
-            d.Oracle.d_oracle;
-          check_bool
-            (Printf.sprintf "divergence blames a stale hart (%s)" d.Oracle.d_detail)
-            true
-            (string_contains d.Oracle.d_detail "stale");
-          check_bool "same case is clean without chaos" true
-            (Oracle.run_named "smp-schedule-equiv" case sched = None))
-    [ 1; 7 ];
-  (* the other oracles ignore Drop_ack: a full sweep under it must blame
-     only the smp oracle, so the driver attributes the bug correctly *)
-  let summary =
-    Driver.run ~cfg:Gen.small_cfg ~chaos:Oracle.Drop_ack ~seed:1 ~iters:5
-      ~shrink_budget:0 ()
-  in
-  check_bool "driver sweep under drop-ack detects divergences" true
-    (summary.Driver.s_reports <> []);
-  List.iter
-    (fun r ->
-      check_string "every report names the smp oracle" "smp-schedule-equiv"
-        r.Driver.rp_entry.Corpus.e_oracle)
-    summary.Driver.s_reports
+  chaos_is_caught_by Oracle.Drop_ack "smp-schedule-equiv" ~blame:"stale"
 
 (* A variant-cache eviction that forgets to invalidate the dedup table
    (so a later structural-hash hit links a freed-and-recycled block)
@@ -169,39 +171,13 @@ let test_drop_ack_is_caught () =
    evict-and-recycle churn probe — and the same cases must be clean
    when the cache is healthy. *)
 let test_stale_cache_is_caught () =
-  List.iter
-    (fun seed ->
-      let case = Gen.case ~cfg:Gen.small_cfg seed in
-      let sched = Driver.schedule_for case seed in
-      match
-        Oracle.run_named ~chaos:Oracle.Stale_cache "lazy-eager-equiv" case
-          sched
-      with
-      | None -> Alcotest.failf "seed %d: stale-cache chaos was not detected" seed
-      | Some d ->
-          check_string "caught by the lazy oracle" "lazy-eager-equiv"
-            d.Oracle.d_oracle;
-          check_bool
-            (Printf.sprintf "divergence blames a stale body (%s)" d.Oracle.d_detail)
-            true
-            (string_contains d.Oracle.d_detail "stale");
-          check_bool "same case is clean without chaos" true
-            (Oracle.run_named "lazy-eager-equiv" case sched = None))
-    [ 1; 7 ];
-  (* the other oracles never enable lazy materialization: a full sweep
-     under stale-cache must blame only the lazy oracle, so the driver
-     attributes the bug correctly *)
-  let summary =
-    Driver.run ~cfg:Gen.small_cfg ~chaos:Oracle.Stale_cache ~seed:1 ~iters:5
-      ~shrink_budget:0 ()
-  in
-  check_bool "driver sweep under stale-cache detects divergences" true
-    (summary.Driver.s_reports <> []);
-  List.iter
-    (fun r ->
-      check_string "every report names the lazy oracle" "lazy-eager-equiv"
-        r.Driver.rp_entry.Corpus.e_oracle)
-    summary.Driver.s_reports
+  chaos_is_caught_by Oracle.Stale_cache "lazy-eager-equiv" ~blame:"stale"
+
+(* A frame map with one live-entry location bumped must be caught by the
+   on-stack-replacement oracle: the transfer rebuilds the parked frame
+   from the wrong register or spill slot. *)
+let test_corrupt_framemap_is_caught () =
+  chaos_is_caught_by Oracle.Corrupt_framemap "osr-state-equiv" ~blame:"transfer"
 
 (* ------------------------------------------------------------------ *)
 (* Corpus                                                              *)
@@ -243,27 +219,47 @@ let test_corpus_roundtrip () =
   Sys.remove path;
   Sys.rmdir dir
 
-let test_corpus_check_clean () =
+let clean_entry () =
   let case = Gen.case ~cfg:Gen.small_cfg 4 in
-  let entry =
-    {
-      Corpus.e_seed = 4;
-      e_oracle = "commit-soundness";
-      e_detail = "clean case: check_corpus must report it fixed";
-      e_src = case.Gen.c_src;
-      e_args = case.Gen.c_args;
-      e_assignments = case.Gen.c_assignments;
-      e_schedule = [];
-    }
-  in
+  {
+    Corpus.e_seed = 4;
+    e_oracle = "commit-soundness";
+    e_detail = "clean case: check_corpus must report it fixed";
+    e_src = case.Gen.c_src;
+    e_args = case.Gen.c_args;
+    e_assignments = case.Gen.c_assignments;
+    e_schedule = [];
+  }
+
+(* Save [entries] into a fresh directory and check it. *)
+let check_corpus_of ?log entries =
   let dir = Filename.temp_file "mvfuzz" "corpus2" in
   Sys.remove dir;
-  let path = Corpus.save ~dir entry in
-  let summary = Driver.check_corpus ~dir () in
+  let paths = List.map (Corpus.save ~dir) entries in
+  let summary = Driver.check_corpus ?log ~dir () in
+  List.iter Sys.remove paths;
+  Sys.rmdir dir;
+  summary
+
+let test_corpus_check_clean () =
+  let summary = check_corpus_of [ clean_entry () ] in
   check_int "one entry checked" 1 summary.Driver.s_tested;
-  check_int "clean entry passes" 0 (List.length summary.Driver.s_reports);
-  Sys.remove path;
-  Sys.rmdir dir
+  check_int "clean entry passes" 0 (List.length summary.Driver.s_reports)
+
+(* A reproducer naming no known oracle is logged as unreadable, and the
+   entry beside it is still checked. *)
+let test_corpus_unknown_oracle_skipped () =
+  let entry = clean_entry () in
+  let log = ref [] in
+  let summary =
+    check_corpus_of
+      ~log:(fun m -> log := m :: !log)
+      [ entry; { entry with Corpus.e_oracle = "no-such-oracle" } ]
+  in
+  check_int "only the known oracle's entry checked" 1 summary.Driver.s_tested;
+  check_int "and it passes" 0 (List.length summary.Driver.s_reports);
+  check_bool "the other is logged unreadable" true
+    (List.exists (fun m -> string_contains m "no-such-oracle" && string_contains m "unreadable") !log)
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz-derived regression: Pending_drained is exactly-once            *)
@@ -274,16 +270,13 @@ let test_corpus_check_clean () =
    frames are live, and every set that drains must report Pending_drained
    exactly once — a set that drained twice would double-apply patches. *)
 let drained_pset_ids case (sched : Schedule.t) : int list =
-  let program = Core.Compiler.build_string case.Gen.c_src in
-  let img = program.Core.Compiler.p_image in
-  let machine = Machine.create img in
-  let rt =
-    Runtime.create img ~flush:(fun ~addr ~len ->
-        Machine.flush_icache machine ~addr ~len)
-  in
+  let s = session case.Gen.c_src in
+  let img = s.Harness.program.Core.Compiler.p_image
+  and machine = s.Harness.machine
+  and rt = s.Harness.runtime in
   let ring = Trace.ring ~clock:(fun () -> 0.0) () in
   Runtime.set_tracer rt (Some (Trace.sink ring));
-  Runtime.set_live_scanner rt (fun () -> Machine.live_code_addrs machine);
+  Harness.enable_safe_commit s;
   let apply (a : Gen.assignment) =
     List.iter
       (fun (name, v) ->
@@ -373,8 +366,12 @@ let suite =
     tc "smp oracle is clean on the real pipeline" test_smp_oracle_clean;
     tc_slow "drop-ack chaos is caught by the smp oracle" test_drop_ack_is_caught;
     tc_slow "stale-cache chaos is caught by the lazy oracle" test_stale_cache_is_caught;
+    tc_slow "corrupt-framemap chaos is caught by the osr oracle"
+      test_corrupt_framemap_is_caught;
     tc "corpus entries round-trip (json, disk)" test_corpus_roundtrip;
     tc "check_corpus passes on a clean entry" test_corpus_check_clean;
+    tc "check_corpus skips an entry naming an unknown oracle"
+      test_corpus_unknown_oracle_skipped;
     tc_slow "Pending_drained fires exactly once per drained set"
       test_pending_drained_exactly_once;
   ]

@@ -316,14 +316,9 @@ let test_out_of_domain_stays_generic () =
   check_int "generic handles the odd value" 110 (H.call s "foo" [])
 
 let test_enable_lazy_requires_vtext_region () =
-  let program = Core.Compiler.build_string ~vtext_size:0 fig2 in
-  let machine = Machine.create program.Core.Compiler.p_image in
-  let runtime =
-    Core.Runtime.create program.Core.Compiler.p_image ~flush:(fun ~addr ~len ->
-        Machine.flush_icache machine ~addr ~len)
-  in
+  let s = H.session1 ~vtext_size:0 fig2 in
   match
-    Runtime.enable_lazy runtime ~recipes:[] ~call_pad:(fun _ -> 0)
+    Runtime.enable_lazy s.H.runtime ~recipes:[] ~call_pad:(fun _ -> 0)
   with
   | exception Runtime.Runtime_error _ -> ()
   | () -> Alcotest.fail "enable_lazy without a vtext region must fail"

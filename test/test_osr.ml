@@ -14,28 +14,14 @@ module Trace = Mv_obs.Trace
 module Harness = Mv_workloads.Harness
 module Smp = Mv_vm.Smp
 
-(* Wire scanner + safepoint hook (as Harness.enable_safe_commit) and the
-   OSR hart accessors (as Harness.enable_osr) over a Util.session. *)
+(* Safe commit (scanner + safepoint hook) and the OSR hart accessors. *)
 let enable s =
-  Runtime.set_live_scanner s.runtime (fun () -> Machine.live_code_addrs s.machine);
-  Machine.set_safepoint s.machine (Some (fun () -> Runtime.safepoint s.runtime));
-  let m = s.machine in
-  Runtime.set_osr s.runtime
-    (Some
-       (fun () ->
-         {
-           Core.Osr.oh_hart = Machine.hart_id m;
-           oh_pc = (fun () -> m.Machine.pc);
-           oh_set_pc = (fun pc -> m.Machine.pc <- pc);
-           oh_reg = (fun r -> m.Machine.regs.(r));
-           oh_set_reg = (fun r v -> m.Machine.regs.(r) <- v);
-           oh_set_top_frame = Machine.set_top_frame m;
-           oh_stack = (m.Machine.stack_base - Smp.hart_stack_bytes, m.Machine.stack_base);
-         }))
+  Harness.enable_safe_commit s;
+  Harness.enable_osr s
 
 (* Collect every trace event the runtime emits (no ring, no clock: the
    tests only care about the event payloads). *)
-let collect_events s =
+let collect_events (s : Harness.session) =
   let events = ref [] in
   Runtime.set_tracer s.runtime (Some (fun ev -> events := ev :: !events));
   fun () -> List.rev !events
@@ -54,7 +40,7 @@ let osr_xfers evs =
 
 (* Step until the pc sits at [fn]'s entry (the call has transferred
    control, no body instruction has run). *)
-let park s fn =
+let park (s : Harness.session) fn =
   let img = s.program.Core.Compiler.p_image in
   let addr = Image.symbol img fn in
   let guard = ref 1_000_000 in
@@ -151,8 +137,7 @@ let test_transfer_between_variants () =
 let test_without_osr_set_stays_pending_until_return () =
   let s = session spin_src in
   (* safe commit wired, but no OSR accessors *)
-  Runtime.set_live_scanner s.runtime (fun () -> Machine.live_code_addrs s.machine);
-  Machine.set_safepoint s.machine (Some (fun () -> Runtime.safepoint s.runtime));
+  Harness.enable_safe_commit s;
   set_global s "m" 1;
   Machine.start_call s.machine "driver" [ 10 ];
   park s "spin";
@@ -218,11 +203,8 @@ let test_frame_map_outside_stack_aborts () =
       let program = build spin_src in
       let img = program.Core.Compiler.p_image in
       corrupt img;
-      let machine = Machine.create img in
-      let runtime =
-        Runtime.create img ~flush:(fun ~addr ~len -> Machine.flush_icache machine ~addr ~len)
-      in
-      let s = { program; machine; runtime } in
+      let s = Harness.attach program in
+      let machine = s.Harness.machine and runtime = s.Harness.runtime in
       enable s;
       let events = collect_events s in
       let below = img.Image.heap_base and stack_lo = machine.Machine.stack_base - Smp.hart_stack_bytes in
@@ -273,7 +255,7 @@ let two_sp_src =
 
 let test_transfer_at_every_safepoint_offset () =
   (* which safepoint ids exist in spin2's generic frame map? *)
-  let ids_of_fn s name =
+  let ids_of_fn (s : Harness.session) name =
     let img = s.program.Core.Compiler.p_image in
     let addr = Image.symbol img name in
     match

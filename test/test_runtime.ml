@@ -255,7 +255,7 @@ let test_inlineable_body_detection () =
    committed straight to the new value holds. *)
 let test_toggle_writes_each_site_once () =
   let src = Mv_workloads.Callsite_farm.source ~callers:117 ~pairs:5 in
-  let text s =
+  let text (s : Harness.session) =
     let img = s.program.Core.Compiler.p_image in
     Image.read_bytes img img.Image.text.Image.sr_base img.Image.text.Image.sr_size
   in

@@ -8,23 +8,6 @@ module Machine = Mv_vm.Machine
 module Image = Mv_link.Image
 module Insn = Mv_isa.Insn
 
-(* Wire scanner and safepoint hook, as Harness.enable_safe_commit does. *)
-let enable s =
-  Runtime.set_live_scanner s.runtime (fun () -> Machine.live_code_addrs s.machine);
-  Machine.set_safepoint s.machine (Some (fun () -> Runtime.safepoint s.runtime))
-
-(* Step the machine until the pc sits at [fn]'s generic entry — i.e. the
-   call has transferred control but no body instruction has run yet. *)
-let park s fn =
-  let img = s.program.Core.Compiler.p_image in
-  let addr = Image.symbol img fn in
-  let guard = ref 1_000_000 in
-  while s.machine.Machine.pc <> addr && !guard > 0 do
-    decr guard;
-    ignore (Machine.step s.machine)
-  done;
-  check_bool ("parked at " ^ fn) true (s.machine.Machine.pc = addr)
-
 (* The deferral workload: the generic [f] adds 100 only when [m] is set at
    run time; the m=1 variant adds 100 unconditionally.  The spacers give
    the machine quiescent safepoints between the two calls to [f]. *)
@@ -39,10 +22,10 @@ let defer_src =
 
 let test_commit_inside_live_fn_is_deferred () =
   let s = session defer_src in
-  enable s;
+  Harness.enable_safe_commit s;
   set_global s "m" 1;
   Machine.start_call s.machine "driver" [];
-  park s "f";
+  Test_osr.park s "f";
   let bound = Runtime.commit_safe s.runtime in
   check_int "live function not bound now" 0 bound;
   check_bool "f still generic" true (Runtime.installed_variant s.runtime "f" = None);
@@ -53,10 +36,10 @@ let test_commit_inside_live_fn_is_deferred () =
 
 let test_deferred_set_applied_at_safepoint_mid_run () =
   let s = session defer_src in
-  enable s;
+  Harness.enable_safe_commit s;
   set_global s "m" 1;
   Machine.start_call s.machine "driver" [];
-  park s "f";
+  Test_osr.park s "f";
   ignore (Runtime.commit_safe s.runtime);
   (* the binding decision is journaled: flipping the switch now must not
      change which variant gets applied *)
@@ -79,10 +62,10 @@ let test_deferred_set_applied_at_safepoint_mid_run () =
 
 let test_deny_policy_refuses_live_patch () =
   let s = session defer_src in
-  enable s;
+  Harness.enable_safe_commit s;
   set_global s "m" 1;
   Machine.start_call s.machine "driver" [];
-  park s "f";
+  Test_osr.park s "f";
   let bound = Runtime.commit_safe ~policy:Runtime.Deny s.runtime in
   check_int "nothing bound" 0 bound;
   check_bool "nothing journaled" true (Runtime.pending s.runtime = []);
@@ -94,10 +77,10 @@ let test_deny_policy_refuses_live_patch () =
 
 let test_new_commit_supersedes_pending () =
   let s = session defer_src in
-  enable s;
+  Harness.enable_safe_commit s;
   set_global s "m" 1;
   Machine.start_call s.machine "driver" [];
-  park s "f";
+  Test_osr.park s "f";
   ignore (Runtime.commit_safe s.runtime);
   ignore (Runtime.commit_safe s.runtime);
   check_bool "one pending set, not two" true (Runtime.pending s.runtime = [ "f" ]);
@@ -107,7 +90,7 @@ let test_new_commit_supersedes_pending () =
 
 let test_revert_safe_defers_while_live () =
   let s = session defer_src in
-  enable s;
+  Harness.enable_safe_commit s;
   set_global s "m" 1;
   check_int "idle commit binds immediately" 1 (Runtime.commit_safe s.runtime);
   Machine.start_call s.machine "driver" [];
@@ -117,7 +100,7 @@ let test_revert_safe_defers_while_live () =
      spacer entry guarantees at least one f activation has come and gone
      while the *sites* stay live only during the call.  Simpler and
      airtight: park at driver entry and ask while its frame is live. *)
-  park s "spacer";
+  Test_osr.park s "spacer";
   let n = Runtime.revert_safe s.runtime in
   (* the pc sits inside spacer; f's sites in driver hold no live
      activation unless a stack word lands in them — the return address
@@ -147,10 +130,10 @@ let rollback_src =
 let test_mid_set_failure_rolls_back () =
   let s = session rollback_src in
   let img = s.program.Core.Compiler.p_image in
-  enable s;
+  Harness.enable_safe_commit s;
   set_global s "m" 1;
   Machine.start_call s.machine "driver" [];
-  park s "g";
+  Test_osr.park s "g";
   let bound = Runtime.commit_safe s.runtime in
   check_int "both live, none bound" 0 bound;
   check_int "two actions journaled" 2 (Runtime.stats s.runtime).Runtime.st_pending;
@@ -179,7 +162,7 @@ let test_mid_set_failure_rolls_back () =
 
 (* A writer that raises on its [k]-th call and otherwise writes as the
    default path does: a protected store, then the icache flush. *)
-let failing_writer s k =
+let failing_writer (s : Harness.session) k =
   let img = s.program.Core.Compiler.p_image and calls = ref 0 in
   fun ~addr b ->
     incr calls;
@@ -195,17 +178,17 @@ let failing_writer s k =
    at [g], or as a rebind from m=1 to m=0, parked at [g.m=1]. *)
 let journal_two_actions ~rebind =
   let s = session rollback_src in
-  enable s;
+  Harness.enable_safe_commit s;
   set_global s "m" 1;
   if rebind then ignore (Runtime.commit s.runtime);
   Machine.start_call s.machine "driver" [];
-  park s (if rebind then "g.m=1" else "g");
+  Test_osr.park s (if rebind then "g.m=1" else "g");
   if rebind then set_global s "m" 0;
   check_int "both live, none bound now" 0 (Runtime.commit_safe s.runtime);
   check_int "two actions journaled" 2 (Runtime.stats s.runtime).Runtime.st_pending;
   s
 
-let text_of s =
+let text_of (s : Harness.session) =
   let img = s.program.Core.Compiler.p_image in
   Image.read_bytes img img.Image.text.Image.sr_base img.Image.text.Image.sr_size
 
@@ -218,7 +201,7 @@ let text_of s =
    Returns the first k at which the set applies: one more than the
    writes a full application makes. *)
 let drain_fails_at_every_write ~rebind =
-  let bindings s = List.map (Runtime.installed_variant s.runtime) [ "f"; "g" ] in
+  let bindings (s : Harness.session) = List.map (Runtime.installed_variant s.runtime) [ "f"; "g" ] in
   let rec attempt k =
     let s = journal_two_actions ~rebind in
     let text0 = text_of s and bound0 = bindings s in
@@ -441,7 +424,7 @@ let test_rebind_equals_fresh_bind () =
 
 let test_idle_commit_safe_acts_like_commit () =
   let s = session defer_src in
-  enable s;
+  Harness.enable_safe_commit s;
   set_global s "m" 1;
   check_int "binds immediately when idle" 1 (Runtime.commit_safe s.runtime);
   check_bool "no journal" true (Runtime.pending s.runtime = []);
@@ -467,7 +450,7 @@ let test_unsafe_commit_path_unchanged () =
   let s = session defer_src in
   set_global s "m" 1;
   Machine.start_call s.machine "driver" [];
-  park s "f";
+  Test_osr.park s "f";
   check_int "unsafe commit binds the live function" 1 (Runtime.commit s.runtime);
   check_bool "installed while live" true (Runtime.installed_variant s.runtime "f" <> None);
   ignore (Machine.finish s.machine);
@@ -483,10 +466,10 @@ let test_unsafe_commit_path_unchanged () =
 let test_never_returning_drain_latency () =
   let steps_to_drain ~osr ~budget =
     let s = session Test_osr.spin_src in
-    if osr then Test_osr.enable s else enable s;
+    if osr then Test_osr.enable s else Harness.enable_safe_commit s;
     set_global s "m" 1;
     Machine.start_call s.machine "driver" [ 1_000_000 ];
-    park s "spin";
+    Test_osr.park s "spin";
     ignore (Runtime.commit_safe s.runtime);
     let steps = ref 0 in
     while Runtime.pending s.runtime <> [] && !steps < budget do

@@ -135,7 +135,7 @@ let find_insn img fn pred =
   in
   scan 0
 
-let patch_imm_insn s name ~from_imm ~to_imm =
+let patch_imm_insn (s : Harness.session) name ~from_imm ~to_imm =
   let img = s.program.Core.Compiler.p_image in
   let addr, len =
     find_insn img name (function

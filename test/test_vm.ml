@@ -11,7 +11,7 @@ module Branch_pred = Mv_vm.Branch_pred
 module Image = Mv_link.Image
 module Insn = Mv_isa.Insn
 
-let cycles_of s fn args =
+let cycles_of (s : Harness.session) fn args =
   let before = Perf.cycles s.machine.Machine.perf in
   let _ = Mv_vm.Machine.call s.machine fn args in
   Perf.cycles s.machine.Machine.perf -. before

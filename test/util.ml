@@ -39,40 +39,15 @@ let build src = Core.Compiler.build_string src
 
 let build_units sources = Core.Compiler.build sources
 
-(** A machine plus attached multiverse runtime for a built program. *)
-type session = {
-  program : Core.Compiler.program;
-  machine : Mv_vm.Machine.t;
-  runtime : Core.Runtime.t;
-}
+module Harness = Mv_workloads.Harness
 
-let session ?platform src =
-  let program = build src in
-  let machine = Mv_vm.Machine.create ?platform program.Core.Compiler.p_image in
-  let runtime =
-    Core.Runtime.create program.Core.Compiler.p_image ~flush:(fun ~addr ~len ->
-        Mv_vm.Machine.flush_icache machine ~addr ~len)
-  in
-  { program; machine; runtime }
+(** A Harness session over one source, or over several units. *)
+let session = Harness.session1
 
-let session_units ?platform sources =
-  let program = build_units sources in
-  let machine = Mv_vm.Machine.create ?platform program.Core.Compiler.p_image in
-  let runtime =
-    Core.Runtime.create program.Core.Compiler.p_image ~flush:(fun ~addr ~len ->
-        Mv_vm.Machine.flush_icache machine ~addr ~len)
-  in
-  { program; machine; runtime }
-
-let run s fn args = Mv_vm.Machine.call s.machine fn args
-
-let set_global s name v =
-  let img = s.program.Core.Compiler.p_image in
-  Image.write img (Image.symbol img name) v 8
-
-let get_global s name =
-  let img = s.program.Core.Compiler.p_image in
-  Image.read img (Image.symbol img name) 8
+let session_units = Harness.session
+let run = Harness.call
+let set_global = Harness.set
+let get_global = Harness.get
 
 (** Machine result must equal the IR interpreter result (differential). *)
 let check_differential ?(args = []) name src fn =
@@ -84,6 +59,6 @@ let check_differential ?(args = []) name src fn =
 (** Detach a harness session's sink chain, its always-on ring included,
     so that no observer sees its events: the baseline against which the
     zero-simulated-cost tests compare an armed observer. *)
-let detach_sinks (s : Mv_workloads.Harness.session) =
-  Core.Runtime.set_tracer s.Mv_workloads.Harness.runtime None;
-  Mv_vm.Smp.set_tracer s.Mv_workloads.Harness.smp None
+let detach_sinks (s : Harness.session) =
+  Core.Runtime.set_tracer s.Harness.runtime None;
+  Mv_vm.Smp.set_tracer s.Harness.smp None
