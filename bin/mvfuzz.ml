@@ -86,9 +86,9 @@ let oracle_arg =
   Arg.(
     value & opt_all string []
     & info [ "oracle" ] ~docv:"NAME"
-        ~doc:"Restrict to the named oracle(s); repeatable.  Known: interp-vs-vm, \
-              opt-vs-unopt, commit-soundness, commit-idempotent, schedule-equiv, \
-              osr-state-equiv, smp-schedule-equiv")
+        ~doc:
+          ("Restrict to the named oracle(s); repeatable.  Known: "
+          ^ String.concat ", " Oracle.oracle_names))
 
 let small_arg =
   Arg.(value & flag & info [ "small" ] ~doc:"Generate smaller programs (quick smokes)")

@@ -146,7 +146,7 @@ type t = {
           descriptor order *)
   functions : fn_entry list;
   fnptrs : fnptr_entry list;
-  mutable fallbacks : string list;  (** functions left generic by the last commit *)
+  mutable fallbacks : string list;  (** entities left generic by the last entry point *)
   mutable skipped_sites : (int * string) list;  (** verification failures *)
   mutable inline_enabled : bool;  (** call-site body inlining (Section 4); on by default *)
   mutable strategy : strategy;
@@ -775,9 +775,6 @@ type stager = {
   mutable sg_deferred : pending_action list;  (* newest first *)
 }
 
-(* The per-entity Table 1 entry points: nothing live, nothing journaled. *)
-let immediate () = { sg_policy = Defer; sg_live = []; sg_deferred = [] }
-
 (* Apply [action] now or — when the bytes it would rewrite hold a live
    activation — journal it ([Defer]) or refuse it ([Deny]).  Returns
    whether it was applied.  With nothing live no patch range is computed:
@@ -854,26 +851,30 @@ let revert_each t sg = decide_each sg ~fn:(revert_fn t) ~ptr:(revert_fnptr t)
 (* The Table 1 API and its safe pair                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Any whole-image (re)decision makes previously journaled patch sets
-   stale: drop them so a safepoint cannot apply an outdated binding over a
-   newer one. *)
-let supersede_pending t =
-  List.iter
-    (fun pset ->
-      t.safe.sc_superseded <- t.safe.sc_superseded + List.length pset.pset_actions)
-    t.pending;
-  t.pending <- []
+(* A (re)decision makes the journaled actions of the entities it decides
+   over stale: drop exactly those, so a safepoint cannot apply an outdated
+   binding over a newer one.  A set left with no actions is dropped. *)
+let supersede t fns ptrs =
+  let stale = function Act_fn (fe, _) -> List.memq fe fns | Act_ptr (fp, _) -> List.memq fp ptrs in
+  t.pending <-
+    List.filter_map
+      (fun pset ->
+        let dropped, kept = List.partition stale pset.pset_actions in
+        t.safe.sc_superseded <- t.safe.sc_superseded + List.length dropped;
+        if kept = [] then None else Some { pset with pset_actions = kept })
+      t.pending
 
-(* One whole-image span: the begin event, the live set, a superseded
-   journal and fresh fallbacks, one decision per entity, the journal of
-   whatever the stager deferred, and the end event with the count. *)
-let span t op ~policy ~live decide : int =
+(* One span over the functions [fns] and fn-pointer switches [ptrs] (by
+   default all of them): the begin event, the live set, their journaled
+   actions superseded and fresh fallbacks, one decision per entity, the
+   journal of whatever the stager deferred, and the end event with the count. *)
+let span t ?(fns = t.functions) ?(ptrs = t.fnptrs) op ~policy ~live decide : int =
   with_barrier t @@ fun () ->
   emit_span_begin t op;
   let sg = { sg_policy = policy; sg_live = live (); sg_deferred = [] } in
-  supersede_pending t;
+  supersede t fns ptrs;
   t.fallbacks <- [];
-  let n = decide sg t.functions t.fnptrs in
+  let n = decide sg fns ptrs in
   journal t (List.rev sg.sg_deferred);
   emit_span_end t op n;
   n
@@ -903,18 +904,6 @@ let revert_safe ?(policy = Defer) t : int =
 
 let find_fn_by_name t name = List.find_opt (fun fe -> fe.fe_name = name) t.functions
 
-(* Decide, with nothing live, for the multiversed function [name]. *)
-let on_func t name decide =
-  match find_fn_by_name t name with
-  | Some fe -> with_barrier t (fun () -> decide (immediate ()) [ fe ] [])
-  | None -> -1
-
-(** [multiverse_commit_func(&fn)]. *)
-let commit_func t name = on_func t name (commit_each t)
-
-(** [multiverse_revert_func(&fn)]. *)
-let revert_func t name = on_func t name (revert_each t)
-
 (** Functions whose variants guard on the switch at [var_addr] — under
     lazy materialization, also functions whose {e recipe} specializes on
     it (their variants may not be resident yet). *)
@@ -936,21 +925,27 @@ let functions_referencing t var_addr =
       || recipe_refs fe)
     t.functions
 
-(* Decide, with nothing live, over every function that references the
-   switch [name] and the switch itself when it is a function pointer. *)
-let on_refs t name decide =
-  match Image.symbol_opt t.image name with
+(* The span with nothing live over the function [name] ([_func]), or over
+   every function that references the switch [name] and the switch itself
+   when it is a function pointer ([_refs]); [-1] when [name] names none. *)
+let on_func t op name decide =
+  match find_fn_by_name t name with
+  | Some fe -> span t ~fns:[ fe ] ~ptrs:[] op ~policy:Defer ~live:nothing_live decide
   | None -> -1
+
+let on_refs t op name decide =
+  match Image.symbol_opt t.image name with
   | Some var ->
-      with_barrier t @@ fun () ->
-      decide (immediate ()) (functions_referencing t var)
-        (List.filter (fun fp -> fp.fp_switch.sw_var.vr_addr = var) t.fnptrs)
+      let ptrs = List.filter (fun fp -> fp.fp_switch.sw_var.vr_addr = var) t.fnptrs in
+      span t ~fns:(functions_referencing t var) ~ptrs op ~policy:Defer ~live:nothing_live decide
+  | None -> -1
 
-(** [multiverse_commit_refs(&var)]. *)
-let commit_refs t name = on_refs t name (commit_each t)
-
-(** [multiverse_revert_refs(&var)]. *)
-let revert_refs t name = on_refs t name (revert_each t)
+(** [multiverse_commit_func(&fn)], [multiverse_revert_func(&fn)],
+    [multiverse_commit_refs(&var)] and [multiverse_revert_refs(&var)]. *)
+let commit_func t name = on_func t "commit_func" name (commit_each t)
+let revert_func t name = on_func t "revert_func" name (revert_each t)
+let commit_refs t name = on_refs t "commit_refs" name (commit_each t)
+let revert_refs t name = on_refs t "revert_refs" name (revert_each t)
 
 (* ------------------------------------------------------------------ *)
 (* On-stack replacement                                                *)

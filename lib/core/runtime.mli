@@ -22,14 +22,14 @@
     journaled patch sets transactionally at quiescence points
     ({!safepoint}, wired to the machine's safepoint hook).
 
-    Every entry point makes the same per-entity decision — the variant
-    (or fn-pointer target) the current switch values select, or the
-    generic state with a fallback signal — and hands it to one stager
-    that applies it now unless its bytes hold a live activation.
-    {!commit}/{!revert} are the whole-image span with nothing live;
-    {!commit_safe}/{!revert_safe} are the same span over the scanner's
-    live set; the [_func]/[_refs] forms stage single entities with
-    nothing live.
+    Every entry point is one span over the entities it names, making
+    the same per-entity decision — the variant (or fn-pointer target)
+    the current switch values select, or the generic state with a
+    fallback signal — and handing it to one stager that applies it now
+    unless its bytes hold a live activation.  {!commit}/{!revert} span
+    every entity with nothing live; {!commit_safe}/{!revert_safe} the
+    same over the scanner's live set; the [_func]/[_refs] forms the
+    entities they name, with nothing live.
 
     Two extensions live behind their own modules, and this one calls
     them: {!Variant_cache} owns which lazily materialized bodies are
@@ -113,7 +113,10 @@ val set_strategy : t -> strategy -> unit
 
     All functions return a count like the paper's [int] results: the number
     of entities bound (or reverted), or [-1] when the argument does not name
-    a multiversed entity. *)
+    a multiversed entity.  Each call opens a span under its own name and
+    a fresh causality id, supersedes the journaled actions of the
+    entities it decides (no {!safepoint} re-applies one over the call's
+    binding) and resets {!fallbacks}. *)
 
 (** [multiverse_commit()]: bind everything to the current switch values —
     the whole-image span with nothing live.  Supersedes any journaled
@@ -303,8 +306,8 @@ val specializations : t -> int
 
 (** {1 Introspection} *)
 
-(** Functions left generic by the last commit because no variant matched
-    the switch values (the Figure 3d signal). *)
+(** Entities left generic by the last entry point because no variant
+    matched the switch values (the Figure 3d signal). *)
 val fallbacks : t -> string list
 
 (** Call sites skipped because their bytes were not what the runtime last

@@ -66,29 +66,36 @@ let handle_divergence ?chaos ?corpus_dir ?(shrink_budget = 300) ~log seed case
   { rp_seed = seed; rp_original = div; rp_shrunk = shrunk; rp_entry = entry;
     rp_path = path; rp_flight = flight }
 
+(* One stripe of a campaign: cases [first], [first + step], ... below
+   [iters], case [i] under seed [seed + i], polling [stop] before each
+   (without [keep_going] a divergence sets it).  [tested] and [reports]
+   grow as it goes, so a caller that catches an escaping exception keeps
+   them; a single stripe logs progress every 100 cases. *)
+let stripe ?cfg ?chaos ?only ?corpus_dir ?shrink_budget ~keep_going ~log ~stop ~seed
+    ~iters ~first ~step ~tested ~reports () =
+  let i = ref first in
+  while !i < iters && not (Atomic.get stop) do
+    let s = seed + !i in
+    let case = Gen.case ?cfg s in
+    let sched = schedule_for case s in
+    incr tested;
+    (match Oracle.run_all ?chaos ?only case sched with
+    | None -> ()
+    | Some div ->
+        reports :=
+          handle_divergence ?chaos ?corpus_dir ?shrink_budget ~log s case sched div
+          :: !reports;
+        if not keep_going then Atomic.set stop true);
+    i := !i + step;
+    if step = 1 && !i mod 100 = 0 && not (Atomic.get stop) then
+      log (Printf.sprintf "%d/%d cases clean" !i iters)
+  done
+
 let run ?cfg ?chaos ?only ?corpus_dir ?(keep_going = false) ?shrink_budget
     ?(log = ignore) ~seed ~iters () : summary =
-  let reports = ref [] in
-  let tested = ref 0 in
-  (try
-     for i = 0 to iters - 1 do
-       let s = seed + i in
-       let case = Gen.case ?cfg s in
-       let sched = schedule_for case s in
-       incr tested;
-       (match Oracle.run_all ?chaos ?only case sched with
-       | None -> ()
-       | Some div ->
-           let r =
-             handle_divergence ?chaos ?corpus_dir ?shrink_budget ~log s case
-               sched div
-           in
-           reports := r :: !reports;
-           if not keep_going then raise Exit);
-       if (i + 1) mod 100 = 0 then
-         log (Printf.sprintf "%d/%d cases clean" (i + 1) iters)
-     done
-   with Exit -> ());
+  let tested = ref 0 and reports = ref [] in
+  stripe ?cfg ?chaos ?only ?corpus_dir ?shrink_budget ~keep_going ~log
+    ~stop:(Atomic.make false) ~seed ~iters ~first:0 ~step:1 ~tested ~reports ();
   { s_tested = !tested; s_reports = List.rev !reports }
 
 (* Domain-parallel campaign.  The case-seed schedule is the single-domain
@@ -117,26 +124,10 @@ let run_parallel ?cfg ?chaos ?only ?corpus_dir ?(keep_going = false)
        finding is whichever domain got there first on the host clock. *)
     let stop = Atomic.make false in
     let worker d () =
-      let reports = ref [] in
-      let tested = ref 0 in
-      let i = ref d in
+      let tested = ref 0 and reports = ref [] in
       (try
-         while !i < iters && not (Atomic.get stop) do
-           let s = seed + !i in
-           let case = Gen.case ?cfg s in
-           let sched = schedule_for case s in
-           incr tested;
-           (match Oracle.run_all ?chaos ?only case sched with
-           | None -> ()
-           | Some div ->
-               let r =
-                 handle_divergence ?chaos ?corpus_dir ?shrink_budget
-                   ~log:log_sync s case sched div
-               in
-               reports := r :: !reports;
-               if not keep_going then Atomic.set stop true);
-           i := !i + domains
-         done
+         stripe ?cfg ?chaos ?only ?corpus_dir ?shrink_budget ~keep_going ~log:log_sync
+           ~stop ~seed ~iters ~first:d ~step:domains ~tested ~reports ()
        with exn ->
          log_sync
            (Printf.sprintf "domain %d died: %s" d (Printexc.to_string exn)));

@@ -21,18 +21,6 @@ type divergence = { d_oracle : string; d_detail : string }
 let pp_divergence fmt d =
   Format.fprintf fmt "[%s] %s" d.d_oracle d.d_detail
 
-let oracle_names =
-  [
-    "interp-vs-vm";
-    "opt-vs-unopt";
-    "commit-soundness";
-    "commit-idempotent";
-    "schedule-equiv";
-    "osr-state-equiv";
-    "smp-schedule-equiv";
-    "lazy-eager-equiv";
-  ]
-
 (* ------------------------------------------------------------------ *)
 (* Engine plumbing                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -893,24 +881,29 @@ let lazy_eager_equiv ?chaos (case : Gen.case) (_sched : Schedule.t) :
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Every oracle by name, in the order [run_all] tries them; each takes
+   the campaign's chaos mode, which only the oracles that patch use. *)
+let oracles =
+  [
+    ("interp-vs-vm", fun _ -> interp_vs_vm);
+    ("opt-vs-unopt", fun _ -> opt_vs_unopt);
+    ("commit-soundness", fun chaos -> commit_soundness ?chaos);
+    ("commit-idempotent", fun chaos -> commit_idempotent ?chaos);
+    ("schedule-equiv", fun chaos -> schedule_equiv ?chaos);
+    ("osr-state-equiv", fun chaos -> osr_state_equiv ?chaos);
+    ("smp-schedule-equiv", fun chaos -> smp_schedule_equiv ?chaos);
+    ("lazy-eager-equiv", fun chaos -> lazy_eager_equiv ?chaos);
+  ]
+
+let oracle_names = List.map fst oracles
+
 let run_named ?chaos name case sched =
-  match name with
-  | "interp-vs-vm" -> interp_vs_vm case sched
-  | "opt-vs-unopt" -> opt_vs_unopt case sched
-  | "commit-soundness" -> commit_soundness ?chaos case sched
-  | "commit-idempotent" -> commit_idempotent ?chaos case sched
-  | "schedule-equiv" -> schedule_equiv ?chaos case sched
-  | "osr-state-equiv" -> osr_state_equiv ?chaos case sched
-  | "smp-schedule-equiv" -> smp_schedule_equiv ?chaos case sched
-  | "lazy-eager-equiv" -> lazy_eager_equiv ?chaos case sched
-  | _ -> invalid_arg ("Oracle.run_named: unknown oracle " ^ name)
+  match List.assoc_opt name oracles with
+  | Some oracle -> oracle chaos case sched
+  | None -> invalid_arg ("Oracle.run_named: unknown oracle " ^ name)
 
 let run_all ?chaos ?(only = []) case sched =
-  let names =
-    if only = [] then oracle_names
-    else List.filter (fun n -> List.mem n only) oracle_names
-  in
-  List.fold_left
-    (fun acc name ->
-      match acc with Some _ -> acc | None -> run_named ?chaos name case sched)
-    None names
+  List.find_map
+    (fun (name, oracle) ->
+      if only = [] || List.mem name only then oracle chaos case sched else None)
+    oracles

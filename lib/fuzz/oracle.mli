@@ -54,6 +54,16 @@ val pp_divergence : Format.formatter -> divergence -> unit
 (** All oracle names, in the order {!run_all} tries them. *)
 val oracle_names : string list
 
+(** How one run of a case's driver ended. *)
+type outcome = Ret of int | Fault of string
+
+(** [schedule-equiv]'s round loop on one session, one outcome per round.
+    The subject ([subject:true]) also runs the schedule's commits,
+    reverts, drains and mid-run safe operations, then a final revert and
+    drain.  Exposed so a test can replay a schedule with its own sink. *)
+val run_rounds :
+  subject:bool -> Gen.case -> Mv_workloads.Harness.session -> Schedule.t -> outcome list
+
 (** Run one oracle by name ([Invalid_argument] on unknown names).
     [chaos] affects the oracles that patch ([commit-soundness],
     [commit-idempotent], [schedule-equiv], [osr-state-equiv],

@@ -56,8 +56,6 @@ let weighted t pairs =
   in
   pick k pairs
 
-let subset t xs = List.filter (fun _ -> bool t) xs
-
 let sample t k xs =
   let n = List.length xs in
   if k >= n then xs

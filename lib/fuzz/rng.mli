@@ -33,9 +33,6 @@ val choose : t -> 'a list -> 'a
     positive ints. *)
 val weighted : t -> (int * 'a) list -> 'a
 
-(** Random subset (independent 1/2 coin per element). *)
-val subset : t -> 'a list -> 'a list
-
 (** [sample t k xs] is [k] distinct elements (or all of [xs] when shorter),
     in stream order. *)
 val sample : t -> int -> 'a list -> 'a list

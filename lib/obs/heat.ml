@@ -1,6 +1,6 @@
 (* Code-heat accumulator: block-hit deltas folded into named text
    regions, epoch-decayed hotness, residency intervals from the trace
-   stream, and the report-only eviction advisor.  See heat.mli. *)
+   stream, and the eviction advisor.  See heat.mli. *)
 
 type kind = Generic | Variant
 

@@ -16,10 +16,10 @@
     residency intervals.  Nothing here touches the simulated clock: the
     obs-overhead bench's [heat] arm pins the cycle delta at +0.00%.
 
-    {!evict_plan} is the eviction {e advisor}: a report-only ranking of
-    the currently resident variants by decayed hotness per byte, feeding
-    the ROADMAP's lazy-materialization item — the actual evictor
-    consumes the plan in a later PR. *)
+    {!evict_plan} is the eviction {e advisor}: a ranking of the
+    currently resident variants by decayed hotness per byte, whose
+    [Evict] verdicts the lazy variant cache's evictor consumes
+    ([Harness.enable_evict_advisor] wires them to [Runtime.set_evict_advisor]). *)
 
 (** What a region's bytes are: a multiversed function's generic body, or
     one generated variant body. *)

@@ -191,10 +191,13 @@ let pp fmt t =
    the little state the durations need (open spans, outstanding defer
    timestamps).  [hart] names the hart an observation is attributed to
    (default: constant 0) so per-hart drain skew shows up in the registry;
-   latencies are attributed to the hart that closed them. *)
+   latencies are attributed to the hart that closed them.  A drain pairs
+   with the defers of its own [cid]: only a whole-image safe span defers,
+   after superseding every older set, so a new cid's first defer forgets
+   the last cid's, and a rollback forgets its own. *)
 let trace_sink t ~clock ?(hart = fun () -> 0) () : Trace.sink =
   let open_spans : (string * float) list ref = ref [] in
-  let defers : float list ref = ref [] in
+  let defers : (int * float list) ref = ref (-1, []) in
   let hart_label () = ("hart", string_of_int (hart ())) in
   fun ev ->
     inc t "mv_events_total" [ ("kind", Trace.event_name ev) ];
@@ -223,11 +226,12 @@ let trace_sink t ~clock ?(hart = fun () -> 0) () : Trace.sink =
     | Trace.Prologue_patched _ ->
         inc t "mv_patches_total" [ ("kind", "prologue_patched") ]
     | Trace.Fallback { fn } -> inc t "mv_fallbacks_total" [ ("fn", fn) ]
-    | Trace.Safe_defer _ ->
+    | Trace.Safe_defer { cid; _ } ->
         inc t "mv_safe_total" [ ("outcome", "deferred") ];
-        defers := !defers @ [ clock () ]
+        let c, ts = !defers in
+        defers := (cid, (if c = cid then ts else []) @ [ clock () ])
     | Trace.Safe_deny _ -> inc t "mv_safe_total" [ ("outcome", "denied") ]
-    | Trace.Pending_drained { actions; _ } ->
+    | Trace.Pending_drained { cid; actions; _ } ->
         inc t "mv_safe_total" [ ("outcome", "drained") ];
         let now = clock () in
         let lbl = [ hart_label () ] in
@@ -237,8 +241,10 @@ let trace_sink t ~clock ?(hart = fun () -> 0) () : Trace.sink =
               drain (n - 1) rest
           | rest -> rest
         in
-        defers := drain actions !defers
-    | Trace.Pending_rollback _ -> inc t "mv_safe_total" [ ("outcome", "rolled_back") ]
+        (match !defers with c, ts when c = cid -> defers := (c, drain actions ts) | _ -> ())
+    | Trace.Pending_rollback { cid; _ } ->
+        inc t "mv_safe_total" [ ("outcome", "rolled_back") ];
+        if fst !defers = cid then defers := (-1, [])
     | Trace.Safepoint_poll { pending } ->
         inc t "mv_safepoint_polls_total" [];
         set_gauge t "mv_pending_sets" [] (float_of_int pending)

@@ -11,7 +11,7 @@
     Standard series produced by the trace bridge:
     - [mv_events_total{kind}] — every event, by constructor tag;
     - [mv_commits_total{op}] / [mv_commit_switch_total{op,switch,value}]
-      — whole-image operations and the switch values they committed;
+      — runtime entry points and the switch values they committed;
     - [mv_variant_installs_total{fn,variant}] — variant selections;
     - [mv_patches_total{kind}] — site retargets/inlines/prologue patches;
     - [mv_fallbacks_total{fn}], [mv_safe_total{outcome}],
@@ -19,7 +19,8 @@
     - [mv_patch_latency_cycles{op}] — histogram of commit/revert span
       durations (simulated cycles);
     - [mv_safe_drain_latency_cycles] — histogram of defer-to-drain
-      latencies under safe commit;
+      latencies under safe commit, each drain paired with the defers of
+      its own [cid];
     - [mv_pending_sets] — gauge of journaled sets at the last poll. *)
 
 (** A label set; order does not matter (labels are canonicalized). *)

@@ -26,10 +26,12 @@
     image addresses; names are symbol names. *)
 type event =
   | Commit_begin of { cid : int; op : string; switches : (string * int) list }
-      (** A whole-image operation starts.  [cid] is the commit causality
+      (** A runtime entry point starts.  [cid] is the commit causality
           id — every downstream event of this operation (the matching
-          end, deferrals, the eventual drain) carries it.  [op] is one of
-          ["commit"], ["revert"], ["commit_safe"], ["revert_safe"];
+          end, deferrals, the eventual drain) carries it.  [op] names the
+          entry point: ["commit"], ["revert"], ["commit_safe"],
+          ["revert_safe"], ["commit_func"], ["revert_func"],
+          ["commit_refs"] or ["revert_refs"];
           [switches] records every configuration switch's value at
           decision time. *)
   | Commit_end of { cid : int; op : string; bound : int }

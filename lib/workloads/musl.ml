@@ -15,8 +15,6 @@
 
 type build = Plain | Multiversed
 
-let build_name = function Plain -> "w/o multiverse" | Multiversed -> "w/ multiverse"
-
 let source (b : build) : string =
   let mv = match b with Plain -> "" | Multiversed -> "multiverse " in
   let gate_open =

@@ -7,7 +7,6 @@ type build =
   | Plain  (** unmodified musl: stdio locking takes the atomic CAS always *)
   | Multiversed  (** threads_minus_1 multiversed, locks are variation points *)
 
-val build_name : build -> string
 val source : build -> string
 
 type bench = Random | Malloc0 | Malloc1 | Fputc

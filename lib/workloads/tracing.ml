@@ -10,10 +10,6 @@
 
 type build = Plain | Multiversed
 
-let build_name = function
-  | Plain -> "dynamic check (no patching)"
-  | Multiversed -> "multiversed probes"
-
 let ring_size = 1024
 
 let source (b : build) : string =

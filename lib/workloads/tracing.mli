@@ -8,8 +8,6 @@ type build =
   | Plain  (** the probe checks [trace_enabled] dynamically *)
   | Multiversed  (** probes are variation points, patched by commit *)
 
-val build_name : build -> string
-
 (** Ring-buffer capacity in events. *)
 val ring_size : int
 

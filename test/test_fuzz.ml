@@ -13,7 +13,6 @@ module Oracle = Mv_fuzz.Oracle
 module Shrink = Mv_fuzz.Shrink
 module Corpus = Mv_fuzz.Corpus
 module Driver = Mv_fuzz.Driver
-module Machine = Mv_vm.Machine
 module Runtime = Core.Runtime
 module Trace = Mv_obs.Trace
 
@@ -271,68 +270,9 @@ let test_corpus_unknown_oracle_skipped () =
    exactly once — a set that drained twice would double-apply patches. *)
 let drained_pset_ids case (sched : Schedule.t) : int list =
   let s = session case.Gen.c_src in
-  let img = s.Harness.program.Core.Compiler.p_image
-  and machine = s.Harness.machine
-  and rt = s.Harness.runtime in
   let ring = Trace.ring ~clock:(fun () -> 0.0) () in
-  Runtime.set_tracer rt (Some (Trace.sink ring));
-  Harness.enable_safe_commit s;
-  let apply (a : Gen.assignment) =
-    List.iter
-      (fun (name, v) ->
-        let w =
-          match List.find_opt (fun sw -> sw.Gen.sw_name = name) case.Gen.c_switches with
-          | Some sw -> Minic.Ast.ty_width sw.Gen.sw_ty
-          | None -> 8
-        in
-        Mv_link.Image.write img (Mv_link.Image.symbol img name) v w)
-      a.Gen.a_ints;
-    List.iter
-      (fun (name, target) ->
-        Mv_link.Image.write img
-          (Mv_link.Image.symbol img name)
-          (Mv_link.Image.symbol img target)
-          8)
-      a.Gen.a_ptrs
-  in
-  List.iter
-    (fun (round : Schedule.round) ->
-      List.iter
-        (fun (op : Schedule.top_op) ->
-          match op with
-          | Schedule.Tset a -> apply a
-          | Schedule.Tcommit -> ignore (Runtime.commit rt)
-          | Schedule.Trevert -> ignore (Runtime.revert rt)
-          | Schedule.Tcommit_safe -> ignore (Runtime.commit_safe rt)
-          | Schedule.Trevert_safe -> ignore (Runtime.revert_safe rt)
-          | Schedule.Tdrain -> Runtime.safepoint rt)
-        round.Schedule.r_top;
-      let polls = ref 0 in
-      let todo = ref round.Schedule.r_mid in
-      Machine.set_safepoint machine
-        (Some
-           (fun () ->
-             let i = !polls in
-             incr polls;
-             let now, later = List.partition (fun (ix, _) -> ix = i) !todo in
-             todo := later;
-             List.iter
-               (fun ((_, op) : int * Schedule.mid_op) ->
-                 let policy d = if d then Runtime.Defer else Runtime.Deny in
-                 match op with
-                 | Schedule.Mcommit_safe d ->
-                     ignore (Runtime.commit_safe ~policy:(policy d) rt)
-                 | Schedule.Mrevert_safe d ->
-                     ignore (Runtime.revert_safe ~policy:(policy d) rt)
-                 | Schedule.Mdrain -> ())
-               now;
-             Runtime.safepoint rt))
-        ;
-      ignore (Machine.call machine case.Gen.c_entry [ round.Schedule.r_arg ]))
-    sched;
-  Machine.set_safepoint machine None;
-  ignore (Runtime.revert rt);
-  Runtime.safepoint rt;
+  Runtime.set_tracer s.Harness.runtime (Some (Trace.sink ring));
+  ignore (Oracle.run_rounds ~subject:true case s sched);
   List.filter_map
     (fun (st : Trace.stamped) ->
       match st.Trace.ev with

@@ -678,6 +678,43 @@ let test_metrics_safe_commit_outcomes () =
       check_bool "safepoint polls counted" true
         (Metrics.counter_value m "mv_safepoint_polls_total" [] >= 1)
 
+(* A superseded set's defer is never paired with a later drain: parked
+   in [f], commit_safe; three steps on, still inside [f], commit_safe
+   again, superseding the first set; then finish.  The one drain-latency
+   observation is the drain's timestamp minus the second defer's. *)
+let test_metrics_drain_latency_pairs_by_cid () =
+  let s = H.session1 defer_src in
+  H.enable_safe_commit s;
+  H.enable_tracing s;
+  H.enable_metrics s;
+  H.set s "m" 1;
+  Machine.start_call s.H.machine "driver" [];
+  park s "f";
+  ignore (H.commit_safe s);
+  for _ = 1 to 3 do
+    ignore (Machine.step s.H.machine)
+  done;
+  ignore (H.commit_safe s);
+  ignore (Machine.finish s.H.machine);
+  let stamps p =
+    List.filter_map
+      (fun (st : Trace.stamped) -> if p st.Trace.ev then Some st.Trace.ts else None)
+      (H.trace_events s)
+  in
+  let defers = stamps (function Trace.Safe_defer _ -> true | _ -> false) in
+  let drains = stamps (function Trace.Pending_drained _ -> true | _ -> false) in
+  match (defers, drains, H.metrics s) with
+  | [ first; second ], [ drained ], Some m -> (
+      check_bool "the second defer is later" true (second > first);
+      match Metrics.histogram_summary m "mv_safe_drain_latency_cycles" [ ("hart", "0") ] with
+      | Some hs ->
+          check_int "one drain latency observation" 1 hs.Metrics.hs_count;
+          check_float "measured from the second defer" (drained -. second) hs.Metrics.hs_sum
+      | None -> Alcotest.fail "drain-latency histogram absent")
+  | _ ->
+      Alcotest.failf "expected two defers, one drain and metrics (%d defers, %d drains)"
+        (List.length defers) (List.length drains)
+
 (* ------------------------------------------------------------------ *)
 (* Analyze: spans and the bench diff                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1086,6 +1123,8 @@ let suite =
     tc "metrics registry primitives" test_metrics_registry_primitives;
     tc "trace bridge counts commits and patches" test_metrics_trace_bridge_counts_commit;
     tc "safe-commit outcomes and drain latency" test_metrics_safe_commit_outcomes;
+    tc "drain latency is paired with its own defers"
+      test_metrics_drain_latency_pairs_by_cid;
     tc "span extraction and statistics" test_analyze_span_stats;
     tc "bench diff: unchanged tree is clean" test_bench_diff_unchanged_tree_is_clean;
     tc "bench diff: synthetic +10% trips the gate"

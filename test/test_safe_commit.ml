@@ -115,6 +115,118 @@ let test_revert_safe_defers_while_live () =
   set_global s "m" 0;
   check_int "generic again" 2 (run s "driver" [])
 
+(* A per-entity call supersedes its entities' journaled actions: with [f]
+   parked and a commit_safe journaled at m=1, each of the four calls
+   decides [f] now, and no safepoint re-applies the journaled binding over
+   it.  The commits, at m=0, bind f.m=0, so neither call of [f] adds
+   anything; the reverts, at m=1, leave [f] generic. *)
+let test_per_entity_call_supersedes_journal () =
+  List.iter
+    (fun (op, call, m, result, bound) ->
+      let s = session defer_src in
+      Harness.enable_safe_commit s;
+      set_global s "m" 1;
+      Machine.start_call s.machine "driver" [];
+      Test_osr.park s "f";
+      ignore (Runtime.commit_safe s.runtime);
+      check_bool (op ^ ": f journaled") true (Runtime.pending s.runtime = [ "f" ]);
+      set_global s "m" m;
+      check_int (op ^ ": f decided") 1 (call s.runtime);
+      check_bool (op ^ ": nothing pending") true (Runtime.pending s.runtime = []);
+      check_int (op ^ ": result") result (Machine.finish s.machine);
+      check_bool (op ^ ": f bound as the call decided") true
+        (Runtime.installed_variant s.runtime "f" = bound);
+      let st = Runtime.stats s.runtime in
+      check_int (op ^ ": journaled action superseded") 1 st.Runtime.st_safe_superseded;
+      check_int (op ^ ": nothing applied") 0 st.Runtime.st_safe_applied)
+    [
+      ("commit_func", (fun rt -> Runtime.commit_func rt "f"), 0, 2, Some "f.m=0");
+      ("commit_refs", (fun rt -> Runtime.commit_refs rt "m"), 0, 2, Some "f.m=0");
+      ("revert_func", (fun rt -> Runtime.revert_func rt "f"), 1, 202, None);
+      ("revert_refs", (fun rt -> Runtime.revert_refs rt "m"), 1, 202, None);
+    ]
+
+(* Superseding is per entity: parked in [g] called from [f], commit_safe
+   journals one set for both; commit_func "f" at m=0 drops only f's
+   action, so [g] still drains to g.m=1.  The first [f] runs generic at
+   m=1 (100), the second f.m=0 (0) into g.m=1 (10). *)
+let test_per_entity_call_keeps_other_actions () =
+  let s =
+    session
+      {|
+  multiverse bool m;
+  int w;
+  multiverse void g() { if (m) { w = w + 10; } }
+  multiverse void f() { if (m) { w = w + 100; } g(); }
+  void spacer() { w = w + 1; }
+  int driver() { w = 0; f(); spacer(); f(); return w; }
+|}
+  in
+  Harness.enable_safe_commit s;
+  set_global s "m" 1;
+  Machine.start_call s.machine "driver" [];
+  Test_osr.park s "g";
+  ignore (Runtime.commit_safe s.runtime);
+  check_bool "both journaled" true (Runtime.pending s.runtime = [ "g"; "f" ]);
+  set_global s "m" 0;
+  check_int "f bound now" 1 (Runtime.commit_func s.runtime "f");
+  check_bool "only g pending" true (Runtime.pending s.runtime = [ "g" ]);
+  check_int "f's action superseded" 1 (Runtime.stats s.runtime).Runtime.st_safe_superseded;
+  check_int "result" 111 (Machine.finish s.machine);
+  check_bool "f as the call decided" true (Runtime.installed_variant s.runtime "f" = Some "f.m=0");
+  check_bool "g as journaled" true (Runtime.installed_variant s.runtime "g" = Some "g.m=1");
+  check_int "g's action applied" 1 (Runtime.stats s.runtime).Runtime.st_safe_applied
+
+(* Every per-entity call is one span: one Commit_begin/Commit_end pair
+   under its own op name and a fresh cid, and afterwards [fallbacks]
+   lists that call's fallbacks only. *)
+let test_per_entity_call_is_one_span () =
+  let s =
+    session
+      {|
+  multiverse values(0, 1) int p;
+  multiverse values(0, 1) int q;
+  int w;
+  multiverse void a() { if (p) { w = w + 1; } }
+  multiverse void b() { if (q) { w = w + 2; } }
+  int driver() { w = 0; a(); b(); return w; }
+|}
+  in
+  let events = ref [] in
+  Runtime.set_tracer s.runtime (Some (fun ev -> events := ev :: !events));
+  let spans () =
+    List.rev
+      (List.filter_map
+         (function
+           | Mv_obs.Trace.Commit_begin { cid; op; _ } -> Some ("begin", op, cid)
+           | Mv_obs.Trace.Commit_end { cid; op; _ } -> Some ("end", op, cid)
+           | _ -> None)
+         !events)
+  in
+  set_global s "p" 5;
+  set_global s "q" 5;
+  ignore (Runtime.commit s.runtime);
+  check_bool "whole-image fallbacks" true (Runtime.fallbacks s.runtime = [ "a"; "b" ]);
+  let cids = ref (List.map (fun (_, _, cid) -> cid) (spans ())) in
+  List.iter
+    (fun (op, call, fallbacks) ->
+      events := [];
+      ignore (call s.runtime);
+      (match spans () with
+      | [ ("begin", op1, cid); ("end", op2, cid') ] ->
+          check_bool (op ^ ": op names") true (op1 = op && op2 = op);
+          check_bool (op ^ ": one cid, and a fresh one") true
+            (cid = cid' && not (List.mem cid !cids));
+          cids := cid :: !cids
+      | _ -> Alcotest.failf "%s: expected one Commit_begin/Commit_end pair" op);
+      check_bool (op ^ ": its own fallbacks") true (Runtime.fallbacks s.runtime = fallbacks))
+    [
+      ("commit_func", (fun rt -> Runtime.commit_func rt "a"), [ "a" ]);
+      ("commit_refs", (fun rt -> Runtime.commit_refs rt "q"), [ "b" ]);
+      ("revert_func", (fun rt -> Runtime.revert_func rt "a"), []);
+      ("revert_refs", (fun rt -> Runtime.revert_refs rt "q"), []);
+    ]
+
 (* Rollback workload: driver -> f -> g, both multiversed.  Parking inside g
    keeps both live (g via the pc, f via the return address inside its
    body), so one commit journals a two-action set. *)
@@ -498,6 +610,11 @@ let suite =
       test_deferred_set_applied_at_safepoint_mid_run;
     tc "deny policy refuses live patch" test_deny_policy_refuses_live_patch;
     tc "new commit supersedes pending" test_new_commit_supersedes_pending;
+    tc "a per-entity call supersedes its entities' journaled actions"
+      test_per_entity_call_supersedes_journal;
+    tc "a per-entity call keeps other entities' journaled actions"
+      test_per_entity_call_keeps_other_actions;
+    tc "a per-entity call is one span" test_per_entity_call_is_one_span;
     tc "revert_safe drains cleanly" test_revert_safe_defers_while_live;
     tc "mid-set failure rolls back" test_mid_set_failure_rolls_back;
     tc "rollback at every write" test_rollback_at_every_write;
