@@ -191,6 +191,9 @@ let parse (s : string) : (t, string) result =
     in
     loop ()
   in
+  (* JSON's number grammar, checked while scanning, so [float_of_string]
+     only ever sees text it accepts:
+     -? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)? *)
   let parse_number () =
     let start = !pos in
     let consume p = match peek () with Some c when p c -> advance () | _ -> () in
@@ -201,24 +204,26 @@ let parse (s : string) : (t, string) result =
           digits ()
       | _ -> ()
     in
+    let digits1 () =
+      match peek () with Some ('0' .. '9') -> digits () | _ -> err "expected a digit"
+    in
     consume (fun c -> c = '-');
-    digits ();
+    if peek () = Some '0' then advance () else digits1 ();
     let is_float = ref false in
     (match peek () with
     | Some '.' ->
         is_float := true;
         advance ();
-        digits ()
+        digits1 ()
     | _ -> ());
     (match peek () with
     | Some ('e' | 'E') ->
         is_float := true;
         advance ();
         consume (fun c -> c = '+' || c = '-');
-        digits ()
+        digits1 ()
     | _ -> ());
     let text = String.sub s start (!pos - start) in
-    if text = "" || text = "-" then err "expected a number";
     if !is_float then Float (float_of_string text)
     else match int_of_string_opt text with Some i -> Int i | None -> Float (float_of_string text)
   in

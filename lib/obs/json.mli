@@ -26,7 +26,12 @@ val to_string_pretty : t -> string
 
 (** Parse a JSON document.  Accepts exactly what {!to_string} and
     {!to_string_pretty} produce plus ordinary standard JSON; returns
-    [Error msg] with a byte offset on malformed input. *)
+    [Error msg] with a byte offset on malformed input, and never raises.
+    Numbers follow JSON's grammar,
+    [-? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)?], so [1.],
+    [.5], [01] and [1e] are errors.  One with a fraction or an exponent,
+    or an integer outside OCaml's [int] range, is a [Float]; any other
+    an [Int]. *)
 val parse : string -> (t, string) result
 
 (** [member key json] is the value bound to [key] when [json] is an

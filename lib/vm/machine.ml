@@ -11,9 +11,13 @@
    respective locations"): until [flush_icache] covers a patched range, the
    machine keeps executing the stale pre-decoded closures.
 
-   The pre-refactor interpreter survives as [step_ref]; the test suite and
-   the [interp-superblock] bench row drive both and require bit-identical
-   simulated cycles, perf counters, and trace events. *)
+   [compile] is the one place an instruction's semantics is written.  The
+   reference stepper [step_ref] fetches and dispatches one instruction at a
+   time over the same compiled instructions, from its own per-instruction
+   cache; the test suite and the [interp-superblock] bench row drive both
+   and require bit-identical simulated cycles, perf counters, and trace
+   events, which pins block building, the dispatch cursor, and
+   block-granular invalidation against the per-instruction model. *)
 
 module Insn = Mv_isa.Insn
 module Image = Mv_link.Image
@@ -105,13 +109,10 @@ type t = {
           dispatch slow path skips heat accounting entirely *)
 }
 
-(* A pre-decoded straight-line run of instructions.  Each closure is one
-   compiled instruction: it performs exactly the state transition the
-   matching [step_ref] arm performs, in the same order, so driving a block
-   is bit-identical to interpreting its bytes.  Blocks end at control
-   transfers ([call]/[jmp]/branches/[ret]/[halt]/[brk]) and are dropped —
-   never patched in place — when an icache flush overlaps their byte
-   range. *)
+(* A pre-decoded straight-line run of instructions, each a closure built
+   by [compile].  Blocks end at control transfers
+   ([call]/[jmp]/branches/[ret]/[halt]/[brk]) and are dropped — never
+   patched in place — when an icache flush overlaps their byte range. *)
 and superblock = {
   sb_start : int;  (** text offset of the first instruction *)
   sb_end : int;  (** text offset one past the last decoded byte *)
@@ -128,10 +129,10 @@ and page = {
   pg_blocks : superblock array;
       (** the live superblock entered at each offset, or [no_block] — the
           dispatch slow path's lookup *)
-  pg_insns : (Insn.t * int) option array;
-      (** per-instruction decode cache — the reference stepper's
-          ({!step_ref}) icache model.  The superblock path keeps it
-          coherent but does not read it. *)
+  pg_insns : (t -> unit) array;
+      (** the compiled instruction at each offset, or [no_insn] — the
+          reference stepper's ({!step_ref}) icache model.  The superblock
+          path keeps it coherent but does not read it. *)
   mutable pg_heat : int array;
       (** code-heat counters, three per offset: entries via the dispatch
           slow path, instructions dispatched from there, and the end
@@ -149,6 +150,10 @@ let return_sentinel = 0
 let no_block =
   { sb_start = -1; sb_end = -1; sb_pcs = [||]; sb_ops = [||]; sb_live = false }
 
+(* The "not cached" sentinel of the reference stepper's icache, so a hit
+   unwraps no option; shared by all machines and never run. *)
+let no_insn : t -> unit = fun _ -> ()
+
 (* Text offsets per decode-index page: a small program touches a few
    pages, and the directory of a multi-MiB code span is a few thousand
    words at most. *)
@@ -159,12 +164,12 @@ let page_mask = page_size - 1
 let new_page () =
   {
     pg_blocks = Array.make page_size no_block;
-    pg_insns = Array.make page_size None;
+    pg_insns = Array.make page_size no_insn;
     pg_heat = [||];
   }
 
 (* What every directory slot that was never written holds: reads find
-   [no_block] and [None] in it without first testing that the page
+   [no_block] and [no_insn] in it without first testing that the page
    exists.  Shared by all machines and never written — [page_for_write]
    replaces it first. *)
 let no_page = new_page ()
@@ -328,7 +333,7 @@ let flush_icache t ~addr ~len =
   let base = text_base t in
   let lo = max 0 (addr - base - 15) and hi = min t.code_span (addr - base + len) in
   iter_pages t ~lo ~hi (fun pg _ first last ->
-      Array.fill pg.pg_insns first (last - first) None);
+      Array.fill pg.pg_insns first (last - first) no_insn);
   invalidate_blocks t ~lo ~hi
 
 (** Arm the code-heat counters.  Idempotent: counts already accumulated
@@ -366,21 +371,6 @@ let heat_blocks t : (int * int * int * int) list =
             acc := (text + base + s, text + h.((3 * s) + 2), n, h.((3 * s) + 1)) :: !acc
         done);
   List.rev !acc
-
-let fetch t pc : Insn.t * int =
-  let off = pc - text_base t in
-  if off < 0 || off >= t.code_span then
-    faultf "instruction fetch outside text at 0x%x" pc;
-  match Array.unsafe_get (page_at t off).pg_insns (off land page_mask) with
-  | Some entry -> entry
-  | None ->
-      Image.check_exec t.image pc 1;
-      let entry =
-        try Mv_isa.Decode.decode t.image.Image.mem ~off:pc
-        with Mv_isa.Decode.Decode_error (m, o) -> faultf "decode at 0x%x: %s" o m
-      in
-      (page_for_write t off).pg_insns.(off land page_mask) <- Some entry;
-      entry
 
 (* Charge [c] simulated cycles.  It stays here, next to the compiled
    instructions, where the compiler inlines it: the update writes the
@@ -433,9 +423,7 @@ let alu_eval op a b =
   | Insn.Gt -> Bool.to_int (a > b)
   | Insn.Ge -> Bool.to_int (a >= b)
 
-(* Inlined, so the reference stepper's charge reads the float straight
-   from the flat [Cost.t]; an out-of-line call would box it. *)
-let[@inline] alu_cost (c : Cost.t) = function
+let alu_cost (c : Cost.t) = function
   | Insn.Mul -> c.Cost.mul
   | Insn.Div | Insn.Mod -> c.Cost.div
   | _ -> c.Cost.alu
@@ -462,12 +450,11 @@ let ends_block = function
       true
   | _ -> false
 
-(* Compile one instruction at [pc] into a closure.  Every closure mirrors
-   its [step_ref] arm exactly — the same order of pc update, memory
-   traffic, perf counters, predictor queries, and cycle charges — so the
-   superblock path is bit-identical to the reference interpreter.  The
-   cycle-cost record is immutable per machine, so its floats are captured
-   at compile time. *)
+(* Compile one instruction at [pc] into a closure: the only definition of
+   what an instruction does, run by both steppers.  A closure first moves
+   the pc past the instruction (or straight to its target), so a fault
+   leaves [pc = next] behind.  The cycle-cost record is immutable per
+   machine, so its floats are captured at compile time. *)
 let compile (c : Cost.t) pc (insn : Insn.t) size : t -> unit =
   let next = pc + size in
   match insn with
@@ -674,9 +661,11 @@ let compile (c : Cost.t) pc (insn : Insn.t) size : t -> unit =
             add_cycles t cyc
         | _ -> faultf "breakpoint at 0x%x" pc)
 
-(* Decode the instruction about to execute, with exactly the reference
-   stepper's fault behavior (bounds fault, protection fault, wrapped decode
-   error). *)
+(* Decode the instruction about to execute, with every fault a fetch can
+   raise: outside the code span, protection, or a wrapped decode error.
+   Both steppers fetch through it on a cache miss, and a miss is the only
+   way an offset outside the code span is ever looked up: no cache slot
+   for one is ever filled. *)
 let decode_strict t pc : Insn.t * int =
   let off = pc - text_base t in
   if off < 0 || off >= t.code_span then
@@ -730,8 +719,6 @@ let build_block t pc0 : superblock =
    blocks are keyed by entry offset only. *)
 let locate_slow t pc : superblock =
   let off = pc - text_base t in
-  if off < 0 || off >= t.code_span then
-    faultf "instruction fetch outside text at 0x%x" pc;
   let b = Array.unsafe_get (page_at t off).pg_blocks (off land page_mask) in
   let b = if b != no_block then b else build_block t pc in
   (* Code-heat hook: every fresh block entry passes through here exactly
@@ -779,146 +766,30 @@ let step_core t : bool =
 
 let step t : bool = try step_core t with Fault _ as e -> report_trap t e
 
-(** Execute exactly one instruction at [t.pc] with the pre-superblock
-    fetch/decode/dispatch interpreter.  Kept as the differential reference:
-    the superblock tests and the [interp-superblock] bench row require
-    {!step} and [step_ref] to produce bit-identical simulated cycles, perf
-    counters, and trace events.  Do not mix [step] and [step_ref] on the
+(** The reference stepper: execute exactly one instruction at [t.pc],
+    fetched from its own per-instruction cache ([pg_insns]) of the
+    closures {!compile} builds and dispatched on its own.  Compared with
+    {!step}, it checks how the superblock path finds an instruction, not
+    what the instruction does.  Do not mix [step] and [step_ref] on the
     same machine mid-call — each maintains its own decode state. *)
 let step_ref_core t : bool =
   if t.steps_left <= 0 then faultf "step limit exceeded (pc=0x%x)" t.pc;
   t.steps_left <- t.steps_left - 1;
   let pc = t.pc in
-  let insn, size = fetch t pc in
-  let c = t.cost in
-  let perf = t.perf in
-  perf.Perf.instructions <- perf.Perf.instructions + 1;
+  let off = pc - text_base t in
+  let op = Array.unsafe_get (page_at t off).pg_insns (off land page_mask) in
+  let op =
+    if op != no_insn then op
+    else begin
+      let insn, size = decode_strict t pc in
+      let op = compile t.cost pc insn size in
+      (page_for_write t off).pg_insns.(off land page_mask) <- op;
+      op
+    end
+  in
+  t.perf.Perf.instructions <- t.perf.Perf.instructions + 1;
   (match t.sampler with None -> () | Some observe -> observe pc);
-  let next = pc + size in
-  t.pc <- next;
-  (match insn with
-  | Insn.Mov_ri (rd, imm) | Insn.Mov_ri32 (rd, imm) ->
-      t.regs.(rd) <- imm;
-      add_cycles t c.Cost.mov_imm
-  | Insn.Mov_rr (rd, rs) ->
-      t.regs.(rd) <- t.regs.(rs);
-      add_cycles t c.Cost.mov
-  | Insn.Alu (op, rd, ra, rb) ->
-      t.regs.(rd) <- alu_eval op t.regs.(ra) t.regs.(rb);
-      add_cycles t (alu_cost c op)
-  | Insn.Alu_ri (op, rd, ra, imm) ->
-      t.regs.(rd) <- alu_eval op t.regs.(ra) imm;
-      add_cycles t (alu_cost c op)
-  | Insn.Un (op, rd, ra) ->
-      let a = t.regs.(ra) in
-      t.regs.(rd) <-
-        (match op with
-        | Insn.Neg -> -a
-        | Insn.Lnot -> Bool.to_int (a = 0)
-        | Insn.Bnot -> lnot a);
-      add_cycles t c.Cost.alu
-  | Insn.Load (rd, ra, off, w) ->
-      t.regs.(rd) <- Image.read t.image (t.regs.(ra) + off) w;
-      perf.Perf.loads <- perf.Perf.loads + 1;
-      add_cycles t c.Cost.load
-  | Insn.Store (ra, off, rs, w) ->
-      Image.write t.image (t.regs.(ra) + off) t.regs.(rs) w;
-      perf.Perf.stores <- perf.Perf.stores + 1;
-      add_cycles t c.Cost.store
-  | Insn.Loadg (rd, addr, w) ->
-      t.regs.(rd) <- Image.read t.image addr w;
-      perf.Perf.loads <- perf.Perf.loads + 1;
-      add_cycles t c.Cost.load_global
-  | Insn.Storeg (addr, rs, w) ->
-      Image.write t.image addr t.regs.(rs) w;
-      perf.Perf.stores <- perf.Perf.stores + 1;
-      add_cycles t c.Cost.store
-  | Insn.Lea (rd, addr) ->
-      t.regs.(rd) <- addr;
-      add_cycles t c.Cost.lea
-  | Insn.Call rel ->
-      push_word t next;
-      t.pc <- next + rel;
-      push_frame t t.pc;
-      perf.Perf.calls <- perf.Perf.calls + 1;
-      add_cycles t c.Cost.call
-  | Insn.Call_ind addr ->
-      let target = Image.read t.image addr 8 in
-      push_word t next;
-      t.pc <- target;
-      push_frame t target;
-      perf.Perf.calls <- perf.Perf.calls + 1;
-      perf.Perf.indirect_calls <- perf.Perf.indirect_calls + 1;
-      add_cycles t (c.Cost.call +. c.Cost.call_ind);
-      if not (Branch_pred.indirect t.bp ~pc ~target) then begin
-        perf.Perf.btb_misses <- perf.Perf.btb_misses + 1;
-        add_cycles t c.Cost.btb_miss_penalty
-      end
-  | Insn.Jmp rel ->
-      t.pc <- next + rel;
-      add_cycles t c.Cost.jmp
-  | Insn.Jnz (r, rel) | Insn.Jz (r, rel) ->
-      let taken =
-        match insn with
-        | Insn.Jnz _ -> t.regs.(r) <> 0
-        | _ -> t.regs.(r) = 0
-      in
-      if taken then t.pc <- next + rel;
-      perf.Perf.branches <- perf.Perf.branches + 1;
-      add_cycles t c.Cost.branch;
-      if not (Branch_pred.conditional t.bp ~pc ~taken) then begin
-        perf.Perf.branch_mispredicts <- perf.Perf.branch_mispredicts + 1;
-        add_cycles t c.Cost.mispredict_penalty
-      end
-  | Insn.Ret ->
-      let target = pop_word t in
-      t.pc <- target;
-      pop_frame t;
-      add_cycles t c.Cost.ret;
-      poll_safepoint t
-  | Insn.Push r ->
-      push_word t t.regs.(r);
-      add_cycles t c.Cost.push
-  | Insn.Pop r ->
-      t.regs.(r) <- pop_word t;
-      add_cycles t c.Cost.pop
-  | Insn.Cli ->
-      if t.platform = Xen then faultf "privileged cli in PV guest at 0x%x" pc;
-      t.irq_enabled <- false;
-      add_cycles t c.Cost.cli
-  | Insn.Sti ->
-      if t.platform = Xen then faultf "privileged sti in PV guest at 0x%x" pc;
-      t.irq_enabled <- true;
-      add_cycles t c.Cost.sti
-  | Insn.Pause -> add_cycles t c.Cost.pause
-  | Insn.Fence -> add_cycles t c.Cost.fence
-  | Insn.Xchg (rd, ra, rs) ->
-      let addr = t.regs.(ra) in
-      let old = Image.read t.image addr 8 in
-      Image.write t.image addr t.regs.(rs) 8;
-      t.regs.(rd) <- old;
-      perf.Perf.atomics <- perf.Perf.atomics + 1;
-      add_cycles t c.Cost.atomic
-  | Insn.Hypercall _n ->
-      if t.platform = Native then faultf "hypercall on native hardware at 0x%x" pc;
-      perf.Perf.hypercalls <- perf.Perf.hypercalls + 1;
-      add_cycles t c.Cost.hypercall
-  | Insn.Rdtsc rd ->
-      t.regs.(rd) <- int_of_float perf.Perf.clock.Perf.cycles;
-      add_cycles t c.Cost.rdtsc
-  | Insn.Halt ->
-      t.pc <- return_sentinel;
-      t.depth <- 0;
-      poll_safepoint t
-  | Insn.Nop -> add_cycles t c.Cost.nop
-  | Insn.Brk -> (
-      match t.brk with
-      | Some handler when handler pc ->
-          (* an in-progress text_poke owns this address: spin in place,
-             modelling the wait loop a real hart performs on the trap *)
-          t.pc <- pc;
-          add_cycles t c.Cost.pause
-      | _ -> faultf "breakpoint at 0x%x" pc));
+  op t;
   t.pc <> return_sentinel
 
 let step_ref t : bool = try step_ref_core t with Fault _ as e -> report_trap t e

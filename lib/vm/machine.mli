@@ -6,9 +6,9 @@
     Execution is driven from {e pre-decoded superblocks}: straight-line
     basic blocks are decoded once into arrays of OCaml closures and
     dispatched through a cursor, so the hot path pays one closure call per
-    instruction.  The pre-refactor fetch/decode/dispatch interpreter is
-    kept as {!step_ref}; both paths are required (and tested) to produce
-    bit-identical simulated cycles, perf counters, and trace events.
+    instruction.  {!step_ref} runs the same compiled instructions one at a
+    time from its own cache; both paths are required (and tested) to
+    produce bit-identical simulated cycles, perf counters, and trace events.
 
     The decode cache is why the multiverse runtime must flush after
     patching: until {!flush_icache} covers a patched range, the machine
@@ -88,13 +88,13 @@ type t = {
 }
 
 (** A pre-decoded straight-line run of instructions: one closure per
-    instruction, each performing exactly the state transition of the
-    matching {!step_ref} arm (same order of pc updates, memory traffic,
-    perf counters, predictor queries, and cycle charges).  Blocks end at
-    control transfers and are dropped — never patched in place — when an
-    icache flush overlaps their byte range; the {!text_poke}/{!flush_icache}
-    discipline the cross-modifying-code protocol already enforces is
-    therefore the complete invalidation contract (ARCHITECTURE §13). *)
+    instruction, compiled exactly as {!step_ref} compiles the instruction
+    it caches, so the two steppers differ only in how they find it.
+    Blocks end at control transfers and are dropped — never patched in
+    place — when an icache flush overlaps their byte range; the
+    {!text_poke}/{!flush_icache} discipline the cross-modifying-code
+    protocol already enforces is therefore the complete invalidation
+    contract (ARCHITECTURE §13). *)
 and superblock = {
   sb_start : int;  (** text offset of the first instruction *)
   sb_end : int;  (** text offset one past the last decoded byte *)
@@ -105,11 +105,10 @@ and superblock = {
 
 (** One page of the decode index: for each of its text offsets, the
     superblock entered there (the dispatch slow path's lookup; one
-    directory read more than a flat array), the reference stepper's
-    ({!step_ref}) per-instruction decode, and the code-heat counters.
-    The heat counters live here, outside the superblocks, so an icache
-    flush that drops a block never loses the hits already charged to its
-    entry. *)
+    directory read more than a flat array), the compiled instruction
+    {!step_ref} caches there, and the code-heat counters.  The heat
+    counters live here, outside the superblocks, so an icache flush that
+    drops a block never loses the hits already charged to its entry. *)
 and page
 
 (** Text offsets per decode-index {!type-page}: the granularity at which a
@@ -188,7 +187,7 @@ val decode_stats : t -> decode_stats
     does not move, so cycle counts are bit-identical with and without it
     (pinned by the obs-overhead bench's [heat] arm).  Counting happens at
     block granularity on the {!step}/{!finish} superblock path; the
-    reference interpreter ({!step_ref}) does not feed it. *)
+    reference stepper ({!step_ref}) does not feed it. *)
 val enable_heat : t -> unit
 
 (** Snapshot the heat counters as [(lo, hi, hits, insns)] per superblock
@@ -215,12 +214,13 @@ val flush_icache : t -> addr:int -> len:int -> unit
     control returns to the sentinel. *)
 val step : t -> bool
 
-(** Execute one instruction with the pre-superblock fetch/decode/dispatch
-    interpreter.  Kept as the differential reference: {!step} and
-    [step_ref] must produce bit-identical simulated cycles, perf counters,
-    and trace events (asserted by the superblock test suite and the
-    [interp-superblock] bench row).  Do not mix {!step} and [step_ref] on
-    the same machine mid-call — each maintains its own decode state. *)
+(** Execute one instruction, fetched and dispatched on its own from a
+    per-instruction cache of the instructions {!step} runs in blocks.  As
+    the differential reference it must match {!step} bit for bit in
+    simulated cycles, perf counters, and trace events (superblock tests,
+    [interp-superblock] bench row), which pins block building, the
+    dispatch cursor, and block-granular invalidation.  Do not mix the two
+    on one machine mid-call; each has its own decode state. *)
 val step_ref : t -> bool
 
 (** Prepare a call without running it: argument registers, fresh stack with
@@ -235,8 +235,8 @@ val start_call : t -> string -> int list -> unit
 (** Run until control returns to the sentinel; returns r0. *)
 val finish : t -> int
 
-(** {!finish} driven by {!step_ref} — the reference interpreter's run
-    loop, for differential comparison against the superblock path. *)
+(** {!finish} driven by {!step_ref} — the reference stepper's run loop,
+    for differential comparison against the superblock path. *)
 val finish_ref : t -> int
 
 (** Call the function at [addr] with up to 6 integer arguments; runs to

@@ -108,17 +108,20 @@ if [ -n "${MV_SMP_ARTIFACT_DIR:-}" ]; then
   cp "$osr_dump" "$MV_SMP_ARTIFACT_DIR"/osr-chaos.flight.json
 fi
 
-# Smoke the machine-readable bench export: six fast experiments, then
+# Smoke the machine-readable bench export: seven fast experiments, then
 # check the document parses and carries the expected schema/rows.
 # Besides fig1, the three lazy rows pin the variant cache's
-# materialize, evict and dedup counts and its peak resident bytes, and
+# materialize, evict and dedup counts and its peak resident bytes,
 # patch-cost and ablation-body-patching pin what a commit and a revert
 # from pristine write: 4,688 patches and 23,440 bytes on the 1,170-site
-# farm, and 1,172 call-site patches against 2 body patches.
+# farm, and 1,172 call-site patches against 2 body patches, and
+# interp-superblock pins the results, cycles and instruction counts of
+# both steppers on its ten leaves.
 bench_json="$tmp"/bench.json
 dune exec bench/main.exe -- --fast --only fig1 --only lazy-first-commit \
   --only lazy-cache-hit --only lazy-footprint --only patch-cost \
-  --only ablation-body-patching --json "$bench_json" > /dev/null
+  --only ablation-body-patching --only interp-superblock \
+  --json "$bench_json" > /dev/null
 if command -v jq > /dev/null 2>&1; then
   jq -e '.schema == "mv-bench-rows/1" and (.experiments.fig1 | length > 0)' \
     "$bench_json" > /dev/null || { echo "bench JSON invalid: $bench_json"; exit 1; }
@@ -139,7 +142,7 @@ dune exec bin/mvtrace.exe -- flame "$smoke_mvc" --set config_smp=1 --commit \
 grep -q 'spin_lock.config_smp=1' "$smoke_folded" \
   || { echo "mvtrace flame: no variant frame in folded stacks"; exit 1; }
 dune exec bin/mvtrace.exe -- diff --gate 0 BENCH_results.json "$bench_json" > /dev/null \
-  || { echo "mvtrace diff: bench smoke rows drifted from BENCH_results.json"; exit 1; }
+  || { echo "mvtrace diff: the seven bench smoke rows drifted from BENCH_results.json"; exit 1; }
 
 # Profile smoke: mvcc --profile prints the stack profiler's per-leaf
 # hot-function table, which must attribute the committed variant.
@@ -231,5 +234,16 @@ dune exec bin/mvtrace.exe -- postmortem "$flight_dump" > /dev/null \
 # The dump is lossless: the commit's begin event keeps its switch values.
 grep -q '"config_smp": 1' "$flight_dump" \
   || { echo "flight smoke: commit_begin lost its switches in $flight_dump"; exit 1; }
+
+# Postmortem smoke (must-fail): a dump holding a malformed number must be
+# refused as one that does not parse (exit 2), not crash on an escaping
+# exception (exit 125).
+bad_dump="$tmp"/malformed.flight.json
+printf '{"schema": "mv-flight/1", "clock": 1e}\n' > "$bad_dump"
+pm_status=0
+dune exec bin/mvtrace.exe -- postmortem "$bad_dump" > /dev/null 2> "$tmp"/pm.err \
+  || pm_status=$?
+[ "$pm_status" -eq 2 ] && grep -q "does not parse" "$tmp"/pm.err \
+  || { echo "postmortem smoke: a malformed number exited $pm_status, not as a parse error"; exit 1; }
 
 echo "check.sh: all gates passed"

@@ -230,13 +230,22 @@ let clean_entry () =
     e_schedule = [];
   }
 
-(* Save [entries] into a fresh directory and check it. *)
-let check_corpus_of ?log entries =
+(* Save [entries], and write each [(file, text)] of [raw] verbatim, into
+   a fresh directory and check it. *)
+let check_corpus_of ?log ?(raw = []) entries =
   let dir = Filename.temp_file "mvfuzz" "corpus2" in
   Sys.remove dir;
   let paths = List.map (Corpus.save ~dir) entries in
+  let raw_paths =
+    List.map
+      (fun (file, text) ->
+        let path = Filename.concat dir file in
+        Out_channel.with_open_bin path (fun oc -> output_string oc text);
+        path)
+      raw
+  in
   let summary = Driver.check_corpus ?log ~dir () in
-  List.iter Sys.remove paths;
+  List.iter Sys.remove (paths @ raw_paths);
   Sys.rmdir dir;
   summary
 
@@ -245,20 +254,26 @@ let test_corpus_check_clean () =
   check_int "one entry checked" 1 summary.Driver.s_tested;
   check_int "clean entry passes" 0 (List.length summary.Driver.s_reports)
 
-(* A reproducer naming no known oracle is logged as unreadable, and the
-   entry beside it is still checked. *)
+(* A reproducer naming no known oracle, and a file holding a malformed
+   number, are each logged as unreadable, and the entry beside them is
+   still checked. *)
 let test_corpus_unknown_oracle_skipped () =
   let entry = clean_entry () in
   let log = ref [] in
   let summary =
     check_corpus_of
       ~log:(fun m -> log := m :: !log)
+      ~raw:[ ("malformed-number.json", {|{"seed": 1e}|}) ]
       [ entry; { entry with Corpus.e_oracle = "no-such-oracle" } ]
+  in
+  let logged_unreadable what =
+    List.exists (fun m -> string_contains m what && string_contains m "unreadable") !log
   in
   check_int "only the known oracle's entry checked" 1 summary.Driver.s_tested;
   check_int "and it passes" 0 (List.length summary.Driver.s_reports);
-  check_bool "the other is logged unreadable" true
-    (List.exists (fun m -> string_contains m "no-such-oracle" && string_contains m "unreadable") !log)
+  check_bool "the other is logged unreadable" true (logged_unreadable "no-such-oracle");
+  check_bool "the malformed number is logged unreadable" true
+    (logged_unreadable "malformed-number.json")
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz-derived regression: Pending_drained is exactly-once            *)

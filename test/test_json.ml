@@ -74,8 +74,27 @@ let test_numerics () =
   | j -> Alcotest.failf "3.0 reparsed as %s" (Json.to_string j));
   check_string "non-finite floats serialize as null" "null"
     (Json.to_string (Json.Float Float.nan));
+  (* the writer's %.12g exponents, and the other standard forms *)
+  check_json "exponent with sign and leading zero" (Json.Float 1e-05) (parse_ok "1e-05");
+  check_json "capital E with plus" (Json.Float 100.0) (parse_ok "1E+2");
+  check_json "negative fraction" (Json.Float (-0.5)) (parse_ok "-0.5");
+  roundtrip "large exponent" (Json.Float 1e+20);
   parse_err "bare minus" "-";
-  parse_err "double minus" "--1"
+  parse_err "double minus" "--1";
+  (* malformed numbers are errors, never an escaping exception *)
+  List.iter
+    (fun (name, src) -> parse_err name src)
+    [
+      ("exponent without digits", "1e");
+      ("zero exponent without digits", "0e");
+      ("signed exponent without digits", "1e+");
+      ("minus then exponent", "-e");
+      ("exponent without digits in a list", "[1e]");
+      ("fraction without digits", "1.");
+      ("fraction without integer part", ".5");
+      ("leading zero", "01");
+      ("empty fraction before exponent", "1.e5");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Nesting                                                             *)

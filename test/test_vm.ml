@@ -135,21 +135,27 @@ let test_atomic_dominates_spinlock_cost () =
   let c_elided = cycles_of elided "f" [] in
   check_bool "locked is several times more expensive" true (c_locked > c_elided *. 2.5)
 
-let test_icache_staleness () =
-  (* overwrite a function body without flushing: the machine must keep
-     executing the stale decode; after the flush it sees the new code.
-     This is exactly why Section 4 flushes after patching. *)
+(* Overwrite a function body without flushing: the machine must keep
+   executing the stale decode; after the flush it sees the new code.  This
+   is exactly why Section 4 flushes after patching.  [finish] runs the
+   superblock cache, [Machine.finish_ref] the reference stepper's
+   per-instruction one; each must model the staleness. *)
+let test_icache_staleness finish () =
   let s = session "int f() { return 1; }" in
   let img = s.program.Core.Compiler.p_image in
-  check_int "original" 1 (run s "f" []);
+  let run_f () =
+    Machine.start_call s.machine "f" [];
+    finish s.machine
+  in
+  check_int "original" 1 (run_f ());
   let f = Image.symbol img "f" in
   (* patch [mov32 r0, 1] to [mov32 r0, 2] behind the machine's back *)
   Image.mprotect img ~addr:f ~len:16 Image.prot_rwx;
   Image.write_bytes img f (Mv_isa.Encode.encode (Insn.Mov_ri32 (0, 2)));
   Image.mprotect img ~addr:f ~len:16 Image.prot_rx;
-  check_int "stale decode still returns 1" 1 (run s "f" []);
+  check_int "stale decode still returns 1" 1 (run_f ());
   Machine.flush_icache s.machine ~addr:f ~len:16;
-  check_int "after flush returns 2" 2 (run s "f" [])
+  check_int "after flush returns 2" 2 (run_f ())
 
 let test_fetch_outside_text_faults () =
   let s = session "int f() { return 1; }" in
@@ -189,7 +195,9 @@ let suite =
     tc "branch predictor learns" test_branch_predictor_learns;
     tc "BTB for indirect calls" test_btb_indirect;
     tc "atomic dominates spinlock cost" test_atomic_dominates_spinlock_cost;
-    tc "icache staleness until flush (Section 4)" test_icache_staleness;
+    tc "icache staleness until flush (Section 4)" (test_icache_staleness Machine.finish);
+    tc "icache staleness until flush, reference stepper"
+      (test_icache_staleness Machine.finish_ref);
     tc "fetch outside text faults" test_fetch_outside_text_faults;
     tc "machine step limit" test_step_limit;
     tc "rdtsc reads the cycle counter" test_rdtsc_reads_cycles;
