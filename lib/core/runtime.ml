@@ -92,10 +92,11 @@ type fnptr_entry = {
 (* --- The safe-commit subsystem (beyond the paper, closing its Section 2
    "caller guarantees a patchable state" gap) ------------------------------
 
-   Every decision hands its patch to the stager as an [action]; a
-   deferred one is journaled, and one [commit_safe] or [revert_safe] call
-   produces at most one [pending_set], which is applied transactionally —
-   all actions or none — at a later quiescence point. *)
+   Every decision, and every unbind of an eviction victim, hands its
+   patch to the open span's stager as an [action]; a deferred one is
+   journaled, and one span produces at most one [pending_set], which is
+   applied transactionally — all actions or none — at a later quiescence
+   point. *)
 
 type pending_action =
   | Act_fn of fn_entry * variant option
@@ -112,6 +113,17 @@ type pending_set = {
           [cid] its eventual [Pending_drained] event reports *)
   pset_hart : int;  (** hart the journaling commit ran on *)
   pset_actions : pending_action list;
+}
+
+type safe_policy = Defer | Deny
+
+(* The stager a span hands its actions to: the live-activation set its
+   decisions are tested against ([[]] for the Table 1 API, whose caller
+   guarantees a patchable state) and the actions it has deferred so far. *)
+type stager = {
+  sg_policy : safe_policy;
+  sg_live : int list;
+  mutable sg_deferred : pending_action list;  (* newest first *)
 }
 
 (** Counters for the safe-commit paths (surfaced through {!stats}). *)
@@ -157,6 +169,7 @@ type t = {
   mutable next_pset_id : int;
   mutable next_cid : int;  (** commit causality id generator *)
   mutable cur_cid : int;  (** cid of the span currently open (-1: none) *)
+  mutable stager : stager option;  (** the open span's, for eviction unbinds *)
   mutable hart_src : (unit -> int) option;
       (** reports the currently-executing hart for causal attribution of
           commit/drain events; wire to [Smp.current_hart] (default:
@@ -319,6 +332,7 @@ let create (img : Image.t) ~flush : t =
     next_pset_id = 0;
     next_cid = 0;
     cur_cid = -1;
+    stager = None;
     hart_src = None;
     in_safepoint = false;
     safe =
@@ -382,9 +396,7 @@ let set_hart_source t h = t.hart_src <- h
 
 let cur_hart t = match t.hart_src with None -> 0 | Some f -> f ()
 
-(* Journal a deferred patch set (used by the safe-commit paths, and by the
-   variant cache when an eviction victim's body still has live
-   activations). *)
+(* Journal the actions a span deferred as one patch set. *)
 let journal t actions =
   if actions <> [] then begin
     let pset =
@@ -578,68 +590,20 @@ let live_in live (lo, hi) = List.exists (fun a -> a >= lo && a < hi) live
 
 let body_range v = (v.vn_addr, v.vn_addr + max v.vn_size 1)
 
-(* Is an activation live in the body of [v]?  Without a scanner the
-   paper's model applies — the caller guarantees a patchable state — and
-   no body is. *)
-let body_live t v =
-  match t.live_scanner with None -> false | Some scan -> live_in (scan ()) (body_range v)
+(* The code addresses with live activations, and whether one is in the
+   body of [v].  Without a scanner the paper's model applies — the caller
+   guarantees a patchable state — and none is. *)
+let scanned t = match t.live_scanner with None -> [] | Some scan -> scan ()
+let body_live t v = live_in (scanned t) (body_range v)
 
-(* Variant addresses a journaled bind still needs: their bodies must
-   survive until the set drains (or is superseded). *)
+(* Variant addresses a journaled bind, or one the open span deferred,
+   still needs: their bodies must survive until the set drains (or is
+   superseded). *)
 let pending_variant_addrs t =
-  List.concat_map
-    (fun pset ->
-      List.filter_map
-        (function Act_fn (_, Some v) -> Some v.vn_addr | _ -> None)
-        pset.pset_actions)
-    t.pending
-
-(** Enable demand-driven materialization: [recipes] are the compiler's
-    per-function specialization recipes ([Compiler.recipes]), [call_pad]
-    the program-wide call-site padding rule ([Compiler.call_pad]), and
-    [budget] the resident variant-text byte budget (default: the whole
-    variant-text region).  The cache calls back for an eviction victim:
-    an installed one is unbound now or — while its body is live — its
-    unbind is journaled, to drain (with OSR's help) at a later safepoint,
-    and its bytes wait until the body is no longer in use. *)
-let enable_lazy ?budget t ~recipes ~call_pad =
-  let region = t.image.Image.vtext.Image.sr_size in
-  if region = 0 then
-    errf "lazy materialization needs a variant-text region (link with vtext_size > 0)";
-  let budget = Option.value budget ~default:region in
-  if budget <= 0 then errf "variant budget must be positive";
-  Variant_cache.enable t.cache ~recipes ~call_pad ~budget
-    {
-      Variant_cache.emit = emit t;
-      read = read_switch t;
-      release =
-        (fun fe v ->
-          let live = body_live t v in
-          if bound_at fe v.vn_addr then
-            if live then journal t [ Act_fn (fe, None) ] else bind_fn t fe None;
-          live);
-      in_use = (fun fe v -> bound_at fe v.vn_addr || body_live t v);
-      journaled = (fun () -> pending_variant_addrs t);
-    }
-
-(* The one check of the setters that need a lazy runtime. *)
-let lazy_cache t =
-  if not (Variant_cache.enabled t.cache) then
-    errf "lazy materialization is not enabled (Runtime.enable_lazy)";
-  t.cache
-
-(** Shrink (or grow) the resident byte budget.  Shrinking evicts down to
-    the new budget immediately where possible; victims with live
-    activations drain at later safepoints, so residency may exceed a
-    just-shrunk budget until then — new materializations are denied in
-    the meantime. *)
-let set_variant_budget t b =
-  let c = lazy_cache t in
-  if b <= 0 then errf "variant budget must be positive";
-  Variant_cache.set_budget c b
-
-let set_evict_advisor t adv = Variant_cache.set_advisor (lazy_cache t) adv
-let set_stale_cache_chaos t flag = Variant_cache.set_stale_cache (lazy_cache t) flag
+  let deferred = match t.stager with Some sg -> sg.sg_deferred | None -> [] in
+  List.filter_map
+    (function Act_fn (_, Some v) -> Some v.vn_addr | _ -> None)
+    (List.concat_map (fun pset -> pset.pset_actions) t.pending @ deferred)
 
 (* Every selectable variant of [fe]: its descriptor records, then the
    cache's resident aliases in link order. *)
@@ -693,8 +657,6 @@ let bind_ptr t (fp : fnptr_entry) (target : int option) =
    live functions are journaled and drained transactionally at quiescence
    points (the machine's safepoint hook).  The Table 1 API stages through
    the same path with nothing live. *)
-
-type safe_policy = Defer | Deny
 
 let set_live_scanner t scan = t.live_scanner <- Some scan
 
@@ -765,25 +727,13 @@ let apply_action_lenient t = function
   | Act_fn (fe, v) -> bind_fn t fe v
   | Act_ptr (fp, target) -> bind_ptr t fp target
 
-(* The stager every commit and revert entry point hands its actions to:
-   the live-activation set it was opened with ([[]] for the Table 1 API,
-   whose caller guarantees a patchable state) and the actions it has
-   journaled so far. *)
-type stager = {
-  sg_policy : safe_policy;
-  sg_live : int list;
-  mutable sg_deferred : pending_action list;  (* newest first *)
-}
-
-(* Apply [action] now or — when the bytes it would rewrite hold a live
-   activation — journal it ([Defer]) or refuse it ([Deny]).  Returns
-   whether it was applied.  With nothing live no patch range is computed:
-   a spinlock with a thousand call sites would otherwise build its range
-   list on every commit. *)
-let stage t sg action : bool =
-  let blocked =
-    match sg.sg_live with [] -> false | live -> ranges_live (action_ranges action) live
-  in
+(* Apply [action] now or — when the bytes it would rewrite hold one of
+   the [live] activations — defer it into the stager ([Defer]) or refuse
+   it ([Deny]).  Returns whether it was applied.  With nothing live no
+   patch range is computed: a spinlock with a thousand call sites would
+   otherwise build its range list on every commit. *)
+let stage t sg ~live action : bool =
+  let blocked = match live with [] -> false | live -> ranges_live (action_ranges action) live in
   if not blocked then begin
     apply_action_lenient t action;
     true
@@ -812,10 +762,10 @@ let stage t sg action : bool =
     [true] when the function ends bound. *)
 let commit_fn t sg (fe : fn_entry) : bool =
   match select_variant t fe with
-  | Some v -> bound_at fe v.vn_addr || stage t sg (Act_fn (fe, Some v))
+  | Some v -> bound_at fe v.vn_addr || stage t sg ~live:sg.sg_live (Act_fn (fe, Some v))
   | None ->
       if fe.fe_installed <> None || fe.fe_saved <> None then
-        ignore (stage t sg (Act_fn (fe, None)));
+        ignore (stage t sg ~live:sg.sg_live (Act_fn (fe, None)));
       (* only signal when the function actually has (or could materialize)
          specialized variants: a variant-less function is trivially bound
          to its generic body *)
@@ -828,14 +778,14 @@ let commit_fn t sg (fe : fn_entry) : bool =
 let commit_fnptr t sg (fp : fnptr_entry) : bool =
   let target = Image.read t.image fp.fp_switch.sw_var.vr_addr 8 in
   if target = 0 then begin
-    if fp.fp_committed <> None then ignore (stage t sg (Act_ptr (fp, None)));
+    if fp.fp_committed <> None then ignore (stage t sg ~live:sg.sg_live (Act_ptr (fp, None)));
     fallback t fp.fp_switch.sw_name;
     false
   end
-  else fp.fp_committed = Some target || stage t sg (Act_ptr (fp, Some target))
+  else fp.fp_committed = Some target || stage t sg ~live:sg.sg_live (Act_ptr (fp, Some target))
 
-let revert_fn t sg fe = stage t sg (Act_fn (fe, None))
-let revert_fnptr t sg fp = stage t sg (Act_ptr (fp, None))
+let revert_fn t sg fe = stage t sg ~live:sg.sg_live (Act_fn (fe, None))
+let revert_fnptr t sg fp = stage t sg ~live:sg.sg_live (Act_ptr (fp, None))
 
 (* Decide over the functions, then the fn-pointer switches; returns how
    many ended in the requested state. *)
@@ -866,15 +816,18 @@ let supersede t fns ptrs =
 
 (* One span over the functions [fns] and fn-pointer switches [ptrs] (by
    default all of them): the begin event, the live set, their journaled
-   actions superseded and fresh fallbacks, one decision per entity, the
-   journal of whatever the stager deferred, and the end event with the count. *)
+   actions superseded and fresh fallbacks, one decision per entity — its
+   evictions staging through the same stager — the journal of whatever
+   the stager deferred, and the end event with the count. *)
 let span t ?(fns = t.functions) ?(ptrs = t.fnptrs) op ~policy ~live decide : int =
   with_barrier t @@ fun () ->
   emit_span_begin t op;
   let sg = { sg_policy = policy; sg_live = live (); sg_deferred = [] } in
   supersede t fns ptrs;
   t.fallbacks <- [];
+  t.stager <- Some sg;
   let n = decide sg fns ptrs in
+  t.stager <- None;
   journal t (List.rev sg.sg_deferred);
   emit_span_end t op n;
   n
@@ -946,6 +899,62 @@ let commit_func t name = on_func t "commit_func" name (commit_each t)
 let revert_func t name = on_func t "revert_func" name (revert_each t)
 let commit_refs t name = on_refs t "commit_refs" name (commit_each t)
 let revert_refs t name = on_refs t "revert_refs" name (revert_each t)
+
+(* ------------------------------------------------------------------ *)
+(* The variant cache's entry points                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** Enable demand-driven materialization: [recipes] are the compiler's
+    per-function specialization recipes ([Compiler.recipes]), [call_pad]
+    the program-wide call-site padding rule ([Compiler.call_pad]), and
+    [budget] the resident variant-text byte budget (default: the whole
+    variant-text region).  Evictions run inside a span: an installed
+    victim's unbind goes to that span's stager, tested against the
+    scanner's live set over every range it rewrites, so it applies now
+    or is deferred into the span's set (drained, with OSR's help, at a
+    later safepoint) or denied; the victim's bytes wait until its body
+    is no longer in use. *)
+let enable_lazy ?budget t ~recipes ~call_pad =
+  let region = t.image.Image.vtext.Image.sr_size in
+  if region = 0 then
+    errf "lazy materialization needs a variant-text region (link with vtext_size > 0)";
+  let budget = Option.value budget ~default:region in
+  if budget <= 0 then errf "variant budget must be positive";
+  Variant_cache.enable t.cache ~recipes ~call_pad ~budget
+    {
+      Variant_cache.emit = emit t;
+      read = read_switch t;
+      release =
+        (fun fe v ->
+          match t.stager with
+          | None -> errf "eviction of %s outside a span" v.vn_name
+          | Some sg when bound_at fe v.vn_addr ->
+              not (stage t sg ~live:(scanned t) (Act_fn (fe, None)))
+          | Some _ -> body_live t v);
+      in_use = (fun fe v -> bound_at fe v.vn_addr || body_live t v);
+      journaled = (fun () -> pending_variant_addrs t);
+    }
+
+(* The one check of the setters that need a lazy runtime. *)
+let lazy_cache t =
+  if not (Variant_cache.enabled t.cache) then
+    errf "lazy materialization is not enabled (Runtime.enable_lazy)";
+  t.cache
+
+(** Shrink (or grow) the resident byte budget: a span over no entity,
+    whose evictions stage like any other.  Shrinking evicts down to the
+    new budget where possible; a victim whose unbind is deferred frees
+    its bytes at a later safepoint, so residency may exceed a
+    just-shrunk budget until then — new materializations are denied in
+    the meantime. *)
+let set_variant_budget t b =
+  let c = lazy_cache t in
+  if b <= 0 then errf "variant budget must be positive";
+  let evict _ _ _ = Variant_cache.set_budget c b; 0 in
+  ignore (span t ~fns:[] ~ptrs:[] "set_variant_budget" ~policy:Defer ~live:nothing_live evict)
+
+let set_evict_advisor t adv = Variant_cache.set_advisor (lazy_cache t) adv
+let set_stale_cache_chaos t flag = Variant_cache.set_stale_cache (lazy_cache t) flag
 
 (* ------------------------------------------------------------------ *)
 (* On-stack replacement                                                *)

@@ -29,7 +29,9 @@
     unless its bytes hold a live activation.  {!commit}/{!revert} span
     every entity with nothing live; {!commit_safe}/{!revert_safe} the
     same over the scanner's live set; the [_func]/[_refs] forms the
-    entities they name, with nothing live.
+    entities they name, with nothing live.  When the lazy variant cache
+    evicts a bound variant inside a span, the unbind goes to the same
+    stager, tested against the scanner's live set.
 
     Two extensions live behind their own modules, and this one calls
     them: {!Variant_cache} owns which lazily materialized bodies are
@@ -167,8 +169,10 @@ val set_live_scanner : t -> (unit -> int list) -> unit
     entities are excluded until a safepoint applies them).  Binding
     decisions — variant selection, fn-pointer targets, and on a lazy
     runtime the materialization of the selected variant — are made at call
-    time and journaled verbatim.  Supersedes any previously pending sets.
-    Raises {!Runtime_error} if no live scanner is installed. *)
+    time and journaled verbatim.  Supersedes any previously pending sets,
+    and journals at most one: the deferred decisions together with any
+    eviction unbind the call deferred.  Raises {!Runtime_error} if no
+    live scanner is installed. *)
 val commit_safe : ?policy:safe_policy -> t -> int
 
 (** [multiverse_revert()], made safe: restores every entity whose patch
@@ -216,9 +220,9 @@ val pending : t -> string list
     merges equal clones under — so a structurally equal body is never
     stored twice: a hash hit links only a descriptor alias ([dedup] in
     the [Variant_materialized] event, zero new bytes).  A byte budget
-    bounds residency; eviction drops cold aliases and routes installed
-    victims through the existing revert / safe-commit / OSR machinery,
-    releasing their bytes once the body is quiescent.  A re-commit of an
+    bounds residency; eviction drops cold aliases, stages an installed
+    victim's unbind like any other patch, and releases the victim's
+    bytes once its body is no longer in use.  A re-commit of an
     evicted valuation simply re-materializes — bit-identically, since
     recipes are deterministic. *)
 
@@ -245,7 +249,20 @@ val pending : t -> string list
     memo entries, so the memo holds at most that many entries per
     recipe.  An assignment whose first materialization was a hash hit
     has no fragment yet and is specialized once more on its first miss
-    ({!specializations} counts both). *)
+    ({!specializations} counts both).
+
+    Evictions run inside the span that needs the room — a commit's
+    selection, or {!set_variant_budget}.  An installed victim's unbind
+    goes to that span's stager and is tested against the scanner's live
+    set in every span (nothing is live without a scanner), since the
+    caller of a Table 1 call vouches for its decisions, not for the
+    runtime's own choice to free bytes.  The test covers every range the
+    unbind rewrites: the installed body, the saved prologue and every
+    patched call site.  It applies now, joins the span's journaled set
+    under [Defer] (drained, with OSR's help, at a later {!safepoint}),
+    or is refused under [Deny], leaving the victim bound.  Either way
+    the victim's bytes are freed once its function is no longer bound
+    to it and no activation is live in it. *)
 val enable_lazy :
   ?budget:int ->
   t ->
@@ -256,11 +273,14 @@ val enable_lazy :
 (** Whether demand-driven materialization is enabled. *)
 val lazy_enabled : t -> bool
 
-(** Change the resident byte budget.  Shrinking evicts down to the new
-    budget immediately where possible; victims with live activations
-    drain at later safepoints, and new materializations are denied until
-    residency fits.  Raises {!Runtime_error} when lazy materialization is
-    not enabled or the budget is not positive. *)
+(** Change the resident byte budget, as a span named
+    ["set_variant_budget"] over no entity: it takes a fresh causality id
+    and resets {!fallbacks}, and its evictions stage under [Defer].
+    Shrinking evicts down to the new budget where possible; a victim
+    whose unbind is deferred drains at a later safepoint, and new
+    materializations are denied until residency fits.  Raises
+    {!Runtime_error} when lazy materialization is not enabled or the
+    budget is not positive. *)
 val set_variant_budget : t -> int -> unit
 
 (** Install (or remove, with [None]) the eviction advisor: a thunk

@@ -109,7 +109,7 @@ type 'fn t = {
   mutable tick : int;  (** LRU clock, bumped per selection *)
   mutable evict_pending : string list;
       (** victims whose body is still in use (a live activation, or an
-          undrained unbind): freed at a later safepoint, oldest first *)
+          unbind not applied yet): freed at a later safepoint, oldest first *)
   mutable advisor : (unit -> string list) option;
       (** preferred eviction order (e.g. [Heat.evict_plan] victims) *)
   mutable stale_cache : bool;
@@ -281,9 +281,9 @@ let drop_alias c sym (mi : _ alias) =
   c.counters.evictions <- c.counters.evictions + 1;
   c.host.emit (Trace.Variant_evicted { fn = r.lr_recipe.rc_name; variant = sym; freed })
 
-(* Evict one victim: the host releases it (an installed victim is
-   unbound now, or its unbind journaled while the body is live), and the
-   alias goes now or — while its body is live — at a later sweep. *)
+(* Evict one victim: the host releases it (an installed victim's unbind
+   is staged in the open span), and the alias goes now or — while its
+   body stays in use — at a later sweep. *)
 let evict_one c sym mi =
   if c.host.release mi.mi_fn mi.mi_alias then begin
     if not (List.mem sym c.evict_pending) then c.evict_pending <- c.evict_pending @ [ sym ]

@@ -31,15 +31,16 @@ type 'fn host = {
   emit : Mv_obs.Trace.event -> unit;
   read : int -> int;  (** the value of the switch at an address *)
   release : 'fn -> variant -> bool;
-      (** An eviction victim: if the function is bound to its body, unbind
-          it now or — while an activation is live in the body — journal the
-          unbind.  Returns whether the body is live. *)
+      (** An eviction victim: if the function is bound to its body, stage
+          the unbind in the runtime's open span, which applies, defers or
+          refuses it.  Returns whether the body stays in use. *)
   in_use : 'fn -> variant -> bool;
       (** Whether a victim's body is still in use: its function is bound
           to it (a journaled unbind has not drained), or an activation is
           live in it. *)
   journaled : unit -> int list;
-      (** Body addresses that journaled binds still need. *)
+      (** Body addresses that journaled binds, or binds the open span
+          deferred, still need. *)
 }
 
 type 'fn t

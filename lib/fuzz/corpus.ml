@@ -40,46 +40,41 @@ let to_json (e : entry) : Json.t =
       ("schedule", Schedule.to_json e.e_schedule);
     ]
 
+(* Every member must decode.  An optional member that is missing keeps
+   its default — args [[1]], no assignments, an empty schedule — but one
+   that is present and does not decode is an error naming it: a
+   reproducer is replayed as it was written, or not at all. *)
 let of_json (j : Json.t) : (entry, string) result =
-  let str k = match Json.member k j with Some (Json.String s) -> Ok s | _ -> Error k in
-  let int k = match Json.member k j with Some (Json.Int i) -> Ok i | _ -> Error k in
+  let member ?default k decode =
+    match (Json.member k j, default) with
+    | None, Some d -> Ok d
+    | None, None -> Error (k ^ " (missing)")
+    | Some v, _ -> Result.map_error (Printf.sprintf "%s (%s)" k) (decode v)
+  in
+  let str = function Json.String s -> Ok s | _ -> Error "expected a string" in
+  let int = function Json.Int i -> Ok i | _ -> Error "expected an integer" in
+  let list f = function
+    | Json.List xs ->
+        List.fold_right
+          (fun x acc ->
+            match (f x, acc) with Ok v, Ok vs -> Ok (v :: vs) | Error e, _ | _, Error e -> Error e)
+          xs (Ok [])
+    | _ -> Error "expected a list"
+  in
   let ( let* ) r f = match r with Ok v -> f v | Error e -> Error ("corpus: bad field " ^ e) in
-  (match Json.member "format" j with
-  | Some (Json.String "mv-fuzz-repro/1") -> Ok ()
-  | _ -> Error "corpus: not an mv-fuzz-repro/1 document")
-  |> function
-  | Error e -> Error e
-  | Ok () ->
-      let* seed = int "seed" in
-      let* oracle = str "oracle" in
+  match Json.member "format" j with
+  | Some (Json.String "mv-fuzz-repro/1") ->
+      let* seed = member "seed" int in
+      let* oracle = member "oracle" str in
       let* () =
         if List.mem oracle Oracle.oracle_names then Ok ()
         else Error (Printf.sprintf "oracle (no oracle named %S)" oracle)
       in
-      let* detail = str "detail" in
-      let* src = str "src" in
-      let args =
-        match Json.member "args" j with
-        | Some (Json.List xs) ->
-            List.filter_map (function Json.Int i -> Some i | _ -> None) xs
-        | _ -> [ 1 ]
-      in
-      let assignments =
-        match Json.member "assignments" j with
-        | Some (Json.List xs) ->
-            List.filter_map
-              (fun x ->
-                match Schedule.assignment_of_json x with
-                | Ok a -> Some a
-                | Error _ -> None)
-              xs
-        | _ -> []
-      in
-      let schedule =
-        match Json.member "schedule" j with
-        | Some s -> ( match Schedule.of_json s with Ok sc -> sc | Error _ -> [])
-        | None -> []
-      in
+      let* detail = member "detail" str in
+      let* src = member "src" str in
+      let* args = member "args" ~default:[ 1 ] (list int) in
+      let* assignments = member "assignments" ~default:[] (list Schedule.assignment_of_json) in
+      let* schedule = member "schedule" ~default:[] Schedule.of_json in
       Ok
         {
           e_seed = seed;
@@ -90,6 +85,7 @@ let of_json (j : Json.t) : (entry, string) result =
           e_assignments = assignments;
           e_schedule = schedule;
         }
+  | _ -> Error "corpus: not an mv-fuzz-repro/1 document"
 
 let save ~dir (e : entry) : string =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -101,18 +97,9 @@ let save ~dir (e : entry) : string =
   path
 
 let load_file path : (entry, string) result =
-  match
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error m -> Error m
-  | s -> (
-      match Json.parse s with
-      | Error m -> Error (path ^ ": " ^ m)
-      | Ok j -> of_json j)
+  | s -> Result.bind (Json.parse s) of_json
 
 let load_dir dir : (string * (entry, string) result) list =
   if not (Sys.file_exists dir) then []

@@ -20,8 +20,11 @@ val of_shrunk : Shrink.result -> entry
     exceptions if the stored source no longer parses). *)
 val to_case : entry -> Gen.case
 
-(** On-disk (de)serialization; [of_json] reports malformed entries
-    instead of raising. *)
+(** On-disk (de)serialization.  [of_json] reports a malformed entry
+    instead of raising: a member that is present but does not decode — a
+    non-integer argument, an assignment or a schedule op it cannot read
+    — is an error naming the member.  A missing [args], [assignments] or
+    [schedule] keeps its default: [[1]], none, and the empty schedule. *)
 val to_json : entry -> Mv_obs.Json.t
 
 val of_json : Mv_obs.Json.t -> (entry, string) result
@@ -30,7 +33,8 @@ val of_json : Mv_obs.Json.t -> (entry, string) result
     [repro-seed<N>-<oracle>.json]; returns the path. *)
 val save : dir:string -> entry -> string
 
-(** Parse one reproducer file. *)
+(** Parse one reproducer file.  The error does not repeat the path,
+    which {!load_dir} pairs with it. *)
 val load_file : string -> (entry, string) result
 
 (** All [*.json] entries of a directory, sorted by filename; parse

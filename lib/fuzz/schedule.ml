@@ -145,6 +145,14 @@ let assignment_to_json (a : Gen.assignment) : Json.t =
       ("ptrs", Json.Obj (List.map (fun (n, t) -> (n, Json.String t)) a.Gen.a_ptrs));
     ]
 
+(* [f] over every element, or the first error. *)
+let rec all f = function
+  | [] -> Ok []
+  | x :: rest -> (
+      match f x with
+      | Error _ as e -> e
+      | Ok v -> ( match all f rest with Ok vs -> Ok (v :: vs) | e -> e))
+
 let assignment_of_json j : (Gen.assignment, string) result =
   let fields = function Some (Json.Obj kvs) -> Ok kvs | _ -> Error "expected object" in
   match (fields (Json.member "ints" j), fields (Json.member "ptrs" j)) with
@@ -155,13 +163,6 @@ let assignment_of_json j : (Gen.assignment, string) result =
       and str_of = function
         | n, Json.String s -> Ok (n, s)
         | n, _ -> Error ("assignment ptr " ^ n)
-      in
-      let rec all f = function
-        | [] -> Ok []
-        | x :: rest -> (
-            match f x with
-            | Error _ as e -> e
-            | Ok v -> ( match all f rest with Ok vs -> Ok (v :: vs) | e -> e))
       in
       (match (all int_of ints, all str_of ptrs) with
       | Ok a_ints, Ok a_ptrs -> Ok { Gen.a_ints; a_ptrs }
@@ -220,13 +221,6 @@ let mid_of_json j : (int * mid_op, string) result =
   | _ -> Error "unknown mid op"
 
 let of_json (j : Json.t) : (t, string) result =
-  let rec all f = function
-    | [] -> Ok []
-    | x :: rest -> (
-        match f x with
-        | Error _ as e -> e
-        | Ok v -> ( match all f rest with Ok vs -> Ok (v :: vs) | e -> e))
-  in
   match j with
   | Json.List rounds ->
       all

@@ -133,6 +133,23 @@ let parse (s : string) : (t, string) result =
     end
     else err (Printf.sprintf "expected '%s'" word)
   in
+  (* Exactly four hex digits, as a code unit. *)
+  let hex4 () =
+    if !pos + 4 > n then err "truncated \\u escape";
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - Char.code '0'
+      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+      | _ -> err "bad \\u escape"
+    in
+    let v = ref 0 in
+    for i = !pos to !pos + 3 do
+      v := (!v lsl 4) lor digit s.[i]
+    done;
+    pos := !pos + 4;
+    !v
+  in
   let parse_string () =
     expect '"';
     let buf = Buffer.create 16 in
@@ -166,25 +183,24 @@ let parse (s : string) : (t, string) result =
               Buffer.add_char buf '\012';
               loop ()
           | 'u' ->
-              if !pos + 4 > n then err "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              pos := !pos + 4;
+              let code = hex4 () in
               let code =
-                try int_of_string ("0x" ^ hex) with _ -> err "bad \\u escape"
+                if code land 0xFC00 = 0xD800 then begin
+                  (* a high surrogate pairs with the \u low surrogate after it *)
+                  if !pos + 2 > n || s.[!pos] <> '\\' || s.[!pos + 1] <> 'u' then
+                    err "lone surrogate";
+                  pos := !pos + 2;
+                  let low = hex4 () in
+                  if low land 0xFC00 <> 0xDC00 then err "lone surrogate";
+                  0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+                end
+                else if code land 0xFC00 = 0xDC00 then err "lone surrogate"
+                else code
               in
-              (* emit UTF-8 for the BMP code point *)
-              if code < 0x80 then Buffer.add_char buf (Char.chr code)
-              else if code < 0x800 then begin
-                Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end
-              else begin
-                Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end;
+              Buffer.add_utf_8_uchar buf (Uchar.of_int code);
               loop ()
           | _ -> err "bad escape")
+      | c when Char.code c < 0x20 -> err "control character in string"
       | c ->
           Buffer.add_char buf c;
           loop ()

@@ -31,7 +31,11 @@ val to_string_pretty : t -> string
     [-? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)?], so [1.],
     [.5], [01] and [1e] are errors.  One with a fraction or an exponent,
     or an integer outside OCaml's [int] range, is a [Float]; any other
-    an [Int]. *)
+    an [Int].  Strings follow JSON's grammar too: a raw byte below
+    [0x20] is an error, and [\u] takes exactly four hex digits and
+    decodes to UTF-8.  A high surrogate must be followed by a [\u] low
+    surrogate, the pair decoding to the 4-byte UTF-8 of one code point;
+    a lone surrogate is an error. *)
 val parse : string -> (t, string) result
 
 (** [member key json] is the value bound to [key] when [json] is an

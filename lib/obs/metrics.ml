@@ -192,17 +192,21 @@ let pp fmt t =
    timestamps).  [hart] names the hart an observation is attributed to
    (default: constant 0) so per-hart drain skew shows up in the registry;
    latencies are attributed to the hart that closed them.  A drain pairs
-   with the defers of its own [cid]: only a whole-image safe span defers,
-   after superseding every older set, so a new cid's first defer forgets
-   the last cid's, and a rollback forgets its own. *)
+   with the defers of its own [cid], kept per cid: a span journals at
+   most one set, and any span may defer (an eviction's unbind, say) while
+   an older set is still pending.  A cid's drain or rollback ends its
+   stamps.  A superseded set reports nothing, so the begin of a
+   whole-image span, which supersedes every set, forgets them all. *)
 let trace_sink t ~clock ?(hart = fun () -> 0) () : Trace.sink =
   let open_spans : (string * float) list ref = ref [] in
-  let defers : (int * float list) ref = ref (-1, []) in
+  let defers : (int, float list) Hashtbl.t = Hashtbl.create 4 in
   let hart_label () = ("hart", string_of_int (hart ())) in
   fun ev ->
     inc t "mv_events_total" [ ("kind", Trace.event_name ev) ];
     match ev with
     | Trace.Commit_begin { op; switches; _ } ->
+        if List.mem op [ "commit"; "revert"; "commit_safe"; "revert_safe" ] then
+          Hashtbl.reset defers;
         open_spans := (op, clock ()) :: !open_spans;
         List.iter
           (fun (n, v) ->
@@ -228,23 +232,20 @@ let trace_sink t ~clock ?(hart = fun () -> 0) () : Trace.sink =
     | Trace.Fallback { fn } -> inc t "mv_fallbacks_total" [ ("fn", fn) ]
     | Trace.Safe_defer { cid; _ } ->
         inc t "mv_safe_total" [ ("outcome", "deferred") ];
-        let c, ts = !defers in
-        defers := (cid, (if c = cid then ts else []) @ [ clock () ])
+        let ts = Option.value (Hashtbl.find_opt defers cid) ~default:[] in
+        Hashtbl.replace defers cid (ts @ [ clock () ])
     | Trace.Safe_deny _ -> inc t "mv_safe_total" [ ("outcome", "denied") ]
     | Trace.Pending_drained { cid; actions; _ } ->
         inc t "mv_safe_total" [ ("outcome", "drained") ];
-        let now = clock () in
-        let lbl = [ hart_label () ] in
-        let rec drain n = function
-          | ts :: rest when n > 0 ->
-              observe t "mv_safe_drain_latency_cycles" lbl (now -. ts);
-              drain (n - 1) rest
-          | rest -> rest
-        in
-        (match !defers with c, ts when c = cid -> defers := (c, drain actions ts) | _ -> ())
+        let now = clock () and lbl = [ hart_label () ] in
+        List.iteri
+          (fun i ts ->
+            if i < actions then observe t "mv_safe_drain_latency_cycles" lbl (now -. ts))
+          (Option.value (Hashtbl.find_opt defers cid) ~default:[]);
+        Hashtbl.remove defers cid
     | Trace.Pending_rollback { cid; _ } ->
         inc t "mv_safe_total" [ ("outcome", "rolled_back") ];
-        if fst !defers = cid then defers := (-1, [])
+        Hashtbl.remove defers cid
     | Trace.Safepoint_poll { pending } ->
         inc t "mv_safepoint_polls_total" [];
         set_gauge t "mv_pending_sets" [] (float_of_int pending)

@@ -31,7 +31,8 @@ type event =
           end, deferrals, the eventual drain) carries it.  [op] names the
           entry point: ["commit"], ["revert"], ["commit_safe"],
           ["revert_safe"], ["commit_func"], ["revert_func"],
-          ["commit_refs"] or ["revert_refs"];
+          ["commit_refs"], ["revert_refs"] or ["set_variant_budget"]
+          (a budget change, whose evictions stage in its span);
           [switches] records every configuration switch's value at
           decision time. *)
   | Commit_end of { cid : int; op : string; bound : int }

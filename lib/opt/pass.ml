@@ -15,11 +15,11 @@ let default_pipeline =
     { name = "dce"; run = Dce.run };
   ]
 
-(** Run the pipeline until no pass reports a change (bounded, as a safety
-    net against oscillating rewrites). *)
-let optimize_fn ?(max_rounds = 32) (fn : Ir.fn) : unit =
+(** Run the pipeline until no pass reports a change (at most 32 rounds, as
+    a safety net against oscillating rewrites). *)
+let optimize_fn (fn : Ir.fn) : unit =
   let rec go round =
-    if round < max_rounds then begin
+    if round < 32 then begin
       let changed =
         List.fold_left (fun acc p -> p.run fn || acc) false default_pipeline
       in

@@ -10,8 +10,8 @@ type pass = { name : string; run : Mv_ir.Ir.fn -> bool }
 (** Constant propagation, branch folding, CFG simplification, DCE. *)
 val default_pipeline : pass list
 
-(** Iterate the pipeline until no pass reports a change (bounded by
-    [max_rounds] as a safety net). *)
-val optimize_fn : ?max_rounds:int -> Mv_ir.Ir.fn -> unit
+(** Iterate the pipeline until no pass reports a change (at most 32
+    rounds, as a safety net). *)
+val optimize_fn : Mv_ir.Ir.fn -> unit
 
 val optimize_prog : Mv_ir.Ir.prog -> unit

@@ -174,8 +174,8 @@ let new_page () =
    replaces it first. *)
 let no_page = new_page ()
 
-let create ?(cost = Cost.default) ?(platform = Native) ?(max_steps = 2_000_000_000)
-    ?(hart_id = 0) ?stack_base (image : Image.t) : t =
+let create ?(platform = Native) ?(max_steps = 2_000_000_000) ?(hart_id = 0) ?stack_base
+    (image : Image.t) : t =
   (* decode state covers every executable byte: the static text plus —
      when the image reserves one — the variant-text region the lazy
      materializer writes into, so freshly materialized bodies fetch and
@@ -200,7 +200,7 @@ let create ?(cost = Cost.default) ?(platform = Native) ?(max_steps = 2_000_000_0
     pc = return_sentinel;
     perf = Perf.create ();
     bp = Branch_pred.create ();
-    cost;
+    cost = Cost.default;
     platform;
     code_span = max 1 code_span;
     pages = [||];

@@ -120,15 +120,15 @@ val page_size : int
     never be mistaken for a live code address. *)
 val return_sentinel : int
 
-(** Build a machine over a linked image.  [cost] selects the cycle model,
-    [platform] whether privileged instructions or hypercalls fault, and
-    [max_steps] bounds each top-level call (runaway-loop protection).
+(** Build a machine over a linked image, charging {!Cost.default}.
+    [platform] selects whether privileged instructions or hypercalls
+    fault, and [max_steps] bounds each top-level call (runaway-loop
+    protection).
     [hart_id] (default 0) tags this context's events; [stack_base]
     (default the image's) lets an SMP container give each hart a disjoint
     stack slice.  The defaults reproduce the single-hart machine
     bit-for-bit. *)
 val create :
-  ?cost:Cost.t ->
   ?platform:platform ->
   ?max_steps:int ->
   ?hart_id:int ->

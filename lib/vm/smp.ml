@@ -99,11 +99,11 @@ let clock t =
 
 let emit t ev = match t.tracer with None -> () | Some sink -> sink ev
 
-let create ?(policy = Round_robin) ?(seed = 1) ?cost ?platform ?max_steps
-    ~n_harts (image : Image.t) : t =
+let create ?(policy = Round_robin) ?(seed = 1) ?platform ?max_steps ~n_harts
+    (image : Image.t) : t =
   if n_harts < 1 then invalid_arg "Smp.create: need at least one hart";
   let mk i =
-    Machine.create ?cost ?platform ?max_steps ~hart_id:i
+    Machine.create ?platform ?max_steps ~hart_id:i
       ~stack_base:(image.Image.stack_base - (i * hart_stack_bytes))
       image
   in

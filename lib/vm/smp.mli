@@ -42,12 +42,11 @@ val hart_stack_bytes : int
 
 (** [create ~n_harts image] builds the container; [policy] (default
     {!Round_robin}) and [seed] (default 1) fully determine scheduling —
-    same seed, same interleaving, bit for bit.  [cost]/[platform]/
-    [max_steps] are passed to every hart's {!Machine.create}. *)
+    same seed, same interleaving, bit for bit.  [platform]/[max_steps]
+    are passed to every hart's {!Machine.create}. *)
 val create :
   ?policy:policy ->
   ?seed:int ->
-  ?cost:Cost.t ->
   ?platform:Machine.platform ->
   ?max_steps:int ->
   n_harts:int ->

@@ -258,8 +258,8 @@ let enable_metrics s =
    the region registry, and the residency sink joins the event chain so
    variant lifecycles are tracked from the same trace stream everything
    else consumes.  Composes with the other enable_* in any order. *)
-let enable_heat ?decay s =
-  let h = Heat.create ?decay () in
+let enable_heat s =
+  let h = Heat.create () in
   List.iter (Heat.register h) (Core.Runtime.heat_regions s.runtime);
   s.heat <- Some h;
   List.iter Machine.enable_heat (harts s);
@@ -447,13 +447,14 @@ let exclude_outliers values =
   List.partition (fun v -> v <= threshold) values
 
 (** Measure [loop_fn], a guest function that runs [calls] invocations of the
-    function under test in a tight loop.  Returns mean cycles per call.
+    function under test in a tight loop, after three warm-up runs.
+    Returns mean cycles per call.
 
     [jitter] (a seed) makes a small fraction of samples absorb a simulated
     interrupt, as in the paper's measurements on real hardware. *)
-let measure ?(samples = 200) ?(calls = 100) ?(warmup = 3) ?jitter (s : session)
-    ~(loop_fn : string) : measurement =
-  for _ = 1 to warmup do
+let measure ?(samples = 200) ?(calls = 100) ?jitter (s : session) ~(loop_fn : string) :
+    measurement =
+  for _ = 1 to 3 do
     ignore (Machine.call s.machine loop_fn [ calls ])
   done;
   let lcg = ref (Option.value jitter ~default:0 lor 1) in

@@ -219,10 +219,10 @@ val enable_metrics : session -> unit
     ([Core.Runtime.heat_regions]), and the residency sink
     ([Mv_obs.Heat.sink]) teed into the session's event chain.  One
     accumulator folds the harts' counters keyed by hart id, so harts
-    sharing text offsets never collide.  [decay] is the per-epoch
-    hotness multiplier (default 0.5).  Composes with the other
+    sharing text offsets never collide.  Hotness decays at
+    {!Mv_obs.Heat.create}'s default rate.  Composes with the other
     [enable_*] in any order. *)
-val enable_heat : ?decay:float -> session -> unit
+val enable_heat : session -> unit
 
 (** The heat accumulator armed by {!enable_heat}, if any, with every
     hart's cumulative block counters folded in first (delta-safe:
@@ -311,13 +311,12 @@ val percentile : float list -> float -> float
 val exclude_outliers : float list -> float list * float list
 
 (** Measure [loop_fn], a guest function running [calls] invocations of the
-    function under test per sample.  [jitter] (a seed) makes a small
+    function under test per sample, after three warm-up runs.  [jitter] (a seed) makes a small
     fraction of samples absorb a simulated interrupt, exercising the
     outlier-exclusion protocol. *)
 val measure :
   ?samples:int ->
   ?calls:int ->
-  ?warmup:int ->
   ?jitter:int ->
   session ->
   loop_fn:string ->

@@ -246,4 +246,26 @@ dune exec bin/mvtrace.exe -- postmortem "$bad_dump" > /dev/null 2> "$tmp"/pm.err
 [ "$pm_status" -eq 2 ] && grep -q "does not parse" "$tmp"/pm.err \
   || { echo "postmortem smoke: a malformed number exited $pm_status, not as a parse error"; exit 1; }
 
+# Corpus smoke (must-fail): a reproducer is replayed as it was written
+# or not at all.  The same document twice: as written it replays clean,
+# and with one schedule op misspelt it must be logged unreadable, not
+# replayed with its schedule dropped and reported "bug stays fixed".
+corpus_dir="$tmp"/corpus-ops
+mkdir "$corpus_dir"
+cat > "$corpus_dir"/repro.json <<'EOF'
+{"format": "mv-fuzz-repro/1", "seed": 1, "oracle": "schedule-equiv",
+ "detail": "corpus decoder smoke",
+ "src": "multiverse int m;\nint acc = 0;\nmultiverse void f() { if (m) { acc = acc + 1; } }\nint driver(int n) { acc = 0; f(); return acc + n; }",
+ "args": [1], "assignments": [{"ints": {"m": 1}, "ptrs": {}}],
+ "schedule": [{"top": [{"op": "commit"}], "mid": [], "arg": 1}]}
+EOF
+dune exec bin/mvfuzz.exe -- --check-corpus "$corpus_dir" 2>&1 \
+  | grep -q "repro.json: ok (bug stays fixed)" \
+  || { echo "corpus smoke: the well-formed reproducer did not replay clean"; exit 1; }
+sed 's/"op": "commit"/"op": "comit"/' "$corpus_dir"/repro.json > "$tmp"/misspelt.json
+mv "$tmp"/misspelt.json "$corpus_dir"/repro.json
+dune exec bin/mvfuzz.exe -- --check-corpus "$corpus_dir" 2>&1 \
+  | grep -q "repro.json: unreadable" \
+  || { echo "corpus smoke: a misspelt schedule op was not logged unreadable"; exit 1; }
+
 echo "check.sh: all gates passed"

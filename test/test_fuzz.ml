@@ -15,6 +15,7 @@ module Corpus = Mv_fuzz.Corpus
 module Driver = Mv_fuzz.Driver
 module Runtime = Core.Runtime
 module Trace = Mv_obs.Trace
+module Json = Mv_obs.Json
 
 let string_contains s sub =
   let n = String.length s and m = String.length sub in
@@ -235,6 +236,7 @@ let clean_entry () =
 let check_corpus_of ?log ?(raw = []) entries =
   let dir = Filename.temp_file "mvfuzz" "corpus2" in
   Sys.remove dir;
+  Sys.mkdir dir 0o755;
   let paths = List.map (Corpus.save ~dir) entries in
   let raw_paths =
     List.map
@@ -274,6 +276,47 @@ let test_corpus_unknown_oracle_skipped () =
   check_bool "the other is logged unreadable" true (logged_unreadable "no-such-oracle");
   check_bool "the malformed number is logged unreadable" true
     (logged_unreadable "malformed-number.json")
+
+(* A reproducer is replayed as it was written or not at all: one whose
+   schedule names an unknown op, or whose args hold a string, is logged
+   unreadable (naming its path once), not replayed with the bad member
+   dropped. *)
+let test_corpus_undecodable_member_unreadable () =
+  let entry = Corpus.to_json (clean_entry ()) in
+  let with_member k v =
+    match entry with
+    | Json.Obj kvs -> Json.Obj (List.map (fun (k', v') -> (k', if k' = k then v else v')) kvs)
+    | j -> j
+  in
+  let misspelt =
+    Json.List [ Json.Obj [ ("top", Json.List [ Json.Obj [ ("op", Json.String "comit") ] ]) ] ]
+  in
+  let log = ref [] in
+  let summary =
+    check_corpus_of
+      ~log:(fun m -> log := m :: !log)
+      ~raw:
+        [
+          ("misspelt-op.json", Json.to_string (with_member "schedule" misspelt));
+          ( "string-arg.json",
+            Json.to_string
+              (with_member "args" (Json.List [ Json.Int 1; Json.String "two"; Json.Int 3 ])) );
+        ]
+      []
+  in
+  check_int "neither is replayed" 0 summary.Driver.s_tested;
+  let logged_once file =
+    List.exists
+      (fun m ->
+        match String.index_opt m '(' with
+        | Some i ->
+            string_contains (String.sub m 0 i) (file ^ ": unreadable")
+            && not (string_contains (String.sub m i (String.length m - i)) file)
+        | None -> false)
+      !log
+  in
+  check_bool "the misspelt op is logged unreadable" true (logged_once "misspelt-op.json");
+  check_bool "the string arg is logged unreadable" true (logged_once "string-arg.json")
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz-derived regression: Pending_drained is exactly-once            *)
@@ -327,6 +370,8 @@ let suite =
     tc "check_corpus passes on a clean entry" test_corpus_check_clean;
     tc "check_corpus skips an entry naming an unknown oracle"
       test_corpus_unknown_oracle_skipped;
+    tc "check_corpus logs an entry with an undecodable member unreadable"
+      test_corpus_undecodable_member_unreadable;
     tc_slow "Pending_drained fires exactly once per drained set"
       test_pending_drained_exactly_once;
   ]

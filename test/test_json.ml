@@ -40,6 +40,18 @@ let test_u_escapes () =
   parse_err "truncated \\u" "\"\\u00\"";
   parse_err "non-hex \\u" "\"\\uZZZZ\""
 
+(* Strict strings: [\u] takes exactly four hex digits (no digit
+   separators), a surrogate pair decodes to one 4-byte UTF-8 sequence, a
+   lone surrogate is an error, and so is a raw byte below 0x20. *)
+let test_strict_strings () =
+  parse_err "digit separator in \\u" "\"\\u00_4\"";
+  check_json "surrogate pair" (Json.String "\xf0\x9f\x98\x80") (parse_ok "\"\\uD83D\\uDE00\"");
+  parse_err "lone high surrogate" "\"\\uD83Dx\"";
+  parse_err "high surrogate then a non-low one" "\"\\uD83D\\u0041\"";
+  parse_err "lone low surrogate" "\"\\uDE00\"";
+  parse_err "raw control byte" "\"a\x01b\"";
+  check_json "escaped control byte" (Json.String "a\x01b\n") (parse_ok {|"a\u0001b\n"|})
+
 let test_quote_backslash_escapes () =
   check_json "escaped quote" (Json.String {|say "hi"|}) (parse_ok {|"say \"hi\""|});
   check_json "escaped backslash" (Json.String {|a\b|}) (parse_ok {|"a\\b"|});
@@ -157,6 +169,7 @@ let test_member () =
 let suite =
   [
     tc "unicode escapes" test_u_escapes;
+    tc "strict strings: hex digits, surrogates, control bytes" test_strict_strings;
     tc "quote and backslash escapes" test_quote_backslash_escapes;
     tc "numeric extremes" test_numerics;
     tc "deep nesting round-trips" test_deep_nesting;

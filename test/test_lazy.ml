@@ -288,6 +288,192 @@ let test_pending_bind_variant_is_protected () =
   check_bool "variant bound after drain" true
     (Runtime.installed_variant s.H.runtime "f" <> None)
 
+let events s = List.map (fun st -> st.Trace.ev) (H.trace_events s)
+
+(* [f]'s m=0 variant ([cli; sti]) fits a call site, so a commit inlines
+   it at both of driver's sites; a 16-byte budget holds one body.  Parked
+   one instruction into the first site, a commit_safe of m=1 evicts the
+   m=0 body to make room.  The unbind would rewrite the site under the
+   pc, so it is deferred like the decision's own patch, not applied. *)
+let site_src =
+  {|
+  multiverse int m;
+  int w;
+  multiverse void f() { if (m) { __sti(); } else { __cli(); __sti(); } }
+  int driver() { w = 0; f(); w = w + 1; f(); return w; }
+|}
+
+(* Driver's first call site of [f], parked one instruction in: after
+   the inlined [cli], before the [sti]. *)
+let park_in_first_site s =
+  let img = s.H.program.Core.Compiler.p_image in
+  let f = Image.symbol img "f" in
+  let site =
+    List.fold_left min max_int
+      (List.filter_map
+         (fun (cs : Core.Descriptor.callsite) ->
+           if cs.cs_target = f then Some cs.cs_site else None)
+         (Core.Descriptor.parse_callsites img))
+  in
+  Machine.start_call s.H.machine "driver" [];
+  park s (site + 1);
+  site
+
+let test_eviction_leaves_live_site_alone () =
+  let s = H.session1 ~lazy_variants:true ~budget:16 site_src in
+  let img = s.H.program.Core.Compiler.p_image in
+  H.enable_safe_commit s;
+  H.set s "m" 0;
+  ignore (H.commit s);
+  check_int "both sites inlined" 2 (stats s).Runtime.st_sites_inlined;
+  let site = park_in_first_site s in
+  let before = Bytes.to_string (Image.read_bytes img site 5) in
+  H.set s "m" 1;
+  ignore (H.commit_safe s);
+  check_string "the site under the pc is untouched" before
+    (Bytes.to_string (Image.read_bytes img site 5));
+  check_bool "the unbind is journaled" true (List.mem "f" (Runtime.pending s.H.runtime));
+  check_int "driver completes" 1 (Machine.finish s.H.machine)
+
+(* The same eviction under [Deny] is refused: the victim stays bound and
+   resident until a later span unbinds [f], and then the sweep frees it. *)
+let test_denied_eviction_keeps_victim () =
+  let s = H.session1 ~lazy_variants:true ~budget:16 site_src in
+  H.enable_safe_commit s;
+  H.enable_tracing s;
+  H.set s "m" 0;
+  ignore (H.commit s);
+  let victim = Runtime.installed_variant s.H.runtime "f" in
+  ignore (park_in_first_site s);
+  H.set s "m" 1;
+  ignore (H.commit_safe ~policy:Runtime.Deny s);
+  check_bool "the eviction is refused" true
+    (List.exists (function Trace.Safe_deny { fn = "f"; _ } -> true | _ -> false) (events s));
+  check_bool "the victim stays bound" true (Runtime.installed_variant s.H.runtime "f" = victim);
+  check_int "and resident" 1 (List.length (Runtime.materialized_variants s.H.runtime));
+  check_bool "nothing journaled" true (Runtime.pending s.H.runtime = []);
+  check_int "driver completes" 1 (Machine.finish s.H.machine);
+  (* the victim is draining, so this commit cannot make room: it unbinds
+     [f], and the next sweep frees the body *)
+  ignore (H.commit s);
+  check_bool "unbound" true (Runtime.installed_variant s.H.runtime "f" = None);
+  Runtime.safepoint s.H.runtime;
+  check_int "victim freed" 0 (Runtime.variant_bytes s.H.runtime);
+  ignore (H.commit s);
+  check_bool "the m=1 variant binds" true (Runtime.installed_variant s.H.runtime "f" <> None)
+
+(* [f]'s variants store, so they are called, not inlined; a 32-byte
+   budget holds one body.  Parked one step inside the bound m=0 body, a
+   commit_safe of m=1 defers the eviction's unbind and the decision's
+   own patch into the span's one set. *)
+let store_src =
+  {|
+  multiverse int m;
+  int w;
+  multiverse void f() { if (m) { w = w + 100; } else { w = w + 1; } }
+  int driver() { w = 0; f(); f(); return w; }
+|}
+
+let test_span_journals_one_set () =
+  let s = H.session1 ~lazy_variants:true ~budget:32 store_src in
+  H.enable_safe_commit s;
+  H.enable_tracing s;
+  H.set s "m" 0;
+  ignore (H.commit s);
+  let _, vaddr, _ =
+    match Runtime.materialized_variants s.H.runtime with
+    | [ v ] -> v
+    | _ -> Alcotest.fail "expected one variant"
+  in
+  Machine.start_call s.H.machine "driver" [];
+  park s vaddr;
+  ignore (Machine.step s.H.machine);
+  H.set s "m" 1;
+  ignore (H.commit_safe s);
+  ignore (Machine.finish s.H.machine);
+  let evs = events s in
+  let cid =
+    List.find_map
+      (function Trace.Commit_begin { cid; op = "commit_safe"; _ } -> Some cid | _ -> None)
+      evs
+  in
+  let defers =
+    List.filter_map (function Trace.Safe_defer { cid; _ } -> Some cid | _ -> None) evs
+  in
+  let drains =
+    List.filter_map
+      (function Trace.Pending_drained { cid; actions; _ } -> Some (cid, actions) | _ -> None)
+      evs
+  in
+  check_bool "both patches deferred under the span's cid" true
+    (List.map Option.some defers = [ cid; cid ]);
+  check_bool "one set of two actions, drained under that cid" true
+    (List.map (fun (c, n) -> (Some c, n)) drains = [ (cid, 2) ])
+
+(* A 32-byte budget holds one body.  Parked at generic [f]'s entry, a
+   commit_safe materializes f.m=1 and defers its bind; [g]'s
+   materialization then needs the room.  The deferred bind's body must
+   not be the victim: freed and reused for g.n=1, it would be what [f]
+   is bound to once the set drains. *)
+let two_fn_src =
+  {|
+  multiverse int m;
+  multiverse int n;
+  int w;
+  multiverse void f() { if (m) { w = w + 100; } else { w = w + 1; } }
+  multiverse void g() { if (n) { w = w + 1000; } else { w = w + 10; } }
+  int driver() { w = 0; f(); g(); f(); g(); return w; }
+|}
+
+let test_deferred_bind_keeps_its_variant () =
+  let s = H.session1 ~lazy_variants:true ~budget:32 two_fn_src in
+  H.enable_safe_commit s;
+  Machine.start_call s.H.machine "driver" [];
+  park s (Image.symbol s.H.program.Core.Compiler.p_image "f");
+  H.set s "m" 1;
+  H.set s "n" 1;
+  ignore (H.commit_safe s);
+  check_bool "the deferred bind's variant stays resident" true
+    (List.map (fun (n, _, _) -> n) (Runtime.materialized_variants s.H.runtime) = [ "f.m=1" ]);
+  ignore (Machine.finish s.H.machine);
+  check_bool "f bound after the drain" true
+    (Runtime.installed_variant s.H.runtime "f" = Some "f.m=1");
+  check_int "f and g compute their m=1, n=1 values" 2200 (H.call s "driver" [])
+
+(* Parked at the bound variant's entry, a budget cut evicts it: the cut
+   is a span of its own, so the deferred unbind and its drain carry the
+   cut's cid, not the earlier commit's. *)
+let test_budget_change_is_a_span () =
+  let s = H.session1 ~lazy_variants:true defer_src in
+  H.enable_safe_commit s;
+  H.enable_tracing s;
+  H.set s "m" 1;
+  ignore (H.commit_safe s);
+  let _, vaddr, _ =
+    match Runtime.materialized_variants s.H.runtime with
+    | [ v ] -> v
+    | _ -> Alcotest.fail "expected one variant"
+  in
+  Machine.start_call s.H.machine "driver" [];
+  park s vaddr;
+  Runtime.set_variant_budget s.H.runtime 1;
+  ignore (Machine.finish s.H.machine);
+  let evs = events s in
+  match
+    List.find_map
+      (function
+        | Trace.Commit_begin { cid; op = "set_variant_budget"; _ } -> Some cid | _ -> None)
+      evs
+  with
+  | None -> Alcotest.fail "no set_variant_budget span"
+  | Some cid ->
+      check_bool "the deferred unbind carries the cut's cid" true
+        (List.exists (function Trace.Safe_defer { cid = c; fn = "f" } -> c = cid | _ -> false) evs);
+      check_bool "its drain too" true
+        (List.exists
+           (function Trace.Pending_drained { cid = c; actions = 1; _ } -> c = cid | _ -> false)
+           evs)
+
 let test_budget_denial_falls_back_and_retries () =
   let s = H.session1 ~lazy_variants:true ~budget:1 fig2 in
   commit_vals s 1 1;
@@ -1039,4 +1225,11 @@ let suite =
     tc "evict: re-materialized bytes equal a cold runtime's"
       test_rematerialized_bytes_match_cold;
     tc "memo: within the cap once per assignment, over it every time" test_memo_bound;
+    tc "evict: an eviction under commit_safe leaves a live call site alone"
+      test_eviction_leaves_live_site_alone;
+    tc "evict: a blocked eviction under Deny keeps its victim"
+      test_denied_eviction_keeps_victim;
+    tc "evict: a span journals one set" test_span_journals_one_set;
+    tc "evict: a budget change is a span" test_budget_change_is_a_span;
+    tc "evict: a span's deferred bind keeps its variant" test_deferred_bind_keeps_its_variant;
   ]

@@ -715,6 +715,34 @@ let test_metrics_drain_latency_pairs_by_cid () =
       Alcotest.failf "expected two defers, one drain and metrics (%d defers, %d drains)"
         (List.length defers) (List.length drains)
 
+(* Any span may defer while an older safe set is pending: here a
+   commit_safe defers [f] (cid 0), then a commit_func defers an
+   eviction's unbind of [g] (cid 1), and the two sets drain in order.
+   Each drain pairs with its own cid's defer. *)
+let test_metrics_drain_latency_pairs_each_cid () =
+  let m = Metrics.create () in
+  let clock = ref 0.0 in
+  let sink = Metrics.trace_sink m ~clock:(fun () -> !clock) () in
+  List.iter
+    (fun (ts, ev) ->
+      clock := ts;
+      sink ev)
+    [
+      (0.0, Trace.Commit_begin { cid = 0; op = "commit_safe"; switches = [] });
+      (1.0, Trace.Safe_defer { cid = 0; fn = "f" });
+      (2.0, Trace.Commit_end { cid = 0; op = "commit_safe"; bound = 0 });
+      (10.0, Trace.Commit_begin { cid = 1; op = "commit_func"; switches = [] });
+      (11.0, Trace.Safe_defer { cid = 1; fn = "g" });
+      (12.0, Trace.Commit_end { cid = 1; op = "commit_func"; bound = 1 });
+      (21.0, Trace.Pending_drained { cid = 0; pset = 0; actions = 1 });
+      (41.0, Trace.Pending_drained { cid = 1; pset = 1; actions = 1 });
+    ];
+  match Metrics.histogram_summary m "mv_safe_drain_latency_cycles" [ ("hart", "0") ] with
+  | Some hs ->
+      check_int "both drains observed" 2 hs.Metrics.hs_count;
+      check_float "each from its own defer" (20.0 +. 30.0) hs.Metrics.hs_sum
+  | None -> Alcotest.fail "drain-latency histogram absent"
+
 (* ------------------------------------------------------------------ *)
 (* Analyze: spans and the bench diff                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1125,6 +1153,8 @@ let suite =
     tc "safe-commit outcomes and drain latency" test_metrics_safe_commit_outcomes;
     tc "drain latency is paired with its own defers"
       test_metrics_drain_latency_pairs_by_cid;
+    tc "metrics: drain latency pairs each cid while an older set is pending"
+      test_metrics_drain_latency_pairs_each_cid;
     tc "span extraction and statistics" test_analyze_span_stats;
     tc "bench diff: unchanged tree is clean" test_bench_diff_unchanged_tree_is_clean;
     tc "bench diff: synthetic +10% trips the gate"
